@@ -185,7 +185,7 @@ fn run_cmd(args: &[String]) -> ExitCode {
     let program = match sds.compile(&script) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("compile error: {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };

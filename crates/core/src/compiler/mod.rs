@@ -53,7 +53,7 @@ pub struct ParamSpec {
 
 /// Program blocks (paper: "hierarchy of statement blocks ... control flow
 /// statements like loops or branches delineate these blocks").
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Block {
     Basic(BasicBlock),
     If {
@@ -73,57 +73,14 @@ pub enum Block {
         cond: BasicBlock,
         body: Vec<Block>,
     },
-    /// Call to a non-inlined function: `[targets] = f(args)`.
+    /// Call to a non-inlined function: `[targets] = f(args)`. For a
+    /// call-block builtin ([`is_multi_output_builtin`]) the arguments are
+    /// unnamed and in the order of its [`builtin_signature`].
     Call {
         targets: Vec<String>,
         function: String,
         args: Vec<(Option<String>, BasicBlock)>,
     },
-}
-
-impl Clone for Block {
-    fn clone(&self) -> Block {
-        match self {
-            Block::Basic(b) => Block::Basic(b.clone()),
-            Block::If {
-                cond,
-                then_blocks,
-                else_blocks,
-            } => Block::If {
-                cond: cond.clone(),
-                then_blocks: then_blocks.clone(),
-                else_blocks: else_blocks.clone(),
-            },
-            Block::For {
-                var,
-                from,
-                to,
-                step,
-                body,
-                parallel,
-            } => Block::For {
-                var: var.clone(),
-                from: from.clone(),
-                to: to.clone(),
-                step: step.clone(),
-                body: body.clone(),
-                parallel: *parallel,
-            },
-            Block::While { cond, body } => Block::While {
-                cond: cond.clone(),
-                body: body.clone(),
-            },
-            Block::Call {
-                targets,
-                function,
-                args,
-            } => Block::Call {
-                targets: targets.clone(),
-                function: function.clone(),
-                args: args.clone(),
-            },
-        }
-    }
 }
 
 /// An ordered output of a basic block.
@@ -820,9 +777,32 @@ fn const_eval_cond(e: &Expr) -> Option<bool> {
 }
 
 fn compile_call(ctx: &Ctx, name: &str, args: &[Arg], targets: Vec<String>) -> Result<Block> {
+    let args: Vec<(Option<String>, Expr)> = match builtin_signature(name) {
+        Some(sig) => bind_params(
+            name,
+            &sig.params,
+            |p| p.0,
+            args.iter()
+                .map(|a| (a.name.as_deref(), Some(a.value.clone()))),
+            |p| match &p.1 {
+                ParamDefault::Required => None,
+                ParamDefault::Value(v) => Some(Some(Expr::Const(v.clone()))),
+                ParamDefault::Runtime => Some(None),
+            },
+        )
+        .map_err(SysDsError::compile)?
+        .into_iter()
+        .flatten()
+        .map(|e| (None, e))
+        .collect(),
+        None => args
+            .iter()
+            .map(|a| (a.name.clone(), a.value.clone()))
+            .collect(),
+    };
     let mut compiled_args = Vec::with_capacity(args.len());
-    for a in args {
-        compiled_args.push((a.name.clone(), compile_expr_block(&a.value, ctx)?));
+    for (arg, value) in args {
+        compiled_args.push((arg, compile_expr_block(&value, ctx)?));
     }
     Ok(Block::Call {
         targets,
@@ -1039,12 +1019,20 @@ impl DagBuilder {
         let Some(sig) = builtin_signature(name) else {
             return Err(SysDsError::compile(format!("unknown function '{name}'")));
         };
+        if is_multi_output_builtin(name) {
+            return Err(SysDsError::compile(format!(
+                "'{name}' must be the whole right-hand side of an assignment"
+            )));
+        }
         let exprs = bind_params(
             name,
             &sig.params,
             |p| p.0,
             args.iter().map(|a| (a.name.as_deref(), a.value.clone())),
-            |p| p.1.clone().map(Expr::Const),
+            |p| match &p.1 {
+                ParamDefault::Value(v) => Some(Expr::Const(v.clone())),
+                _ => None,
+            },
         )
         .map_err(SysDsError::compile)?;
         let mut input_ids = Vec::with_capacity(exprs.len());
@@ -1105,12 +1093,30 @@ fn agg_builtin(name: &str) -> Option<(AggFn, Direction)> {
 /// Signature of a runtime builtin: canonical parameter order and defaults.
 pub struct BuiltinSig {
     pub opcode: &'static str,
-    pub params: Vec<(&'static str, Option<ScalarValue>)>,
+    pub params: Vec<(&'static str, ParamDefault)>,
+}
+
+/// What a builtin parameter takes when its argument is omitted.
+#[derive(Debug, Clone)]
+pub enum ParamDefault {
+    /// Nothing: the argument is required.
+    Required,
+    /// This constant.
+    Value(ScalarValue),
+    /// A value the runtime picks; the call block leaves the argument out.
+    /// Only the trailing parameters of call-block builtins use it.
+    Runtime,
+}
+
+impl From<Option<ScalarValue>> for ParamDefault {
+    fn from(default: Option<ScalarValue>) -> ParamDefault {
+        default.map_or(ParamDefault::Required, ParamDefault::Value)
+    }
 }
 
 macro_rules! sig {
     ($op:expr; $(($n:expr, $d:expr)),* $(,)?) => {
-        BuiltinSig { opcode: $op, params: vec![$(($n, $d)),*] }
+        BuiltinSig { opcode: $op, params: vec![$(($n, ParamDefault::from($d))),*] }
     };
 }
 
@@ -1171,11 +1177,20 @@ pub fn builtin_signature(name: &str) -> Option<&'static BuiltinSig> {
             ("data_type", Some(Str("matrix".into()))), ("header", Some(Bool(false))))),
         "write" => entry!(sig!("write";
             ("x", None), ("file", None), ("format", Some(Str("csv".into()))))),
+        // Call-block builtins (see `is_multi_output_builtin`).
+        "transformencode" => entry!(sig!("transformencode"; ("target", None), ("spec", None))),
+        "transformapply" => entry!(sig!("transformapply"; ("target", None), ("meta", None))),
+        "paramserv" => entry!(sig!("paramserv";
+            ("X", None), ("y", None), ("epochs", Some(I64(20))), ("batchsize", Some(I64(32))),
+            ("lr", Some(F64(0.1))), ("mode", Some(Str("BSP".into()))),
+            ("workers", ParamDefault::Runtime))),
+        "eigen" => entry!(sig!("eigen"; ("target", None))),
         _ => None,
     }
 }
 
-/// Whether a name is a runtime builtin (in-DAG executable).
+/// Whether a name is a runtime builtin: executed in the DAG, or as a call
+/// block for the [`is_multi_output_builtin`] ones.
 pub fn is_runtime_builtin(name: &str) -> bool {
     builtin_signature(name).is_some()
         || unary_builtin(name).is_some()
@@ -1360,6 +1375,39 @@ mod tests {
         assert!(err.contains("too many arguments for 'nrow'"), "{err}");
         let err = compile_err("X = rand(cols=2)");
         assert!(err.contains("missing argument 'rows' for 'rand'"), "{err}");
+        // Call-block builtins bind with the same rule.
+        let err = compile_err("w = paramserv(X=X, y=y, epoch=1)");
+        assert!(
+            err.contains("unknown argument 'epoch' for 'paramserv'"),
+            "{err}"
+        );
+        let err = compile_err("w = paramserv(X=X)");
+        assert!(
+            err.contains("missing argument 'y' for 'paramserv'"),
+            "{err}"
+        );
+        let err = compile_err("[w, V] = eigen(A, extra=3)");
+        assert!(
+            err.contains("unknown argument 'extra' for 'eigen'"),
+            "{err}"
+        );
+        let err = compile_err("[w, V] = eigen(A, B)");
+        assert!(err.contains("too many arguments for 'eigen'"), "{err}");
+        let err = compile_err("[X, M] = transformencode(target=F, spec=s, meta=m)");
+        assert!(
+            err.contains("unknown argument 'meta' for 'transformencode'"),
+            "{err}"
+        );
+        let err = compile_err("X = transformapply(target=F)");
+        assert!(
+            err.contains("missing argument 'meta' for 'transformapply'"),
+            "{err}"
+        );
+        let err = compile_err("x = 1 + eigen(A)");
+        assert!(
+            err.contains("'eigen' must be the whole right-hand side"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`runtime`] — the control program of §2.3: block interpretation,
 //!   dynamic recompilation, a buffer pool with spill-to-disk eviction,
 //!   `parfor` with result merge, and a local parameter server.
-//! * [`lineage`] — §3.1: fine-grained lineage tracing, loop deduplication,
-//!   and the lineage-keyed cache for full **and partial** reuse of
+//! * [`lineage`] — §3.1: fine-grained lineage tracing and the
+//!   lineage-keyed cache for full **and partial** reuse of
 //!   intermediates (compensation plans over `cbind` as in `steplm`).
 //! * [`builtins`] — the registry of DML-bodied builtin functions (`lm`,
 //!   `lmDS`, `lmCG`, `steplm`, `pca`, `kmeans`, `l2svm`, `scale`, ...);

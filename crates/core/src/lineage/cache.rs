@@ -12,6 +12,11 @@
 //!
 //! * `tsmm(cbind(A, b))` = `[[tsmm(A), t(A)b], [t(b)A, t(b)b]]`
 //! * `tmv(cbind(A, b), y)` = `rbind(tmv(A, y), t(b)y)`
+//!
+//! The map is keyed on the 64-bit lineage hash, and every entry keeps its
+//! lineage DAG: a probe hits only when the stored DAG is structurally equal
+//! to the probed one, so two lineages whose hashes collide never share a
+//! value.
 
 use super::item::LineageItem;
 use std::sync::{Arc, Mutex};
@@ -33,6 +38,8 @@ pub struct CacheStats {
 
 #[derive(Debug)]
 struct CacheEntry {
+    /// The lineage the value was computed from; confirms hash matches.
+    lineage: Arc<LineageItem>,
     value: Arc<Matrix>,
     bytes: usize,
     last_access: u64,
@@ -55,6 +62,20 @@ struct Inner {
     bytes: usize,
     clock: u64,
     stats: CacheStats,
+}
+
+impl Inner {
+    /// The value cached under a lineage structurally equal to `lineage`.
+    fn lookup(&mut self, lineage: &LineageItem) -> Option<Arc<Matrix>> {
+        self.clock += 1;
+        let clock = self.clock;
+        let e = self.map.get_mut(&lineage.hash)?;
+        if *e.lineage != *lineage {
+            return None;
+        }
+        e.last_access = clock;
+        Some(e.value.clone())
+    }
 }
 
 /// Minimum compute time for an intermediate to be admitted; cheap ops are
@@ -94,22 +115,15 @@ impl LineageCache {
             return None;
         }
         let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(&lineage.hash) {
-            Some(e) => {
-                e.last_access = clock;
-                let v = e.value.clone();
-                inner.stats.hits += 1;
-                obs_count(|c| &c.lin_hits);
-                Some(v)
-            }
-            None => {
-                inner.stats.misses += 1;
-                obs_count(|c| &c.lin_misses);
-                None
-            }
+        let hit = inner.lookup(lineage);
+        if hit.is_some() {
+            inner.stats.hits += 1;
+            obs_count(|c| &c.lin_hits);
+        } else {
+            inner.stats.misses += 1;
+            obs_count(|c| &c.lin_misses);
         }
+        hit
     }
 
     /// Probe for partial reuse of `tsmm(cbind(A, b))` given the
@@ -131,7 +145,7 @@ impl LineageCache {
             _ => return Ok(None),
         };
         let base_lineage = LineageItem::node("tsmm", vec![input.inputs[0].clone()]);
-        let Some(gram_a) = self.lookup(base_lineage.hash) else {
+        let Some(gram_a) = lock(&self.inner).lookup(&base_lineage) else {
             return Ok(None);
         };
         let k = gram_a.rows();
@@ -168,7 +182,7 @@ impl LineageCache {
             _ => return Ok(None),
         };
         let base = LineageItem::node("tmv", vec![x_lin.inputs[0].clone(), y_lin.clone()]);
-        let Some(tmv_a) = self.lookup(base.hash) else {
+        let Some(tmv_a) = lock(&self.inner).lookup(&base) else {
             return Ok(None);
         };
         let k = tmv_a.rows();
@@ -184,16 +198,6 @@ impl LineageCache {
         Ok(Some(Arc::new(full)))
     }
 
-    fn lookup(&self, hash: u64) -> Option<Arc<Matrix>> {
-        let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.get_mut(&hash).map(|e| {
-            e.last_access = clock;
-            e.value.clone()
-        })
-    }
-
     /// Offer a computed intermediate for caching. Admission is cost-based:
     /// only values whose computation took at least 50µs are kept.
     pub fn put(&self, lineage: &Arc<LineageItem>, value: Arc<Matrix>, compute_nanos: u128) {
@@ -206,7 +210,7 @@ impl LineageCache {
         }
         let mut inner = lock(&self.inner);
         if inner.map.contains_key(&lineage.hash) {
-            return;
+            return; // already cached, or a colliding lineage holds the slot
         }
         inner.clock += 1;
         let clock = inner.clock;
@@ -214,6 +218,7 @@ impl LineageCache {
         inner.map.insert(
             lineage.hash,
             CacheEntry {
+                lineage: lineage.clone(),
                 value,
                 bytes,
                 last_access: clock,
@@ -271,6 +276,83 @@ mod tests {
         let stats = c.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn colliding_lineages_do_not_share_values() {
+        // Two 16-byte leaf strings with equal FxHash values.
+        let a = LineageItem::leaf("read:6n,E4e_byU?");
+        let b = LineageItem::leaf("read:1d&S4e_bYhx");
+        assert_eq!(a.hash, b.hash);
+        let tsmm_a = LineageItem::node("tsmm", vec![a.clone()]);
+        let tsmm_b = LineageItem::node("tsmm", vec![b.clone()]);
+        assert_eq!(tsmm_a.hash, tsmm_b.hash);
+
+        let c = cache();
+        c.put(&tsmm_a, Arc::new(Matrix::filled(3, 3, 1.0)), BIG);
+        assert!(
+            c.probe(&tsmm_b).is_none(),
+            "full probe hit a colliding lineage"
+        );
+        assert!(c.probe(&tsmm_a).is_some());
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+
+        // The partial-reuse base lookup checks the lineage too.
+        let col = LineageItem::leaf("obj:col");
+        let probe = LineageItem::node("tsmm", vec![LineageItem::node("cbind", vec![b, col])]);
+        let xi = gen::rand_uniform(10, 4, 0.0, 1.0, 1.0, 311);
+        assert!(c
+            .probe_partial_tsmm(&probe, &xi, 1, false)
+            .unwrap()
+            .is_none());
+        assert_eq!(c.stats().partial_hits, 0);
+    }
+
+    /// A loop body that recomputes the same value over a loop-invariant
+    /// input builds a new, structurally equal lineage every iteration: the
+    /// first iteration misses, the rest hit.
+    #[test]
+    fn loop_invariant_iterations_hit_after_first() {
+        let c = LineageCache::new(ReusePolicy::Full, 1 << 20);
+        let x = LineageItem::leaf("input:X");
+        let value = Arc::new(Matrix::filled(4, 4, 2.5));
+        for i in 0..10 {
+            let lin = LineageItem::node("tsmm", vec![LineageItem::node("exp", vec![x.clone()])]);
+            match c.probe(&lin) {
+                Some(v) => assert!(v.approx_eq(&value, 0.0), "iteration {i} got stale data"),
+                None => c.put(&lin, value.clone(), BIG),
+            }
+        }
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses), (9, 1));
+    }
+
+    /// `parfor`-style iterations over different columns get distinct keys:
+    /// no iteration hits another's value, and a second sweep hits each
+    /// iteration's own value.
+    #[test]
+    fn parfor_iterations_keyed_by_entry_no_false_hits() {
+        let c = LineageCache::new(ReusePolicy::Full, 1 << 20);
+        let lin = |i: usize| {
+            let col = LineageItem::node(
+                format!("rightIndex:{i}"),
+                vec![LineageItem::leaf("input:X")],
+            );
+            LineageItem::node("tsmm", vec![col])
+        };
+        for i in 0..6 {
+            assert!(
+                c.probe(&lin(i)).is_none(),
+                "iteration {i} hit another's entry"
+            );
+            c.put(&lin(i), Arc::new(Matrix::filled(2, 2, i as f64)), BIG);
+        }
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 6));
+        for i in 0..6 {
+            let v = c.probe(&lin(i)).expect("second sweep must hit");
+            assert_eq!(v.get(0, 0), i as f64, "iteration {i} got another's value");
+        }
+        assert_eq!((c.stats().hits, c.stats().misses), (6, 6));
     }
 
     #[test]

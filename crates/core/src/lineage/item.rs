@@ -4,11 +4,12 @@
 //! (including non-determinism like generated seeds) to maintain lineage
 //! DAGs of live variables" (paper §3.1). Every item carries a precomputed
 //! structural hash: the reuse cache keys on it, so hashing must be O(1)
-//! per probe.
+//! per probe. A 64-bit hash can collide, so the cache confirms a hit with
+//! the structural equality of [`PartialEq`].
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use sysds_common::hash::{combine, hash_str};
+use sysds_common::hash::{combine, hash_str, FxHashSet};
 
 /// One node of a lineage DAG.
 #[derive(Debug)]
@@ -90,10 +91,22 @@ impl LineageItem {
 }
 
 impl PartialEq for LineageItem {
-    /// Structural equality via hash + opcode (collisions are accepted as
-    /// equal like in SystemDS's lineage cache, which also keys on hashes).
+    /// Structural equality: same opcode and pairwise-equal inputs. Nodes
+    /// that are the same allocation are equal without a walk, and each pair
+    /// of nodes is compared once, so shared sub-DAGs cost one visit.
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.opcode == other.opcode
+        let mut compared = FxHashSet::default();
+        let mut pending = vec![(self, other)];
+        while let Some((a, b)) = pending.pop() {
+            if std::ptr::eq(a, b) || !compared.insert((a as *const Self, b as *const Self)) {
+                continue;
+            }
+            if a.hash != b.hash || a.opcode != b.opcode || a.inputs.len() != b.inputs.len() {
+                return false;
+            }
+            pending.extend(a.inputs.iter().zip(&b.inputs).map(|(x, y)| (&**x, &**y)));
+        }
+        true
     }
 }
 
@@ -155,6 +168,22 @@ mod tests {
     }
 
     #[test]
+    fn equality_is_structural_not_by_hash() {
+        // Two 16-byte leaf strings with equal FxHash values.
+        let a = LineageItem::leaf("read:6n,E4e_byU?");
+        let b = LineageItem::leaf("read:1d&S4e_bYhx");
+        assert_eq!(a.hash, b.hash);
+        assert_ne!(*a, *b);
+        let ta = LineageItem::node("tsmm", vec![a.clone()]);
+        assert_ne!(*ta, *LineageItem::node("tsmm", vec![b]));
+        assert_eq!(
+            *ta,
+            *LineageItem::node("tsmm", vec![LineageItem::leaf("read:6n,E4e_byU?")])
+        );
+        assert_eq!(*ta, *LineageItem::node("tsmm", vec![a]));
+    }
+
+    #[test]
     fn deep_chain_hashing_is_stable() {
         let mut item = LineageItem::leaf("input:X");
         for _ in 0..100 {
@@ -165,5 +194,6 @@ mod tests {
             item2 = LineageItem::node("exp", vec![item2]);
         }
         assert_eq!(item.hash, item2.hash);
+        assert_eq!(*item, *item2);
     }
 }

@@ -1,7 +1,6 @@
 //! Lineage tracing and reuse of intermediates (paper §3.1).
 
 pub mod cache;
-pub mod dedup;
 pub mod item;
 
 pub use cache::{CacheStats, LineageCache};

@@ -137,28 +137,24 @@ impl Interpreter {
         args: &[(Option<String>, BasicBlock)],
         st: &mut SymbolTable,
     ) -> Result<()> {
-        // Multi-output runtime builtins.
-        if function == "transformencode" {
-            return self.exec_transformencode(targets, args, st);
-        }
-        if function == "transformapply" {
-            return self.exec_transformapply(targets, args, st);
-        }
-        if function == "paramserv" {
-            return self.exec_paramserv(targets, args, st);
-        }
-        if function == "eigen" {
-            let target = Self::named_arg(args, "target", 0)
-                .ok_or_else(|| SysDsError::runtime("eigen needs a matrix argument"))?;
-            let a = self.eval_expr_block(target, st)?.data.as_matrix()?;
-            let (w, v) = sysds_tensor::kernels::solve::eigen_symmetric(&a)?;
-            if let Some(t) = targets.first() {
-                st.set(t.clone(), self.ctx.wrap_matrix(w)?, None);
+        // Call-block builtins; the compiler bound their arguments to the
+        // positions of `builtin_signature`.
+        match function {
+            "transformencode" => return self.exec_transformencode(targets, args, st),
+            "transformapply" => return self.exec_transformapply(targets, args, st),
+            "paramserv" => return self.exec_paramserv(targets, args, st),
+            "eigen" => {
+                let a = self.eval_arg(args, 0, st)?.as_matrix()?;
+                let (w, v) = sysds_tensor::kernels::solve::eigen_symmetric(&a)?;
+                if let Some(t) = targets.first() {
+                    st.set(t.clone(), self.ctx.wrap_matrix(w)?, None);
+                }
+                if let Some(t) = targets.get(1) {
+                    st.set(t.clone(), self.ctx.wrap_matrix(v)?, None);
+                }
+                return Ok(());
             }
-            if let Some(t) = targets.get(1) {
-                st.set(t.clone(), self.ctx.wrap_matrix(v)?, None);
-            }
-            return Ok(());
+            _ => {}
         }
         let func = self
             .program
@@ -217,18 +213,14 @@ impl Interpreter {
 
     // ---- transformencode / transformapply -------------------------------
 
-    fn named_arg<'a>(
-        args: &'a [(Option<String>, BasicBlock)],
-        name: &str,
-        position: usize,
-    ) -> Option<&'a BasicBlock> {
-        args.iter()
-            .find(|(n, _)| n.as_deref() == Some(name))
-            .map(|(_, b)| b)
-            .or_else(|| {
-                args.get(position)
-                    .and_then(|(n, b)| if n.is_none() { Some(b) } else { None })
-            })
+    /// Evaluate the call-block builtin argument at canonical position `pos`.
+    fn eval_arg(
+        &self,
+        args: &[(Option<String>, BasicBlock)],
+        pos: usize,
+        st: &SymbolTable,
+    ) -> Result<Data> {
+        Ok(self.eval_expr_block(&args[pos].1, st)?.data)
     }
 
     fn exec_transformencode(
@@ -237,16 +229,8 @@ impl Interpreter {
         args: &[(Option<String>, BasicBlock)],
         st: &mut SymbolTable,
     ) -> Result<()> {
-        let target = Self::named_arg(args, "target", 0)
-            .ok_or_else(|| SysDsError::runtime("transformencode needs target="))?;
-        let spec = Self::named_arg(args, "spec", 1)
-            .ok_or_else(|| SysDsError::runtime("transformencode needs spec="))?;
-        let frame = self.eval_expr_block(target, st)?.data.as_frame()?;
-        let spec_str = self
-            .eval_expr_block(spec, st)?
-            .data
-            .as_scalar()?
-            .to_display_string();
+        let frame = self.eval_arg(args, 0, st)?.as_frame()?;
+        let spec_str = self.eval_arg(args, 1, st)?.as_scalar()?.to_display_string();
         let spec = parse_transform_spec(&spec_str)?;
         let enc = TransformEncoder::fit(&frame, &spec)?;
         let x = enc.apply(&frame)?;
@@ -266,12 +250,8 @@ impl Interpreter {
         args: &[(Option<String>, BasicBlock)],
         st: &mut SymbolTable,
     ) -> Result<()> {
-        let target = Self::named_arg(args, "target", 0)
-            .ok_or_else(|| SysDsError::runtime("transformapply needs target="))?;
-        let meta = Self::named_arg(args, "meta", 1)
-            .ok_or_else(|| SysDsError::runtime("transformapply needs meta="))?;
-        let frame = self.eval_expr_block(target, st)?.data.as_frame()?;
-        let meta = self.eval_expr_block(meta, st)?.data.as_frame()?;
+        let frame = self.eval_arg(args, 0, st)?.as_frame()?;
+        let meta = self.eval_arg(args, 1, st)?.as_frame()?;
         let enc = TransformEncoder::from_metadata(&meta)?;
         let x = enc.apply(&frame)?;
         if let Some(t) = targets.first() {
@@ -282,7 +262,9 @@ impl Interpreter {
 
     /// The `paramserv` builtin (paper §2.3 (4)): mini-batch training with
     /// a local parameter server. `w = paramserv(X=X, y=y, epochs=20,
-    /// batchsize=32, lr=0.1, mode="BSP", workers=4)`.
+    /// batchsize=32, lr=0.1, mode="BSP", workers=4)`; the defaults are the
+    /// values shown, except that `workers` defaults to the engine's thread
+    /// count. `epochs`, `batchsize` and `workers` must be at least 1.
     fn exec_paramserv(
         &self,
         targets: &[String],
@@ -290,45 +272,36 @@ impl Interpreter {
         st: &mut SymbolTable,
     ) -> Result<()> {
         use crate::runtime::paramserver::{train_linreg, PsConfig, UpdateMode};
-        let get = |name: &str, pos: usize| Self::named_arg(args, name, pos);
-        let x = self
-            .eval_expr_block(
-                get("X", 0).ok_or_else(|| SysDsError::runtime("paramserv needs X="))?,
-                st,
-            )?
-            .data
-            .as_matrix()?;
-        let y = self
-            .eval_expr_block(
-                get("y", 1).ok_or_else(|| SysDsError::runtime("paramserv needs y="))?,
-                st,
-            )?
-            .data
-            .as_matrix()?;
-        let scalar_arg = |name: &str, default: f64| -> Result<f64> {
-            match get(name, usize::MAX) {
-                Some(b) => self.eval_expr_block(b, st)?.data.as_f64(),
-                None => Ok(default),
+        let x = self.eval_arg(args, 0, st)?.as_matrix()?;
+        let y = self.eval_arg(args, 1, st)?.as_matrix()?;
+        let count = |pos: usize, name: &str| -> Result<usize> {
+            let v = self.eval_arg(args, pos, st)?.as_f64()?;
+            if v >= 1.0 {
+                Ok(v as usize)
+            } else {
+                Err(SysDsError::runtime(format!(
+                    "paramserv {name} must be at least 1, got {v}"
+                )))
             }
         };
-        let epochs = scalar_arg("epochs", 20.0)? as usize;
-        let batch = scalar_arg("batchsize", 32.0)? as usize;
-        let lr = scalar_arg("lr", 0.1)?;
-        let workers = scalar_arg("workers", self.ctx.config.num_threads as f64)? as usize;
-        let mode = match get("mode", usize::MAX) {
-            Some(b) => {
-                let m = self
-                    .eval_expr_block(b, st)?
-                    .data
-                    .as_scalar()?
-                    .to_display_string();
-                match m.as_str() {
-                    "BSP" | "bsp" => UpdateMode::Bsp,
-                    "ASP" | "asp" => UpdateMode::Asp,
-                    other => return Err(SysDsError::runtime(format!("paramserv mode '{other}'"))),
-                }
-            }
-            None => UpdateMode::Bsp,
+        let epochs = count(2, "epochs")?;
+        let batch = count(3, "batchsize")?;
+        let lr = self.eval_arg(args, 4, st)?.as_f64()?;
+        let mode = match self
+            .eval_arg(args, 5, st)?
+            .as_scalar()?
+            .to_display_string()
+            .as_str()
+        {
+            "BSP" | "bsp" => UpdateMode::Bsp,
+            "ASP" | "asp" => UpdateMode::Asp,
+            other => return Err(SysDsError::runtime(format!("paramserv mode '{other}'"))),
+        };
+        // `workers` defaults to the engine's thread count.
+        let workers = if args.len() > 6 {
+            count(6, "workers")?
+        } else {
+            self.ctx.config.num_threads
         };
         let config = PsConfig {
             workers,

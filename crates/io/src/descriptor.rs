@@ -1,13 +1,9 @@
-//! Format descriptors and generated readers (paper §3.2).
+//! Text-format options (paper §3.2).
 //!
-//! SystemDS aims "to automatically generate code for efficient readers and
-//! writers from high-level descriptions of data formats". We model the
-//! high-level description as a [`FormatDescriptor`] parsed from a compact
-//! spec string, and "generation" as specializing the parse pipeline to the
-//! descriptor up front (delimiter, header, NA tokens, projected columns)
-//! instead of re-interpreting options per cell.
-
-use sysds_common::{Result, SysDsError};
+//! A [`FormatDescriptor`] names the delimiter, header flag, quote character
+//! and missing-value tokens of a CSV-like file. The CSV reader and writer
+//! take one; callers build it with [`FormatDescriptor::csv`] or
+//! [`FormatDescriptor::tsv`] and the `with_*` builders.
 
 /// A high-level description of an external text format.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,9 +16,6 @@ pub struct FormatDescriptor {
     pub quote: char,
     /// Tokens treated as missing values.
     pub na_values: Vec<String>,
-    /// Optional column projection (0-based indices) applied by generated
-    /// readers; `None` keeps all columns.
-    pub project: Option<Vec<usize>>,
 }
 
 impl FormatDescriptor {
@@ -33,7 +26,6 @@ impl FormatDescriptor {
             header: false,
             quote: '"',
             na_values: vec!["NA".into(), "NaN".into()],
-            project: None,
         }
     }
 
@@ -55,164 +47,5 @@ impl FormatDescriptor {
     pub fn with_header(mut self, h: bool) -> Self {
         self.header = h;
         self
-    }
-
-    /// Builder-style column projection.
-    pub fn with_projection(mut self, cols: Vec<usize>) -> Self {
-        self.project = Some(cols);
-        self
-    }
-
-    /// Parse a compact spec string like
-    /// `"csv delim=; header=true na=NA,null project=0,2,5"`.
-    pub fn parse(spec: &str) -> Result<FormatDescriptor> {
-        let mut parts = spec.split_whitespace();
-        let base = match parts.next() {
-            Some("csv") | None => FormatDescriptor::csv(),
-            Some("tsv") => FormatDescriptor::tsv(),
-            Some(other) => {
-                return Err(SysDsError::Format(format!("unknown base format '{other}'")))
-            }
-        };
-        let mut out = base;
-        for part in parts {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| SysDsError::Format(format!("malformed format option '{part}'")))?;
-            match key {
-                "delim" => {
-                    let mut chars = value.chars();
-                    out.delimiter = chars
-                        .next()
-                        .ok_or_else(|| SysDsError::Format("empty delimiter".into()))?;
-                    if chars.next().is_some() {
-                        return Err(SysDsError::Format("delimiter must be one character".into()));
-                    }
-                }
-                "header" => {
-                    out.header = match value {
-                        "true" => true,
-                        "false" => false,
-                        _ => return Err(SysDsError::Format("header must be true/false".into())),
-                    }
-                }
-                "quote" => {
-                    out.quote = value
-                        .chars()
-                        .next()
-                        .ok_or_else(|| SysDsError::Format("empty quote".into()))?;
-                }
-                "na" => {
-                    out.na_values = value.split(',').map(str::to_string).collect();
-                }
-                "project" => {
-                    let mut cols = Vec::new();
-                    for c in value.split(',') {
-                        cols.push(c.parse::<usize>().map_err(|_| {
-                            SysDsError::Format(format!("bad projection index '{c}'"))
-                        })?);
-                    }
-                    out.project = Some(cols);
-                }
-                other => {
-                    return Err(SysDsError::Format(format!(
-                        "unknown format option '{other}'"
-                    )))
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// A "generated" reader: the descriptor is resolved once into a concrete
-/// parse plan; invoking it parses bytes with no per-cell option checks.
-pub struct GeneratedReader {
-    desc: FormatDescriptor,
-}
-
-impl GeneratedReader {
-    /// Specialize a reader for a descriptor.
-    pub fn generate(desc: FormatDescriptor) -> GeneratedReader {
-        GeneratedReader { desc }
-    }
-
-    /// Parse bytes into a matrix, applying the descriptor's projection.
-    pub fn read_matrix(&self, bytes: &[u8], threads: usize) -> Result<sysds_tensor::Matrix> {
-        let full = crate::csv::parse_matrix(bytes, &self.desc, threads)?;
-        match &self.desc.project {
-            None => Ok(full),
-            Some(cols) => {
-                for &c in cols {
-                    if c >= full.cols() {
-                        return Err(SysDsError::IndexOutOfBounds {
-                            msg: format!("projected column {c} of {}", full.cols()),
-                        });
-                    }
-                }
-                let mut out = sysds_tensor::DenseMatrix::zeros(full.rows(), cols.len());
-                for i in 0..full.rows() {
-                    for (dst, &src) in cols.iter().enumerate() {
-                        out.set(i, dst, full.get(i, src));
-                    }
-                }
-                Ok(sysds_tensor::Matrix::Dense(out).compact())
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_full_spec() {
-        let d = FormatDescriptor::parse("csv delim=; header=true na=NA,null project=0,2").unwrap();
-        assert_eq!(d.delimiter, ';');
-        assert!(d.header);
-        assert_eq!(d.na_values, vec!["NA".to_string(), "null".to_string()]);
-        assert_eq!(d.project, Some(vec![0, 2]));
-    }
-
-    #[test]
-    fn parse_tsv_base() {
-        let d = FormatDescriptor::parse("tsv").unwrap();
-        assert_eq!(d.delimiter, '\t');
-    }
-
-    #[test]
-    fn parse_rejects_malformed() {
-        assert!(FormatDescriptor::parse("xml").is_err());
-        assert!(FormatDescriptor::parse("csv nonsense").is_err());
-        assert!(FormatDescriptor::parse("csv header=maybe").is_err());
-        assert!(FormatDescriptor::parse("csv delim=ab").is_err());
-        assert!(FormatDescriptor::parse("csv project=x").is_err());
-        assert!(FormatDescriptor::parse("csv foo=1").is_err());
-    }
-
-    #[test]
-    fn generated_reader_projects_columns() {
-        let desc = FormatDescriptor::parse("csv project=2,0").unwrap();
-        let r = GeneratedReader::generate(desc);
-        let m = r.read_matrix(b"1,2,3\n4,5,6\n", 1).unwrap();
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.get(0, 1), 1.0);
-        assert_eq!(m.get(1, 0), 6.0);
-    }
-
-    #[test]
-    fn generated_reader_validates_projection() {
-        let desc = FormatDescriptor::csv().with_projection(vec![9]);
-        let r = GeneratedReader::generate(desc);
-        assert!(r.read_matrix(b"1,2\n", 1).is_err());
-    }
-
-    #[test]
-    fn generated_reader_without_projection_passthrough() {
-        let r = GeneratedReader::generate(FormatDescriptor::csv());
-        let m = r.read_matrix(b"1,2\n3,4\n", 2).unwrap();
-        assert_eq!(m.shape(), (2, 2));
     }
 }

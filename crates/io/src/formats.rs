@@ -1,114 +1,17 @@
-//! Additional external formats: LibSVM and MatrixMarket (paper §3.2:
-//! "the number of external data formats is virtually unlimited").
+//! MatrixMarket coordinate I/O, reached from DML as `read(..., format="mm")`
+//! (paper §3.2: "the number of external data formats is virtually
+//! unlimited").
 //!
-//! Both are sparse text formats, parsed straight into CSR without a dense
-//! detour:
-//!
-//! * **LibSVM**: `label idx:value idx:value ...` per row, 1-based feature
-//!   indices; the labels come back as a separate vector (the natural
-//!   shape for training).
-//! * **MatrixMarket** coordinate format: a `%%MatrixMarket` banner,
-//!   optional `%` comments, a `rows cols nnz` size line, then 1-based
-//!   `row col value` triples (`pattern` entries default to 1.0).
+//! The parser goes straight into CSR without a dense detour. A file holds
+//! a `%%MatrixMarket` banner, optional `%` comments, a `rows cols nnz`
+//! size line, then 1-based `row col value` triples (`pattern` entries
+//! default to 1.0).
 
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::{Matrix, SparseMatrix};
-
-/// Read a LibSVM file: returns `(X, y)`. `num_features` fixes the column
-/// count; pass `None` to infer it from the largest index seen.
-pub fn read_libsvm(
-    path: impl AsRef<Path>,
-    num_features: Option<usize>,
-) -> Result<(Matrix, Matrix)> {
-    let path = path.as_ref();
-    let text =
-        fs::read_to_string(path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-    parse_libsvm(&text, num_features)
-}
-
-/// Parse LibSVM text (see [`read_libsvm`]).
-pub fn parse_libsvm(text: &str, num_features: Option<usize>) -> Result<(Matrix, Matrix)> {
-    let mut labels = Vec::new();
-    let mut triples: Vec<(usize, usize, f64)> = Vec::new();
-    let mut max_col = 0usize;
-    for (row, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        let mut parts = line.split_whitespace();
-        let label = parts
-            .next()
-            .ok_or_else(|| SysDsError::Format(format!("libsvm: empty line {}", row + 1)))?;
-        labels.push(label.parse::<f64>().map_err(|_| {
-            SysDsError::Format(format!("libsvm: bad label '{label}' on line {}", row + 1))
-        })?);
-        for feat in parts {
-            if feat.starts_with('#') {
-                break; // trailing comment
-            }
-            let (idx, value) = feat.split_once(':').ok_or_else(|| {
-                SysDsError::Format(format!(
-                    "libsvm: malformed feature '{feat}' on line {}",
-                    row + 1
-                ))
-            })?;
-            let idx: usize = idx.parse().map_err(|_| {
-                SysDsError::Format(format!("libsvm: bad index '{idx}' on line {}", row + 1))
-            })?;
-            if idx == 0 {
-                return Err(SysDsError::Format(format!(
-                    "libsvm: indices are 1-based, got 0 on line {}",
-                    row + 1
-                )));
-            }
-            let value: f64 = value.parse().map_err(|_| {
-                SysDsError::Format(format!("libsvm: bad value '{value}' on line {}", row + 1))
-            })?;
-            max_col = max_col.max(idx);
-            triples.push((row, idx - 1, value));
-        }
-    }
-    let rows = labels.len();
-    let cols = match num_features {
-        Some(n) => {
-            if max_col > n {
-                return Err(SysDsError::Format(format!(
-                    "libsvm: feature index {max_col} exceeds declared {n}"
-                )));
-            }
-            n
-        }
-        None => max_col,
-    };
-    let x = Matrix::Sparse(SparseMatrix::from_triples(rows, cols, triples)).compact();
-    let y = Matrix::from_vec(rows, 1, labels)?;
-    Ok((x, y))
-}
-
-/// Write `(X, y)` in LibSVM format.
-pub fn write_libsvm(path: impl AsRef<Path>, x: &Matrix, y: &Matrix) -> Result<()> {
-    let path = path.as_ref();
-    if x.rows() != y.rows() || y.cols() != 1 {
-        return Err(SysDsError::DimensionMismatch {
-            op: "libsvm",
-            lhs: x.shape(),
-            rhs: y.shape(),
-        });
-    }
-    let file = fs::File::create(path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-    let mut w = std::io::BufWriter::new(file);
-    let io_err = |e| SysDsError::io(path.display().to_string(), e);
-    let sparse = x.to_sparse();
-    for i in 0..x.rows() {
-        write!(w, "{}", y.get(i, 0)).map_err(io_err)?;
-        let (cols, vals) = sparse.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            write!(w, " {}:{}", c + 1, v).map_err(io_err)?;
-        }
-        writeln!(w).map_err(io_err)?;
-    }
-    w.flush().map_err(io_err)
-}
 
 /// Read a MatrixMarket coordinate file into a matrix.
 pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<Matrix> {
@@ -219,41 +122,6 @@ mod tests {
         let dir = sysds_common::testing::unique_temp_dir("sysds-formats-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn libsvm_round_trip() {
-        let x = gen::rand_uniform(30, 10, -1.0, 1.0, 0.2, 1101).compact();
-        let y = gen::rand_uniform(30, 1, 0.0, 1.0, 1.0, 1102);
-        let p = tmp("rt.libsvm");
-        write_libsvm(&p, &x, &y).unwrap();
-        let (x2, y2) = read_libsvm(&p, Some(10)).unwrap();
-        assert!(x2.approx_eq(&x, 1e-12));
-        assert!(y2.approx_eq(&y, 1e-12));
-    }
-
-    #[test]
-    fn libsvm_parses_reference_format() {
-        let text = "+1 1:0.5 3:1.5\n-1 2:2.0 # comment\n3 \n";
-        let (x, y) = parse_libsvm(text, None).unwrap();
-        assert_eq!(x.shape(), (3, 3));
-        assert_eq!(y.to_vec(), vec![1.0, -1.0, 3.0]);
-        assert_eq!(x.get(0, 0), 0.5);
-        assert_eq!(x.get(0, 2), 1.5);
-        assert_eq!(x.get(1, 1), 2.0);
-        assert_eq!(x.nnz(), 3);
-    }
-
-    #[test]
-    fn libsvm_rejects_malformed() {
-        assert!(parse_libsvm("notanumber 1:1\n", None).is_err());
-        assert!(parse_libsvm("1 0:1\n", None).is_err(), "0 index is invalid");
-        assert!(parse_libsvm("1 5:x\n", None).is_err());
-        assert!(parse_libsvm("1 broken\n", None).is_err());
-        assert!(
-            parse_libsvm("1 9:1\n", Some(5)).is_err(),
-            "index beyond declared width"
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! I/O: CSV (multi-threaded parse), binary blocked format, metadata files,
-//! and format descriptors with generated readers (paper §2.3, §3.2).
+//! I/O: CSV (multi-threaded parse), MatrixMarket, the binary blocked
+//! format, metadata files and CSV format options (paper §2.3, §3.2).
 //!
 //! The paper's Figure 5(a) observes that "multi-threaded I/O in SysDS yields
 //! better performance than TF or Julia for a single model because

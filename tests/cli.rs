@@ -80,6 +80,25 @@ fn script_errors_set_exit_code() {
 }
 
 #[test]
+fn compile_errors_print_one_prefix() {
+    let p = write_script(
+        "badarg",
+        "X = rand(rows=4, cols=2, seed=1)\n[w, V] = eigen(X, extra=3)",
+    );
+    let out = Command::new(sysds_bin())
+        .args(["run", p.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: compile error: unknown argument 'extra' for 'eigen'"),
+        "{err}"
+    );
+    assert!(!err.contains("compile error: compile error"), "{err}");
+}
+
+#[test]
 fn missing_script_reported() {
     let out = Command::new(sysds_bin())
         .args(["run", "/nonexistent/script.dml"])

@@ -482,6 +482,38 @@ fn paramserv_builtin_trains_linear_model() {
 }
 
 #[test]
+fn paramserv_rejects_counts_below_one() {
+    let (x, y) = gen::synthetic_regression(40, 3, 1.0, 0.0, 616);
+    let run = |call: &str| {
+        session().execute(
+            &format!("w = {call}"),
+            &[
+                ("X", Data::from_matrix(x.clone())),
+                ("y", Data::from_matrix(y.clone())),
+            ],
+            &["w"],
+        )
+    };
+    // `workers` defaults to the engine's thread count.
+    let out = run("paramserv(X=X, y=y, epochs=2)").unwrap();
+    assert_eq!(out.matrix("w").unwrap().shape(), (3, 1));
+    for (arg, shown) in [
+        ("epochs=-1", "-1"),
+        ("batchsize=0", "0"),
+        ("workers=0", "0"),
+    ] {
+        let err = run(&format!("paramserv(X=X, y=y, {arg})"))
+            .unwrap_err()
+            .to_string();
+        let name = arg.split('=').next().unwrap();
+        assert!(
+            err.contains(&format!("paramserv {name} must be at least 1, got {shown}")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn lineage_trace_exposed_for_debugging() {
     let mut config = EngineConfig::default();
     config.lineage = true;
