@@ -211,7 +211,7 @@ impl Interpreter {
         Ok(())
     }
 
-    // ---- transformencode / transformapply -------------------------------
+    // ---- call-block builtins ---------------------------------------------
 
     /// Evaluate the call-block builtin argument at canonical position `pos`.
     fn eval_arg(
