@@ -1,10 +1,12 @@
-//! Ablation 5 (§3.3): federated `lm` vs local `lm`, sweeping the number of
-//! federated sites. Shows the aggregate-only exchange cost and the
-//! parallelism gained from per-site computation.
+//! Ablation 5 (§3.3): federated `lm` and one parameter-server step vs
+//! local `lm`, sweeping the number of federated sites from 1 to 64 at a
+//! fixed total row count. Shows the aggregate-only exchange cost and the
+//! parallelism gained from per-site computation: the master sends every
+//! site its request at once, so 64 sites also exercise 64-way fan-out.
 
 use std::sync::Arc;
 use sysds_bench::time;
-use sysds_fed::learn::federated_lm;
+use sysds_fed::learn::{federated_lm, FederatedParamServer};
 use sysds_fed::{FederatedMatrix, Transport, WorkerHandle};
 use sysds_tensor::kernels::BinaryOp;
 use sysds_tensor::kernels::{elementwise, gen, solve, tsmm};
@@ -27,7 +29,7 @@ fn main() {
 
     time("ablation_fed/lm_local_1t", || local_lm(&x, &y, 0.001));
 
-    for sites in [1usize, 2, 4] {
+    for sites in [1usize, 2, 4, 8, 16, 64] {
         // Spawn workers once per configuration; the benchmark measures the
         // federated instruction round trips, not thread spawning.
         let workers: Vec<Arc<dyn Transport>> = (0..sites)
@@ -37,6 +39,10 @@ fn main() {
         let fy = FederatedMatrix::scatter(&y, &workers).unwrap();
         time(&format!("ablation_fed/lm_federated/{sites}"), || {
             federated_lm(&fx, &fy, 0.001).unwrap()
+        });
+        let mut ps = FederatedParamServer::new(x.cols(), 0.1, 0.0);
+        time(&format!("ablation_fed/ps_step/{sites}"), || {
+            ps.step(&fx, &fy).unwrap()
         });
     }
 }

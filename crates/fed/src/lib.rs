@@ -17,7 +17,10 @@
 //!   reach a site (in-process channels here; TCP in `sysds-net`);
 //! * [`tensor`] — [`FederatedMatrix`]: a metadata object mapping disjoint
 //!   row ranges to workers, with federated instructions (tsmm, `t(X)y`,
-//!   broadcast mat-vec, scalar ops, column aggregates);
+//!   broadcast mat-vec, scalar ops, column aggregates). Every instruction
+//!   sends all sites their requests at once, one thread per site, and
+//!   merges the replies in partition order, so site compute overlaps and
+//!   sums stay bitwise reproducible;
 //! * [`learn`] — federated linear regression (normal equations) and
 //!   federated mini-batch SGD with a parameter-server master.
 

@@ -4,11 +4,18 @@
 //! to — potentially remote — in-memory or distributed tensors. Subtensors
 //! cover disjoint index ranges of the tensor" (paper §2.4). We implement
 //! the row-partitioned 2-D case, which is the one federated learning uses.
+//!
+//! The master pushes an instruction to all sites at once: `fan_out`
+//! issues every per-site request concurrently and returns the replies in
+//! partition order, and the reductions add them up in that order, so the
+//! result does not depend on which site answers first.
 
 use crate::transport::Transport;
-use crate::worker::FedRequest;
+use crate::worker::{FedRequest, FedResponse};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use sysds_common::error::panic_message;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::kernels::elementwise::BinaryOp;
 use sysds_tensor::kernels::indexing;
@@ -44,6 +51,8 @@ pub struct FederatedMatrix {
 impl FederatedMatrix {
     /// Scatter a local matrix across `workers` in contiguous row ranges
     /// (test/bootstrap path; production data would already live at sites).
+    /// All `Put`s go out at once; if one fails, the slices other sites
+    /// already stored are removed again (best effort).
     pub fn scatter(m: &Matrix, workers: &[Arc<dyn Transport>]) -> Result<FederatedMatrix> {
         if workers.is_empty() {
             return Err(SysDsError::Federated(
@@ -52,31 +61,27 @@ impl FederatedMatrix {
         }
         let rows = m.rows();
         let per = rows.div_ceil(workers.len()).max(1);
-        let mut partitions = Vec::new();
-        let mut lo = 0usize;
-        for w in workers {
-            if lo >= rows {
-                break;
-            }
-            let hi = (lo + per).min(rows);
-            let var = fresh_var("part");
-            let slice = indexing::slice(m, lo..hi, 0..m.cols())?;
-            w.request(FedRequest::Put {
-                var: var.clone(),
-                data: slice,
-            })?;
-            partitions.push(FedPartition {
+        let partitions: Vec<FedPartition> = workers
+            .iter()
+            .zip((0..rows).step_by(per))
+            .map(|(w, lo)| FedPartition {
                 row_lo: lo,
-                row_hi: hi,
+                row_hi: (lo + per).min(rows),
                 worker: Arc::clone(w),
-                var,
-            });
-            lo = hi;
-        }
+                var: fresh_var("part"),
+            })
+            .collect();
+        let stored = fan_out(&partitions, |_, p| {
+            let data = indexing::slice(m, p.row_lo..p.row_hi, 0..m.cols())?;
+            p.worker.request(FedRequest::Put {
+                var: p.var.clone(),
+                data,
+            })
+        });
         Ok(FederatedMatrix {
             rows,
             cols: m.cols(),
-            partitions,
+            partitions: keep_or_remove(partitions, stored)?,
         })
     }
 
@@ -199,18 +204,20 @@ impl FederatedMatrix {
         Ok(sum.unwrap_or(0.0))
     }
 
-    /// The per-site reduction loop: visit the partitions in order, get each
-    /// one's result from `request(i, partition)` and add them up at the
-    /// master. The fixed order keeps sums bitwise reproducible. `None`
+    /// The per-site reduction: send every partition its request
+    /// `request(i, partition)` at once (see `fan_out`) and add the
+    /// results up at the master in partition order. The fixed order keeps
+    /// sums bitwise reproducible however the replies arrive. If sites
+    /// fail, the error of the lowest-numbered one is returned. `None`
     /// without partitions.
-    pub(crate) fn sum_over_sites<T>(
+    pub(crate) fn sum_over_sites<T: Send>(
         &self,
-        request: impl Fn(usize, &FedPartition) -> Result<T>,
+        request: impl Fn(usize, &FedPartition) -> Result<T> + Sync,
         add: impl Fn(T, T) -> Result<T>,
     ) -> Result<Option<T>> {
         let mut acc = None;
-        for (i, p) in self.partitions.iter().enumerate() {
-            let part = request(i, p)?;
+        for part in fan_out(&self.partitions, request) {
+            let part = part?;
             acc = Some(match acc {
                 None => part,
                 Some(a) => add(a, part)?,
@@ -224,7 +231,7 @@ impl FederatedMatrix {
     fn sum_aggregates(
         &self,
         what: &str,
-        request: impl Fn(usize, &FedPartition) -> FedRequest,
+        request: impl Fn(usize, &FedPartition) -> FedRequest + Sync,
     ) -> Result<Matrix> {
         self.sum_over_sites(
             |i, p| p.worker.request_aggregate(request(i, p)),
@@ -233,37 +240,38 @@ impl FederatedMatrix {
         .ok_or_else(|| SysDsError::Federated(format!("{what} over empty federated matrix")))
     }
 
-    /// The keep-at-site loop: visit the partitions in order and send each
-    /// the request `request(i, partition, out)` that stores its result at
-    /// the site under the fresh variable `out`; the results form a new
-    /// federated matrix with `cols` columns over the same row ranges.
+    /// The keep-at-site step: send every partition at once the request
+    /// `request(i, partition, out)` that stores its result at the site
+    /// under the fresh variable `out`; the results form a new federated
+    /// matrix with `cols` columns over the same row ranges. If a site
+    /// fails, the results the others stored are removed again (best
+    /// effort) and the lowest-numbered site's error is returned.
     fn keep_at_sites(
         &self,
         prefix: &str,
         cols: usize,
-        request: impl Fn(usize, &FedPartition, String) -> FedRequest,
+        request: impl Fn(usize, &FedPartition, String) -> FedRequest + Sync,
     ) -> Result<FederatedMatrix> {
-        let mut partitions = Vec::with_capacity(self.partitions.len());
-        for (i, p) in self.partitions.iter().enumerate() {
-            let out = fresh_var(prefix);
-            p.worker.request(request(i, p, out.clone()))?;
-            partitions.push(FedPartition {
-                row_lo: p.row_lo,
-                row_hi: p.row_hi,
-                worker: Arc::clone(&p.worker),
-                var: out,
-            });
-        }
-        FederatedMatrix::from_partitions(cols, partitions)
+        let partitions: Vec<FedPartition> = self
+            .partitions
+            .iter()
+            .map(|p| FedPartition {
+                var: fresh_var(prefix),
+                ..p.clone()
+            })
+            .collect();
+        let stored = fan_out(&partitions, |i, out| {
+            out.worker
+                .request(request(i, &self.partitions[i], out.var.clone()))
+        });
+        FederatedMatrix::from_partitions(cols, keep_or_remove(partitions, stored)?)
     }
 
-    /// Free the site-side variables backing this federated matrix.
+    /// Free the site-side variables backing this federated matrix. Every
+    /// site gets its `Remove` at once; the lowest-numbered failure, if
+    /// any, is returned.
     pub fn free(self) -> Result<()> {
-        for p in &self.partitions {
-            p.worker
-                .request(FedRequest::Remove { var: p.var.clone() })?;
-        }
-        Ok(())
+        remove_all(&self.partitions)
     }
 
     fn check_aligned(&self, other: &FederatedMatrix) -> Result<()> {
@@ -280,6 +288,88 @@ impl FederatedMatrix {
         }
         Ok(())
     }
+}
+
+/// Issue `request(i, partition)` for every partition at the same time
+/// and return the results in partition order. Partition 0 runs on the
+/// calling thread, every other one on a scoped thread of its own that
+/// re-enters the caller's span context, so its `federated` spans keep
+/// their parent instruction and worker tag. A panicking request becomes a
+/// [`SysDsError::Federated`] error for its partition.
+fn fan_out<T: Send>(
+    partitions: &[FedPartition],
+    request: impl Fn(usize, &FedPartition) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    let run = |i: usize| {
+        let p = &partitions[i];
+        std::panic::catch_unwind(AssertUnwindSafe(|| request(i, p))).unwrap_or_else(|payload| {
+            let msg = panic_message(payload.as_ref()).unwrap_or("unknown panic");
+            Err(SysDsError::Federated(format!(
+                "request to {} panicked: {msg}",
+                p.worker.endpoint()
+            )))
+        })
+    };
+    if partitions.len() <= 1 {
+        return (0..partitions.len()).map(run).collect();
+    }
+    let ctx = sysds_obs::SpanContext::current();
+    let run = &run;
+    std::thread::scope(|s| {
+        let others: Vec<_> = (1..partitions.len())
+            .map(|i| {
+                s.spawn(move || {
+                    let _ctx = ctx.enter();
+                    run(i)
+                })
+            })
+            .collect();
+        let mut results = Vec::with_capacity(partitions.len());
+        results.push(run(0));
+        results.extend(
+            others
+                .into_iter()
+                .map(|h| h.join().expect("fan-out requests catch their panics")),
+        );
+        results
+    })
+}
+
+/// Keep `partitions` if every site stored its variable (`stored[i]` is
+/// `Ok`); otherwise send best-effort `Remove`s to the sites that did and
+/// return the lowest-numbered site's error.
+fn keep_or_remove(
+    partitions: Vec<FedPartition>,
+    stored: Vec<Result<FedResponse>>,
+) -> Result<Vec<FedPartition>> {
+    let mut kept = Vec::with_capacity(partitions.len());
+    let mut first_err = None;
+    for (p, r) in partitions.into_iter().zip(stored) {
+        match r {
+            Ok(_) => kept.push(p),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    match first_err {
+        None => Ok(kept),
+        Some(e) => {
+            // Best effort: a failed cleanup must not mask the real error.
+            let _ = remove_all(&kept);
+            Err(e)
+        }
+    }
+}
+
+/// Send every partition a `Remove` for its variable at once; returns the
+/// lowest-numbered failure, if any.
+fn remove_all(partitions: &[FedPartition]) -> Result<()> {
+    fan_out(partitions, |_, p| {
+        p.worker.request(FedRequest::Remove { var: p.var.clone() })
+    })
+    .into_iter()
+    .try_for_each(|r| r.map(drop))
 }
 
 fn elementwise_add(a: &Matrix, b: &Matrix) -> Result<Matrix> {
@@ -420,5 +510,104 @@ mod tests {
             var: "x".into(),
         }];
         assert!(FederatedMatrix::from_partitions(2, bad).is_err());
+    }
+
+    /// A site that fails every request: with an error, or by panicking.
+    #[derive(Debug)]
+    struct BrokenSite {
+        endpoint: String,
+        panics: bool,
+    }
+
+    impl Transport for BrokenSite {
+        fn exchange(&self, _req: FedRequest) -> Result<FedResponse> {
+            if self.panics {
+                panic!("{} blew up", self.endpoint);
+            }
+            Err(SysDsError::Federated(format!("{} failed", self.endpoint)))
+        }
+
+        fn endpoint(&self) -> &str {
+            &self.endpoint
+        }
+
+        fn threads(&self) -> usize {
+            1
+        }
+    }
+
+    /// A federated matrix whose partition `i` lives at `sites[i]`
+    /// (`None`: a working in-process site holding real data).
+    fn federated_over(sites: Vec<Option<BrokenSite>>) -> FederatedMatrix {
+        let partitions = sites
+            .into_iter()
+            .enumerate()
+            .map(|(i, site)| {
+                let var = format!("p{i}");
+                let worker: Arc<dyn Transport> = match site {
+                    Some(broken) => Arc::new(broken),
+                    None => Arc::new(WorkerHandle::spawn(
+                        vec![(var.clone(), Matrix::zeros(2, 2))],
+                        1,
+                    )),
+                };
+                FedPartition {
+                    row_lo: 2 * i,
+                    row_hi: 2 * i + 2,
+                    worker,
+                    var,
+                }
+            })
+            .collect();
+        FederatedMatrix::from_partitions(2, partitions).unwrap()
+    }
+
+    fn broken(name: &str, panics: bool) -> Option<BrokenSite> {
+        Some(BrokenSite {
+            endpoint: name.into(),
+            panics,
+        })
+    }
+
+    #[test]
+    fn lowest_numbered_failure_wins() {
+        let f = federated_over(vec![None, broken("site-b", false), broken("site-c", false)]);
+        let err = f.tsmm().unwrap_err().to_string();
+        assert!(err.contains("site-b failed"), "{err}");
+    }
+
+    #[test]
+    fn panicking_request_becomes_a_federated_error() {
+        for f in [
+            federated_over(vec![None, broken("site-p", true)]),
+            federated_over(vec![broken("site-p", true), None]),
+        ] {
+            match f.col_sums() {
+                Err(SysDsError::Federated(msg)) => {
+                    assert!(msg.contains("site-p blew up"), "{msg}")
+                }
+                other => panic!("expected a federated error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn many_sites_sum_in_partition_order() {
+        let m = gen::rand_uniform(640, 6, -1.0, 1.0, 1.0, 151);
+        let ws = workers(64);
+        let f = FederatedMatrix::scatter(&m, &ws).unwrap();
+        assert_eq!(f.num_partitions(), 64);
+        let sequential = f
+            .partitions()
+            .iter()
+            .map(|p| {
+                p.worker
+                    .request_aggregate(FedRequest::Tsmm { var: p.var.clone() })
+                    .unwrap()
+            })
+            .reduce(|a, b| elementwise_add(&a, &b).unwrap())
+            .unwrap();
+        assert_eq!(f.tsmm().unwrap().to_vec(), sequential.to_vec());
+        f.free().unwrap();
     }
 }

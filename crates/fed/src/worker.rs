@@ -112,7 +112,9 @@ impl FedRequest {
     }
 }
 
-type Envelope = (FedRequest, Sender<FedResponse>);
+/// A request, the master's span context it was sent under (so the site's
+/// span links to the master's request span) and the reply channel.
+type Envelope = (FedRequest, sysds_obs::SpanContext, Sender<FedResponse>);
 
 /// Logical site ids for worker attribution in traces.
 static NEXT_SITE_ID: AtomicU64 = AtomicU64::new(0);
@@ -133,14 +135,17 @@ impl WorkerHandle {
         let (tx, rx) = channel::<Envelope>();
         let site_id = NEXT_SITE_ID.fetch_add(1, Ordering::Relaxed);
         let join = std::thread::spawn(move || {
-            let _worker = sysds_obs::set_worker(site_id);
             let mut vars: HashMap<String, Matrix> = initial.into_iter().collect();
-            while let Ok((req, reply)) = rx.recv() {
+            while let Ok((req, master, reply)) = rx.recv() {
                 if matches!(req, FedRequest::Shutdown) {
                     let _ = reply.send(FedResponse::Ok);
                     break;
                 }
-                let resp = execute_request(&mut vars, req, threads);
+                let resp = {
+                    let _parent = master.enter();
+                    let _worker = sysds_obs::set_worker(site_id);
+                    execute_request(&mut vars, req, threads)
+                };
                 let _ = reply.send(resp);
             }
         });
@@ -157,7 +162,7 @@ impl crate::transport::Transport for WorkerHandle {
     fn exchange(&self, req: FedRequest) -> Result<FedResponse> {
         let (rtx, rrx) = channel();
         self.tx
-            .send((req, rtx))
+            .send((req, sysds_obs::SpanContext::current(), rtx))
             .map_err(|_| SysDsError::Federated("worker channel closed".into()))?;
         rrx.recv()
             .map_err(|_| SysDsError::Federated("worker died before responding".into()))
@@ -175,7 +180,9 @@ impl crate::transport::Transport for WorkerHandle {
 impl Drop for WorkerHandle {
     fn drop(&mut self) {
         let (rtx, _rrx) = channel();
-        let _ = self.tx.send((FedRequest::Shutdown, rtx));
+        let _ = self
+            .tx
+            .send((FedRequest::Shutdown, sysds_obs::SpanContext::default(), rtx));
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }

@@ -8,7 +8,8 @@
 //! * a **span API** ([`span::Span`]): RAII guards around compiler phases,
 //!   instruction executions, buffer-pool transfers, parfor workers, and
 //!   federated requests, with parent/child linking through a thread-local
-//!   span stack and worker attribution through a thread-local worker id;
+//!   span stack and worker attribution through a thread-local worker id
+//!   (carried across threads by [`SpanContext`]);
 //! * a **JSONL trace sink** ([`trace`]): one record per finished span,
 //!   machine-parseable with [`trace::parse_record`] (no serde needed);
 //! * an **estimate-vs-actual audit** ([`audit`]): per-opcode residuals of
@@ -38,7 +39,7 @@ pub use chrome_trace::{parse_events, ChromeEvent};
 pub use fingerprint::{fingerprint64, render_fingerprint};
 pub use net::SiteStats;
 pub use registry::{counters, CounterSnapshot, Counters, HeavyHitter, OpStats, Phase};
-pub use span::{set_worker, Span, WorkerGuard};
+pub use span::{set_worker, ContextGuard, Span, SpanContext, WorkerGuard};
 pub use trace::{parse_record, TraceRecord};
 
 use std::path::Path;

@@ -4,7 +4,8 @@
 //! is enabled — the disabled cost is one relaxed atomic load and a `None`
 //! move. Active spans push their id onto a thread-local stack (so nested
 //! spans record their parent), and on drop feed the statistics registry
-//! and/or the JSONL trace sink.
+//! and/or the JSONL trace sink. Work handed to another thread carries a
+//! [`SpanContext`] along, so its spans keep their parent and worker tag.
 
 use crate::registry::Phase;
 use crate::trace::TraceRecord;
@@ -44,8 +45,7 @@ fn thread_id() -> u64 {
 /// site); spans finished while the guard lives carry the id. Restores the
 /// previous tag on drop, so nesting is safe.
 pub fn set_worker(id: u64) -> WorkerGuard {
-    let prev = WORKER_ID.with(|w| w.replace(Some(id)));
-    WorkerGuard { prev }
+    set_worker_tag(Some(id))
 }
 
 /// Guard returned by [`set_worker`]; restores the previous worker tag.
@@ -57,6 +57,79 @@ impl Drop for WorkerGuard {
     fn drop(&mut self) {
         WORKER_ID.with(|w| w.set(self.prev));
     }
+}
+
+/// The innermost open span and the worker tag of one thread, captured so
+/// work handed to another thread stays attributed to it: spans opened
+/// under [`SpanContext::enter`] record the captured span as their parent
+/// and carry the captured worker tag.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanContext {
+    span: u64,
+    worker: Option<u64>,
+}
+
+impl SpanContext {
+    /// The calling thread's context (span id 0 outside any span).
+    pub fn current() -> SpanContext {
+        SpanContext {
+            span: SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0)),
+            worker: WORKER_ID.with(|w| w.get()),
+        }
+    }
+
+    /// Id of the captured span, 0 if none was open.
+    pub fn span_id(&self) -> u64 {
+        self.span
+    }
+
+    /// The captured worker tag.
+    pub fn worker(&self) -> Option<u64> {
+        self.worker
+    }
+
+    /// Re-enter this context on the current thread until the guard drops.
+    pub fn enter(self) -> ContextGuard {
+        if self.span != 0 {
+            SPAN_STACK.with(|s| s.borrow_mut().push(self.span));
+        }
+        ContextGuard {
+            span: self.span,
+            _worker: set_worker_tag(self.worker),
+        }
+    }
+}
+
+/// Guard returned by [`SpanContext::enter`]; restores the thread's own
+/// span stack and worker tag.
+pub struct ContextGuard {
+    span: u64,
+    _worker: WorkerGuard,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        if self.span != 0 {
+            pop_span(self.span);
+        }
+    }
+}
+
+fn set_worker_tag(tag: Option<u64>) -> WorkerGuard {
+    let prev = WORKER_ID.with(|w| w.replace(tag));
+    WorkerGuard { prev }
+}
+
+/// Pop `id` off the span stack; tolerate unbalanced stacks from panics.
+fn pop_span(id: u64) {
+    SPAN_STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.last() == Some(&id) {
+            s.pop();
+        } else if let Some(pos) = s.iter().rposition(|&x| x == id) {
+            s.truncate(pos);
+        }
+    });
 }
 
 struct ActiveSpan {
@@ -125,15 +198,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(span) = self.0.take() else { return };
         let nanos = span.start.elapsed().as_nanos() as u64;
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Pop our own id; tolerate unbalanced stacks from panics.
-            if s.last() == Some(&span.id) {
-                s.pop();
-            } else if let Some(pos) = s.iter().rposition(|&id| id == span.id) {
-                s.truncate(pos);
-            }
-        });
+        pop_span(span.id);
         if crate::stats_enabled() {
             crate::registry::record(span.phase, &span.opcode, nanos);
         }
@@ -195,6 +260,31 @@ mod tests {
         let inner = Span::enter(Phase::Instruction, "inner-span-test");
         assert_eq!(inner.0.as_ref().unwrap().parent, outer_id);
         drop(inner);
+        drop(outer);
+        crate::disable_stats();
+    }
+
+    #[test]
+    fn context_carries_parent_and_worker_to_another_thread() {
+        let _g = crate::test_flag_guard();
+        crate::enable_stats();
+        let _w = set_worker(5);
+        let outer = Span::enter(Phase::Execute, "context-test");
+        let outer_id = outer.0.as_ref().unwrap().id;
+        let ctx = SpanContext::current();
+        assert_eq!((ctx.span_id(), ctx.worker()), (outer_id, Some(5)));
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                assert_eq!(SpanContext::current(), SpanContext::default());
+                {
+                    let _ctx = ctx.enter();
+                    let inner = Span::enter(Phase::Federated, "context-test-inner");
+                    assert_eq!(inner.0.as_ref().unwrap().parent, outer_id);
+                    WORKER_ID.with(|w| assert_eq!(w.get(), Some(5)));
+                }
+                assert_eq!(SpanContext::current(), SpanContext::default());
+            });
+        });
         drop(outer);
         crate::disable_stats();
     }

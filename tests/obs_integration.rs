@@ -171,3 +171,50 @@ fn trace_to_unwritable_path_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("trace"));
 }
+
+#[test]
+fn federated_spans_link_to_their_instruction() {
+    use sysds::{EngineConfig, SystemDS};
+    let session = |trace_file| {
+        SystemDS::with_config(EngineConfig {
+            trace_file,
+            spill_dir: temp_dir(),
+            ..EngineConfig::default()
+        })
+        .unwrap()
+    };
+    let (x, y) = sysds_tensor::kernels::gen::synthetic_regression(120, 4, 1.0, 0.05, 61);
+    // Scatter before tracing starts: its Puts run outside any instruction.
+    let mut inputs = session(None).federate_many(&[&x, &y], 3).unwrap();
+    let fy = inputs.pop().unwrap();
+    let fx = inputs.pop().unwrap();
+
+    // This is the only test in this binary that traces in-process.
+    let trace = temp_dir().join(format!("fed-trace-{}.jsonl", std::process::id()));
+    let mut traced = session(Some(trace.clone()));
+    let run = traced.execute(
+        "B = lmDS(X=X, y=y, reg=0.001)",
+        &[("X", fx), ("y", fy)],
+        &["B"],
+    );
+    sysds_obs::disable_trace();
+    run.unwrap();
+
+    let records: Vec<TraceRecord> = std::fs::read_to_string(&trace)
+        .unwrap()
+        .lines()
+        .filter_map(parse_record)
+        .collect();
+    let ids: BTreeSet<u64> = records.iter().map(|r| r.id).collect();
+    let federated: Vec<&TraceRecord> = records.iter().filter(|r| r.phase == "federated").collect();
+    // tsmm and tmv, each at three sites: a master request span and a site
+    // execution span per site.
+    assert!(federated.len() >= 12, "{federated:?}");
+    for r in &federated {
+        assert!(
+            r.parent != 0 && ids.contains(&r.parent),
+            "federated span without its parent in the trace: {r:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&trace);
+}
