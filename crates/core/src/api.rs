@@ -12,7 +12,7 @@ use crate::builtins;
 use crate::compiler::{compile_program, CompiledProgram};
 use crate::lineage::{CacheStats, LineageItem};
 use crate::parser::parse_program;
-use crate::runtime::instructions::ExecCtx;
+use crate::runtime::instructions::{data_leaf, ExecCtx};
 use crate::runtime::value::{Data, SymbolTable};
 use crate::runtime::Interpreter;
 use std::sync::Arc;
@@ -493,7 +493,13 @@ fn run_program(
 ) -> Result<ScriptOutputs> {
     let mut symbols = SymbolTable::new();
     for (name, data) in inputs {
-        symbols.set(name.to_string(), data.clone(), None);
+        // A frame has no identity to name in lineage: pin one fresh leaf
+        // per bound frame, so every read of the binding shares it.
+        let lineage = match data {
+            Data::Frame(_) if ctx.config.lineage => Some(data_leaf(data, name)),
+            _ => None,
+        };
+        symbols.set(name.to_string(), data.clone(), lineage);
     }
     let interp = Interpreter::new(ctx.clone(), program.clone());
     {

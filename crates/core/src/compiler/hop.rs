@@ -178,10 +178,11 @@ pub fn is_effectful(name: &str) -> bool {
     matches!(name, "print" | "write" | "stop")
 }
 
-/// Builtins that are non-deterministic without an explicit seed; excluded
-/// from CSE (their lineage captures the generated seed instead).
+/// Builtins whose result may differ between two runs on equal inputs;
+/// excluded from CSE. `paramserv` in ASP mode depends on thread timing.
+/// (`rand` without a seed is handled in [`HopDag::add`].)
 pub fn is_nondeterministic(name: &str) -> bool {
-    matches!(name, "rand_unseeded")
+    matches!(name, "paramserv")
 }
 
 impl HopDag {
@@ -216,9 +217,14 @@ impl HopDag {
     }
 
     /// Add a node with hash-consing. Effectful and non-deterministic ops
-    /// always get fresh nodes.
+    /// always get fresh nodes; `rand` is merged only when its seed input
+    /// is a literal ≥ 0 (an unseeded call draws a fresh seed at runtime).
     pub fn add(&mut self, op: HopOp, inputs: Vec<HopId>) -> HopId {
         let skip_cse = match &op {
+            HopOp::Nary("rand") => inputs
+                .get(5)
+                .and_then(|&seed| self.as_lit(seed)?.as_i64().ok())
+                .is_none_or(|seed| seed < 0),
             HopOp::Nary(n) => is_effectful(n) || is_nondeterministic(n),
             _ => false,
         };

@@ -73,9 +73,7 @@ pub enum Block {
         cond: BasicBlock,
         body: Vec<Block>,
     },
-    /// Call to a non-inlined function: `[targets] = f(args)`. For a
-    /// call-block builtin ([`is_multi_output_builtin`]) the arguments are
-    /// unnamed and in the order of its [`builtin_signature`].
+    /// Call to a non-inlined DML function: `[targets] = f(args)`.
     Call {
         targets: Vec<String>,
         function: String,
@@ -666,7 +664,17 @@ fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
         match s {
             Stmt::Assign { target, value } => {
                 if let Expr::Call { name, args } = value {
-                    if ctx.defs.contains_key(name) || is_multi_output_builtin(name) {
+                    if is_multi_output_builtin(name) {
+                        builder.builtin_block(
+                            name,
+                            args,
+                            std::slice::from_ref(target),
+                            ctx,
+                            &mut blocks,
+                        )?;
+                        continue;
+                    }
+                    if ctx.defs.contains_key(name) {
                         builder.flush(&mut blocks);
                         blocks.push(compile_call(ctx, name, args, vec![target.clone()])?);
                         continue;
@@ -679,7 +687,9 @@ fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
                 let Expr::Call { name, args } = value else {
                     return Err(SysDsError::compile("multi-assignment requires a call"));
                 };
-                if ctx.defs.contains_key(name) || is_multi_output_builtin(name) {
+                if is_multi_output_builtin(name) {
+                    builder.builtin_block(name, args, targets, ctx, &mut blocks)?;
+                } else if ctx.defs.contains_key(name) {
                     builder.flush(&mut blocks);
                     blocks.push(compile_call(ctx, name, args, targets.clone())?);
                 } else {
@@ -777,32 +787,9 @@ fn const_eval_cond(e: &Expr) -> Option<bool> {
 }
 
 fn compile_call(ctx: &Ctx, name: &str, args: &[Arg], targets: Vec<String>) -> Result<Block> {
-    let args: Vec<(Option<String>, Expr)> = match builtin_signature(name) {
-        Some(sig) => bind_params(
-            name,
-            &sig.params,
-            |p| p.0,
-            args.iter()
-                .map(|a| (a.name.as_deref(), Some(a.value.clone()))),
-            |p| match &p.1 {
-                ParamDefault::Required => None,
-                ParamDefault::Value(v) => Some(Some(Expr::Const(v.clone()))),
-                ParamDefault::Runtime => Some(None),
-            },
-        )
-        .map_err(SysDsError::compile)?
-        .into_iter()
-        .flatten()
-        .map(|e| (None, e))
-        .collect(),
-        None => args
-            .iter()
-            .map(|a| (a.name.clone(), a.value.clone()))
-            .collect(),
-    };
     let mut compiled_args = Vec::with_capacity(args.len());
-    for (arg, value) in args {
-        compiled_args.push((arg, compile_expr_block(&value, ctx)?));
+    for a in args {
+        compiled_args.push((a.name.clone(), compile_expr_block(&a.value, ctx)?));
     }
     Ok(Block::Call {
         targets,
@@ -1015,31 +1002,91 @@ impl DagBuilder {
             }
             return Ok(self.dag.add(HopOp::Nary("print"), vec![acc]));
         }
-        // General runtime builtins with signature-based argument binding.
-        let Some(sig) = builtin_signature(name) else {
-            return Err(SysDsError::compile(format!("unknown function '{name}'")));
-        };
         if is_multi_output_builtin(name) {
             return Err(SysDsError::compile(format!(
                 "'{name}' must be the whole right-hand side of an assignment"
             )));
         }
+        let (opcode, inputs) = self.builtin_inputs(name, args, ctx)?;
+        Ok(self.dag.add(HopOp::Nary(opcode), inputs))
+    }
+
+    /// Bind a runtime builtin's arguments to the positions of its
+    /// [`builtin_signature`] and compile them; a [`ParamDefault::Runtime`]
+    /// parameter left unbound is left out. Returns the opcode and inputs.
+    fn builtin_inputs(
+        &mut self,
+        name: &str,
+        args: &[Arg],
+        ctx: &Ctx,
+    ) -> Result<(&'static str, Vec<HopId>)> {
+        let Some(sig) = builtin_signature(name) else {
+            return Err(SysDsError::compile(format!("unknown function '{name}'")));
+        };
         let exprs = bind_params(
             name,
             &sig.params,
             |p| p.0,
-            args.iter().map(|a| (a.name.as_deref(), a.value.clone())),
+            args.iter()
+                .map(|a| (a.name.as_deref(), Some(a.value.clone()))),
             |p| match &p.1 {
-                ParamDefault::Value(v) => Some(Expr::Const(v.clone())),
-                _ => None,
+                ParamDefault::Required => None,
+                ParamDefault::Value(v) => Some(Some(Expr::Const(v.clone()))),
+                ParamDefault::Runtime => Some(None),
             },
         )
         .map_err(SysDsError::compile)?;
-        let mut input_ids = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            input_ids.push(self.expr(e, ctx)?);
+        let inputs = exprs.iter().flatten().map(|e| self.expr(e, ctx));
+        Ok((sig.opcode, inputs.collect::<Result<_>>()?))
+    }
+
+    /// Compile `[targets] = name(args)` for an [`is_multi_output_builtin`]
+    /// into a basic block of its own, one node per output:
+    /// `transformencode` fits the metadata frame and applies it
+    /// (`transformapply(F, meta)`), and `eigen` decomposes once into
+    /// `cbind(values, vectors)`, split by two right indexes.
+    fn builtin_block(
+        &mut self,
+        name: &str,
+        args: &[Arg],
+        targets: &[String],
+        ctx: &Ctx,
+        blocks: &mut Vec<Block>,
+    ) -> Result<()> {
+        self.flush(blocks);
+        let (opcode, inputs) = self.builtin_inputs(name, args, ctx)?;
+        let outputs = match name {
+            "transformencode" => {
+                let meta = self.dag.add(HopOp::Nary(opcode), inputs.clone());
+                let x = self
+                    .dag
+                    .add(HopOp::Nary("transformapply"), vec![inputs[0], meta]);
+                vec![x, meta]
+            }
+            "eigen" => {
+                let e = self.dag.add(HopOp::Nary(opcode), inputs);
+                let one = self.dag.lit(ScalarValue::I64(1));
+                let two = self.dag.lit(ScalarValue::I64(2));
+                let n = self.dag.add(HopOp::Nary("nrow"), vec![e]);
+                let n1 = self.dag.add(HopOp::Nary("ncol"), vec![e]);
+                let values = self.dag.add(HopOp::Index, vec![e, one, n, one, one]);
+                let vectors = self.dag.add(HopOp::Index, vec![e, one, n, two, n1]);
+                vec![values, vectors]
+            }
+            _ => vec![self.dag.add(HopOp::Nary(opcode), inputs)],
+        };
+        if targets.len() > outputs.len() {
+            return Err(SysDsError::compile(format!(
+                "'{name}' returns {} values, {} requested",
+                outputs.len(),
+                targets.len()
+            )));
         }
-        Ok(self.dag.add(HopOp::Nary(sig.opcode), input_ids))
+        for (t, id) in targets.iter().zip(outputs) {
+            self.bind(t, id);
+        }
+        self.flush(blocks);
+        Ok(())
     }
 }
 
@@ -1103,8 +1150,8 @@ pub enum ParamDefault {
     Required,
     /// This constant.
     Value(ScalarValue),
-    /// A value the runtime picks; the call block leaves the argument out.
-    /// Only the trailing parameters of call-block builtins use it.
+    /// A value the runtime picks; the node leaves the input out. Only
+    /// trailing parameters use it.
     Runtime,
 }
 
@@ -1177,7 +1224,7 @@ pub fn builtin_signature(name: &str) -> Option<&'static BuiltinSig> {
             ("data_type", Some(Str("matrix".into()))), ("header", Some(Bool(false))))),
         "write" => entry!(sig!("write";
             ("x", None), ("file", None), ("format", Some(Str("csv".into()))))),
-        // Call-block builtins (see `is_multi_output_builtin`).
+        // Whole right-hand sides (see `is_multi_output_builtin`).
         "transformencode" => entry!(sig!("transformencode"; ("target", None), ("spec", None))),
         "transformapply" => entry!(sig!("transformapply"; ("target", None), ("meta", None))),
         "paramserv" => entry!(sig!("paramserv";
@@ -1189,8 +1236,7 @@ pub fn builtin_signature(name: &str) -> Option<&'static BuiltinSig> {
     }
 }
 
-/// Whether a name is a runtime builtin: executed in the DAG, or as a call
-/// block for the [`is_multi_output_builtin`] ones.
+/// Whether a name is a runtime builtin, executed as a DAG instruction.
 pub fn is_runtime_builtin(name: &str) -> bool {
     builtin_signature(name).is_some()
         || unary_builtin(name).is_some()
@@ -1198,8 +1244,8 @@ pub fn is_runtime_builtin(name: &str) -> bool {
         || matches!(name, "t" | "min" | "max")
 }
 
-/// Runtime builtins executed as call blocks (frame-typed arguments and/or
-/// multiple outputs).
+/// Runtime builtins that must be the whole right-hand side of an
+/// assignment; each such statement compiles into a basic block of its own.
 pub fn is_multi_output_builtin(name: &str) -> bool {
     matches!(
         name,
@@ -1427,6 +1473,55 @@ mod tests {
         assert!(err.contains("too many arguments for 'f'"), "{err}");
         let err = run("c = f(b=1)").unwrap_err().to_string();
         assert!(err.contains("missing argument 'a' for 'f'"), "{err}");
+    }
+
+    #[test]
+    fn multi_output_builtins_are_instructions() {
+        let p = compile(
+            r#"
+            [X, M] = transformencode(target=F, spec="recode=a")
+            Y = transformapply(target=F, meta=M)
+            [w, V] = eigen(A)
+            b = paramserv(X=X, y=y)
+            "#,
+        );
+        // One basic block per statement, no call blocks.
+        assert_eq!(p.blocks.len(), 4);
+        assert!(p.blocks.iter().all(|b| matches!(b, Block::Basic(_))));
+        let config = sysds_common::EngineConfig::default();
+        let text = explain::explain(&p, &config, explain::ExplainLevel::Runtime);
+        for op in ["transformencode", "transformapply", "eigen", "paramserv"] {
+            assert!(text.contains(&format!("] {op} in=")), "{op}:\n{text}");
+        }
+        let err = compile_err("[w, V, U] = eigen(A)");
+        assert!(
+            err.contains("'eigen' returns 2 values, 3 requested"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unseeded_rand_calls_are_not_merged() {
+        let rands = |src: &str| {
+            let p = compile(src);
+            let Block::Basic(bb) = &p.blocks[0] else {
+                panic!()
+            };
+            let nodes = bb.dag.nodes().iter();
+            nodes.filter(|n| n.op == HopOp::Nary("rand")).count()
+        };
+        assert_eq!(
+            rands("A = rand(rows=3, cols=3)\nB = rand(rows=3, cols=3)"),
+            2
+        );
+        assert_eq!(
+            rands("A = rand(rows=3, cols=3, seed=7)\nB = rand(rows=3, cols=3, seed=7)"),
+            1
+        );
+        let mut s = crate::api::SystemDS::new();
+        let src = "A = rand(rows=3, cols=3)\nB = rand(rows=3, cols=3)\nd = sum(abs(A - B))";
+        let d = s.execute(src, &[], &["d"]).unwrap().f64("d").unwrap();
+        assert!(d > 0.0, "two unseeded calls drew the same values");
     }
 
     #[test]

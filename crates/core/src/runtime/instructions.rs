@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sysds_common::sync::lock;
 use sysds_common::{EngineConfig, Result, ScalarValue, SysDsError};
+use sysds_frame::{TransformEncoder, TransformSpec};
 use sysds_tensor::kernels::fused::{FusedInput, FusedOutput, FusedTemplate, TemplateNode};
 use sysds_tensor::kernels::*;
 use sysds_tensor::Matrix;
@@ -29,9 +30,6 @@ pub struct ExecCtx {
 }
 
 static SEED_COUNTER: AtomicU64 = AtomicU64::new(0x5D5_0001);
-
-/// Tile edge of matrices written in the blocked binary format.
-const BINARY_TILE: usize = 1024;
 
 impl ExecCtx {
     /// Create a context from a configuration.
@@ -168,16 +166,33 @@ fn trace_enabled(ctx: &ExecCtx) -> bool {
     ctx.config.lineage
 }
 
-/// Lineage leaf for a value without recorded lineage (script inputs):
-/// identified by object id, "inputs (by name)" plus identity.
-fn data_leaf(data: &Data, name: &str) -> Arc<LineageItem> {
+/// Lineage leaf for a value without recorded lineage (script inputs). It
+/// names the value, not the variable: a matrix by its handle id, a
+/// federated matrix by the `endpoint/var` of its partitions (clones share
+/// them; every site-side result gets fresh vars). A frame has no identity
+/// of its own, so each call returns a fresh leaf; the session binds one
+/// per frame input.
+pub(crate) fn data_leaf(data: &Data, name: &str) -> Arc<LineageItem> {
     match data {
         Data::Matrix(h) => LineageItem::leaf(format!("input:{name}#{}", h.id())),
         Data::Scalar(s) => LineageItem::leaf(format!("lit:{s}")),
-        Data::Frame(_) => LineageItem::leaf(format!("input-frame:{name}")),
-        Data::Federated(_) => LineageItem::leaf(format!("input-fed:{name}")),
+        Data::Frame(_) => fresh_leaf("input-frame"),
+        Data::Federated(f) => {
+            let parts: Vec<String> = f
+                .partitions()
+                .iter()
+                .map(|p| format!("{}/{}", p.worker.endpoint(), p.var))
+                .collect();
+            LineageItem::leaf(format!("input-fed:{}", parts.join(",")))
+        }
         Data::Empty => LineageItem::leaf("empty"),
     }
+}
+
+/// A lineage leaf no other value shares.
+fn fresh_leaf(kind: &str) -> Arc<LineageItem> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    LineageItem::leaf(format!("{kind}#{}", NEXT.fetch_add(1, Ordering::Relaxed)))
 }
 
 fn out_lineage(op: &HopOp, inputs: &[&Slot], extra: Option<String>) -> Option<Arc<LineageItem>> {
@@ -828,9 +843,7 @@ fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult 
                     f,
                     &sysds_io::FormatDescriptor::csv().with_header(true),
                 )?,
-                (d, "binary") => {
-                    sysds_io::binary::write_matrix(&path, &*d.as_matrix()?, BINARY_TILE)?
-                }
+                (d, "binary") => sysds_io::binary::write_matrix(&path, &*d.as_matrix()?)?,
                 (d, _) => {
                     let m = d.as_matrix()?;
                     sysds_io::csv::write_matrix(&path, &m, &sysds_io::FormatDescriptor::csv())?;
@@ -842,10 +855,103 @@ fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult 
                 Some(LineageItem::leaf(format!("write:{path}"))),
             ))
         }
+        "transformencode" => {
+            let spec = parse_transform_spec(&data(1).as_scalar()?.to_display_string())?;
+            let encoder = TransformEncoder::fit(&*data(0).as_frame()?, &spec)?;
+            Ok((Data::Frame(Arc::new(encoder.to_metadata())), None))
+        }
+        "transformapply" => {
+            let encoder = TransformEncoder::from_metadata(&*data(1).as_frame()?)?;
+            Ok((
+                ctx.wrap_matrix(encoder.apply(&*data(0).as_frame()?)?)?,
+                None,
+            ))
+        }
+        // `cbind(values, vectors)`; the compiler splits it by right indexing.
+        "eigen" => {
+            let (w, v) = solve::eigen_symmetric(&*data(0).as_matrix()?)?;
+            Ok((ctx.wrap_matrix(indexing::cbind(&w, &v)?)?, None))
+        }
+        "paramserv" => paramserv(inputs, ctx),
         other => Err(SysDsError::runtime(format!(
             "unimplemented builtin '{other}'"
         ))),
     }
+}
+
+/// The `paramserv` builtin (paper §2.3 (4)): mini-batch training with a
+/// local parameter server. `w = paramserv(X=X, y=y, epochs=20,
+/// batchsize=32, lr=0.1, mode="BSP", workers=4)`; the defaults are the
+/// values shown, except that an omitted `workers` (no seventh input) is the
+/// engine's thread count. `epochs`, `batchsize` and `workers` must be at
+/// least 1. ASP results depend on thread timing, so the output gets a
+/// lineage leaf of its own.
+fn paramserv(inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
+    use crate::runtime::paramserver::{train_linreg, PsConfig, UpdateMode};
+    let data = |k: usize| -> &Data { &inputs[k].data };
+    let count = |k: usize, name: &str| -> Result<usize> {
+        let v = data(k).as_f64()?;
+        if v >= 1.0 {
+            Ok(v as usize)
+        } else {
+            Err(SysDsError::runtime(format!(
+                "paramserv {name} must be at least 1, got {v}"
+            )))
+        }
+    };
+    let epochs = count(2, "epochs")?;
+    let batch_size = count(3, "batchsize")?;
+    let learning_rate = data(4).as_f64()?;
+    let mode = match data(5).as_scalar()?.to_display_string().as_str() {
+        "BSP" | "bsp" => UpdateMode::Bsp,
+        "ASP" | "asp" => UpdateMode::Asp,
+        other => return Err(SysDsError::runtime(format!("paramserv mode '{other}'"))),
+    };
+    let workers = match inputs.len() {
+        7 => count(6, "workers")?,
+        _ => ctx.config.num_threads,
+    };
+    let config = PsConfig {
+        workers,
+        epochs,
+        batch_size,
+        learning_rate,
+        mode,
+    };
+    let w = train_linreg(&*data(0).as_matrix()?, &*data(1).as_matrix()?, &config)?;
+    let lineage = trace_enabled(ctx).then(|| fresh_leaf("paramserv"));
+    Ok((ctx.wrap_matrix(w)?, lineage))
+}
+
+/// Parse a compact transform spec: `"recode=city,zip dummy=level bin=age:5"`.
+fn parse_transform_spec(spec: &str) -> Result<TransformSpec> {
+    let mut out = TransformSpec::new();
+    for part in spec.split_whitespace() {
+        let (kind, cols) = part
+            .split_once('=')
+            .ok_or_else(|| SysDsError::runtime(format!("malformed transform spec '{part}'")))?;
+        for col in cols.split(',') {
+            out = match kind {
+                "recode" => out.recode(col),
+                "dummy" | "dummycode" => out.dummy_code(col),
+                "bin" => {
+                    let (name, bins) = col.split_once(':').ok_or_else(|| {
+                        SysDsError::runtime("bin spec needs 'column:bins'".to_string())
+                    })?;
+                    let bins: usize = bins
+                        .parse()
+                        .map_err(|_| SysDsError::runtime(format!("bad bin count '{bins}'")))?;
+                    out.bin(name, bins)
+                }
+                other => {
+                    return Err(SysDsError::runtime(format!(
+                        "unknown transform kind '{other}'"
+                    )))
+                }
+            };
+        }
+    }
+    Ok(out)
 }
 
 fn dim_of(d: &Data, rows: bool) -> Result<usize> {
@@ -1087,6 +1193,17 @@ mod tests {
         .unwrap();
         let e = execute(&instr(HopOp::Nary("stop"), vec![0], 1), &mut slots, &st, &c).unwrap_err();
         assert!(matches!(e, SysDsError::Stop(_)));
+    }
+
+    #[test]
+    fn transform_spec_parsing() {
+        let s = parse_transform_spec("recode=a,b dummy=c bin=d:4").unwrap();
+        // Applying to a frame is covered in frame tests; here we only
+        // check acceptance/rejection of the syntax.
+        let _ = s;
+        assert!(parse_transform_spec("nonsense").is_err());
+        assert!(parse_transform_spec("bin=x").is_err());
+        assert!(parse_transform_spec("frob=x").is_err());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Executes the compiled block hierarchy — basic blocks through the
 //! instruction layer (with dynamic recompilation via plan caching),
 //! branches, `for`/`while` loops, `parfor` with SystemML-style result
-//! merge (compare-and-merge against the pre-loop value), and function
-//! calls with fresh local scopes.
+//! merge (compare-and-merge against the pre-loop value), and calls of DML
+//! functions with fresh local scopes. Every builtin, including the
+//! multi-output ones, runs as an instruction of a basic block, so the
+//! interpreter names none.
 
 use crate::compiler::lower::{plan_for, Plan};
 use crate::compiler::{bind_params, BasicBlock, Block, CompiledFunction, CompiledProgram};
@@ -14,7 +16,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use sysds_common::error::panic_message;
 use sysds_common::{Result, ScalarValue, SysDsError};
-use sysds_frame::{TransformEncoder, TransformSpec};
 use sysds_tensor::Matrix;
 
 /// The block interpreter.
@@ -137,25 +138,6 @@ impl Interpreter {
         args: &[(Option<String>, BasicBlock)],
         st: &mut SymbolTable,
     ) -> Result<()> {
-        // Call-block builtins; the compiler bound their arguments to the
-        // positions of `builtin_signature`.
-        match function {
-            "transformencode" => return self.exec_transformencode(targets, args, st),
-            "transformapply" => return self.exec_transformapply(targets, args, st),
-            "paramserv" => return self.exec_paramserv(targets, args, st),
-            "eigen" => {
-                let a = self.eval_arg(args, 0, st)?.as_matrix()?;
-                let (w, v) = sysds_tensor::kernels::solve::eigen_symmetric(&a)?;
-                if let Some(t) = targets.first() {
-                    st.set(t.clone(), self.ctx.wrap_matrix(w)?, None);
-                }
-                if let Some(t) = targets.get(1) {
-                    st.set(t.clone(), self.ctx.wrap_matrix(v)?, None);
-                }
-                return Ok(());
-            }
-            _ => {}
-        }
         let func = self
             .program
             .functions
@@ -207,112 +189,6 @@ impl Interpreter {
         .map_err(SysDsError::runtime)?;
         for (p, slot) in func.params.iter().zip(bound) {
             local.set(p.name.clone(), slot.data, slot.lineage);
-        }
-        Ok(())
-    }
-
-    // ---- call-block builtins ---------------------------------------------
-
-    /// Evaluate the call-block builtin argument at canonical position `pos`.
-    fn eval_arg(
-        &self,
-        args: &[(Option<String>, BasicBlock)],
-        pos: usize,
-        st: &SymbolTable,
-    ) -> Result<Data> {
-        Ok(self.eval_expr_block(&args[pos].1, st)?.data)
-    }
-
-    fn exec_transformencode(
-        &self,
-        targets: &[String],
-        args: &[(Option<String>, BasicBlock)],
-        st: &mut SymbolTable,
-    ) -> Result<()> {
-        let frame = self.eval_arg(args, 0, st)?.as_frame()?;
-        let spec_str = self.eval_arg(args, 1, st)?.as_scalar()?.to_display_string();
-        let spec = parse_transform_spec(&spec_str)?;
-        let enc = TransformEncoder::fit(&frame, &spec)?;
-        let x = enc.apply(&frame)?;
-        let meta = enc.to_metadata();
-        if let Some(t) = targets.first() {
-            st.set(t.clone(), self.ctx.wrap_matrix(x)?, None);
-        }
-        if let Some(t) = targets.get(1) {
-            st.set(t.clone(), Data::Frame(Arc::new(meta)), None);
-        }
-        Ok(())
-    }
-
-    fn exec_transformapply(
-        &self,
-        targets: &[String],
-        args: &[(Option<String>, BasicBlock)],
-        st: &mut SymbolTable,
-    ) -> Result<()> {
-        let frame = self.eval_arg(args, 0, st)?.as_frame()?;
-        let meta = self.eval_arg(args, 1, st)?.as_frame()?;
-        let enc = TransformEncoder::from_metadata(&meta)?;
-        let x = enc.apply(&frame)?;
-        if let Some(t) = targets.first() {
-            st.set(t.clone(), self.ctx.wrap_matrix(x)?, None);
-        }
-        Ok(())
-    }
-
-    /// The `paramserv` builtin (paper §2.3 (4)): mini-batch training with
-    /// a local parameter server. `w = paramserv(X=X, y=y, epochs=20,
-    /// batchsize=32, lr=0.1, mode="BSP", workers=4)`; the defaults are the
-    /// values shown, except that `workers` defaults to the engine's thread
-    /// count. `epochs`, `batchsize` and `workers` must be at least 1.
-    fn exec_paramserv(
-        &self,
-        targets: &[String],
-        args: &[(Option<String>, BasicBlock)],
-        st: &mut SymbolTable,
-    ) -> Result<()> {
-        use crate::runtime::paramserver::{train_linreg, PsConfig, UpdateMode};
-        let x = self.eval_arg(args, 0, st)?.as_matrix()?;
-        let y = self.eval_arg(args, 1, st)?.as_matrix()?;
-        let count = |pos: usize, name: &str| -> Result<usize> {
-            let v = self.eval_arg(args, pos, st)?.as_f64()?;
-            if v >= 1.0 {
-                Ok(v as usize)
-            } else {
-                Err(SysDsError::runtime(format!(
-                    "paramserv {name} must be at least 1, got {v}"
-                )))
-            }
-        };
-        let epochs = count(2, "epochs")?;
-        let batch = count(3, "batchsize")?;
-        let lr = self.eval_arg(args, 4, st)?.as_f64()?;
-        let mode = match self
-            .eval_arg(args, 5, st)?
-            .as_scalar()?
-            .to_display_string()
-            .as_str()
-        {
-            "BSP" | "bsp" => UpdateMode::Bsp,
-            "ASP" | "asp" => UpdateMode::Asp,
-            other => return Err(SysDsError::runtime(format!("paramserv mode '{other}'"))),
-        };
-        // `workers` defaults to the engine's thread count.
-        let workers = if args.len() > 6 {
-            count(6, "workers")?
-        } else {
-            self.ctx.config.num_threads
-        };
-        let config = PsConfig {
-            workers,
-            epochs,
-            batch_size: batch,
-            learning_rate: lr,
-            mode,
-        };
-        let w = train_linreg(&x, &y, &config)?;
-        if let Some(t) = targets.first() {
-            st.set(t.clone(), self.ctx.wrap_matrix(w)?, None);
         }
         Ok(())
     }
@@ -467,37 +343,6 @@ fn iter_value(v: f64) -> Data {
     }
 }
 
-/// Parse a compact transform spec: `"recode=city,zip dummy=level bin=age:5"`.
-fn parse_transform_spec(spec: &str) -> Result<TransformSpec> {
-    let mut out = TransformSpec::new();
-    for part in spec.split_whitespace() {
-        let (kind, cols) = part
-            .split_once('=')
-            .ok_or_else(|| SysDsError::runtime(format!("malformed transform spec '{part}'")))?;
-        for col in cols.split(',') {
-            out = match kind {
-                "recode" => out.recode(col),
-                "dummy" | "dummycode" => out.dummy_code(col),
-                "bin" => {
-                    let (name, bins) = col.split_once(':').ok_or_else(|| {
-                        SysDsError::runtime("bin spec needs 'column:bins'".to_string())
-                    })?;
-                    let bins: usize = bins
-                        .parse()
-                        .map_err(|_| SysDsError::runtime(format!("bad bin count '{bins}'")))?;
-                    out.bin(name, bins)
-                }
-                other => {
-                    return Err(SysDsError::runtime(format!(
-                        "unknown transform kind '{other}'"
-                    )))
-                }
-            };
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,16 +359,5 @@ mod tests {
     fn iter_value_types() {
         assert!(matches!(iter_value(2.0), Data::Scalar(ScalarValue::I64(2))));
         assert!(matches!(iter_value(2.5), Data::Scalar(ScalarValue::F64(_))));
-    }
-
-    #[test]
-    fn transform_spec_parsing() {
-        let s = parse_transform_spec("recode=a,b dummy=c bin=d:4").unwrap();
-        // Applying to a frame is covered in frame tests; here we only
-        // check acceptance/rejection of the syntax.
-        let _ = s;
-        assert!(parse_transform_spec("nonsense").is_err());
-        assert!(parse_transform_spec("bin=x").is_err());
-        assert!(parse_transform_spec("frob=x").is_err());
     }
 }

@@ -1,32 +1,31 @@
-//! Binary blocked matrix format.
+//! Binary matrix format.
 //!
-//! The on-disk layout mirrors the distributed representation (paper §2.4):
-//! a header followed by fixed-size, independently-encoded blocks keyed by
-//! block indices. The same encoding backs buffer-pool spill files.
+//! A file is a short header followed by the matrix as one block, in the
+//! encoding buffer-pool spill files use (the wire protocol reuses it too).
+//! Sparse matrices stay sparse on disk and when read back.
 //!
 //! Layout (little-endian):
 //!
 //! ```text
-//! magic "SDSB" | version u32 | rows u64 | cols u64 | block_size u64 | nblocks u64
-//! per block: brow u64 | bcol u64 | kind u8 (0 dense, 1 sparse) | payload
+//! magic "SDSB" | version u32 (2) | block
+//! block: kind u8 (0 dense, 1 sparse) | payload
 //!   dense payload:  r u64 | c u64 | r*c f64 values (row-major)
 //!   sparse payload: r u64 | c u64 | nnz u64 | nnz * (row u64, col u64, value f64)
 //! ```
 //!
 //! Decoding never trusts a header: size arithmetic is checked, values and
-//! sparse entries must be present in the input, and the allocations a
-//! header declares without bytes to back them (sparse row pointers, a
-//! file's dense output) are capped at [`MAX_DECLARED_BYTES`]. Malformed
+//! sparse entries must be present in the input, the allocations a header
+//! declares without bytes to back them (sparse row pointers) are capped at
+//! [`MAX_DECLARED_BYTES`], and a file must end with its block. Malformed
 //! input returns [`SysDsError::Format`] instead of panicking or aborting.
 
 use std::fs;
 use std::path::Path;
 use sysds_common::{Result, SysDsError};
-use sysds_tensor::kernels::indexing;
 use sysds_tensor::{DenseMatrix, Matrix, SparseMatrix};
 
 const MAGIC: &[u8; 4] = b"SDSB";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Cap on an allocation a header declares without the input holding its
 /// bytes; equal to the wire protocol's payload limit (16 GiB).
@@ -171,44 +170,21 @@ pub fn decode_block(buf: &mut Cursor<'_>) -> Result<Matrix> {
     }
 }
 
-/// Write a matrix as a blocked binary file with `block_size` tiles.
-pub fn write_matrix(path: impl AsRef<Path>, m: &Matrix, block_size: usize) -> Result<()> {
+/// Write a matrix as a binary file.
+pub fn write_matrix(path: impl AsRef<Path>, m: &Matrix) -> Result<()> {
     let path = path.as_ref();
-    let bs = block_size.max(1);
-    let (rows, cols) = m.shape();
-    let brows = rows.div_ceil(bs).max(1);
-    let bcols = cols.div_ceil(bs).max(1);
-    let nblocks = if rows == 0 || cols == 0 {
-        0
-    } else {
-        brows * bcols
-    };
     let mut buf = MAGIC.to_vec();
     buf.extend_from_slice(&VERSION.to_le_bytes());
-    for v in [rows, cols, bs, nblocks] {
-        buf.extend_from_slice(&(v as u64).to_le_bytes());
-    }
-    if nblocks > 0 {
-        for br in 0..brows {
-            for bc in 0..bcols {
-                let r0 = br * bs;
-                let c0 = bc * bs;
-                let block = indexing::slice(m, r0..(r0 + bs).min(rows), c0..(c0 + bs).min(cols))?;
-                buf.extend_from_slice(&(br as u64).to_le_bytes());
-                buf.extend_from_slice(&(bc as u64).to_le_bytes());
-                encode_block(&block, &mut buf);
-            }
-        }
-    }
+    encode_block(m, &mut buf);
     fs::write(path, &buf).map_err(|e| SysDsError::io(path.display().to_string(), e))
 }
 
-/// Read a blocked binary matrix file.
+/// Read a binary matrix file.
 pub fn read_matrix(path: impl AsRef<Path>) -> Result<Matrix> {
     let path = path.as_ref();
     let data = fs::read(path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
     let mut buf = Cursor::new(&data);
-    if buf.remaining() < 4 + 4 + 32 || buf.take(4)? != MAGIC {
+    if buf.remaining() < 4 + 4 || buf.take(4)? != MAGIC {
         return Err(format_err("not a SystemDS binary matrix file"));
     }
     let version = buf.u32()?;
@@ -217,35 +193,11 @@ pub fn read_matrix(path: impl AsRef<Path>) -> Result<Matrix> {
             "unsupported binary version {version}"
         )));
     }
-    let (rows, cols, bs, nblocks) = (buf.usize()?, buf.usize()?, buf.usize()?, buf.u64()?);
-    if !rows
-        .checked_mul(cols)
-        .is_some_and(|c| fits(c, 8, MAX_DECLARED_BYTES))
-    {
-        return Err(format_err("matrix shape too large"));
+    let m = decode_block(&mut buf)?;
+    if buf.remaining() > 0 {
+        return Err(format_err("trailing bytes after the matrix"));
     }
-    let mut out = DenseMatrix::zeros(rows, cols);
-    for _ in 0..nblocks {
-        let (br, bc) = (buf.usize()?, buf.usize()?);
-        let block = decode_block(&mut buf)?;
-        // Offset of a block index, if the block then fits in `dim`.
-        let offset = |b: usize, len: usize, dim: usize| {
-            let o = b.checked_mul(bs)?;
-            (o.checked_add(len)? <= dim).then_some(o)
-        };
-        let (Some(r0), Some(c0)) = (
-            offset(br, block.rows(), rows),
-            offset(bc, block.cols(), cols),
-        ) else {
-            return Err(format_err("block exceeds matrix bounds"));
-        };
-        for i in 0..block.rows() {
-            for j in 0..block.cols() {
-                out.set(r0 + i, c0 + j, block.get(i, j));
-            }
-        }
-    }
-    Ok(Matrix::Dense(out).compact())
+    Ok(m.compact())
 }
 
 /// Encode a whole matrix into one buffer (used by buffer-pool spilling).
@@ -275,7 +227,7 @@ mod tests {
     fn dense_round_trip() {
         let m = gen::rand_uniform(100, 37, -10.0, 10.0, 1.0, 111);
         let p = tmp("dense.bin");
-        write_matrix(&p, &m, 32).unwrap();
+        write_matrix(&p, &m).unwrap();
         let back = read_matrix(&p).unwrap();
         assert!(back.approx_eq(&m, 0.0));
     }
@@ -285,25 +237,32 @@ mod tests {
         let m = gen::rand_uniform(80, 80, -1.0, 1.0, 0.05, 112).compact();
         assert!(m.is_sparse());
         let p = tmp("sparse.bin");
-        write_matrix(&p, &m, 25).unwrap();
+        write_matrix(&p, &m).unwrap();
         let back = read_matrix(&p).unwrap();
         assert!(back.approx_eq(&m, 0.0));
         assert!(back.is_sparse());
     }
 
     #[test]
-    fn block_size_larger_than_matrix() {
-        let m = gen::rand_uniform(5, 5, 0.0, 1.0, 1.0, 113);
-        let p = tmp("big-block.bin");
-        write_matrix(&p, &m, 1024).unwrap();
-        assert!(read_matrix(&p).unwrap().approx_eq(&m, 0.0));
+    fn huge_sparse_matrix_stays_sparse() {
+        // Its dense size (8 TiB) is far above MAX_DECLARED_BYTES.
+        let n = 1 << 20;
+        let triples = (0..1000).map(|k| (k * 1031, (k * 7919) % n, k as f64 + 0.5));
+        let m = Matrix::Sparse(SparseMatrix::from_triples(n, n, triples.collect()));
+        let p = tmp("huge-sparse.bin");
+        write_matrix(&p, &m).unwrap();
+        assert!(std::fs::metadata(&p).unwrap().len() < 64 * 1024);
+        let back = read_matrix(&p).unwrap();
+        assert!(back.is_sparse());
+        assert_eq!(back.shape(), (n, n));
+        assert!(back.iter_nonzeros().eq(m.iter_nonzeros()));
     }
 
     #[test]
     fn empty_matrix_round_trip() {
         let m = Matrix::zeros(0, 0);
         let p = tmp("empty.bin");
-        write_matrix(&p, &m, 16).unwrap();
+        write_matrix(&p, &m).unwrap();
         let back = read_matrix(&p).unwrap();
         assert_eq!(back.shape(), (0, 0));
     }
@@ -351,26 +310,25 @@ mod tests {
 
     #[test]
     fn crafted_file_headers_are_rejected() {
-        let file = |rows: u64, blocks: &[u8]| {
+        let file = |version: u32, block: &[u8]| {
             let mut b = MAGIC.to_vec();
-            b.extend_from_slice(&VERSION.to_le_bytes());
-            [rows, 4, 2, 1]
-                .iter()
-                .for_each(|v| b.extend_from_slice(&v.to_le_bytes()));
-            b.extend_from_slice(blocks);
+            b.extend_from_slice(&version.to_le_bytes());
+            b.extend_from_slice(block);
             let p = tmp("crafted.bin");
             std::fs::write(&p, b).unwrap();
             read_matrix(&p)
         };
-        // Block (br, 0) holding one dense cell 1.0.
-        let block_at = |br: u64| {
-            let index = [br.to_le_bytes(), [0; 8]].concat();
-            [index, crafted(0, &[1, 1]), 1.0f64.to_le_bytes().to_vec()].concat()
-        };
-        assert!(file(1 << 61, &[]).is_err()); // rows * cols overflows
-        assert!(file(1 << 40, &[]).is_err()); // 32 TiB of output
-        assert!(file(4, &block_at(u64::MAX)).is_err()); // br * bs overflows
-        assert_eq!(file(4, &block_at(1)).unwrap().get(2, 0), 1.0);
+        let one_cell = [crafted(0, &[1, 1]), 1.0f64.to_le_bytes().to_vec()].concat();
+        assert_eq!(file(VERSION, &one_cell).unwrap().get(0, 0), 1.0);
+        assert!(file(1, &one_cell).is_err()); // the old tiled format
+        assert!(file(VERSION, &[]).is_err()); // no block
+        assert!(file(VERSION, &crafted(0, &[1 << 61, 4])).is_err()); // rows * cols overflows
+        assert!(file(VERSION, &crafted(0, &[1 << 40, 4])).is_err()); // 32 TiB, no values
+        let trailing = [one_cell.as_slice(), &[0]].concat();
+        assert!(matches!(
+            file(VERSION, &trailing),
+            Err(SysDsError::Format(_))
+        ));
     }
 
     #[test]

@@ -37,13 +37,12 @@ property! {
     fn binary_round_trip(
         rows in g.int(1usize..80),
         cols in g.int(1usize..30),
-        block in g.int(1usize..40),
         sparsity in g.pick(&[1.0, 0.1]),
         seed in g.seed(),
     ) {
         let m = gen::rand_uniform(rows, cols, -1.0, 1.0, sparsity, seed).compact();
         let p = tmpfile("bin", seed);
-        sysds_io::binary::write_matrix(&p, &m, block).unwrap();
+        sysds_io::binary::write_matrix(&p, &m).unwrap();
         let back = sysds_io::binary::read_matrix(&p).unwrap();
         std::fs::remove_file(&p).ok();
         // binary is exact

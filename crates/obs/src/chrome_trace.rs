@@ -155,62 +155,83 @@ pub struct ChromeEvent {
 /// [`to_chrome_trace`]. Returns `None` on malformed input or events
 /// missing required fields.
 pub fn parse_events(s: &str) -> Option<Vec<ChromeEvent>> {
-    let mut p = Parser {
-        chars: s.chars().peekable(),
-    };
-    p.skip_ws();
-    let Value::Array(items) = p.value()? else {
+    let Value::Array(items) = parse_json(s)? else {
         return None;
     };
-    p.skip_ws();
-    if p.chars.next().is_some() {
-        return None;
-    }
     let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let Value::Object(fields) = item else {
+    for item in &items {
+        if !matches!(item, Value::Object(_)) {
             return None;
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let get_str = |k: &str| match get(k) {
-            Some(Value::Str(v)) => Some(v.clone()),
-            _ => None,
-        };
-        let get_num = |k: &str| match get(k) {
-            Some(Value::Num(v)) => Some(*v),
-            _ => None,
-        };
-        let arg_name = match get("args") {
-            Some(Value::Object(args)) => {
-                args.iter()
-                    .find(|(n, _)| n == "name")
-                    .and_then(|(_, v)| match v {
-                        Value::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-            }
-            _ => None,
-        };
+        }
+        let text = |k: &str| item.field(k)?.as_str().map(str::to_string);
+        let num = |k: &str| item.field(k)?.as_f64();
         out.push(ChromeEvent {
-            name: get_str("name")?,
-            cat: get_str("cat")?,
-            ph: get_str("ph")?,
-            ts: get_num("ts")?,
-            dur: get_num("dur"),
-            pid: get_num("pid")? as u64,
-            tid: get_num("tid")? as u64,
-            arg_name,
+            name: text("name")?,
+            cat: text("cat")?,
+            ph: text("ph")?,
+            ts: num("ts")?,
+            dur: num("dur"),
+            pid: num("pid")? as u64,
+            tid: num("tid")? as u64,
+            arg_name: item
+                .field("args")
+                .and_then(|args| args.field("name")?.as_str())
+                .map(str::to_string),
         });
     }
     Some(out)
 }
 
-enum Value {
+/// A parsed JSON value. A number keeps its text, so a reader can take it
+/// as an exact `u64` or as an `f64`.
+pub(crate) enum Value {
     Str(String),
-    Num(f64),
+    Num(String),
     Object(Vec<(String, Value)>),
     Array(Vec<Value>),
     Null,
+}
+
+impl Value {
+    /// The first field named `key`, if this is an object.
+    pub(crate) fn field(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(fields) => fields.iter().find(|(n, _)| n == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Parse one JSON document: a value with nothing but whitespace after it.
+/// The one JSON reader of this crate (trace lines and Chrome traces).
+pub(crate) fn parse_json(s: &str) -> Option<Value> {
+    let mut p = Parser {
+        chars: s.chars().peekable(),
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    p.chars.next().is_none().then_some(value)
 }
 
 struct Parser<'a> {
@@ -231,9 +252,7 @@ impl Parser<'_> {
             '[' => self.array(),
             '"' => {
                 self.chars.next();
-                Some(Value::Str(crate::trace::parse_string_body(
-                    &mut self.chars,
-                )?))
+                Some(Value::Str(self.string_body()?))
             }
             'n' => {
                 for expect in ['n', 'u', 'l', 'l'] {
@@ -253,9 +272,38 @@ impl Parser<'_> {
                         break;
                     }
                 }
-                Some(Value::Num(num.parse().ok()?))
+                // Validate the token; readers reparse it as u64 or f64.
+                num.parse::<f64>().ok()?;
+                Some(Value::Num(num))
             }
             _ => None,
+        }
+    }
+
+    /// A string body after the opening quote, consuming the closing quote.
+    fn string_body(&mut self) -> Option<String> {
+        let mut out = String::new();
+        loop {
+            match self.chars.next()? {
+                '"' => return Some(out),
+                '\\' => match self.chars.next()? {
+                    '"' => out.push('"'),
+                    '\\' => out.push('\\'),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    '/' => out.push('/'),
+                    'u' => {
+                        let mut code = 0u32;
+                        for _ in 0..4 {
+                            code = code * 16 + self.chars.next()?.to_digit(16)?;
+                        }
+                        out.push(char::from_u32(code)?);
+                    }
+                    _ => return None,
+                },
+                c => out.push(c),
+            }
         }
     }
 
@@ -272,7 +320,7 @@ impl Parser<'_> {
             if self.chars.next()? != '"' {
                 return None;
             }
-            let key = crate::trace::parse_string_body(&mut self.chars)?;
+            let key = self.string_body()?;
             self.skip_ws();
             if self.chars.next()? != ':' {
                 return None;

@@ -8,10 +8,11 @@
 //! ```
 //!
 //! Records are written under a short mutex — tracing is a diagnostics
-//! mode, not the fast path. [`parse_record`] reads the schema back without
-//! a JSON dependency, so tests and the bench harness can consume traces
-//! machine-readably.
+//! mode, not the fast path. [`parse_record`] reads the schema back with the
+//! crate's one JSON reader (in [`crate::chrome_trace`]), so tests and the
+//! bench harness can consume traces machine-readably.
 
+use crate::chrome_trace::{parse_json, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -136,136 +137,23 @@ pub(crate) fn write(rec: &TraceRecord) {
 /// Parse one JSONL line produced by this sink. Returns `None` for
 /// malformed lines or lines missing required fields.
 pub fn parse_record(line: &str) -> Option<TraceRecord> {
-    let fields = parse_flat_object(line.trim())?;
-    let get_u64 = |k: &str| -> Option<u64> {
-        match fields.iter().find(|(n, _)| n == k)? {
-            (_, JsonValue::Num(v)) => Some(*v),
-            _ => None,
-        }
-    };
-    let get_str = |k: &str| -> Option<String> {
-        match fields.iter().find(|(n, _)| n == k)? {
-            (_, JsonValue::Str(v)) => Some(v.clone()),
-            _ => None,
-        }
-    };
-    let worker = match fields.iter().find(|(n, _)| n == "worker")? {
-        (_, JsonValue::Num(v)) => Some(*v),
-        (_, JsonValue::Null) => None,
-        _ => return None,
+    let obj = parse_json(line)?;
+    let num = |k: &str| obj.field(k)?.as_u64();
+    let text = |k: &str| obj.field(k)?.as_str().map(str::to_string);
+    let worker = match obj.field("worker")? {
+        Value::Null => None,
+        v => Some(v.as_u64()?),
     };
     Some(TraceRecord {
-        id: get_u64("id")?,
-        parent: get_u64("parent")?,
-        phase: get_str("phase")?,
-        op: get_str("op")?,
-        start_ns: get_u64("start_ns")?,
-        dur_ns: get_u64("dur_ns")?,
-        thread: get_u64("thread")?,
+        id: num("id")?,
+        parent: num("parent")?,
+        phase: text("phase")?,
+        op: text("op")?,
+        start_ns: num("start_ns")?,
+        dur_ns: num("dur_ns")?,
+        thread: num("thread")?,
         worker,
     })
-}
-
-enum JsonValue {
-    Num(u64),
-    Str(String),
-    Null,
-}
-
-/// Minimal parser for the flat `{"key":value,...}` objects this module
-/// emits: values are unsigned integers, strings, or `null`.
-fn parse_flat_object(s: &str) -> Option<Vec<(String, JsonValue)>> {
-    let inner = s.strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    let mut chars = inner.chars().peekable();
-    loop {
-        // Key.
-        skip_ws(&mut chars);
-        if chars.peek().is_none() {
-            break;
-        }
-        if chars.next()? != '"' {
-            return None;
-        }
-        let key = parse_string_body(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        // Value.
-        let value = match chars.peek()? {
-            '"' => {
-                chars.next();
-                JsonValue::Str(parse_string_body(&mut chars)?)
-            }
-            'n' => {
-                for expect in ['n', 'u', 'l', 'l'] {
-                    if chars.next()? != expect {
-                        return None;
-                    }
-                }
-                JsonValue::Null
-            }
-            c if c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        num.push(*c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Num(num.parse().ok()?)
-            }
-            _ => return None,
-        };
-        out.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            None => break,
-            Some(_) => return None,
-        }
-    }
-    Some(out)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-/// Parse a JSON string body after the opening quote, consuming the
-/// closing quote.
-pub(crate) fn parse_string_body(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Option<String> {
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                '/' => out.push('/'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -417,6 +305,24 @@ mod tests {
             worker: None,
         });
         assert!(drain_memory().is_empty());
+    }
+
+    #[test]
+    fn u64_fields_parse_exactly() {
+        // Above 2^53, so a reader going through f64 would round them.
+        let rec = TraceRecord {
+            id: u64::MAX,
+            parent: (1 << 53) + 1,
+            phase: "instruction".into(),
+            op: "tsmm".into(),
+            start_ns: u64::MAX - 1,
+            dur_ns: 0,
+            thread: 0,
+            worker: Some(u64::MAX),
+        };
+        let fractional = rec.to_json().replace("\"dur_ns\":0", "\"dur_ns\":1.5");
+        assert_eq!(parse_record(&rec.to_json()), Some(rec));
+        assert!(parse_record(&fractional).is_none());
     }
 
     #[test]

@@ -221,3 +221,79 @@ fn federated_lm_with_partial_reuse_matches_lineage_off() {
         assert!(on.approx_eq(&off, 1e-12), "{script}");
     }
 }
+
+#[test]
+fn federated_inputs_are_named_by_their_partitions() {
+    // Three federated X over the same sites differ only in the sites'
+    // variables; a leaf named after the script variable made every run
+    // after the first hit the first X's tsmm.
+    let script = "G = t(X) %*% X\ns = sum(G)";
+    let xs: Vec<_> = (0..3)
+        .map(|k| gen::rand_uniform(200, 20, 0.0, 1.0, 1.0, 720 + k))
+        .collect();
+    let s = session(ReusePolicy::FullAndPartial);
+    let feds = s.federate_many(&xs.iter().collect::<Vec<_>>(), 2).unwrap();
+    let prepared = s.prepare(script, &["s"]).unwrap();
+    let mut local = session(ReusePolicy::None);
+    for (x, fx) in xs.iter().zip(&feds) {
+        let expected = local
+            .execute(script, &[("X", Data::from_matrix(x.clone()))], &["s"])
+            .unwrap()
+            .f64("s")
+            .unwrap();
+        let got = prepared.execute(&[("X", fx.clone())]).unwrap();
+        let got = got.f64("s").unwrap();
+        assert!(
+            (got - expected).abs() <= 1e-9 * expected,
+            "{got} vs {expected}"
+        );
+    }
+    // A clone names the same partitions, so it still reuses.
+    let hits = s.cache_stats().hits;
+    prepared.execute(&[("X", feds[0].clone())]).unwrap();
+    assert!(s.cache_stats().hits > hits, "{:?}", s.cache_stats());
+}
+
+#[test]
+fn frame_inputs_do_not_share_lineage() {
+    // transformencode runs as instructions, so tsmm(X) has lineage through
+    // the frame's leaf: a second frame bound to F must not hit the first.
+    let script = r#"
+        [X, M] = transformencode(target=F, spec="bin=c0:4")
+        G = t(X) %*% X
+        s = sum(G)
+    "#;
+    let frame = |seed| {
+        let m = gen::rand_uniform(3000, 30, 0.0, 1.0, 1.0, seed);
+        let names = (0..30).map(|j| format!("c{j}")).collect();
+        Data::Frame(std::sync::Arc::new(
+            sysds_frame::Frame::from_matrix(&m, Some(names)).unwrap(),
+        ))
+    };
+    let mut plain = session(ReusePolicy::None);
+    let mut reuse = session(ReusePolicy::FullAndPartial);
+    for seed in [731, 732] {
+        let f = frame(seed);
+        let run = |s: &mut SystemDS| {
+            let out = s.execute(script, &[("F", f.clone())], &["s"]).unwrap();
+            out.f64("s").unwrap()
+        };
+        assert_eq!(run(&mut reuse), run(&mut plain), "frame seed {seed}");
+    }
+}
+
+#[test]
+fn paramserv_output_gets_a_leaf_of_its_own() {
+    let (x, y) = gen::synthetic_regression(100, 3, 1.0, 0.0, 741);
+    let mut s = session(ReusePolicy::Full);
+    let inputs = [("X", Data::from_matrix(x)), ("y", Data::from_matrix(y))];
+    let leaf = |s: &mut SystemDS| {
+        let out = s
+            .execute("w = paramserv(X=X, y=y, epochs=2)", &inputs, &["w"])
+            .unwrap();
+        out.lineage("w").unwrap().opcode.clone()
+    };
+    let (first, second) = (leaf(&mut s), leaf(&mut s));
+    assert!(first.starts_with("paramserv#"), "{first}");
+    assert_ne!(first, second);
+}
