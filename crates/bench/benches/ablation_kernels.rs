@@ -3,10 +3,11 @@
 //! the micro-level mechanism behind the SysDS vs SysDS-B vs Julia gaps.
 //! The `matvec` and `mmchain` groups cover the bandwidth-bound lmCG step;
 //! the `cellwise` group covers element-wise and aggregate kernels, which
-//! run as one-node templates on the fused evaluator.
+//! run as one-node templates on the fused evaluator. `solve_spd` is the
+//! Cholesky solve of one `lmDS` model at the `hpo_reuse` width.
 
 use sysds_bench::{max_threads, time};
-use sysds_tensor::kernels::{aggregate, elementwise, gen, matmult, matvec, reorg, tsmm};
+use sysds_tensor::kernels::{aggregate, elementwise, gen, matmult, matvec, reorg, solve, tsmm};
 use sysds_tensor::kernels::{AggFn, BinaryOp, Direction, UnaryOp};
 use sysds_tensor::Matrix;
 
@@ -14,6 +15,7 @@ fn main() {
     bench_products();
     bench_matvec();
     bench_cellwise();
+    bench_solve();
 }
 
 /// Square matmul (portable vs blocked) and tall-skinny Gram matrices
@@ -114,5 +116,18 @@ fn bench_cellwise() {
     let v: Matrix = gen::rand_uniform(16_000, 1, -1.0, 1.0, 1.0, 6011);
     time("cellwise/min/vector", || {
         aggregate::aggregate_full_mt(AggFn::Min, &v, t).unwrap()
+    });
+}
+
+/// `solve(t(X)%*%X + I, b)` for a 250-column X: Cholesky factor plus two
+/// triangular solves, as in each `lmDS` model of `hpo_reuse`.
+fn bench_solve() {
+    let n = 250;
+    let x = gen::rand_uniform(3 * n, n, -1.0, 1.0, 1.0, 6012);
+    let eye = Matrix::identity(n);
+    let a = elementwise::binary_mm(BinaryOp::Add, &tsmm::tsmm(&x, 1, false), &eye).unwrap();
+    let b = gen::rand_uniform(n, 1, -1.0, 1.0, 1.0, 6013);
+    time(&format!("ablation_kernels/solve_spd/{n}"), || {
+        solve::solve(&a, &b).unwrap()
     });
 }

@@ -19,6 +19,8 @@
 //! value.
 
 use super::item::LineageItem;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 use sysds_common::config::ReusePolicy;
 use sysds_common::hash::FxHashMap;
@@ -75,6 +77,53 @@ impl Inner {
         }
         e.last_access = clock;
         Some(e.value.clone())
+    }
+
+    /// Evict entries until at most `limit` bytes remain, cheapest to
+    /// recompute first and least recently used among equals; returns the
+    /// victims in eviction order. Entries with equal keys leave in map
+    /// iteration order.
+    ///
+    /// An insert into a full cache usually evicts one entry, so the first
+    /// victim comes from one scan of the map. Any further victims come from
+    /// a heap built in one more pass and popped only as far as the limit
+    /// needs: `k` victims among `n` entries cost `O(n + k log n)`, not `k`
+    /// scans of the map.
+    fn evict_to(&mut self, limit: usize) -> Vec<u64> {
+        let mut victims = Vec::new();
+        if self.bytes <= limit {
+            return victims;
+        }
+        let first = self
+            .map
+            .iter()
+            .min_by_key(|(_, e)| (e.compute_nanos, e.last_access))
+            .map(|(&h, _)| h);
+        victims.extend(first);
+        self.remove_victim(first);
+        if self.bytes > limit {
+            let mut order: BinaryHeap<_> = self
+                .map
+                .iter()
+                .enumerate()
+                .map(|(pos, (&h, e))| Reverse((e.compute_nanos, e.last_access, pos, h)))
+                .collect();
+            while self.bytes > limit {
+                let next = order.pop().map(|Reverse((_, _, _, h))| h);
+                victims.extend(next);
+                self.remove_victim(next);
+            }
+        }
+        victims
+    }
+
+    fn remove_victim(&mut self, h: Option<u64>) {
+        let e = h
+            .and_then(|h| self.map.remove(&h))
+            .expect("entries remain while the cache is over its limit");
+        self.bytes -= e.bytes;
+        self.stats.evictions += 1;
+        obs_count(|c| &c.lin_evictions);
     }
 }
 
@@ -225,24 +274,7 @@ impl LineageCache {
                 compute_nanos,
             },
         );
-        // Evict by (cheap-to-recompute, least-recently-used) order.
-        while inner.bytes > self.limit {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| (e.compute_nanos, e.last_access))
-                .map(|(&h, _)| h);
-            match victim {
-                Some(h) => {
-                    if let Some(e) = inner.map.remove(&h) {
-                        inner.bytes -= e.bytes;
-                        inner.stats.evictions += 1;
-                        obs_count(|c| &c.lin_evictions);
-                    }
-                }
-                None => break,
-            }
-        }
+        inner.evict_to(self.limit);
     }
 
     /// Drop all entries (e.g. between experiments).
@@ -384,6 +416,61 @@ mod tests {
         }
         assert!(c.bytes() <= 20_000);
         assert!(c.stats().evictions > 0);
+    }
+
+    /// The eviction loop `put` ran before: a scan of the whole map per
+    /// victim. Entries are `hash -> (compute_nanos, last_access, bytes)`.
+    fn evict_by_rescan(
+        map: &mut FxHashMap<u64, (u128, u64, usize)>,
+        bytes: &mut usize,
+        limit: usize,
+    ) -> Vec<u64> {
+        let mut victims = Vec::new();
+        while *bytes > limit {
+            let Some(h) = map.iter().min_by_key(|(_, e)| (e.0, e.1)).map(|(&h, _)| h) else {
+                break;
+            };
+            *bytes -= map.remove(&h).expect("victim is in the map").2;
+            victims.push(h);
+        }
+        victims
+    }
+
+    #[test]
+    fn one_ordering_evicts_as_the_rescan_loop_did() {
+        let value = Arc::new(Matrix::zeros(1, 1));
+        let mut rng = sysds_common::rng::XorShift64::new(17);
+        for round in 0..200 {
+            let mut inner = Inner::default();
+            let mut model = FxHashMap::default();
+            for k in 0..rng.next_u64() % 40 {
+                // Few distinct costs and access times, so keys tie often,
+                // in cost alone and in both.
+                let (nanos, last_access) = (rng.next_u64() % 3, rng.next_u64() % 6);
+                let bytes = 1 + (rng.next_u64() % 100) as usize;
+                let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ round;
+                model.insert(h, (BIG * u128::from(nanos), last_access, bytes));
+                inner.bytes += bytes;
+                inner.map.insert(
+                    h,
+                    CacheEntry {
+                        lineage: LineageItem::leaf(format!("e{k}")),
+                        value: value.clone(),
+                        bytes,
+                        last_access,
+                        compute_nanos: BIG * u128::from(nanos),
+                    },
+                );
+            }
+            let limit = (rng.next_u64() % (inner.bytes as u64 + 1)) as usize;
+            let mut model_bytes = inner.bytes;
+            let expect = evict_by_rescan(&mut model, &mut model_bytes, limit);
+            assert_eq!(inner.evict_to(limit), expect, "round {round}");
+            assert_eq!(inner.stats.evictions, expect.len() as u64);
+            assert_eq!(inner.bytes, model_bytes);
+            assert!(inner.map.keys().all(|h| model.contains_key(h)));
+            assert_eq!(inner.map.len(), model.len());
+        }
     }
 
     #[test]

@@ -1,16 +1,56 @@
 //! CSV readers and writers for matrices and frames.
 //!
-//! Matrix reads are multi-threaded: the in-memory byte buffer is split at
-//! line boundaries into `threads` ranges parsed concurrently, because
-//! string-to-double parsing dominates cold-start I/O (paper §4.2).
+//! Matrix reads are multi-threaded because string-to-double parsing
+//! dominates cold-start I/O (paper §4.2). [`read_matrix`] splits the file
+//! into `threads` byte ranges; a thread owns the lines that *start* in its
+//! range and reads them through a file handle of its own, in blocks of
+//! about 1 MiB. Two passes run over the ranges in parallel:
+//!
+//! 1. Each thread checks UTF-8 on every run of complete lines it owns and
+//!    counts the non-blank ones. The running sum of the counts gives each
+//!    range its first row, so the output is allocated once, at its final
+//!    size.
+//! 2. Each thread reads its range again and parses straight into its own
+//!    rows, counting non-zeros as it goes, so the dense/sparse choice of
+//!    [`Matrix::compact`] needs no rescan of the output.
+//!
+//! Peak memory is the output plus one block per thread (a line longer
+//! than a block grows that thread's buffer to the line); the file is never
+//! held whole. A file whose lines or length change between the two passes
+//! is an error. [`parse_matrix`] runs the same range parser over bytes in
+//! memory.
+//!
+//! Lines split as in [`str::lines`], whitespace-only lines are skipped,
+//! and the header, when present, is the first non-blank line. Errors name
+//! the data row (1-based, counting neither header nor blank lines) and
+//! column, and the first bad row in file order is the one reported.
 
 use crate::descriptor::FormatDescriptor;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use sysds_common::{Result, SysDsError};
 use sysds_frame::{Frame, FrameColumn};
-use sysds_tensor::{DenseMatrix, Matrix};
+use sysds_tensor::{DenseMatrix, Matrix, SparseMatrix, SPARSE_THRESHOLD};
+
+/// Bytes per read of a byte range.
+const BLOCK_BYTES: usize = 1 << 20;
+
+/// Smallest byte range given a thread of its own; smaller files use fewer
+/// threads than asked for.
+const MIN_RANGE_BYTES: usize = 1 << 16;
+
+/// How a read is cut into byte ranges and blocks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chunking {
+    pub block: usize,
+    pub min_range: usize,
+}
+
+const CHUNKING: Chunking = Chunking {
+    block: BLOCK_BYTES,
+    min_range: MIN_RANGE_BYTES,
+};
 
 /// Read a numeric CSV file into a [`Matrix`] using `threads` parser threads.
 pub fn read_matrix(
@@ -18,69 +58,304 @@ pub fn read_matrix(
     desc: &FormatDescriptor,
     threads: usize,
 ) -> Result<Matrix> {
-    let path = path.as_ref();
-    let bytes = fs::read(path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-    parse_matrix(&bytes, desc, threads)
+    read_chunked(Source::File(path.as_ref()), desc, threads, CHUNKING, || {})
 }
 
-/// Parse CSV bytes into a matrix (exposed separately for generated readers
-/// and tests).
+/// Parse CSV bytes into a matrix, with the range parser of [`read_matrix`].
 pub fn parse_matrix(bytes: &[u8], desc: &FormatDescriptor, threads: usize) -> Result<Matrix> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| SysDsError::Format("csv file is not valid UTF-8".into()))?;
-    // Collect line boundaries once; skip header if requested.
-    let mut lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if desc.header && !lines.is_empty() {
-        lines.remove(0);
-    }
-    let rows = lines.len();
+    read_chunked(Source::Bytes(bytes), desc, threads, CHUNKING, || {})
+}
+
+/// [`read_matrix`] (or [`parse_matrix`], for `Source::Bytes`) with explicit
+/// chunk sizes, calling `between_passes` after the counting pass.
+pub(crate) fn read_chunked(
+    src: Source<'_>,
+    desc: &FormatDescriptor,
+    threads: usize,
+    chunking: Chunking,
+    between_passes: impl FnOnce(),
+) -> Result<Matrix> {
+    let len = src.len()?;
+    let ranges = if len == 0 {
+        Vec::new()
+    } else {
+        let n = threads.clamp(1, len.div_ceil(chunking.min_range.max(1)));
+        DenseMatrix::row_partitions(len, n)
+    };
+    let block = chunking.block.max(1);
+
+    // Pass 1: count the non-blank lines of every range, keeping the field
+    // counts of the first two (the header's and the first data row's).
+    let counts = par_map(ranges.clone(), |range| {
+        let mut count = 0usize;
+        let mut fields = Vec::new();
+        scan_range(src, len, range, block, |line| {
+            if count < 2 {
+                fields.push(split_fields(line, desc.delimiter).count());
+            }
+            count += 1;
+            Ok(())
+        })?;
+        Ok((count, fields))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    between_passes();
+
+    let skip = usize::from(desc.header);
+    let lines: usize = counts.iter().map(|(c, _)| c).sum();
+    let rows = lines.saturating_sub(skip);
     if rows == 0 {
         return Matrix::from_vec(0, 0, Vec::new());
     }
-    let cols = split_fields(lines[0], desc.delimiter).count();
+    let cols = counts
+        .iter()
+        .flat_map(|(_, fields)| fields)
+        .nth(skip)
+        .copied()
+        .expect("a data row exists, so its range recorded its field count");
+
+    // Pass 2: each range parses its lines into its own rows. Range `r`
+    // holds the non-blank lines `first..first + count` of the file; line
+    // `g` is data row `g - skip`.
     let mut out = DenseMatrix::zeros(rows, cols);
-    let parts = DenseMatrix::row_partitions(rows, threads);
-    let lines = &lines;
+    let mut work = Vec::with_capacity(ranges.len());
     let mut rest = out.values_mut();
-    let mut first_err: Option<SysDsError> = None;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for &(lo, hi) in &parts {
-            let (chunk, tail) = rest.split_at_mut((hi - lo) * cols);
-            rest = tail;
-            handles.push(s.spawn(move || -> Result<()> {
-                for (r, line) in lines[lo..hi].iter().enumerate() {
-                    let mut c = 0usize;
-                    for field in split_fields(line, desc.delimiter) {
-                        if c >= cols {
-                            return Err(SysDsError::Format(format!(
-                                "row {} has more than {cols} fields",
-                                lo + r + 1
-                            )));
-                        }
-                        chunk[r * cols + c] = parse_field(field, desc, lo + r, c)?;
-                        c += 1;
-                    }
-                    if c != cols {
-                        return Err(SysDsError::Format(format!(
-                            "row {} has {c} fields, expected {cols}",
-                            lo + r + 1
-                        )));
-                    }
-                }
-                Ok(())
-            }));
-        }
-        for h in handles {
-            if let Err(e) = h.join().expect("csv parser panicked") {
-                first_err.get_or_insert(e);
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
+    let mut first = 0usize;
+    for (&range, &(count, _)) in ranges.iter().zip(&counts) {
+        let row_lo = first.max(skip) - skip;
+        let row_hi = (first + count).max(skip) - skip;
+        let (chunk, tail) = rest.split_at_mut((row_hi - row_lo) * cols);
+        rest = tail;
+        work.push((range, first, count, chunk));
+        first += count;
     }
-    Ok(Matrix::Dense(out).compact())
+    let nnz = par_map(work, |(range, first, count, chunk)| {
+        let mut seen = 0usize;
+        let mut nnz = 0usize;
+        let mut rows_out = chunk.chunks_exact_mut(cols);
+        scan_range(src, len, range, block, |line| {
+            if seen == count {
+                return Err(src.changed());
+            }
+            let g = first + seen;
+            seen += 1;
+            if g < skip {
+                return Ok(());
+            }
+            let row = rows_out.next().expect("one output row per counted line");
+            nnz += parse_row(line, desc, g - skip, row)?;
+            Ok(())
+        })?;
+        if seen != count {
+            return Err(src.changed());
+        }
+        Ok(nnz)
+    })
+    .into_iter()
+    .sum::<Result<usize>>()?;
+    if src.len()? != len {
+        return Err(src.changed());
+    }
+
+    // The rule of `Matrix::compact`, on the non-zeros counted while parsing.
+    let cells = rows * cols;
+    if cells >= 64 && (nnz as f64 / cells as f64) < SPARSE_THRESHOLD {
+        Ok(Matrix::Sparse(SparseMatrix::from_dense(&out)))
+    } else {
+        Ok(Matrix::Dense(out))
+    }
+}
+
+/// Parse one line into `row` (`row.len()` fields); returns its non-zero
+/// count. `r` is the 0-based data row, for error messages.
+fn parse_row(line: &str, desc: &FormatDescriptor, r: usize, row: &mut [f64]) -> Result<usize> {
+    let cols = row.len();
+    let mut c = 0usize;
+    let mut nnz = 0usize;
+    for field in split_fields(line, desc.delimiter) {
+        if c >= cols {
+            return Err(SysDsError::Format(format!(
+                "row {} has more than {cols} fields",
+                r + 1
+            )));
+        }
+        let v = parse_field(field, desc, r, c)?;
+        row[c] = v;
+        nnz += usize::from(v != 0.0);
+        c += 1;
+    }
+    if c != cols {
+        return Err(SysDsError::Format(format!(
+            "row {} has {c} fields, expected {cols}",
+            r + 1
+        )));
+    }
+    Ok(nnz)
+}
+
+/// Where the bytes of a matrix read come from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source<'a> {
+    File(&'a Path),
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Source<'a> {
+    fn len(&self) -> Result<usize> {
+        match self {
+            Source::File(path) => {
+                let len = fs::metadata(path)
+                    .map_err(|e| SysDsError::io(path.display().to_string(), e))?
+                    .len();
+                usize::try_from(len).map_err(|_| {
+                    SysDsError::Format(format!("csv file {} is too large", path.display()))
+                })
+            }
+            Source::Bytes(bytes) => Ok(bytes.len()),
+        }
+    }
+
+    fn changed(&self) -> SysDsError {
+        let name = match self {
+            Source::File(path) => path.display().to_string(),
+            Source::Bytes(_) => "buffer".into(),
+        };
+        SysDsError::Format(format!("csv file {name} changed while it was read"))
+    }
+}
+
+/// One thread's handle on a [`Source`].
+enum Reader<'a> {
+    File {
+        path: &'a Path,
+        file: fs::File,
+        buf: Vec<u8>,
+    },
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Reader<'a> {
+    fn open(src: Source<'a>) -> Result<Self> {
+        Ok(match src {
+            Source::File(path) => Reader::File {
+                path,
+                file: fs::File::open(path)
+                    .map_err(|e| SysDsError::io(path.display().to_string(), e))?,
+                buf: Vec::new(),
+            },
+            Source::Bytes(bytes) => Reader::Bytes(bytes),
+        })
+    }
+
+    /// The `n` bytes at offset `off`. A file that has shrunk below
+    /// `off + n` is an I/O error.
+    fn read_at(&mut self, off: usize, n: usize) -> Result<&[u8]> {
+        match self {
+            Reader::File { path, file, buf } => {
+                buf.resize(n, 0);
+                file.seek(SeekFrom::Start(off as u64))
+                    .and_then(|_| file.read_exact(buf))
+                    .map_err(|e| SysDsError::io(path.display().to_string(), e))?;
+                Ok(buf)
+            }
+            Reader::Bytes(bytes) => Ok(&bytes[off..off + n]),
+        }
+    }
+}
+
+/// Call `on_line` on each non-blank line that starts in the byte range
+/// `lo..hi` of the `len` bytes of `src`, in order; a line starts at offset
+/// 0 or right after a `\n`. Each run of complete lines is checked for
+/// UTF-8 before any of it is passed on.
+fn scan_range(
+    src: Source<'_>,
+    len: usize,
+    (lo, hi): (usize, usize),
+    block: usize,
+    mut on_line: impl FnMut(&str) -> Result<()>,
+) -> Result<()> {
+    let mut lines = |run: &[u8]| -> Result<()> {
+        let text = std::str::from_utf8(run)
+            .map_err(|_| SysDsError::Format("csv file is not valid UTF-8".into()))?;
+        text.lines()
+            .filter(|l| !l.trim().is_empty())
+            .try_for_each(&mut on_line)
+    };
+    let mut reader = Reader::open(src)?;
+    // The line running into `lo` belongs to the previous range: read from
+    // `lo - 1` and drop everything through the first `\n`.
+    let mut off = lo.saturating_sub(1);
+    let mut skipping = lo > 0;
+    // The start of a line that runs past the previous block.
+    let mut carry: Vec<u8> = Vec::new();
+    while off < len {
+        let n = block.min(len - off);
+        let mut data = reader.read_at(off, n)?;
+        // File offset of `data[0]`.
+        let mut line_start = off;
+        off += n;
+        if skipping {
+            let Some(i) = data.iter().position(|&b| b == b'\n') else {
+                continue;
+            };
+            skipping = false;
+            data = &data[i + 1..];
+            line_start += i + 1;
+        }
+        if !carry.is_empty() {
+            let Some(i) = data.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(data);
+                continue;
+            };
+            carry.extend_from_slice(&data[..=i]);
+            lines(&carry)?;
+            carry.clear();
+            data = &data[i + 1..];
+            line_start += i + 1;
+        }
+        if line_start >= hi {
+            return Ok(());
+        }
+        // The last line this range owns starts before `hi`, so it ends at
+        // the first `\n` at or after `hi - 1`.
+        let limit = hi - line_start;
+        let owned_end = data
+            .get(limit - 1..)
+            .and_then(|tail| tail.iter().position(|&b| b == b'\n'))
+            .map(|i| limit + i);
+        if let Some(end) = owned_end {
+            return lines(&data[..end]);
+        }
+        let cut = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        lines(&data[..cut])?;
+        carry.extend_from_slice(&data[cut..]);
+        if carry.is_empty() && off >= hi {
+            return Ok(());
+        }
+    }
+    // The file's last line, with no `\n` after it.
+    lines(&carry)
+}
+
+/// `f` applied to every work item, the first on the calling thread and
+/// each other on a scoped thread of its own; results in item order.
+fn par_map<W: Send, T: Send>(work: Vec<W>, f: impl Fn(W) -> T + Sync) -> Vec<T> {
+    let f = &f;
+    let mut work = work.into_iter();
+    let Some(first) = work.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = work.map(|w| s.spawn(move || f(w))).collect();
+        let mut out = vec![f(first)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("csv reader thread panicked")),
+        );
+        out
+    })
 }
 
 fn parse_field(field: &str, desc: &FormatDescriptor, row: usize, col: usize) -> Result<f64> {
@@ -326,5 +601,244 @@ mod tests {
         let f = parse_frame("a,b\n1,2\n3\n", &FormatDescriptor::csv().with_header(true)).unwrap();
         assert_eq!(f.rows(), 2);
         assert_eq!(f.get(1, 1).unwrap().to_display_string(), "");
+    }
+
+    /// The single-buffer parser the range reader replaced, kept as the
+    /// oracle its results must equal bit for bit.
+    fn oracle_parse(bytes: &[u8], desc: &FormatDescriptor, threads: usize) -> Result<Matrix> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| SysDsError::Format("csv file is not valid UTF-8".into()))?;
+        let mut lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        if desc.header && !lines.is_empty() {
+            lines.remove(0);
+        }
+        let rows = lines.len();
+        if rows == 0 {
+            return Matrix::from_vec(0, 0, Vec::new());
+        }
+        let cols = split_fields(lines[0], desc.delimiter).count();
+        let mut out = DenseMatrix::zeros(rows, cols);
+        let parts = DenseMatrix::row_partitions(rows, threads);
+        let lines = &lines;
+        let mut rest = out.values_mut();
+        let mut first_err: Option<SysDsError> = None;
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for &(lo, hi) in &parts {
+                let (chunk, tail) = rest.split_at_mut((hi - lo) * cols);
+                rest = tail;
+                handles.push(s.spawn(move || -> Result<()> {
+                    for (r, line) in lines[lo..hi].iter().enumerate() {
+                        let mut c = 0usize;
+                        for field in split_fields(line, desc.delimiter) {
+                            if c >= cols {
+                                return Err(SysDsError::Format(format!(
+                                    "row {} has more than {cols} fields",
+                                    lo + r + 1
+                                )));
+                            }
+                            chunk[r * cols + c] = parse_field(field, desc, lo + r, c)?;
+                            c += 1;
+                        }
+                        if c != cols {
+                            return Err(SysDsError::Format(format!(
+                                "row {} has {c} fields, expected {cols}",
+                                lo + r + 1
+                            )));
+                        }
+                    }
+                    Ok(())
+                }));
+            }
+            for h in handles {
+                if let Err(e) = h.join().expect("csv parser panicked") {
+                    first_err.get_or_insert(e);
+                }
+            }
+        });
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        Ok(Matrix::Dense(out).compact())
+    }
+
+    /// A result reduced to representation, shape and value bits, or the
+    /// error text.
+    type Outcome = std::result::Result<(bool, (usize, usize), Vec<u64>), String>;
+
+    fn outcome(r: Result<Matrix>) -> Outcome {
+        r.map(|m| {
+            let bits = m.to_dense().values().iter().map(|v| v.to_bits()).collect();
+            (m.is_sparse(), m.shape(), bits)
+        })
+        .map_err(|e| e.to_string())
+    }
+
+    /// An NA token with a two-byte character, so small blocks split it.
+    const NA_MULTIBYTE: &str = "n/ä";
+
+    fn desc_for(header: bool) -> FormatDescriptor {
+        let mut desc = FormatDescriptor::csv().with_header(header);
+        desc.na_values.push(NA_MULTIBYTE.into());
+        desc
+    }
+
+    fn awkward_field(g: &mut sysds_common::testing::Gen, zero_pct: u8) -> String {
+        if g.int(0..100u8) < zero_pct {
+            return g.pick(&["0", " 0 ", "-0", "0.0"]).to_string();
+        }
+        match g.int(0..40u8) {
+            0 => g.pick(&["1.2.3", "x", "ä"]).to_string(),
+            1..=3 => g
+                .pick(&["NA", "NaN", "", NA_MULTIBYTE, "\"NA\""])
+                .to_string(),
+            4..=7 => format!("\"{}\"", g.int(-999i64..999)),
+            8..=11 => format!("  {}\t", g.int(-50i64..50)),
+            _ => format!("{}", g.float(-1e3..1e3)),
+        }
+    }
+
+    /// A CSV text with a header or not, LF and CRLF line ends, blank and
+    /// whitespace-only lines anywhere, quoted fields, NA tokens, maybe no
+    /// trailing newline, and now and then a ragged row or a bad number.
+    fn awkward_csv(g: &mut sysds_common::testing::Gen) -> (String, bool) {
+        const BLANKS: [&str; 6] = ["", " ", "\t", "  \t ", "\u{3000}", " \r"];
+        let header = g.bool();
+        let cols = g.int(1usize..6);
+        let zero_pct = g.pick(&[0u8, 50, 90]);
+        let mut lines: Vec<String> = Vec::new();
+        if header {
+            lines.push(
+                (1..=cols)
+                    .map(|j| format!("\"c{j}\""))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            );
+        }
+        for _ in 0..g.int(0usize..30) {
+            let n = match g.int(0..30u8) {
+                0 => cols + 1,
+                1 => cols - 1,
+                _ => cols,
+            };
+            let fields: Vec<String> = (0..n).map(|_| awkward_field(g, zero_pct)).collect();
+            lines.push(fields.join(","));
+        }
+        for _ in 0..g.int(0usize..8) {
+            let at = g.int(0..=lines.len());
+            lines.insert(at, g.pick(&BLANKS).to_string());
+        }
+        let mut text = String::new();
+        for (k, line) in lines.iter().enumerate() {
+            text.push_str(line);
+            if k + 1 < lines.len() || g.bool() {
+                text.push_str(if g.bool() { "\r\n" } else { "\n" });
+            }
+        }
+        (text, header)
+    }
+
+    sysds_common::property! {
+        #![cases(96)]
+        g;
+
+        #[test]
+        fn range_reader_equals_single_buffer_parser(input in awkward_csv(g)) {
+            let (text, header) = input;
+            let desc = desc_for(header);
+            let expect = outcome(oracle_parse(text.as_bytes(), &desc, 1));
+            let p = tmp("awkward.csv");
+            std::fs::write(&p, &text).unwrap();
+            for threads in [1, 2, 3, 8] {
+                for block in [1, 2, 3, 5, 16, BLOCK_BYTES] {
+                    let chunking = Chunking { block, min_range: 1 };
+                    for src in [Source::File(&p), Source::Bytes(text.as_bytes())] {
+                        let got = outcome(read_chunked(src, &desc, threads, chunking, || {}));
+                        assert_eq!(got, expect, "threads {threads}, block {block}, {src:?}");
+                    }
+                }
+            }
+            assert_eq!(outcome(read_matrix(&p, &desc, 2)), expect);
+            assert_eq!(outcome(parse_matrix(text.as_bytes(), &desc, 2)), expect);
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn sparse_choice_matches_compact_at_its_edges() {
+        let desc = FormatDescriptor::csv();
+        // 64 cells is the smallest sparse shape; 25 and 26 non-zeros of 64
+        // sit either side of the 0.4 threshold.
+        for (rows, cols) in [(16, 4), (8, 8), (21, 3), (9, 7)] {
+            for nnz in [0, 25, 26, rows * cols] {
+                let text: String = (0..rows)
+                    .map(|i| {
+                        let row: Vec<&str> = (0..cols)
+                            .map(|j| if i * cols + j < nnz { "1" } else { "0" })
+                            .collect();
+                        row.join(",") + "\n"
+                    })
+                    .collect();
+                let expect = outcome(oracle_parse(text.as_bytes(), &desc, 1));
+                let got = outcome(parse_matrix(text.as_bytes(), &desc, 2));
+                assert_eq!(got, expect, "{rows}x{cols}, {nnz} non-zeros");
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_reported_for_every_chunking() {
+        let desc = FormatDescriptor::csv();
+        for bad in [
+            &b"1,2\n3,\xff\n5,6\n"[..],
+            b"1,oops\n3,4\n\xc3",
+            b"\xe2\x82\n1,2\n",
+        ] {
+            let expect = outcome(oracle_parse(bad, &desc, 1));
+            assert_eq!(
+                expect,
+                Err("format error: csv file is not valid UTF-8".into())
+            );
+            for threads in [1, 2, 3, 8] {
+                for block in [1, 2, 3, 64] {
+                    let chunking = Chunking {
+                        block,
+                        min_range: 1,
+                    };
+                    let got = read_chunked(Source::Bytes(bad), &desc, threads, chunking, || {});
+                    assert_eq!(outcome(got), expect, "threads {threads}, block {block}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn file_changed_between_passes_is_an_error() {
+        let p = tmp("changed.csv");
+        let desc = FormatDescriptor::csv();
+        let text = "12\n34\n56\n";
+        let chunking = Chunking {
+            block: 4,
+            min_range: 1,
+        };
+        for threads in [1, 2, 3] {
+            std::fs::write(&p, text).unwrap();
+            let m = read_chunked(Source::File(&p), &desc, threads, chunking, || {}).unwrap();
+            assert_eq!(m.to_dense().values(), &[12.0, 34.0, 56.0]);
+            // Appended, same length with one more line, and truncated.
+            for (changed, named) in [
+                ("12\n34\n56\n78\n", true),
+                ("12\n34\n5\n6", true),
+                ("12\n", false),
+            ] {
+                std::fs::write(&p, text).unwrap();
+                let write = || std::fs::write(&p, changed).unwrap();
+                let err = read_chunked(Source::File(&p), &desc, threads, chunking, write)
+                    .expect_err("a changed file must not read");
+                let msg = err.to_string();
+                assert!(!named || msg.contains("changed while it was read"), "{msg}");
+            }
+        }
+        std::fs::remove_file(&p).ok();
     }
 }

@@ -4,8 +4,8 @@
 //! The paper's Figure 5(a) observes that "multi-threaded I/O in SysDS yields
 //! better performance than TF or Julia for a single model because
 //! string-to-double parsing is compute-intensive" — [`csv::read_matrix`]
-//! reproduces exactly that: the file is split into line ranges parsed in
-//! parallel.
+//! reproduces exactly that: threads own byte ranges of the file and parse
+//! their lines straight into their own output rows.
 
 pub mod binary;
 pub mod csv;

@@ -5,35 +5,77 @@
 //! `(t(X)%*%X + diag(lambda)) beta = t(X)%*%y`; the system matrix is
 //! symmetric positive definite, so [`solve`] tries Cholesky first and falls
 //! back to pivoted LU for general systems.
+//!
+//! The Cholesky path works on dense row-major storage, borrowed when the
+//! input is dense. Every entry of the factor `L` is an inner product of two
+//! contiguous row prefixes of `L`, and forward substitution is one per row
+//! of `L`; `dot` sums them in eight independent partial sums, so the loop
+//! auto-vectorises and no add waits on the one before it. Backward
+//! substitution with `L'` walks the rows of `L` too: once `x[i]` is known,
+//! `L[i, ..i] * x[i]` leaves the earlier equations in one contiguous update.
+//! Partial sums round differently from one running sum, so results may
+//! differ from a sequential loop in the last bits.
 
 use crate::matrix::{DenseMatrix, Matrix};
+use std::borrow::Cow;
 use sysds_common::{Result, SysDsError};
 
 /// Cholesky factorization `A = L L'` of a symmetric positive-definite
 /// matrix; returns the lower-triangular factor.
 pub fn cholesky(a: &Matrix) -> Result<Matrix> {
-    let n = square_dim(a, "cholesky")?;
-    let mut l = vec![0.0f64; n * n];
-    let ad = a.to_dense();
+    square_dim(a, "cholesky")?;
+    Ok(Matrix::Dense(cholesky_dense(&dense(a))?))
+}
+
+/// The lower-triangular `L` with `a = L L'`, row by row.
+fn cholesky_dense(a: &DenseMatrix) -> Result<DenseMatrix> {
+    let n = a.rows();
+    let mut l = DenseMatrix::zeros(n, n);
+    let values = l.values_mut();
     for i in 0..n {
-        for j in 0..=i {
-            let mut s = ad.get(i, j);
-            for k in 0..j {
-                s -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return Err(SysDsError::Numerical(format!(
-                        "cholesky: matrix not positive definite (pivot {s:.3e} at {i})"
-                    )));
-                }
-                l[i * n + j] = s.sqrt();
-            } else {
-                l[i * n + j] = s / l[j * n + j];
-            }
+        let (done, rest) = values.split_at_mut(i * n);
+        let li = &mut rest[..n];
+        let ai = a.row(i);
+        for j in 0..i {
+            let lj = &done[j * n..j * n + j + 1];
+            li[j] = (ai[j] - dot(&li[..j], &lj[..j])) / lj[j];
+        }
+        let s = ai[i] - dot(&li[..i], &li[..i]);
+        if s <= 0.0 {
+            return Err(SysDsError::Numerical(format!(
+                "cholesky: matrix not positive definite (pivot {s:.3e} at {i})"
+            )));
+        }
+        li[i] = s.sqrt();
+    }
+    Ok(l)
+}
+
+/// `a · b` over eight independent partial sums (`a` and `b` have equal
+/// lengths).
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 8];
+    let (ca, cb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tail: f64 = ca
+        .remainder()
+        .iter()
+        .zip(cb.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    for (x, y) in ca.zip(cb) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s += x * y;
         }
     }
-    Ok(Matrix::Dense(DenseMatrix::from_vec(n, n, l)))
+    ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
+}
+
+/// `a`'s dense storage: borrowed, or converted from sparse.
+fn dense(a: &Matrix) -> Cow<'_, DenseMatrix> {
+    match a {
+        Matrix::Dense(d) => Cow::Borrowed(d),
+        Matrix::Sparse(_) => Cow::Owned(a.to_dense()),
+    }
 }
 
 /// LU factorization with partial pivoting. Returns `(lu, perm)` where `lu`
@@ -82,7 +124,6 @@ pub fn lu(a: &Matrix) -> Result<(DenseMatrix, Vec<usize>)> {
     Ok((m, perm))
 }
 
-#[allow(clippy::needless_range_loop)] // permutation application is clearer indexed
 /// Solve `A X = B` for possibly multiple right-hand sides. Tries Cholesky
 /// when `A` is symmetric, falling back to pivoted LU.
 pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
@@ -94,39 +135,46 @@ pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    if is_symmetric(a) {
-        if let Ok(l) = cholesky(a) {
-            return solve_cholesky(&l, b);
+    let ad = dense(a);
+    if is_symmetric(&ad) {
+        if let Ok(l) = cholesky_dense(&ad) {
+            return Ok(Matrix::Dense(solve_cholesky(&l, &dense(b))));
         }
     }
     let (lum, perm) = lu(a)?;
     solve_lu(&lum, &perm, b)
 }
 
-fn solve_cholesky(l: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let n = l.rows();
-    let k = b.cols();
-    let ld = l.to_dense();
-    let mut x = b.to_dense();
-    // Forward substitution L y = b.
+/// `X` with `L L' X = B`, one right-hand side at a time.
+fn solve_cholesky(l: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    let (n, k) = (b.rows(), b.cols());
+    let mut x = DenseMatrix::zeros(n, k);
+    let mut y = vec![0.0f64; n];
     for col in 0..k {
-        for i in 0..n {
-            let mut s = x.get(i, col);
-            for j in 0..i {
-                s -= ld.get(i, j) * x.get(j, col);
-            }
-            x.set(i, col, s / ld.get(i, i));
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = b.values()[i * k + col];
         }
-        // Backward substitution L' x = y.
+        // Forward substitution L y = b.
+        for i in 0..n {
+            let li = l.row(i);
+            let s = dot(&li[..i], &y[..i]);
+            y[i] = (y[i] - s) / li[i];
+        }
+        // Backward substitution L' x = y, in place.
         for i in (0..n).rev() {
-            let mut s = x.get(i, col);
-            for j in (i + 1)..n {
-                s -= ld.get(j, i) * x.get(j, col);
+            let li = l.row(i);
+            let (head, tail) = y.split_at_mut(i);
+            let xi = tail[0] / li[i];
+            tail[0] = xi;
+            for (yj, &lij) in head.iter_mut().zip(&li[..i]) {
+                *yj -= lij * xi;
             }
-            x.set(i, col, s / ld.get(i, i));
+        }
+        for (i, &yi) in y.iter().enumerate() {
+            x.values_mut()[i * k + col] = yi;
         }
     }
-    Ok(Matrix::Dense(x))
+    x
 }
 
 #[allow(clippy::needless_range_loop)] // i indexes perm and the triangular sweep
@@ -204,11 +252,13 @@ fn square_dim(a: &Matrix, op: &'static str) -> Result<usize> {
     }
 }
 
-fn is_symmetric(a: &Matrix) -> bool {
+fn is_symmetric(a: &DenseMatrix) -> bool {
     let n = a.rows();
+    let v = a.values();
     for i in 0..n {
         for j in (i + 1)..n {
-            if (a.get(i, j) - a.get(j, i)).abs() > 1e-12 * (1.0 + a.get(i, j).abs()) {
+            let (aij, aji) = (v[i * n + j], v[j * n + i]);
+            if (aij - aji).abs() > 1e-12 * (1.0 + aij.abs()) {
                 return false;
             }
         }
@@ -303,6 +353,71 @@ mod tests {
         assert_eq!(det(&c).unwrap(), 0.0);
     }
 
+    /// The sequential factor the partial-sum one replaced: one chain of
+    /// dependent subtractions per entry.
+    fn cholesky_scalar(a: &Matrix) -> Vec<f64> {
+        let n = a.rows();
+        let mut l = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a.get(i, j);
+                for k in 0..j {
+                    s -= l[i * n + k] * l[j * n + k];
+                }
+                l[i * n + j] = if i == j { s.sqrt() } else { s / l[j * n + j] };
+            }
+        }
+        l
+    }
+
+    #[test]
+    fn cholesky_matches_scalar_reference() {
+        for (n, seed) in [
+            (1, 60),
+            (2, 61),
+            (7, 62),
+            (8, 63),
+            (9, 64),
+            (63, 65),
+            (250, 66),
+        ] {
+            let a = spd(n, seed);
+            let reference = cholesky_scalar(&a);
+            let l = cholesky(&a).unwrap().to_dense();
+            let scale = reference.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+            let err = l
+                .values()
+                .iter()
+                .zip(&reference)
+                .fold(0.0f64, |m, (v, r)| m.max((v - r).abs()));
+            assert!(
+                err <= 1e-12 * scale,
+                "n = {n}: error {err:e}, scale {scale:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn indefinite_symmetric_systems_fall_back_to_lu() {
+        let small = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        let mut large = spd(9, 67);
+        large.set(0, 0, -1.0); // still symmetric, no longer definite
+        for a in [small, large] {
+            assert!(is_symmetric(&a.to_dense()) && cholesky(&a).is_err());
+            let x_true = gen::rand_uniform(a.rows(), 2, -1.0, 1.0, 1.0, 68);
+            let b = matmult::matmul(&a, &x_true, 1, false).unwrap();
+            assert!(solve(&a, &b).unwrap().approx_eq(&x_true, 1e-9));
+        }
+    }
+
+    #[test]
+    fn sparse_system_takes_the_cholesky_path() {
+        let eye = Matrix::identity(12);
+        assert!(eye.is_sparse());
+        let b = gen::rand_uniform(12, 3, -1.0, 1.0, 1.0, 69);
+        assert_eq!(solve(&eye, &b).unwrap().to_dense(), b.to_dense());
+    }
+
     #[test]
     fn shape_checks() {
         let rect = Matrix::zeros(2, 3);
@@ -318,12 +433,12 @@ mod tests {
 /// corresponding columns (`A = V diag(w) t(V)`).
 pub fn eigen_symmetric(a: &Matrix) -> Result<(Matrix, Matrix)> {
     let n = square_dim(a, "eigen")?;
-    if !is_symmetric(a) {
+    let mut m = a.to_dense();
+    if !is_symmetric(&m) {
         return Err(SysDsError::Numerical(
             "eigen requires a symmetric matrix".into(),
         ));
     }
-    let mut m = a.to_dense();
     let mut v = Matrix::identity(n).to_dense();
     let max_sweeps = 64;
     for _sweep in 0..max_sweeps {
