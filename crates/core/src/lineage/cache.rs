@@ -84,46 +84,32 @@ impl Inner {
     /// victims in eviction order. Entries with equal keys leave in map
     /// iteration order.
     ///
-    /// An insert into a full cache usually evicts one entry, so the first
-    /// victim comes from one scan of the map. Any further victims come from
-    /// a heap built in one more pass and popped only as far as the limit
-    /// needs: `k` victims among `n` entries cost `O(n + k log n)`, not `k`
-    /// scans of the map.
+    /// The entries go into a heap in one pass, keyed by their position in
+    /// the map as the last tie-break, and the heap is popped only as far as
+    /// the limit needs: `k` victims among `n` entries cost `O(n + k log n)`,
+    /// not `k` scans of the map.
     fn evict_to(&mut self, limit: usize) -> Vec<u64> {
         let mut victims = Vec::new();
         if self.bytes <= limit {
             return victims;
         }
-        let first = self
+        let mut order: BinaryHeap<_> = self
             .map
             .iter()
-            .min_by_key(|(_, e)| (e.compute_nanos, e.last_access))
-            .map(|(&h, _)| h);
-        victims.extend(first);
-        self.remove_victim(first);
-        if self.bytes > limit {
-            let mut order: BinaryHeap<_> = self
-                .map
-                .iter()
-                .enumerate()
-                .map(|(pos, (&h, e))| Reverse((e.compute_nanos, e.last_access, pos, h)))
-                .collect();
-            while self.bytes > limit {
-                let next = order.pop().map(|Reverse((_, _, _, h))| h);
-                victims.extend(next);
-                self.remove_victim(next);
-            }
+            .enumerate()
+            .map(|(pos, (&h, e))| Reverse((e.compute_nanos, e.last_access, pos, h)))
+            .collect();
+        while self.bytes > limit {
+            let Reverse((_, _, _, h)) = order
+                .pop()
+                .expect("entries remain while the cache is over its limit");
+            let e = self.map.remove(&h).expect("every heap entry is in the map");
+            self.bytes -= e.bytes;
+            self.stats.evictions += 1;
+            obs_count(|c| &c.lin_evictions);
+            victims.push(h);
         }
         victims
-    }
-
-    fn remove_victim(&mut self, h: Option<u64>) {
-        let e = h
-            .and_then(|h| self.map.remove(&h))
-            .expect("entries remain while the cache is over its limit");
-        self.bytes -= e.bytes;
-        self.stats.evictions += 1;
-        obs_count(|c| &c.lin_evictions);
     }
 }
 

@@ -12,13 +12,15 @@
 //!    size.
 //! 2. Each thread reads its range again and parses straight into its own
 //!    rows, counting non-zeros as it goes, so the dense/sparse choice of
-//!    [`Matrix::compact`] needs no rescan of the output.
+//!    [`Matrix::compact`] needs no rescan of the output
+//!    ([`Matrix::from_dense_with_nnz`]).
 //!
 //! Peak memory is the output plus one block per thread (a line longer
 //! than a block grows that thread's buffer to the line); the file is never
 //! held whole. A file whose lines or length change between the two passes
 //! is an error. [`parse_matrix`] runs the same range parser over bytes in
-//! memory.
+//! memory; a path that is not a regular file (a pipe, a procfs file) is
+//! read whole once and parsed that way.
 //!
 //! Lines split as in [`str::lines`], whitespace-only lines are skipped,
 //! and the header, when present, is the first non-blank line. Errors name
@@ -31,7 +33,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use sysds_common::{Result, SysDsError};
 use sysds_frame::{Frame, FrameColumn};
-use sysds_tensor::{DenseMatrix, Matrix, SparseMatrix, SPARSE_THRESHOLD};
+use sysds_tensor::{DenseMatrix, Matrix};
 
 /// Bytes per read of a byte range.
 const BLOCK_BYTES: usize = 1 << 20;
@@ -53,12 +55,21 @@ const CHUNKING: Chunking = Chunking {
 };
 
 /// Read a numeric CSV file into a [`Matrix`] using `threads` parser threads.
+///
+/// A path that is not a regular file (a pipe, `/dev/stdin`, a procfs file)
+/// reports no length and may not be read twice, so it is read whole once
+/// and parsed as by [`parse_matrix`].
 pub fn read_matrix(
     path: impl AsRef<Path>,
     desc: &FormatDescriptor,
     threads: usize,
 ) -> Result<Matrix> {
-    read_chunked(Source::File(path.as_ref()), desc, threads, CHUNKING, || {})
+    let path = path.as_ref();
+    let io_err = |e| SysDsError::io(path.display().to_string(), e);
+    if !fs::metadata(path).map_err(io_err)?.is_file() {
+        return parse_matrix(&fs::read(path).map_err(io_err)?, desc, threads);
+    }
+    read_chunked(Source::File(path), desc, threads, CHUNKING, || {})
 }
 
 /// Parse CSV bytes into a matrix, with the range parser of [`read_matrix`].
@@ -158,13 +169,7 @@ pub(crate) fn read_chunked(
         return Err(src.changed());
     }
 
-    // The rule of `Matrix::compact`, on the non-zeros counted while parsing.
-    let cells = rows * cols;
-    if cells >= 64 && (nnz as f64 / cells as f64) < SPARSE_THRESHOLD {
-        Ok(Matrix::Sparse(SparseMatrix::from_dense(&out)))
-    } else {
-        Ok(Matrix::Dense(out))
-    }
+    Ok(Matrix::from_dense_with_nnz(out, nnz))
 }
 
 /// Parse one line into `row` (`row.len()` fields); returns its non-zero
@@ -839,6 +844,29 @@ mod tests {
                 assert!(!named || msg.contains("changed while it was read"), "{msg}");
             }
         }
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A pipe reports no length; it is read whole, like a regular file.
+    #[cfg(unix)]
+    #[test]
+    fn fifo_reads_like_a_regular_file() {
+        let p = tmp("fifo.csv");
+        let made = std::process::Command::new("mkfifo").arg(&p).status();
+        assert!(made.expect("mkfifo runs").success(), "mkfifo failed");
+        let text = "a,b\r\n1,2\r\n\r\n3,NA\r\n5,6";
+        let desc = FormatDescriptor::csv().with_header(true);
+        // Opening the write end blocks until the reader opens the pipe. The
+        // writer is joined only after the check: a reader that never opens
+        // the pipe fails the check instead of hanging the test.
+        let writer = {
+            let p = p.clone();
+            std::thread::spawn(move || std::fs::write(&p, text).unwrap())
+        };
+        let got = outcome(read_matrix(&p, &desc, 4));
+        assert_eq!(got, outcome(oracle_parse(text.as_bytes(), &desc, 1)));
+        assert!(matches!(&got, Ok((_, (3, 2), _))), "{got:?}");
+        writer.join().unwrap();
         std::fs::remove_file(&p).ok();
     }
 }

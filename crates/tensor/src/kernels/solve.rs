@@ -82,8 +82,13 @@ fn dense(a: &Matrix) -> Cow<'_, DenseMatrix> {
 /// packs `L` (unit diagonal, below) and `U` (on/above the diagonal), and
 /// `perm[i]` is the source row of output row `i`.
 pub fn lu(a: &Matrix) -> Result<(DenseMatrix, Vec<usize>)> {
-    let n = square_dim(a, "lu")?;
-    let mut m = a.to_dense();
+    square_dim(a, "lu")?;
+    lu_in_place(a.to_dense())
+}
+
+/// [`lu`] of the square `m`, factored in its own storage.
+fn lu_in_place(mut m: DenseMatrix) -> Result<(DenseMatrix, Vec<usize>)> {
+    let n = m.rows();
     let mut perm: Vec<usize> = (0..n).collect();
     for k in 0..n {
         // Pivot: largest |value| in column k at/below the diagonal.
@@ -141,7 +146,7 @@ pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             return Ok(Matrix::Dense(solve_cholesky(&l, &dense(b))));
         }
     }
-    let (lum, perm) = lu(a)?;
+    let (lum, perm) = lu_in_place(ad.into_owned())?;
     solve_lu(&lum, &perm, b)
 }
 

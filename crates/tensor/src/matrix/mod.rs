@@ -171,13 +171,28 @@ impl Matrix {
     /// Re-examine sparsity and switch representation when crossing
     /// [`SPARSE_THRESHOLD`], mirroring SystemML's `examSparsity`.
     pub fn compact(self) -> Matrix {
-        let sp = self.sparsity();
-        match &self {
-            Matrix::Dense(d) if sp < SPARSE_THRESHOLD && d.rows() * d.cols() >= 64 => {
-                Matrix::Sparse(self.to_sparse())
+        match self {
+            Matrix::Dense(d) => {
+                let nnz = d.count_nonzeros();
+                Matrix::from_dense_with_nnz(d, nnz)
             }
-            Matrix::Sparse(_) if sp >= SPARSE_THRESHOLD => Matrix::Dense(self.to_dense()),
+            Matrix::Sparse(_) if self.sparsity() >= SPARSE_THRESHOLD => {
+                Matrix::Dense(self.to_dense())
+            }
             _ => self,
+        }
+    }
+
+    /// `d` in the representation [`Matrix::compact`] picks, given `nnz`,
+    /// the caller's count of `d`'s non-zeros: producers that count while
+    /// they write skip the rescan.
+    pub fn from_dense_with_nnz(d: DenseMatrix, nnz: usize) -> Matrix {
+        debug_assert_eq!(nnz, d.count_nonzeros(), "wrong non-zero count");
+        let cells = d.rows() * d.cols();
+        if cells >= 64 && (nnz as f64 / cells as f64) < SPARSE_THRESHOLD {
+            Matrix::Sparse(SparseMatrix::from_dense(&d))
+        } else {
+            Matrix::Dense(d)
         }
     }
 
