@@ -39,8 +39,8 @@ fn stack_models(models: Vec<Matrix>) -> Result<Matrix> {
 }
 
 /// TF-eager stand-in: single-threaded I/O, op-by-op execution with a
-/// **materialized transpose** per model, portable (non-BLAS) kernels, and
-/// zero redundancy elimination — `t(X)`, `t(X)X`, and `t(X)y` are
+/// **materialized transpose** per model, general matmuls instead of the
+/// fused `tsmm`, and zero redundancy elimination — `t(X)`, `t(X)X`, and `t(X)y` are
 /// recomputed for every λ.
 pub struct EagerEngine {
     /// Threads available to compute kernels (TF parallelizes matmuls).
@@ -62,8 +62,8 @@ impl Engine for EagerEngine {
         for lambda in w.lambdas() {
             // materialized transpose, every iteration
             let xt = reorg::transpose(&x, self.threads);
-            let gram = matmult::matmul(&xt, &x, self.threads, false)?;
-            let xty = matmult::matmul(&xt, &y, self.threads, false)?;
+            let gram = matmult::matmul(&xt, &x, self.threads)?;
+            let xty = matmult::matmul(&xt, &y, self.threads)?;
             let lhs = ridge_lhs(&gram, lambda)?;
             models.push(solve::solve(&lhs, &xty)?);
         }
@@ -128,7 +128,7 @@ impl ExprGraph {
             let get = |k: usize| self.values[inputs[k]].as_ref().expect("topo order");
             let out = match op.as_str() {
                 "transpose" => reorg::transpose(get(0), threads),
-                "matmul" => matmult::matmul(get(0), get(1), threads, false)?,
+                "matmul" => matmult::matmul(get(0), get(1), threads)?,
                 op if op.starts_with("ridge:") => {
                     let lambda: f64 = op["ridge:".len()..].parse().expect("encoded lambda");
                     ridge_lhs(get(0), lambda)?
@@ -182,9 +182,9 @@ impl Engine for GraphEngine {
     }
 }
 
-/// Julia stand-in: tuned native kernels (BLAS-like blocked matmul, fused
-/// `tsmm`) but single-threaded I/O and no cross-model redundancy
-/// elimination — every λ recomputes `X'X` and `X'y`.
+/// Julia stand-in: tuned native kernels (blocked fused `tsmm`) but
+/// single-threaded I/O and no cross-model redundancy elimination — every
+/// λ recomputes `X'X` and `X'y`.
 pub struct NativeEngine {
     pub threads: usize,
 }
@@ -206,8 +206,8 @@ impl Engine for NativeEngine {
             let (gram, xty) = if x.is_sparse() {
                 let xt = reorg::transpose(&x, self.threads);
                 (
-                    matmult::matmul(&xt, &x, self.threads, true)?,
-                    matmult::matmul(&xt, &y, self.threads, true)?,
+                    matmult::matmul(&xt, &x, self.threads)?,
+                    matmult::matmul(&xt, &y, self.threads)?,
                 )
             } else {
                 (

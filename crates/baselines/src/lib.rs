@@ -13,8 +13,8 @@
 //! * [`GraphEngine`] (≈ TF-G): builds one expression graph for the whole
 //!   λ-sweep and eliminates common subexpressions **within that graph** —
 //!   the transpose happens once — but still recomputes the per-λ work.
-//! * [`NativeEngine`] (≈ Julia): straight-line calls into the optimized
-//!   (BLAS-like) kernels with fused `tsmm`, but single-threaded I/O and no
+//! * [`NativeEngine`] (≈ Julia): straight-line calls into the blocked
+//!   kernels with fused `tsmm`, but single-threaded I/O and no
 //!   cross-model reuse.
 //!
 //! All engines share one workload definition, [`workload::HyperParamWorkload`],

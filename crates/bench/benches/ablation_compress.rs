@@ -32,7 +32,7 @@ fn main() {
         CompressedMatrix::compress(&x)
     });
     time("ablation_compress/matvec_dense", || {
-        matmult::matmul(&x, &v_cols, 1, false).unwrap()
+        matmult::matmul(&x, &v_cols, 1).unwrap()
     });
     time("ablation_compress/matvec_compressed", || {
         compressed.mat_vec(&v_cols).unwrap()

@@ -13,7 +13,7 @@ use sysds_tensor::kernels::{elementwise, gen, solve, tsmm};
 use sysds_tensor::Matrix;
 
 fn local_lm(x: &Matrix, y: &Matrix, lambda: f64) -> Matrix {
-    let mut g = tsmm::tsmm(x, 1, false);
+    let mut g = tsmm::tsmm(x, 1, true);
     let reg = elementwise::binary_ms(
         BinaryOp::Mul,
         &Matrix::Dense(Matrix::identity(g.rows()).to_dense()),

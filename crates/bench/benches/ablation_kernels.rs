@@ -1,6 +1,8 @@
-//! Ablation 1 (§4.2 kernel gap): portable naive matmul vs the BLAS-like
-//! blocked kernel vs the fused tsmm, single- and multi-threaded. This is
-//! the micro-level mechanism behind the SysDS vs SysDS-B vs Julia gaps.
+//! Ablation 1 (§4.2 kernel gap): the paper's portable-vs-native kernel gap
+//! (SysDS vs SysDS-B) is `gram_tsmm_dense` (the portable row-at-a-time
+//! loop, kept only for this comparison) vs `gram_tsmm_dense_blas` (the
+//! blocked loop the engine runs), next to the explicit `t(X)%*%X` and the
+//! engine's one dense matmul loop, single- and multi-threaded.
 //! The `matvec` and `mmchain` groups cover the bandwidth-bound lmCG step;
 //! the `cellwise` group covers element-wise and aggregate kernels, which
 //! run as one-node templates on the fused evaluator. `solve_spd` is the
@@ -18,21 +20,16 @@ fn main() {
     bench_solve();
 }
 
-/// Square matmul (portable vs blocked) and tall-skinny Gram matrices
-/// (explicit `t(X)%*%X` vs fused tsmm), single- and multi-threaded.
+/// Square matmul and tall-skinny Gram matrices (explicit `t(X)%*%X` vs
+/// portable and blocked fused tsmm), single- and multi-threaded.
 fn bench_products() {
     let threads = max_threads();
     let n = 256;
     let a = gen::rand_uniform(n, n, -1.0, 1.0, 1.0, 6001);
     let b = gen::rand_uniform(n, n, -1.0, 1.0, 1.0, 6002);
-    for (name, t, blas) in [
-        ("matmul_naive_1t", 1, false),
-        ("matmul_blocked_1t", 1, true),
-        ("matmul_naive_mt", threads, false),
-        ("matmul_blocked_mt", threads, true),
-    ] {
+    for (name, t) in [("matmul_blocked_1t", 1), ("matmul_blocked_mt", threads)] {
         time(&format!("ablation_kernels/{name}/{n}"), || {
-            matmult::matmul(&a, &b, t, blas).unwrap()
+            matmult::matmul(&a, &b, t).unwrap()
         });
     }
 
@@ -42,7 +39,7 @@ fn bench_products() {
     for (label, m) in [("dense", &x), ("sparse", &xs)] {
         time(&format!("ablation_kernels/gram_explicit_{label}"), || {
             let mt = reorg::transpose(m, threads);
-            matmult::matmul(&mt, m, threads, false).unwrap()
+            matmult::matmul(&mt, m, threads).unwrap()
         });
         time(&format!("ablation_kernels/gram_tsmm_{label}"), || {
             tsmm::tsmm(m, threads, false)
@@ -62,11 +59,11 @@ fn bench_matvec() {
     let report = |secs: f64| println!("{:>48} {:>10.2} GB/s", "", gb / secs);
     for t in [1, max_threads()] {
         report(time(&format!("matvec/dense/{t}t"), || {
-            matmult::matmul(&x, &v, t, false).unwrap()
+            matmult::matmul(&x, &v, t).unwrap()
         }));
         // t(X) %*% (X %*% v): the unfused plan reads X twice, mmchain once.
         report(time(&format!("mmchain/unfused/{t}t"), || {
-            let xv = matmult::matmul(&x, &v, t, false).unwrap();
+            let xv = matmult::matmul(&x, &v, t).unwrap();
             tsmm::tmv(&x, &xv, t).unwrap()
         }));
         report(time(&format!("mmchain/fused/{t}t"), || {
@@ -125,7 +122,7 @@ fn bench_solve() {
     let n = 250;
     let x = gen::rand_uniform(3 * n, n, -1.0, 1.0, 1.0, 6012);
     let eye = Matrix::identity(n);
-    let a = elementwise::binary_mm(BinaryOp::Add, &tsmm::tsmm(&x, 1, false), &eye).unwrap();
+    let a = elementwise::binary_mm(BinaryOp::Add, &tsmm::tsmm(&x, 1, true), &eye).unwrap();
     let b = gen::rand_uniform(n, 1, -1.0, 1.0, 1.0, 6013);
     time(&format!("ablation_kernels/solve_spd/{n}"), || {
         solve::solve(&a, &b).unwrap()

@@ -10,7 +10,10 @@
 //! (see `sysds_bench::Scale`); the claims being reproduced are *shapes*:
 //!
 //! * 5(a) dense: SysDS beats TF for one model (multi-threaded CSV parse);
-//!   SysDS-B ≈ Julia; all grow linearly with k.
+//!   all grow linearly with k. The paper's SysDS-B column has no series
+//!   here: the engine runs one kernel tier, and the portable-vs-native gap
+//!   of §4.2 is the `ablation_kernels` bench (`gram_tsmm_dense` vs
+//!   `gram_tsmm_dense_blas`).
 //! * 5(b) sparse: SysDS wins big (fused sparse tsmm, no transpose);
 //!   TF pays the materialized transpose per model, TF-G once.
 //! * 5(c): reuse flattens the k-sweep to near-constant after model 1.
@@ -80,9 +83,8 @@ fn main() {
     let baselines = ["TF", "TF-G", "Julia", "SysDS"];
     let reuse = ["SysDS", "SysDS w/ Reuse"];
     if want("5a") {
-        let engines = [&baselines[..], &["SysDS-B"]].concat();
         let title = "Figure 5(a): baselines, dense";
-        sweep("fig5a", title, k, ks(1.0), &engines, &csv_dir);
+        sweep("fig5a", title, k, ks(1.0), &baselines, &csv_dir);
     }
     if want("5b") {
         let title = "Figure 5(b): baselines, sparse (0.1)";
@@ -134,7 +136,6 @@ fn sweep(
         for (engine, ys) in series.iter_mut() {
             ys.push(mean_secs(|| match engine.as_str() {
                 "SysDS" => run_sysds(&w, SysVariant::Plain),
-                "SysDS-B" => run_sysds(&w, SysVariant::Blas),
                 "SysDS w/ Reuse" => run_sysds(&w, SysVariant::Reuse),
                 other => run_baseline(&w, other),
             }));

@@ -113,11 +113,9 @@ pub fn hyperparam_script(w: &HyperParamWorkload) -> String {
 /// The SystemDS engine variants of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SysVariant {
-    /// Portable kernels, no reuse (SysDS).
+    /// No reuse (SysDS).
     Plain,
-    /// Optimized BLAS-like kernels (SysDS-B).
-    Blas,
-    /// Portable kernels + lineage-based reuse (SysDS w/ Reuse).
+    /// Lineage-based reuse (SysDS w/ Reuse).
     Reuse,
 }
 
@@ -125,7 +123,6 @@ impl SysVariant {
     pub fn label(self) -> &'static str {
         match self {
             SysVariant::Plain => "SysDS",
-            SysVariant::Blas => "SysDS-B",
             SysVariant::Reuse => "SysDS+Reuse",
         }
     }
@@ -134,7 +131,6 @@ impl SysVariant {
         let base = EngineConfig::default();
         match self {
             SysVariant::Plain => base,
-            SysVariant::Blas => base.blas(true),
             SysVariant::Reuse => base.reuse_policy(ReusePolicy::FullAndPartial),
         }
     }

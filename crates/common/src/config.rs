@@ -92,9 +92,6 @@ pub struct EngineConfig {
     pub reuse: ReusePolicy,
     /// Maximum bytes held by the lineage reuse cache.
     pub reuse_cache_limit: usize,
-    /// Use the optimized (BLAS-like blocked, multi-threaded) matmul kernels
-    /// instead of the portable naive ones. Models SysDS vs SysDS-B (§4.2).
-    pub native_blas: bool,
     /// Enable dynamic recompilation of blocks with unknown sizes.
     pub dynamic_recompile: bool,
     /// Fuse single-consumer cell-wise chains (and aggregates over them)
@@ -123,7 +120,6 @@ impl Default for EngineConfig {
             lineage: false,
             reuse: ReusePolicy::None,
             reuse_cache_limit: 1 << 30, // 1 GiB lineage cache
-            native_blas: false,
             dynamic_recompile: true,
             fusion: true,
             stats: false,
@@ -146,12 +142,6 @@ impl EngineConfig {
     /// Builder-style setter for the thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.num_threads = n.max(1);
-        self
-    }
-
-    /// Builder-style setter enabling the optimized kernel path (SysDS-B).
-    pub fn blas(mut self, enabled: bool) -> Self {
-        self.native_blas = enabled;
         self
     }
 
@@ -211,9 +201,9 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = EngineConfig::default().threads(2).blas(true);
+        let c = EngineConfig::default().threads(2).fusion(false).stats(true);
         assert_eq!(c.num_threads, 2);
-        assert!(c.native_blas);
+        assert!(!c.fusion && c.stats);
     }
 
     #[test]

@@ -33,7 +33,6 @@ fn usage() -> ! {
            --arg NAME=VALUE   substitute $NAME in the script with VALUE\n\
            --threads N        kernel/parfor parallelism (default: cores)\n\
            --reuse            enable lineage tracing + full/partial reuse\n\
-           --blas             use the optimized (BLAS-like) kernels\n\
            --no-recompile     disable dynamic recompilation\n\
            --no-fusion        disable cell-wise operator fusion\n\
            --stats            print heavy-hitter, buffer-pool, cache and\n\
@@ -71,7 +70,7 @@ fn usage() -> ! {
            --iters N          scripts to generate and cross-check (default\n\
                               100); each runs under the full configuration\n\
                               matrix (fusion, threads, reuse, evict,\n\
-                              norecompile, blas vs the reference)\n\
+                              norecompile vs the reference)\n\
            --corpus DIR       write minimized .dml repros of any failing\n\
                               seed into DIR\n\
            --fed-every N      every Nth script is federated-compatible and\n\
@@ -123,7 +122,6 @@ fn run_cmd(args: &[String]) -> ExitCode {
                 config.num_threads = n;
             }
             "--reuse" => config = config.reuse_policy(ReusePolicy::FullAndPartial),
-            "--blas" => config.native_blas = true,
             "--no-recompile" => config.dynamic_recompile = false,
             "--no-fusion" => config.fusion = false,
             "--stats" => {

@@ -133,15 +133,6 @@ pub fn config_matrix() -> Vec<OracleConfig> {
             c
         },
     });
-    m.push(OracleConfig {
-        name: "blas",
-        config: {
-            let mut c = base_config();
-            c.fusion = true;
-            c.native_blas = true;
-            c
-        },
-    });
     m
 }
 
@@ -392,14 +383,7 @@ mod tests {
         let m = config_matrix();
         assert_eq!(m[0].name, "reference");
         let names: Vec<&str> = m.iter().map(|c| c.name).collect();
-        for expected in [
-            "fusion",
-            "threads4",
-            "reuse",
-            "evict",
-            "norecompile",
-            "blas",
-        ] {
+        for expected in ["fusion", "threads4", "reuse", "evict", "norecompile"] {
             assert!(names.contains(&expected), "missing config {expected}");
         }
         assert!(!m[0].config.fusion);

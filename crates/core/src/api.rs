@@ -690,7 +690,7 @@ mod tests {
             .unwrap();
         let b = out.matrix("B").unwrap();
         // zero-noise data: predictions must match labels
-        let yhat = sysds_tensor::kernels::matmult::matmul(&x, &b, 1, false).unwrap();
+        let yhat = sysds_tensor::kernels::matmult::matmul(&x, &b, 1).unwrap();
         assert!(yhat.approx_eq(&y, 1e-6));
     }
 }

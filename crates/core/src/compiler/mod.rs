@@ -715,8 +715,17 @@ fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
                         continue;
                     }
                 }
+                // A `write` gets a basic block of its own, so CSE cannot
+                // merge a `read` of the file across it.
+                let barrier = matches!(e, Expr::Call { name, .. } if name == "write");
+                if barrier {
+                    builder.flush(&mut blocks);
+                }
                 let id = builder.expr(e, ctx)?;
                 builder.effect(id);
+                if barrier {
+                    builder.flush(&mut blocks);
+                }
             }
             Stmt::If {
                 cond,

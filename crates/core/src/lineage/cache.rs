@@ -169,7 +169,6 @@ impl LineageCache {
         lineage: &Arc<LineageItem>,
         xi: &Matrix,
         threads: usize,
-        blas: bool,
     ) -> Result<Option<Arc<Matrix>>> {
         if self.policy != ReusePolicy::FullAndPartial {
             return Ok(None);
@@ -191,8 +190,8 @@ impl LineageCache {
         // Compensation plan: corner blocks from the appended columns.
         let a = indexing::slice(xi, 0..xi.rows(), 0..k)?;
         let b = indexing::slice(xi, 0..xi.rows(), k..m)?;
-        let cross = matmult::matmul(&reorg::transpose(&a, threads), &b, threads, blas)?; // k x (m-k)
-        let corner = tsmm_k::tsmm(&b, threads, blas); // (m-k) x (m-k)
+        let cross = matmult::matmul(&reorg::transpose(&a, threads), &b, threads)?; // k x (m-k)
+        let corner = tsmm_k::tsmm(&b, threads, true); // (m-k) x (m-k)
         let top = indexing::cbind(&gram_a, &cross)?;
         let bottom = indexing::cbind(&reorg::transpose(&cross, threads), &corner)?;
         let full = indexing::rbind(&top, &bottom)?;
@@ -319,10 +318,7 @@ mod tests {
         let col = LineageItem::leaf("obj:col");
         let probe = LineageItem::node("tsmm", vec![LineageItem::node("cbind", vec![b, col])]);
         let xi = gen::rand_uniform(10, 4, 0.0, 1.0, 1.0, 311);
-        assert!(c
-            .probe_partial_tsmm(&probe, &xi, 1, false)
-            .unwrap()
-            .is_none());
+        assert!(c.probe_partial_tsmm(&probe, &xi, 1).unwrap().is_none());
         assert_eq!(c.stats().partial_hits, 0);
     }
 
@@ -476,10 +472,7 @@ mod tests {
         // Probe tsmm(cbind(Xg, col)).
         let lin_cbind = LineageItem::node("cbind", vec![lin_xg, lin_col]);
         let lin_tsmm_xi = LineageItem::node("tsmm", vec![lin_cbind]);
-        let got = c
-            .probe_partial_tsmm(&lin_tsmm_xi, &xi, 1, false)
-            .unwrap()
-            .unwrap();
+        let got = c.probe_partial_tsmm(&lin_tsmm_xi, &xi, 1).unwrap().unwrap();
         let expect = tsmm_k::tsmm(&xi, 1, false);
         assert!(got.approx_eq(&expect, 1e-9));
         assert_eq!(c.stats().partial_hits, 1);
@@ -494,7 +487,7 @@ mod tests {
         );
         let lin = LineageItem::node("tsmm", vec![lin_cbind]);
         let xi = gen::rand_uniform(10, 3, 0.0, 1.0, 1.0, 304);
-        assert!(c.probe_partial_tsmm(&lin, &xi, 1, false).unwrap().is_none());
+        assert!(c.probe_partial_tsmm(&lin, &xi, 1).unwrap().is_none());
     }
 
     #[test]
@@ -531,7 +524,7 @@ mod tests {
         );
         let lin = LineageItem::node("tsmm", vec![lin_cbind]);
         let xi = gen::rand_uniform(10, 3, 0.0, 1.0, 1.0, 308);
-        assert!(c.probe_partial_tsmm(&lin, &xi, 1, false).unwrap().is_none());
+        assert!(c.probe_partial_tsmm(&lin, &xi, 1).unwrap().is_none());
     }
 
     #[test]

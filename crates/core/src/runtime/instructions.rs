@@ -8,12 +8,14 @@ use crate::compiler::lower::Instr;
 use crate::lineage::{LineageCache, LineageItem};
 use crate::runtime::bufferpool::BufferPool;
 use crate::runtime::value::{Data, SymbolTable};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sysds_common::sync::lock;
 use sysds_common::{EngineConfig, Result, ScalarValue, SysDsError};
 use sysds_frame::{TransformEncoder, TransformSpec};
+use sysds_io::Format;
 use sysds_tensor::kernels::fused::{FusedInput, FusedOutput, FusedTemplate, TemplateNode};
 use sysds_tensor::kernels::*;
 use sysds_tensor::Matrix;
@@ -27,6 +29,9 @@ pub struct ExecCtx {
     pub stdout: Mutex<Vec<String>>,
     /// Echo prints to the process stdout.
     pub echo: bool,
+    /// Per path, how many `write`s this session has run; part of the
+    /// lineage of every `read` of that path.
+    file_gens: Mutex<HashMap<String, u64>>,
 }
 
 static SEED_COUNTER: AtomicU64 = AtomicU64::new(0x5D5_0001);
@@ -57,7 +62,13 @@ impl ExecCtx {
             pool,
             stdout: Mutex::new(Vec::new()),
             echo: false,
+            file_gens: Mutex::new(HashMap::new()),
         })
+    }
+
+    /// How many `write`s of `path` this session has run.
+    fn file_gen(&self, path: &str) -> u64 {
+        lock(&self.file_gens).get(path).copied().unwrap_or(0)
     }
 
     fn print(&self, line: String) {
@@ -227,12 +238,10 @@ fn execute_op(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
             let local = inputs.iter().all(|s| matches!(s.data, Data::Matrix(_)));
             if let (HopOp::Tsmm, true) = (op, local) {
                 let xi = inputs[0].data.as_matrix()?;
-                if let Some(hit) = ctx.cache.probe_partial_tsmm(
-                    lin,
-                    &xi,
-                    ctx.config.num_threads,
-                    ctx.config.native_blas,
-                )? {
+                if let Some(hit) = ctx
+                    .cache
+                    .probe_partial_tsmm(lin, &xi, ctx.config.num_threads)?
+                {
                     ctx.cache.put(lin, hit.clone(), u128::MAX / 2);
                     return Ok(Slot::new(ctx.wrap_matrix((*hit).clone())?, lineage));
                 }
@@ -327,7 +336,7 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
                 return Ok((Data::Federated(Arc::new(out)), None));
             }
             let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            let m = matmult::matmul(&a, &b, ctx.config.num_threads, ctx.config.native_blas)?;
+            let m = matmult::matmul(&a, &b, ctx.config.num_threads)?;
             Ok((ctx.wrap_matrix(m)?, None))
         }
         HopOp::Tsmm => {
@@ -335,7 +344,7 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
                 return Ok((ctx.wrap_matrix(f.tsmm()?)?, None));
             }
             let x = data(0).as_matrix()?;
-            let m = tsmm::tsmm(&x, ctx.config.num_threads, ctx.config.native_blas);
+            let m = tsmm::tsmm(&x, ctx.config.num_threads, true);
             Ok((ctx.wrap_matrix(m)?, None))
         }
         HopOp::Tmv => {
@@ -810,46 +819,29 @@ fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult 
         }
         "read" => {
             let path = data(0).as_scalar()?.to_display_string();
-            let format = data(1).as_scalar()?.to_display_string();
+            let format = Format::parse(&data(1).as_scalar()?.to_display_string())?;
             let data_type = data(2).as_scalar()?.to_display_string();
             let header = data(3).as_bool()?;
-            let lin = trace_enabled(ctx).then(|| LineageItem::leaf(format!("read:{path}")));
-            let mut desc = sysds_io::FormatDescriptor::csv().with_header(header);
-            if format == "tsv" {
-                desc = sysds_io::FormatDescriptor::tsv().with_header(header);
-            }
-            match (data_type.as_str(), format.as_str()) {
-                ("frame", _) => {
-                    let f = sysds_io::csv::read_frame(&path, &desc)?.detect_schema();
-                    Ok((Data::Frame(Arc::new(f)), lin))
-                }
-                (_, "binary") => Ok((ctx.wrap_matrix(sysds_io::binary::read_matrix(&path)?)?, lin)),
-                (_, "mm" | "matrixmarket") => Ok((
-                    ctx.wrap_matrix(sysds_io::formats::read_matrix_market(&path)?)?,
-                    lin,
-                )),
-                _ => {
-                    let m = sysds_io::csv::read_matrix(&path, &desc, ctx.config.num_threads)?;
-                    Ok((ctx.wrap_matrix(m)?, lin))
-                }
-            }
+            // The leaf names what was read, and which write of the path.
+            let lin = trace_enabled(ctx).then(|| {
+                let (name, gen) = (format.name(), ctx.file_gen(&path));
+                LineageItem::leaf(format!("read:{name}:{header}:{path}#{gen}"))
+            });
+            let out = if data_type == "frame" {
+                Data::Frame(Arc::new(format.read_frame(&path, header)?.detect_schema()))
+            } else {
+                ctx.wrap_matrix(format.read_matrix(&path, header, ctx.config.num_threads)?)?
+            };
+            Ok((out, lin))
         }
         "write" => {
             let path = data(1).as_scalar()?.to_display_string();
-            let format = data(2).as_scalar()?.to_display_string();
-            match (data(0), format.as_str()) {
-                (Data::Frame(f), _) => sysds_io::csv::write_frame(
-                    &path,
-                    f,
-                    &sysds_io::FormatDescriptor::csv().with_header(true),
-                )?,
-                (d, "binary") => sysds_io::binary::write_matrix(&path, &*d.as_matrix()?)?,
-                (d, _) => {
-                    let m = d.as_matrix()?;
-                    sysds_io::csv::write_matrix(&path, &m, &sysds_io::FormatDescriptor::csv())?;
-                    sysds_io::Metadata::matrix(m.rows(), m.cols(), m.nnz(), "csv").save(&path)?;
-                }
+            let format = Format::parse(&data(2).as_scalar()?.to_display_string())?;
+            match data(0) {
+                Data::Frame(f) => format.write_frame(&path, f)?,
+                d => format.write_matrix(&path, &*d.as_matrix()?)?,
             }
+            *lock(&ctx.file_gens).entry(path.clone()).or_default() += 1;
             Ok((
                 Data::Empty,
                 Some(LineageItem::leaf(format!("write:{path}"))),

@@ -48,7 +48,7 @@ impl Default for PsConfig {
 /// The objective's gradient on one mini-batch: linear regression squared
 /// loss, `t(X_b) (X_b w - y_b) / |b|`.
 fn linreg_gradient(xb: &Matrix, yb: &Matrix, w: &Matrix) -> Result<Matrix> {
-    let pred = matmult::matmul(xb, w, 1, false)?;
+    let pred = matmult::matmul(xb, w, 1)?;
     let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, yb)?;
     let g = tsmm::tmv(xb, &resid, 1)?;
     Ok(elementwise::binary_ms(BinaryOp::Div, &g, xb.rows() as f64))

@@ -416,7 +416,7 @@ mod tests {
         let fx = FederatedMatrix::scatter(&x, &ws).unwrap();
         let fy = FederatedMatrix::scatter(&y, &ws).unwrap();
         let got = fx.tmv(&fy).unwrap();
-        let expect = matmult::matmul(&reorg::transpose(&x, 1), &y, 1, false).unwrap();
+        let expect = matmult::matmul(&reorg::transpose(&x, 1), &y, 1).unwrap();
         assert!(got.approx_eq(&expect, 1e-9));
     }
 
@@ -439,7 +439,7 @@ mod tests {
         let fp = f.mat_vec(&v).unwrap();
         assert_eq!(fp.rows(), 22);
         assert_eq!(fp.cols(), 1);
-        let local = matmult::matmul(&x, &v, 1, false).unwrap();
+        let local = matmult::matmul(&x, &v, 1).unwrap();
         let local_ss = sysds_tensor::kernels::aggregate::aggregate_full(
             sysds_tensor::kernels::AggFn::SumSq,
             &local,
@@ -458,7 +458,7 @@ mod tests {
         let fy = FederatedMatrix::scatter(&y, &ws).unwrap();
         let pred = fx.mat_vec(&w).unwrap();
         let resid = pred.binary_op(BinaryOp::Sub, &fy).unwrap();
-        let local_pred = matmult::matmul(&x, &w, 1, false).unwrap();
+        let local_pred = matmult::matmul(&x, &w, 1).unwrap();
         let local_resid =
             sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Sub, &local_pred, &y).unwrap();
         let local_ss = sysds_tensor::kernels::aggregate::aggregate_full(

@@ -230,7 +230,7 @@ fn execute(
         }
         FedRequest::Tsmm { var } => {
             let x = get(vars, &var)?;
-            FedResponse::Aggregate(tsmm::tsmm(x, threads, false))
+            FedResponse::Aggregate(tsmm::tsmm(x, threads, true))
         }
         FedRequest::Tmv { x, y } => {
             let xv = get(vars, &x)?;
@@ -239,7 +239,7 @@ fn execute(
         }
         FedRequest::MatVecKeep { var, v, out } => {
             let x = get(vars, &var)?;
-            let r = matmult::matmul(x, &v, threads, false)?;
+            let r = matmult::matmul(x, &v, threads)?;
             vars.insert(out, r);
             FedResponse::Ok
         }
@@ -292,7 +292,7 @@ mod tests {
         let g = w
             .request_aggregate(FedRequest::Tsmm { var: "X".into() })
             .unwrap();
-        let expect = matmult::matmul(&reorg::transpose(&x, 1), &x, 1, false).unwrap();
+        let expect = matmult::matmul(&reorg::transpose(&x, 1), &x, 1).unwrap();
         assert!(g.approx_eq(&expect, 1e-9));
     }
 
@@ -321,7 +321,7 @@ mod tests {
         let ss = w
             .request_scalar(FedRequest::SumSq { var: "P".into() })
             .unwrap();
-        let local = matmult::matmul(&x, &v, 1, false).unwrap();
+        let local = matmult::matmul(&x, &v, 1).unwrap();
         let expect = aggregate::aggregate_full(AggFn::SumSq, &local).unwrap();
         assert!((ss - expect).abs() < 1e-9);
     }
@@ -338,7 +338,7 @@ mod tests {
                 w: wvec.clone(),
             })
             .unwrap();
-        let pred = matmult::matmul(&x, &wvec, 1, false).unwrap();
+        let pred = matmult::matmul(&x, &wvec, 1).unwrap();
         let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, &y).unwrap();
         let expect = tsmm::tmv(&x, &resid, 1).unwrap();
         assert!(g.approx_eq(&expect, 1e-9));

@@ -10,8 +10,10 @@
 pub mod binary;
 pub mod csv;
 pub mod descriptor;
+pub mod format;
 pub mod formats;
 pub mod mtd;
 
 pub use descriptor::FormatDescriptor;
+pub use format::Format;
 pub use mtd::Metadata;

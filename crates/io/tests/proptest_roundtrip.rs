@@ -95,7 +95,7 @@ property! {
         // compressed ops agree with dense ops
         let v = gen::rand_uniform(cols, 1, -1.0, 1.0, 1.0, seed ^ 7);
         let got = c.mat_vec(&v).unwrap();
-        let expect = sysds_tensor::kernels::matmult::matmul(&m, &v, 1, false).unwrap();
+        let expect = sysds_tensor::kernels::matmult::matmul(&m, &v, 1).unwrap();
         assert!(got.approx_eq(&expect, 1e-9));
     }
 }

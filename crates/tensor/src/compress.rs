@@ -451,7 +451,7 @@ mod tests {
         let v = gen::rand_uniform(6, 1, -1.0, 1.0, 1.0, 907);
         let c = CompressedMatrix::compress(&m);
         let got = c.mat_vec(&v).unwrap();
-        let expect = matmult::matmul(&m, &v, 1, false).unwrap();
+        let expect = matmult::matmul(&m, &v, 1).unwrap();
         assert!(got.approx_eq(&expect, 1e-9));
         assert!(c.mat_vec(&Matrix::zeros(3, 1)).is_err());
     }
@@ -462,7 +462,7 @@ mod tests {
         let v = gen::rand_uniform(150, 1, -1.0, 1.0, 1.0, 909);
         let c = CompressedMatrix::compress(&m);
         let got = c.tmv(&v).unwrap();
-        let expect = matmult::matmul(&reorg::transpose(&m, 1), &v, 1, false).unwrap();
+        let expect = matmult::matmul(&reorg::transpose(&m, 1), &v, 1).unwrap();
         assert!(got.approx_eq(&expect, 1e-9));
         assert!(c.tmv(&Matrix::zeros(3, 1)).is_err());
     }

@@ -84,7 +84,7 @@ pub fn synthetic_regression(
 ) -> (Matrix, Matrix) {
     let x = rand_uniform(rows, cols, 0.0, 1.0, sparsity, seed);
     let w = rand_uniform(cols, 1, -1.0, 1.0, 1.0, split(seed, 0xBEEF));
-    let mut y = crate::kernels::matmult::matmul(&x, &w, 1, false).expect("shapes agree");
+    let mut y = crate::kernels::matmult::matmul(&x, &w, 1).expect("shapes agree");
     if noise > 0.0 {
         let mut r = XorShift64::new(split(seed, 0xF00D));
         let yd = y.to_dense();
@@ -162,7 +162,7 @@ mod tests {
         let g = crate::kernels::tsmm::tsmm(&x, 1, false);
         let b = crate::kernels::tsmm::tmv(&x, &y, 1).unwrap();
         let w = crate::kernels::solve::solve(&g, &b).unwrap();
-        let yhat = crate::kernels::matmult::matmul(&x, &w, 1, false).unwrap();
+        let yhat = crate::kernels::matmult::matmul(&x, &w, 1).unwrap();
         assert!(yhat.approx_eq(&y, 1e-6));
     }
 

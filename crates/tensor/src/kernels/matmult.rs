@@ -2,34 +2,35 @@
 //!
 //! The paper's §4.2 rests on kernel-level facts that we reproduce:
 //!
-//! 1. A *portable* multi-threaded dense kernel (SystemDS's Java code) is
-//!    slower than a *native-BLAS-style* kernel (SysDS-B / Julia) — here the
-//!    portable kernel is a straightforward i-k-j loop, while the optimized
-//!    kernel adds cache blocking and 4-way register tiling.
-//! 2. Dense matrix-vector products (`ncol(B) = 1`) take neither loop: they
-//!    are bandwidth-bound, and [`super::matvec`] runs them as row dot
-//!    products with independent accumulators, whatever the `blas` flag.
+//! 1. Dense matrix-matrix products run one loop: cache-blocked over
+//!    `(k, j)` with 4-row register tiling. The paper's portable-vs-native
+//!    gap (SysDS vs SysDS-B) is a JVM effect; here it is measured by the
+//!    `ablation_kernels` bench on `tsmm`, not chosen at run time.
+//! 2. Dense matrix-vector products (`ncol(B) = 1`) take their own path:
+//!    they are bandwidth-bound, and [`super::matvec`] runs them as row dot
+//!    products with independent accumulators.
 //! 3. Sparse-dense multiplication iterates CSR rows directly, so a **fused**
 //!    `t(X) %*% y` (see [`super::tsmm`]) avoids materializing the transpose
 //!    — TensorFlow's lack of that fused call is exactly what Figure 5(b)
 //!    shows.
 //! 4. All kernels are row-partitioned across threads.
 //!
-//! The portable, mat-vec and sparse kernels skip zero cells of `A`, so
-//! `0 * Inf` and `0 * NaN` in `B` contribute nothing; the blocked kernel
-//! skips only when all four rows of a register tile hold a zero.
+//! Every dense kernel skips zero cells of `A` one by one, so `0 * Inf` and
+//! `0 * NaN` in `B` contribute nothing, and each output cell sums its
+//! products in `k` order. A row's result therefore never depends on the
+//! rows that share its tile or its thread.
 
 use super::{matvec, par_row_partitions, run_row_chunks};
 use crate::matrix::{DenseMatrix, Matrix, SparseMatrix};
 use sysds_common::{Result, SysDsError};
 use DenseMatrix as DM;
 
-/// Cache-block edge for the optimized dense kernel (fits L1 comfortably).
+/// Cache-block edge for the dense kernel (fits L1 comfortably).
 const BLOCK: usize = 64;
 
-/// `A %*% B` with kernel selection by representation, `threads`, and the
-/// `blas` flag (optimized dense path).
-pub fn matmul(a: &Matrix, b: &Matrix, threads: usize, blas: bool) -> Result<Matrix> {
+/// `A %*% B` with kernel selection by representation and shape, row
+/// partitioned over at most `threads` threads.
+pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
     if a.cols() != b.rows() {
         return Err(SysDsError::DimensionMismatch {
             op: "%*%",
@@ -41,7 +42,7 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize, blas: bool) -> Result<Matr
         (Matrix::Dense(da), Matrix::Dense(db)) if db.cols() == 1 => Matrix::Dense(
             DenseMatrix::from_vec(da.rows(), 1, matvec::dense_mv(da, db.values(), threads)),
         ),
-        (Matrix::Dense(da), Matrix::Dense(db)) => Matrix::Dense(dense_dense(da, db, threads, blas)),
+        (Matrix::Dense(da), Matrix::Dense(db)) => Matrix::Dense(dense_dense(da, db, threads)),
         (Matrix::Sparse(sa), Matrix::Dense(db)) => Matrix::Dense(sparse_dense(sa, db, threads)),
         (Matrix::Dense(da), Matrix::Sparse(sb)) => Matrix::Dense(dense_sparse(da, sb, threads)),
         (Matrix::Sparse(sa), Matrix::Sparse(sb)) => sparse_sparse(sa, sb),
@@ -52,44 +53,22 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize, blas: bool) -> Result<Matr
 }
 
 /// Dense `A %*% B`.
-fn dense_dense(a: &DM, b: &DM, threads: usize, blas: bool) -> DenseMatrix {
+fn dense_dense(a: &DM, b: &DM, threads: usize) -> DenseMatrix {
     let (m, n) = (a.rows(), b.cols());
     let mut c = DenseMatrix::zeros(m, n);
     let parts = par_row_partitions(m, a.cols() * n, threads);
     // Each chunk is rows lo..hi of C, written in place.
     run_row_chunks(&parts, c.values_mut(), n, |lo, hi, chunk| {
-        if blas {
-            dense_block_rows(a, b, chunk, lo, hi);
-        } else {
-            dense_naive_rows(a, b, chunk, lo, hi);
-        }
+        dense_block_rows(a, b, chunk, lo, hi)
     });
     c
 }
 
-/// Portable kernel: i-k-j loop over rows `lo..hi` of A, writing into a
-/// buffer that starts at output row `lo`.
-fn dense_naive_rows(a: &DM, b: &DM, out: &mut [f64], lo: usize, hi: usize) {
-    let n = b.cols();
-    let k_dim = a.cols();
-    for i in lo..hi {
-        let arow = a.row(i);
-        let crow = &mut out[(i - lo) * n..(i - lo + 1) * n];
-        for (k, &aik) in arow.iter().enumerate().take(k_dim) {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = b.row(k);
-            for j in 0..n {
-                crow[j] += aik * brow[j];
-            }
-        }
-    }
-}
-
-/// Optimized kernel: cache-blocked over (k, j) with 4-row register tiling,
-/// writing into a buffer that starts at output row `lo`.
-#[allow(clippy::needless_range_loop)] // k indexes two row slices in lockstep
+/// Cache-blocked over (k, j) with 4-row register tiling, writing into a
+/// buffer that starts at output row `lo`. The 4-row update runs only when
+/// all four `A` values at `k` are non-zero; otherwise each non-zero row is
+/// updated on its own, so every cell sees the same products as an i-k-j
+/// loop that skips zeros.
 fn dense_block_rows(a: &DM, b: &DM, out: &mut [f64], lo: usize, hi: usize) {
     let n = b.cols();
     let k_dim = a.cols();
@@ -100,39 +79,45 @@ fn dense_block_rows(a: &DM, b: &DM, out: &mut [f64], lo: usize, hi: usize) {
             let mut i = lo;
             // 4-row register tile.
             while i + 4 <= hi {
-                let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
+                let rows = [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)];
+                let base = (i - lo) * n;
                 for k in kb..kmax {
-                    let (v0, v1, v2, v3) = (a0[k], a1[k], a2[k], a3[k]);
-                    if v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0 {
-                        continue;
-                    }
+                    let v = rows.map(|r| r[k]);
                     let brow = &b.row(k)[jb..jmax];
-                    let base = (i - lo) * n;
-                    for (dj, &bv) in brow.iter().enumerate() {
-                        let j = jb + dj;
-                        out[base + j] += v0 * bv;
-                        out[base + n + j] += v1 * bv;
-                        out[base + 2 * n + j] += v2 * bv;
-                        out[base + 3 * n + j] += v3 * bv;
+                    if v.iter().all(|&x| x != 0.0) {
+                        let [v0, v1, v2, v3] = v;
+                        for (dj, &bv) in brow.iter().enumerate() {
+                            let j = jb + dj;
+                            out[base + j] += v0 * bv;
+                            out[base + n + j] += v1 * bv;
+                            out[base + 2 * n + j] += v2 * bv;
+                            out[base + 3 * n + j] += v3 * bv;
+                        }
+                    } else {
+                        for (r, &x) in v.iter().enumerate() {
+                            let at = base + r * n;
+                            axpy_nonzero(&mut out[at + jb..at + jmax], x, brow);
+                        }
                     }
                 }
                 i += 4;
             }
             while i < hi {
-                let arow = a.row(i);
-                let base = (i - lo) * n;
-                for k in kb..kmax {
-                    let aik = arow[k];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &b.row(k)[jb..jmax];
-                    for (dj, &bv) in brow.iter().enumerate() {
-                        out[base + jb + dj] += aik * bv;
-                    }
+                let at = (i - lo) * n;
+                for (k, &aik) in a.row(i)[kb..kmax].iter().enumerate() {
+                    axpy_nonzero(&mut out[at + jb..at + jmax], aik, &b.row(kb + k)[jb..jmax]);
                 }
                 i += 1;
             }
+        }
+    }
+}
+
+/// `dst += x * src`, or nothing when `x` is zero.
+fn axpy_nonzero(dst: &mut [f64], x: f64, src: &[f64]) {
+    if x != 0.0 {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += x * s;
         }
     }
 }
@@ -221,7 +206,7 @@ pub fn mat_vec(a: &Matrix, v: &Matrix, threads: usize) -> Result<Matrix> {
             rhs: v.shape(),
         });
     }
-    matmul(a, v, threads, false)
+    matmul(a, v, threads)
 }
 
 /// Vector dot product of two `n x 1` (or `1 x n`) matrices.
@@ -261,7 +246,7 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);
-        assert!(matmul(&a, &b, 1, false).is_err());
+        assert!(matmul(&a, &b, 1).is_err());
     }
 
     #[test]
@@ -270,11 +255,30 @@ mod tests {
         let b = gen::rand_uniform(13, 9, -1.0, 1.0, 1.0, 8);
         let expect = reference(&a, &b);
         for threads in [1usize, 4] {
-            for blas in [false, true] {
-                let c = matmul(&a, &b, threads, blas).unwrap();
-                assert!(c.approx_eq(&expect, 1e-9), "threads={threads} blas={blas}");
-            }
+            let c = matmul(&a, &b, threads).unwrap();
+            assert!(c.approx_eq(&expect, 1e-9), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn zero_cells_in_a_partly_zero_tile_are_skipped() {
+        // Rows 0 and 4 are equal; row 0 shares a 4-row tile with non-zero
+        // rows, row 4 runs alone. Both must skip `0 * Inf`.
+        let a = Matrix::from_rows(&[
+            &[0.0, 1.0],
+            &[1.0, 1.0],
+            &[1.0, 1.0],
+            &[1.0, 1.0],
+            &[0.0, 1.0],
+        ])
+        .unwrap();
+        let b = Matrix::from_rows(&[&[f64::INFINITY, 1.0], &[2.0, 1.0]]).unwrap();
+        let c = matmul(&a, &b, 1).unwrap();
+        let col0: Vec<f64> = (0..5).map(|i| c.get(i, 0)).collect();
+        assert_eq!(
+            col0,
+            [2.0, f64::INFINITY, f64::INFINITY, f64::INFINITY, 2.0]
+        );
     }
 
     #[test]
@@ -282,7 +286,7 @@ mod tests {
         // rows not divisible by 4, dims not divisible by BLOCK
         let a = gen::rand_uniform(67, 70, 0.0, 1.0, 1.0, 1);
         let b = gen::rand_uniform(70, 65, 0.0, 1.0, 1.0, 2);
-        let c = matmul(&a, &b, 3, true).unwrap();
+        let c = matmul(&a, &b, 3).unwrap();
         assert!(c.approx_eq(&reference(&a, &b), 1e-8));
     }
 
@@ -291,7 +295,7 @@ mod tests {
         let a = gen::rand_uniform(20, 15, -1.0, 1.0, 0.1, 3).compact();
         assert!(a.is_sparse());
         let b = gen::rand_uniform(15, 7, -1.0, 1.0, 1.0, 4);
-        let c = matmul(&a, &b, 2, false).unwrap();
+        let c = matmul(&a, &b, 2).unwrap();
         assert!(c.approx_eq(&reference(&a, &b), 1e-9));
     }
 
@@ -300,7 +304,7 @@ mod tests {
         let a = gen::rand_uniform(12, 15, -1.0, 1.0, 1.0, 5);
         let b = gen::rand_uniform(15, 20, -1.0, 1.0, 0.1, 6).compact();
         assert!(b.is_sparse());
-        let c = matmul(&a, &b, 2, false).unwrap();
+        let c = matmul(&a, &b, 2).unwrap();
         assert!(c.approx_eq(&reference(&a, &b), 1e-9));
     }
 
@@ -309,7 +313,7 @@ mod tests {
         let a = gen::rand_uniform(25, 18, -1.0, 1.0, 0.15, 7).compact();
         let b = gen::rand_uniform(18, 22, -1.0, 1.0, 0.15, 8).compact();
         assert!(a.is_sparse() && b.is_sparse());
-        let c = matmul(&a, &b, 1, false).unwrap();
+        let c = matmul(&a, &b, 1).unwrap();
         assert!(c.approx_eq(&reference(&a, &b), 1e-9));
     }
 
@@ -317,8 +321,8 @@ mod tests {
     fn identity_is_neutral() {
         let a = gen::rand_uniform(9, 9, -1.0, 1.0, 1.0, 9);
         let i = Matrix::identity(9);
-        assert!(matmul(&a, &i, 1, false).unwrap().approx_eq(&a, 1e-12));
-        assert!(matmul(&i, &a, 1, true).unwrap().approx_eq(&a, 1e-12));
+        assert!(matmul(&a, &i, 1).unwrap().approx_eq(&a, 1e-12));
+        assert!(matmul(&i, &a, 1).unwrap().approx_eq(&a, 1e-12));
     }
 
     #[test]
@@ -335,7 +339,7 @@ mod tests {
     fn zero_row_matrices() {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(3, 2);
-        let c = matmul(&a, &b, 2, false).unwrap();
+        let c = matmul(&a, &b, 2).unwrap();
         assert_eq!(c.shape(), (0, 2));
     }
 }

@@ -217,7 +217,7 @@ mod tests {
             let x = gen::rand_uniform(2500, 21, -1.0, 1.0, sp, 7).compact();
             let v = gen::rand_uniform(21, 1, -1.0, 1.0, 1.0, 8);
             let y = gen::rand_uniform(2500, 1, -1.0, 1.0, 1.0, 9);
-            let xv = matmult::matmul(&x, &v, 1, false).unwrap();
+            let xv = matmult::matmul(&x, &v, 1).unwrap();
             let resid =
                 crate::kernels::elementwise::binary_mm(crate::kernels::BinaryOp::Sub, &xv, &y)
                     .unwrap();
@@ -247,7 +247,7 @@ mod tests {
         let got = mmchain(&x, &v, None, 1).unwrap().to_vec();
         assert!(got[0].is_infinite());
         assert!(got[1].is_nan());
-        let xv = matmult::matmul(&x, &v, 1, false).unwrap();
+        let xv = matmult::matmul(&x, &v, 1).unwrap();
         let want = tsmm::tmv(&x, &xv, 1).unwrap().to_vec();
         assert!(same(&got, &want, 0.0));
     }

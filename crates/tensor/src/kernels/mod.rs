@@ -10,9 +10,11 @@
 //!   ones. Only broadcasting, the sparse-left zero-preserving product,
 //!   var/sd, the cumulative ops and `ifelse` keep their own loops.
 //! * **Products** — [`matmult`], [`matvec`], [`tsmm`] — pick a loop by
-//!   representation and shape; the `native_blas` flag of
-//!   [`sysds_common::EngineConfig`] selects the cache-blocked dense loops
-//!   that model the paper's SysDS-B column (§4.2).
+//!   representation and shape only. Dense products run one kernel tier,
+//!   the cache-blocked loops; no engine option selects another. The
+//!   paper's SysDS vs SysDS-B gap (§4.2) is measured by the
+//!   `ablation_kernels` bench against `tsmm`'s portable loop. The dense
+//!   loops skip zero cells one by one, so `0 * NaN` never enters a sum.
 //!
 //! Every row-partitioned kernel takes its partitions from
 //! `par_row_partitions` and runs them through `run_partitions` or

@@ -293,7 +293,7 @@ mod tests {
         let a = spd(8, 51);
         let l = cholesky(&a).unwrap();
         let lt = reorg::transpose(&l, 1);
-        let back = matmult::matmul(&l, &lt, 1, false).unwrap();
+        let back = matmult::matmul(&l, &lt, 1).unwrap();
         assert!(back.approx_eq(&a, 1e-8));
     }
 
@@ -307,7 +307,7 @@ mod tests {
     fn solve_spd_system() {
         let a = spd(10, 52);
         let x_true = gen::rand_uniform(10, 1, -1.0, 1.0, 1.0, 53);
-        let b = matmult::matmul(&a, &x_true, 1, false).unwrap();
+        let b = matmult::matmul(&a, &x_true, 1).unwrap();
         let x = solve(&a, &b).unwrap();
         assert!(x.approx_eq(&x_true, 1e-7));
     }
@@ -317,7 +317,7 @@ mod tests {
         // Requires pivoting: zero on the first diagonal entry.
         let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]).unwrap();
         let x_true = Matrix::from_vec(3, 1, vec![1.0, -2.0, 3.0]).unwrap();
-        let b = matmult::matmul(&a, &x_true, 1, false).unwrap();
+        let b = matmult::matmul(&a, &x_true, 1).unwrap();
         let x = solve(&a, &b).unwrap();
         assert!(x.approx_eq(&x_true, 1e-10));
     }
@@ -326,7 +326,7 @@ mod tests {
     fn solve_multiple_rhs() {
         let a = spd(6, 54);
         let xs = gen::rand_uniform(6, 3, -1.0, 1.0, 1.0, 55);
-        let b = matmult::matmul(&a, &xs, 1, false).unwrap();
+        let b = matmult::matmul(&a, &xs, 1).unwrap();
         let x = solve(&a, &b).unwrap();
         assert!(x.approx_eq(&xs, 1e-7));
     }
@@ -342,7 +342,7 @@ mod tests {
     fn inverse_times_original_is_identity() {
         let a = spd(7, 56);
         let inv = inverse(&a).unwrap();
-        let prod = matmult::matmul(&a, &inv, 1, false).unwrap();
+        let prod = matmult::matmul(&a, &inv, 1).unwrap();
         assert!(prod.approx_eq(&Matrix::Dense(Matrix::identity(7).to_dense()), 1e-7));
     }
 
@@ -410,7 +410,7 @@ mod tests {
         for a in [small, large] {
             assert!(is_symmetric(&a.to_dense()) && cholesky(&a).is_err());
             let x_true = gen::rand_uniform(a.rows(), 2, -1.0, 1.0, 1.0, 68);
-            let b = matmult::matmul(&a, &x_true, 1, false).unwrap();
+            let b = matmult::matmul(&a, &x_true, 1).unwrap();
             assert!(solve(&a, &b).unwrap().approx_eq(&x_true, 1e-9));
         }
     }
@@ -519,8 +519,8 @@ mod eigen_tests {
         let (w, v) = eigen_symmetric(&a).unwrap();
         // A ≈ V diag(w) V'
         let d = reorg::diag(&w).unwrap();
-        let vd = matmult::matmul(&v, &d, 1, false).unwrap();
-        let back = matmult::matmul(&vd, &reorg::transpose(&v, 1), 1, false).unwrap();
+        let vd = matmult::matmul(&v, &d, 1).unwrap();
+        let back = matmult::matmul(&vd, &reorg::transpose(&v, 1), 1).unwrap();
         assert!(back.approx_eq(&a, 1e-8));
     }
 
@@ -532,7 +532,7 @@ mod eigen_tests {
         for i in 1..5 {
             assert!(w.get(i - 1, 0) <= w.get(i, 0) + 1e-12, "ascending");
         }
-        let vtv = matmult::matmul(&reorg::transpose(&v, 1), &v, 1, false).unwrap();
+        let vtv = matmult::matmul(&reorg::transpose(&v, 1), &v, 1).unwrap();
         assert!(vtv.approx_eq(&Matrix::Dense(Matrix::identity(5).to_dense()), 1e-8));
     }
 

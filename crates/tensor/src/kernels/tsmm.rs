@@ -10,12 +10,22 @@
 //! * **sparse**: the transpose is never materialized — each CSR row `x_i`
 //!   contributes the outer product `x_i' x_i`, which is exactly why SysDS
 //!   "largely outperforms Julia and TF on sparse data" in Figure 5(b).
+//!
+//! Dense `t(X) %*% X` has two loops. The engine always runs the blocked
+//! one, which sums 8 input rows per sweep over the accumulator. The
+//! portable row-at-a-time loop stays only as the portable tier that the
+//! §4.2 kernel ablation (`ablation_kernels`, `gram_tsmm_dense` vs
+//! `gram_tsmm_dense_blas`) measures. Both skip zero cells of `X`, so they
+//! agree on which cells are `NaN` and differ on finite cells only by
+//! summation order.
 
 use super::{par_row_partitions, run_partitions};
 use crate::matrix::{DenseMatrix, Matrix, SparseMatrix};
 use sysds_common::{Result, SysDsError};
 
-/// `t(X) %*% X` (a `cols x cols` symmetric matrix).
+/// `t(X) %*% X` (a `cols x cols` symmetric matrix). For dense `X`,
+/// `blas` picks the blocked loop; `false` picks the portable loop, which
+/// only the §4.2 kernel ablation and the benchmark harness ask for.
 pub fn tsmm(x: &Matrix, threads: usize, blas: bool) -> Matrix {
     match x {
         Matrix::Dense(d) => Matrix::Dense(tsmm_dense(d, threads, blas)),
@@ -85,38 +95,25 @@ fn tsmm_rows_naive(x: &DenseMatrix, acc: &mut [f64], lo: usize, hi: usize) {
 }
 
 /// Blocked variant: processes 8 input rows per sweep to increase register
-/// reuse of the accumulator lines (the "native BLAS" flavor).
+/// reuse of the accumulator lines. A row whose value in column `i` is zero
+/// is pointed at a shared all-zero row for that column, so it adds nothing
+/// even where it holds `NaN` or `Inf`, and the 8-term update stays
+/// branch-free.
 fn tsmm_rows_blocked(x: &DenseMatrix, acc: &mut [f64], lo: usize, hi: usize) {
     let n = x.cols();
+    let zeros = vec![0.0f64; n];
     let mut r = lo;
     while r + 8 <= hi {
+        let rows: [&[f64]; 8] = std::array::from_fn(|t| x.row(r + t));
         for i in 0..n {
-            let dst = &mut acc[i * n..(i + 1) * n];
-            let (v0, v1, v2, v3) = (
-                x.get(r, i),
-                x.get(r + 1, i),
-                x.get(r + 2, i),
-                x.get(r + 3, i),
-            );
-            let (v4, v5, v6, v7) = (
-                x.get(r + 4, i),
-                x.get(r + 5, i),
-                x.get(r + 6, i),
-                x.get(r + 7, i),
-            );
-            if v0 == 0.0
-                && v1 == 0.0
-                && v2 == 0.0
-                && v3 == 0.0
-                && v4 == 0.0
-                && v5 == 0.0
-                && v6 == 0.0
-                && v7 == 0.0
-            {
+            let v = rows.map(|row| row[i]);
+            if v.iter().all(|&vt| vt == 0.0) {
                 continue;
             }
-            let (r0, r1, r2, r3) = (x.row(r), x.row(r + 1), x.row(r + 2), x.row(r + 3));
-            let (r4, r5, r6, r7) = (x.row(r + 4), x.row(r + 5), x.row(r + 6), x.row(r + 7));
+            let [r0, r1, r2, r3, r4, r5, r6, r7] =
+                std::array::from_fn(|t| if v[t] == 0.0 { &zeros[..] } else { rows[t] });
+            let [v0, v1, v2, v3, v4, v5, v6, v7] = v;
+            let dst = &mut acc[i * n..(i + 1) * n];
             for j in i..n {
                 dst[j] += v0 * r0[j]
                     + v1 * r1[j]
@@ -212,7 +209,7 @@ mod tests {
 
     fn reference_tsmm(x: &Matrix) -> Matrix {
         let xt = reorg::transpose(x, 1);
-        matmult::matmul(&xt, x, 1, false).unwrap()
+        matmult::matmul(&xt, x, 1).unwrap()
     }
 
     #[test]
@@ -226,6 +223,21 @@ mod tests {
                     "threads={threads} blas={blas}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn zero_cells_in_a_partly_zero_sweep_are_skipped() {
+        // Row 0 is [0, NaN]: its zero in column 0 must not meet the NaN,
+        // although the other 7 rows of its sweep are non-zero there.
+        let mut rows = vec![vec![0.0, f64::NAN]];
+        rows.extend((1..9).map(|r| vec![1.0, r as f64]));
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        for blas in [false, true] {
+            let g = tsmm(&x, 1, blas);
+            assert_eq!((g.get(0, 0), g.get(0, 1)), (8.0, 36.0), "blas={blas}");
+            assert!(g.get(1, 1).is_nan(), "blas={blas}");
         }
     }
 
@@ -261,7 +273,7 @@ mod tests {
         for sp in [1.0, 0.1] {
             let x = gen::rand_uniform(30, 8, -1.0, 1.0, sp, 15).compact();
             let got = tmv(&x, &y, 2).unwrap();
-            let expect = matmult::matmul(&reorg::transpose(&x, 1), &y, 1, false).unwrap();
+            let expect = matmult::matmul(&reorg::transpose(&x, 1), &y, 1).unwrap();
             assert!(got.approx_eq(&expect, 1e-9), "sparsity={sp}");
         }
     }

@@ -8,8 +8,8 @@
 //! 1. [`matrix`] — the 2-D `f64` workhorse used by the runtime's linear
 //!    algebra instructions: [`Matrix`] with dense (row-major) and sparse
 //!    (CSR) representations chosen automatically by sparsity.
-//! 2. [`kernels`] — the operation library: matrix multiplication (portable
-//!    naive and BLAS-like blocked multi-threaded kernels), the fused
+//! 2. [`kernels`] — the operation library: matrix multiplication (one
+//!    cache-blocked multi-threaded dense loop), the fused
 //!    transpose-self product `tsmm` (`t(X) %*% X`), element-wise ops with
 //!    broadcasting, aggregations, reorg ops, solvers, indexing, and
 //!    generators.

@@ -77,17 +77,17 @@ property! {
         (rows, cols) in (g.int(0usize..=300), g.int(0usize..=13)),
         sparsity in g.pick(&[1.0, 0.3, 0.05]),
         (seed, mask) in (g.seed(), g.seed()),
-        (blas, dense) in (g.bool(), g.bool()),
+        dense in g.bool(),
     ) {
         let x = matrix(rows, cols, sparsity, seed, dense);
         let v = vector(cols, seed ^ 0x5a5a, mask);
         let vm = Matrix::from_vec(cols, 1, v.clone()).unwrap();
-        let one = matmult::matmul(&x, &vm, 1, blas).unwrap();
+        let one = matmult::matmul(&x, &vm, 1).unwrap();
         assert_eq!(one.shape(), (rows, 1));
         let one = one.to_vec();
         assert!(close(&one, &reference_mv(&x, &v)), "x {rows}x{cols} sp={sparsity}");
         for threads in [2usize, 4] {
-            let got = matmult::matmul(&x, &vm, threads, blas).unwrap().to_vec();
+            let got = matmult::matmul(&x, &vm, threads).unwrap().to_vec();
             assert_eq!(bits(&got), bits(&one), "threads={threads}");
         }
     }

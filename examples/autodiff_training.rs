@@ -43,7 +43,7 @@ fn main() -> sysds::Result<()> {
     }
 
     // Compare against the closed-form normal-equations solution.
-    let gram = tsmm::tsmm(&x, 1, false);
+    let gram = tsmm::tsmm(&x, 1, true);
     let rhs = tsmm::tmv(&x, &y, 1)?;
     let exact = solve::solve(&gram, &rhs)?;
     let max_diff = (0..5)

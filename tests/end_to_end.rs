@@ -72,7 +72,7 @@ fn lm_dispatches_by_width() {
             &["B"],
         )
         .unwrap();
-    let yhat = matmult::matmul(&x, &out.matrix("B").unwrap(), 1, false).unwrap();
+    let yhat = matmult::matmul(&x, &out.matrix("B").unwrap(), 1).unwrap();
     assert!(yhat.approx_eq(&y, 1e-6));
 }
 
@@ -267,6 +267,74 @@ fn read_write_round_trip_with_metadata() {
     let script_r = format!(r#"Y = read("{}")"#, path.display());
     let out = s.execute(&script_r, &[], &["Y"]).unwrap();
     assert!(out.matrix("Y").unwrap().approx_eq(&x, 1e-12));
+}
+
+#[test]
+fn write_ends_its_basic_block() {
+    let f = sysds_common::testing::unique_temp_dir("sysds-e2e-tests").join("f.csv");
+    let script = format!(
+        r#"
+        A = matrix(1, rows=3, cols=2)
+        B = matrix(2, rows=3, cols=2)
+        write(A, "{f}")
+        X = read("{f}")
+        write(B, "{f}")
+        Y = read("{f}")
+        s = sum(t(Y) %*% Y)
+        "#,
+        f = f.display()
+    );
+    std::fs::create_dir_all(f.parent().unwrap()).unwrap();
+    let out = session().execute(&script, &[], &["s"]).unwrap();
+    assert_eq!(out.f64("s").unwrap(), 48.0);
+}
+
+#[test]
+fn read_and_write_share_one_format_table() {
+    let dir = sysds_common::testing::unique_temp_dir("sysds-e2e-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let x = gen::rand_uniform(12, 5, -1.0, 1.0, 0.4, 613).compact();
+    let mut s = session();
+    for format in ["csv", "tsv", "binary", "mm", "matrixmarket"] {
+        let p = dir.join(format!("x.{format}"));
+        let script = format!(
+            r#"
+            write(X, "{p}", format="{format}")
+            Y = read("{p}", format="{format}")
+            "#,
+            p = p.display()
+        );
+        let out = s
+            .execute(&script, &[("X", Data::from_matrix(x.clone()))], &["Y"])
+            .unwrap_or_else(|e| panic!("{format}: {e}"));
+        assert!(out.matrix("Y").unwrap().approx_eq(&x, 1e-12), "{format}");
+    }
+    let tsv = std::fs::read_to_string(dir.join("x.tsv")).unwrap();
+    assert!(tsv.contains('\t') && !tsv.contains(','), "{tsv}");
+    let mm = std::fs::read_to_string(dir.join("x.mm")).unwrap();
+    assert!(mm.starts_with("%%MatrixMarket"), "{mm}");
+
+    let p = dir.join("x.parquet");
+    let unknown = [
+        format!(r#"write(X, "{}", format="parquet")"#, p.display()),
+        format!(
+            r#"Y = read("{}", format="parquet")"#,
+            dir.join("x.csv").display()
+        ),
+    ];
+    for script in unknown {
+        let err = s
+            .execute(&script, &[("X", Data::from_matrix(x.clone()))], &[])
+            .unwrap_err();
+        assert!(err.to_string().contains("parquet"), "{err}");
+    }
+    assert!(!p.exists());
+
+    let frame = format!(
+        r#"F = read("{}", data_type="frame", format="binary")"#,
+        dir.join("x.binary").display()
+    );
+    assert!(s.execute(&frame, &[], &[]).is_err());
 }
 
 #[test]

@@ -199,7 +199,7 @@ fn prepared_script_for_low_latency_scoring() {
                 ("B", Data::from_matrix(b.clone())),
             ])
             .unwrap();
-        let expect = sysds_tensor::kernels::matmult::matmul(&x, &b, 1, false).unwrap();
+        let expect = sysds_tensor::kernels::matmult::matmul(&x, &b, 1).unwrap();
         assert!(out.matrix("yhat").unwrap().approx_eq(&expect, 1e-12));
     }
 }

@@ -297,3 +297,53 @@ fn paramserv_output_gets_a_leaf_of_its_own() {
     assert!(first.starts_with("paramserv#"), "{first}");
     assert_ne!(first, second);
 }
+
+/// A fresh directory for files a script reads and writes.
+fn io_dir() -> std::path::PathBuf {
+    let dir = sysds_common::testing::unique_temp_dir("sysds-reuse-io");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn read_lineage_changes_when_the_file_is_rewritten() {
+    let g = io_dir().join("g.csv");
+    let script = format!(
+        r#"
+        write(matrix(1, rows=1200, cols=10), "{g}")
+        X = read("{g}")
+        s1 = sum(t(X) %*% X)
+        if (sum(X) > 0) {{
+            write(2 * X, "{g}")
+        }}
+        Y = read("{g}")
+        s2 = sum(t(Y) %*% Y)
+        "#,
+        g = g.display()
+    );
+    let mut s = session(ReusePolicy::FullAndPartial);
+    let out = s.execute(&script, &[], &["s1", "s2"]).unwrap();
+    assert_eq!(out.f64("s1").unwrap(), 120000.0);
+    assert_eq!(out.f64("s2").unwrap(), 480000.0);
+}
+
+#[test]
+fn read_with_and_without_header_does_not_hit() {
+    let f = io_dir().join("h.csv");
+    std::fs::write(&f, "1,2\n3,4\n5,6\n").unwrap();
+    let script = format!(
+        r#"
+        X = read("{f}")
+        a = sum(t(X) %*% X)
+        Y = read("{f}", header=TRUE)
+        b = sum(t(Y) %*% Y)
+        "#,
+        f = f.display()
+    );
+    let mut s = session(ReusePolicy::FullAndPartial);
+    let out = s.execute(&script, &[], &["a", "b"]).unwrap();
+    // t(X)X = [[35, 44], [44, 56]]; without the first row [[34, 42], [42, 52]].
+    assert_eq!(out.f64("a").unwrap(), 179.0);
+    assert_eq!(out.f64("b").unwrap(), 170.0);
+    assert_eq!(s.cache_stats().hits, 0);
+}
