@@ -8,51 +8,42 @@
 //!
 //! The registry covers the paper's running example (`steplm` → `lm` →
 //! `lmDS`/`lmCG`, Figure 2) plus lifecycle builtins for scaling,
-//! normalization, PCA, k-means, and L2-SVM.
+//! normalization, PCA, k-means, and L2-SVM. Builtins with a native kernel
+//! are rows of the [`runtime`] table instead.
+
+pub mod runtime;
 
 use crate::parser::{parse_program, Program};
 use sysds_common::Result;
 
+/// Every registered DML-bodied builtin with its source, in registration
+/// order.
+pub const SOURCES: &[(&str, &str)] = &[
+    // ---- the paper's Figure 2 stack ------------------------------------
+    ("lmDS", LM_DS),
+    ("lmCG", LM_CG),
+    ("lm", LM),
+    ("steplm", STEPLM),
+    ("lmPredict", LM_PREDICT),
+    // ---- lifecycle builtins --------------------------------------------
+    ("scale", SCALE),
+    ("normalize", NORMALIZE),
+    ("pca", PCA),
+    ("l2svm", L2SVM),
+    ("kmeans", KMEANS),
+    ("mse", MSE),
+    ("cvLM", CV_LM),
+    ("gridSearchLM", GRID_SEARCH_LM),
+    ("logisticReg", LOGISTIC_REG),
+];
+
 /// DML source of a builtin, or `None` if unknown.
 pub fn builtin_source(name: &str) -> Option<&'static str> {
-    Some(match name {
-        // ---- the paper's Figure 2 stack --------------------------------
-        "lmDS" => LM_DS,
-        "lmCG" => LM_CG,
-        "lm" => LM,
-        "steplm" => STEPLM,
-        "lmPredict" => LM_PREDICT,
-        // ---- lifecycle builtins ----------------------------------------
-        "scale" => SCALE,
-        "normalize" => NORMALIZE,
-        "pca" => PCA,
-        "l2svm" => L2SVM,
-        "kmeans" => KMEANS,
-        "mse" => MSE,
-        "cvLM" => CV_LM,
-        "gridSearchLM" => GRID_SEARCH_LM,
-        "logisticReg" => LOGISTIC_REG,
-        _ => return None,
-    })
+    SOURCES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, src)| *src)
 }
-
-/// Every registered DML-bodied builtin, in registration order.
-pub const ALL_NAMES: &[&str] = &[
-    "lmDS",
-    "lmCG",
-    "lm",
-    "steplm",
-    "lmPredict",
-    "scale",
-    "normalize",
-    "pca",
-    "l2svm",
-    "kmeans",
-    "mse",
-    "cvLM",
-    "gridSearchLM",
-    "logisticReg",
-];
 
 /// Builtins the conformance fuzzer may call on arbitrary generated inputs.
 ///
@@ -74,10 +65,10 @@ pub fn resolve(name: &str) -> Option<Program> {
 
 /// Parse-check every registered builtin (used by tests).
 pub fn check_all() -> Result<usize> {
-    for n in ALL_NAMES {
-        parse_program(builtin_source(n).unwrap())?;
+    for (_, src) in SOURCES {
+        parse_program(src)?;
     }
-    Ok(ALL_NAMES.len())
+    Ok(SOURCES.len())
 }
 
 /// Direct-solve linear regression (paper Figure 2, `m_lmDS`): solves the

@@ -7,6 +7,7 @@
 //! annotates every node with dimensions and sparsity for memory estimates,
 //! size-dependent rewrites and fusion.
 
+use crate::builtins::runtime::{Builtin, Effect};
 use std::sync::Arc;
 use sysds_common::hash::FxHashMap;
 use sysds_common::{ScalarValue, ValueType};
@@ -50,10 +51,10 @@ pub enum HopOp {
     Index,
     /// Left indexing; inputs: `target, value, row_lo, row_hi, col_lo, col_hi`.
     LeftIndex,
-    /// A named runtime builtin with positional inputs (`rand`, `cbind`,
-    /// `solve`, `nrow`, `print`, ...). Named arguments are resolved to
-    /// positions during construction.
-    Nary(&'static str),
+    /// A runtime builtin with positional inputs (`rand`, `cbind`, `solve`,
+    /// `nrow`, `print`, ...), by its row of the builtin table. Named
+    /// arguments are resolved to positions during construction.
+    Nary(&'static Builtin),
 }
 
 impl HopOp {
@@ -75,7 +76,7 @@ impl HopOp {
             HopOp::Fused(t) => format!("fused:{}", t.signature()),
             HopOp::Index => "rightIndex".to_string(),
             HopOp::LeftIndex => "leftIndex".to_string(),
-            HopOp::Nary(n) => (*n).to_string(),
+            HopOp::Nary(b) => b.name.to_string(),
         }
     }
 }
@@ -131,9 +132,14 @@ impl SizeInfo {
 
     /// A matrix with known dims.
     pub fn matrix(rows: usize, cols: usize, sparsity: Option<f64>) -> SizeInfo {
+        SizeInfo::dims(Dim::Known(rows), Dim::Known(cols), sparsity)
+    }
+
+    /// A matrix with dims that may be unknown.
+    pub fn dims(rows: Dim, cols: Dim, sparsity: Option<f64>) -> SizeInfo {
         SizeInfo {
-            rows: Dim::Known(rows),
-            cols: Dim::Known(cols),
+            rows,
+            cols,
             sparsity,
             scalar: false,
         }
@@ -168,21 +174,9 @@ pub struct Hop {
 #[derive(Debug, Clone, Default)]
 pub struct HopDag {
     nodes: Vec<Hop>,
-    /// CSE table: (opcode, inputs) → node id. `Var` and effectful `Nary`
-    /// ops are excluded (see [`HopDag::add`]).
+    /// CSE table: (opcode, inputs) → node id. Builtins with effects are
+    /// excluded (see [`HopDag::add`]).
     cse: FxHashMap<(String, Vec<HopId>), HopId>,
-}
-
-/// Builtins with side effects (never CSE'd, never dead-code eliminated).
-pub fn is_effectful(name: &str) -> bool {
-    matches!(name, "print" | "write" | "stop")
-}
-
-/// Builtins whose result may differ between two runs on equal inputs;
-/// excluded from CSE. `paramserv` in ASP mode depends on thread timing.
-/// (`rand` without a seed is handled in [`HopDag::add`].)
-pub fn is_nondeterministic(name: &str) -> bool {
-    matches!(name, "paramserv")
 }
 
 impl HopDag {
@@ -216,16 +210,19 @@ impl HopDag {
         &self.nodes
     }
 
-    /// Add a node with hash-consing. Effectful and non-deterministic ops
-    /// always get fresh nodes; `rand` is merged only when its seed input
+    /// Add a node with hash-consing. A builtin with an effect always gets
+    /// a fresh node, except that a seeded one is merged when its seed input
     /// is a literal ≥ 0 (an unseeded call draws a fresh seed at runtime).
     pub fn add(&mut self, op: HopOp, inputs: Vec<HopId>) -> HopId {
         let skip_cse = match &op {
-            HopOp::Nary("rand") => inputs
-                .get(5)
-                .and_then(|&seed| self.as_lit(seed)?.as_i64().ok())
-                .is_none_or(|seed| seed < 0),
-            HopOp::Nary(n) => is_effectful(n) || is_nondeterministic(n),
+            HopOp::Nary(b) => match b.effect {
+                Effect::Pure => false,
+                Effect::Seeded(k) => inputs
+                    .get(k)
+                    .and_then(|&seed| self.as_lit(seed)?.as_i64().ok())
+                    .is_none_or(|seed| seed < 0),
+                Effect::Nondeterministic | Effect::Output | Effect::Write => true,
+            },
             _ => false,
         };
         let key = (op.opcode(), inputs.clone());
@@ -308,8 +305,9 @@ mod tests {
     fn effectful_ops_not_consed() {
         let mut dag = HopDag::new();
         let s = dag.lit(ScalarValue::Str("hi".into()));
-        let p1 = dag.add(HopOp::Nary("print"), vec![s]);
-        let p2 = dag.add(HopOp::Nary("print"), vec![s]);
+        let print = crate::builtins::runtime::lookup("print").unwrap();
+        let p1 = dag.add(HopOp::Nary(print), vec![s]);
+        let p2 = dag.add(HopOp::Nary(print), vec![s]);
         assert_ne!(p1, p2);
     }
 

@@ -386,7 +386,9 @@ mod tests {
             .instrs
             .iter()
             .enumerate()
-            .filter(|(_, i)| i.op == HopOp::Nary("print"))
+            .filter(|(_, i)| {
+                i.op == HopOp::Nary(crate::builtins::runtime::lookup("print").unwrap())
+            })
             .map(|(k, _)| k)
             .collect();
         assert_eq!(prints.len(), 2);

@@ -20,6 +20,7 @@ pub mod lower;
 pub mod rewrites;
 pub mod size;
 
+use crate::builtins::runtime::{self, Builtin, Effect, Outputs, ParamDefault};
 use crate::parser::ast::*;
 use hop::{HopDag, HopId, HopOp};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -664,14 +665,9 @@ fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
         match s {
             Stmt::Assign { target, value } => {
                 if let Expr::Call { name, args } = value {
-                    if is_multi_output_builtin(name) {
-                        builder.builtin_block(
-                            name,
-                            args,
-                            std::slice::from_ref(target),
-                            ctx,
-                            &mut blocks,
-                        )?;
+                    if let Some((builtin, outputs)) = whole_rhs(name) {
+                        let targets = std::slice::from_ref(target);
+                        builder.builtin_block(builtin, outputs, args, targets, ctx, &mut blocks)?;
                         continue;
                     }
                     if ctx.defs.contains_key(name) {
@@ -687,8 +683,8 @@ fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
                 let Expr::Call { name, args } = value else {
                     return Err(SysDsError::compile("multi-assignment requires a call"));
                 };
-                if is_multi_output_builtin(name) {
-                    builder.builtin_block(name, args, targets, ctx, &mut blocks)?;
+                if let Some((builtin, outputs)) = whole_rhs(name) {
+                    builder.builtin_block(builtin, outputs, args, targets, ctx, &mut blocks)?;
                 } else if ctx.defs.contains_key(name) {
                     builder.flush(&mut blocks);
                     blocks.push(compile_call(ctx, name, args, targets.clone())?);
@@ -717,7 +713,8 @@ fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
                 }
                 // A `write` gets a basic block of its own, so CSE cannot
                 // merge a `read` of the file across it.
-                let barrier = matches!(e, Expr::Call { name, .. } if name == "write");
+                let barrier = matches!(e, Expr::Call { name, .. }
+                    if runtime::lookup(name).is_some_and(|b| b.effect == Effect::Write));
                 if barrier {
                     builder.flush(&mut blocks);
                 }
@@ -916,7 +913,8 @@ impl DagBuilder {
             Expr::Seq(a, b) => {
                 let (f, t) = (self.expr(a, ctx)?, self.expr(b, ctx)?);
                 let one = self.dag.lit(ScalarValue::I64(1));
-                self.dag.add(HopOp::Nary("seq"), vec![f, t, one])
+                let seq = runtime::lookup("seq").expect("seq is a runtime builtin");
+                self.dag.add(HopOp::Nary(seq), vec![f, t, one])
             }
             Expr::Index { target, rows, cols } => {
                 let t = self.expr(target, ctx)?;
@@ -939,11 +937,9 @@ impl DagBuilder {
         Ok(match ix {
             IndexExpr::All => {
                 let one = self.dag.lit(ScalarValue::I64(1));
-                let dim = self.dag.add(
-                    HopOp::Nary(if is_rows { "nrow" } else { "ncol" }),
-                    vec![target],
-                );
-                (one, dim)
+                let dim = runtime::lookup(if is_rows { "nrow" } else { "ncol" });
+                let dim = dim.expect("nrow and ncol are runtime builtins");
+                (one, self.dag.add(HopOp::Nary(dim), vec![target]))
             }
             IndexExpr::Single(e) => {
                 let id = self.expr(e, ctx)?;
@@ -1000,6 +996,9 @@ impl DagBuilder {
             };
             return Ok(self.dag.add(HopOp::Binary(op), vec![l, r]));
         }
+        let Some(builtin) = runtime::lookup(name) else {
+            return Err(SysDsError::compile(format!("unknown function '{name}'")));
+        };
         // print with multiple args concatenates.
         if name == "print" && args.len() > 1 {
             let mut acc = self.expr(&args[0].value, ctx)?;
@@ -1009,81 +1008,53 @@ impl DagBuilder {
                 acc = self.dag.add(HopOp::Binary(BinaryOp::Add), vec![acc, sep]);
                 acc = self.dag.add(HopOp::Binary(BinaryOp::Add), vec![acc, v]);
             }
-            return Ok(self.dag.add(HopOp::Nary("print"), vec![acc]));
+            return Ok(self.dag.add(HopOp::Nary(builtin), vec![acc]));
         }
-        if is_multi_output_builtin(name) {
+        if builtin.whole_rhs.is_some() {
             return Err(SysDsError::compile(format!(
                 "'{name}' must be the whole right-hand side of an assignment"
             )));
         }
-        let (opcode, inputs) = self.builtin_inputs(name, args, ctx)?;
-        Ok(self.dag.add(HopOp::Nary(opcode), inputs))
+        let inputs = self.builtin_inputs(builtin, args, ctx)?;
+        Ok(self.dag.add(HopOp::Nary(builtin), inputs))
     }
 
     /// Bind a runtime builtin's arguments to the positions of its
-    /// [`builtin_signature`] and compile them; a [`ParamDefault::Runtime`]
-    /// parameter left unbound is left out. Returns the opcode and inputs.
-    fn builtin_inputs(
-        &mut self,
-        name: &str,
-        args: &[Arg],
-        ctx: &Ctx,
-    ) -> Result<(&'static str, Vec<HopId>)> {
-        let Some(sig) = builtin_signature(name) else {
-            return Err(SysDsError::compile(format!("unknown function '{name}'")));
-        };
+    /// parameters and compile them; a [`ParamDefault::Runtime`] parameter
+    /// left unbound is left out.
+    fn builtin_inputs(&mut self, builtin: &Builtin, args: &[Arg], ctx: &Ctx) -> Result<Vec<HopId>> {
         let exprs = bind_params(
-            name,
-            &sig.params,
+            builtin.name,
+            builtin.params,
             |p| p.0,
             args.iter()
                 .map(|a| (a.name.as_deref(), Some(a.value.clone()))),
-            |p| match &p.1 {
+            |p| match p.1 {
                 ParamDefault::Required => None,
-                ParamDefault::Value(v) => Some(Some(Expr::Const(v.clone()))),
-                ParamDefault::Runtime => Some(None),
+                default => Some(default.value().map(Expr::Const)),
             },
         )
         .map_err(SysDsError::compile)?;
         let inputs = exprs.iter().flatten().map(|e| self.expr(e, ctx));
-        Ok((sig.opcode, inputs.collect::<Result<_>>()?))
+        inputs.collect()
     }
 
-    /// Compile `[targets] = name(args)` for an [`is_multi_output_builtin`]
-    /// into a basic block of its own, one node per output:
-    /// `transformencode` fits the metadata frame and applies it
-    /// (`transformapply(F, meta)`), and `eigen` decomposes once into
-    /// `cbind(values, vectors)`, split by two right indexes.
+    /// Compile `[targets] = builtin(args)` into a basic block of its own,
+    /// with the nodes `outputs` adds for the targets.
     fn builtin_block(
         &mut self,
-        name: &str,
+        builtin: &'static Builtin,
+        outputs: Outputs,
         args: &[Arg],
         targets: &[String],
         ctx: &Ctx,
         blocks: &mut Vec<Block>,
     ) -> Result<()> {
         self.flush(blocks);
-        let (opcode, inputs) = self.builtin_inputs(name, args, ctx)?;
-        let outputs = match name {
-            "transformencode" => {
-                let meta = self.dag.add(HopOp::Nary(opcode), inputs.clone());
-                let x = self
-                    .dag
-                    .add(HopOp::Nary("transformapply"), vec![inputs[0], meta]);
-                vec![x, meta]
-            }
-            "eigen" => {
-                let e = self.dag.add(HopOp::Nary(opcode), inputs);
-                let one = self.dag.lit(ScalarValue::I64(1));
-                let two = self.dag.lit(ScalarValue::I64(2));
-                let n = self.dag.add(HopOp::Nary("nrow"), vec![e]);
-                let n1 = self.dag.add(HopOp::Nary("ncol"), vec![e]);
-                let values = self.dag.add(HopOp::Index, vec![e, one, n, one, one]);
-                let vectors = self.dag.add(HopOp::Index, vec![e, one, n, two, n1]);
-                vec![values, vectors]
-            }
-            _ => vec![self.dag.add(HopOp::Nary(opcode), inputs)],
-        };
+        let inputs = self.builtin_inputs(builtin, args, ctx)?;
+        let call = self.dag.add(HopOp::Nary(builtin), inputs);
+        let outputs = outputs(&mut self.dag, call);
+        let name = builtin.name;
         if targets.len() > outputs.len() {
             return Err(SysDsError::compile(format!(
                 "'{name}' returns {} values, {} requested",
@@ -1146,120 +1117,19 @@ fn agg_builtin(name: &str) -> Option<(AggFn, Direction)> {
     })
 }
 
-/// Signature of a runtime builtin: canonical parameter order and defaults.
-pub struct BuiltinSig {
-    pub opcode: &'static str,
-    pub params: Vec<(&'static str, ParamDefault)>,
-}
-
-/// What a builtin parameter takes when its argument is omitted.
-#[derive(Debug, Clone)]
-pub enum ParamDefault {
-    /// Nothing: the argument is required.
-    Required,
-    /// This constant.
-    Value(ScalarValue),
-    /// A value the runtime picks; the node leaves the input out. Only
-    /// trailing parameters use it.
-    Runtime,
-}
-
-impl From<Option<ScalarValue>> for ParamDefault {
-    fn from(default: Option<ScalarValue>) -> ParamDefault {
-        default.map_or(ParamDefault::Required, ParamDefault::Value)
-    }
-}
-
-macro_rules! sig {
-    ($op:expr; $(($n:expr, $d:expr)),* $(,)?) => {
-        BuiltinSig { opcode: $op, params: vec![$(($n, ParamDefault::from($d))),*] }
-    };
-}
-
-/// Look up a builtin's signature by surface name.
-pub fn builtin_signature(name: &str) -> Option<&'static BuiltinSig> {
-    use ScalarValue::*;
-    // Each arm hands out a &'static BuiltinSig backed by a OnceLock.
-    macro_rules! entry {
-        ($sig:expr) => {{
-            static SIG: std::sync::OnceLock<BuiltinSig> = std::sync::OnceLock::new();
-            Some(SIG.get_or_init(|| $sig))
-        }};
-    }
-    match name {
-        "rand" => entry!(sig!("rand";
-            ("rows", None), ("cols", None), ("min", Some(F64(0.0))), ("max", Some(F64(1.0))),
-            ("sparsity", Some(F64(1.0))), ("seed", Some(I64(-1))), ("pdf", Some(Str("uniform".into()))))),
-        "matrix" => entry!(sig!("matrix"; ("data", None), ("rows", None), ("cols", None))),
-        "seq" => entry!(sig!("seq"; ("from", None), ("to", None), ("incr", Some(I64(1))))),
-        "solve" => entry!(sig!("solve"; ("a", None), ("b", None))),
-        "inv" => entry!(sig!("inv"; ("x", None))),
-        "cholesky" => entry!(sig!("cholesky"; ("x", None))),
-        "det" => entry!(sig!("det"; ("x", None))),
-        "diag" => entry!(sig!("diag"; ("x", None))),
-        "trace" => entry!(sig!("trace"; ("x", None))),
-        "nrow" => entry!(sig!("nrow"; ("x", None))),
-        "ncol" => entry!(sig!("ncol"; ("x", None))),
-        "length" => entry!(sig!("length"; ("x", None))),
-        "nnz" => entry!(sig!("nnz"; ("x", None))),
-        "cbind" => entry!(sig!("cbind"; ("a", None), ("b", None))),
-        "rbind" => entry!(sig!("rbind"; ("a", None), ("b", None))),
-        "cumsum" => entry!(sig!("cumsum"; ("x", None))),
-        "cumprod" => entry!(sig!("cumprod"; ("x", None))),
-        "rev" => entry!(sig!("rev"; ("x", None))),
-        "rowIndexMax" => entry!(sig!("rowIndexMax"; ("x", None))),
-        "quantile" => entry!(sig!("quantile"; ("x", None), ("p", None))),
-        "median" => entry!(sig!("median"; ("x", None))),
-        "table" => entry!(sig!("table"; ("a", None), ("b", None))),
-        "outer" => entry!(sig!("outer"; ("a", None), ("b", None), ("op", Some(Str("*".into()))))),
-        "order" => entry!(sig!("order";
-            ("target", None), ("by", Some(I64(1))), ("decreasing", Some(Bool(false))),
-            ("index.return", Some(Bool(false))))),
-        "removeEmpty" => entry!(sig!("removeEmpty";
-            ("target", None), ("margin", Some(Str("rows".into()))))),
-        "replace" => entry!(sig!("replace";
-            ("target", None), ("pattern", None), ("replacement", None))),
-        "ifelse" => entry!(sig!("ifelse"; ("test", None), ("yes", None), ("no", None))),
-        "as.scalar" => entry!(sig!("as.scalar"; ("x", None))),
-        "as.matrix" => entry!(sig!("as.matrix"; ("x", None))),
-        "as.integer" => entry!(sig!("as.integer"; ("x", None))),
-        "as.double" => entry!(sig!("as.double"; ("x", None))),
-        "as.logical" => entry!(sig!("as.logical"; ("x", None))),
-        "toString" => entry!(sig!("toString"; ("x", None))),
-        "print" => entry!(sig!("print"; ("x", None))),
-        "stop" => entry!(sig!("stop"; ("x", None))),
-        "read" => entry!(sig!("read";
-            ("file", None), ("format", Some(Str("csv".into()))),
-            ("data_type", Some(Str("matrix".into()))), ("header", Some(Bool(false))))),
-        "write" => entry!(sig!("write";
-            ("x", None), ("file", None), ("format", Some(Str("csv".into()))))),
-        // Whole right-hand sides (see `is_multi_output_builtin`).
-        "transformencode" => entry!(sig!("transformencode"; ("target", None), ("spec", None))),
-        "transformapply" => entry!(sig!("transformapply"; ("target", None), ("meta", None))),
-        "paramserv" => entry!(sig!("paramserv";
-            ("X", None), ("y", None), ("epochs", Some(I64(20))), ("batchsize", Some(I64(32))),
-            ("lr", Some(F64(0.1))), ("mode", Some(Str("BSP".into()))),
-            ("workers", ParamDefault::Runtime))),
-        "eigen" => entry!(sig!("eigen"; ("target", None))),
-        _ => None,
-    }
-}
-
 /// Whether a name is a runtime builtin, executed as a DAG instruction.
 pub fn is_runtime_builtin(name: &str) -> bool {
-    builtin_signature(name).is_some()
+    runtime::lookup(name).is_some()
         || unary_builtin(name).is_some()
         || agg_builtin(name).is_some()
         || matches!(name, "t" | "min" | "max")
 }
 
-/// Runtime builtins that must be the whole right-hand side of an
-/// assignment; each such statement compiles into a basic block of its own.
-pub fn is_multi_output_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "transformencode" | "transformapply" | "paramserv" | "eigen"
-    )
+/// The row and output split of a builtin that must be the whole
+/// right-hand side of an assignment.
+fn whole_rhs(name: &str) -> Option<(&'static Builtin, Outputs)> {
+    let builtin = runtime::lookup(name)?;
+    Some((builtin, builtin.whole_rhs?))
 }
 
 #[cfg(test)]
@@ -1382,7 +1252,7 @@ mod tests {
             .dag
             .nodes()
             .iter()
-            .find(|n| n.op == HopOp::Nary("rand"))
+            .find(|n| n.op == HopOp::Nary(runtime::lookup("rand").unwrap()))
             .unwrap();
         // canonical order: rows, cols, min, max, sparsity, seed, pdf
         assert_eq!(bb.dag.as_lit(rand.inputs[0]), Some(&ScalarValue::I64(5)));
@@ -1517,7 +1387,8 @@ mod tests {
                 panic!()
             };
             let nodes = bb.dag.nodes().iter();
-            nodes.filter(|n| n.op == HopOp::Nary("rand")).count()
+            let rand = HopOp::Nary(runtime::lookup("rand").unwrap());
+            nodes.filter(|n| n.op == rand).count()
         };
         assert_eq!(
             rands("A = rand(rows=3, cols=3)\nB = rand(rows=3, cols=3)"),

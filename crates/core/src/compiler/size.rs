@@ -29,7 +29,8 @@ pub fn propagate(dag: &mut HopDag, env: &SizeEnv, roots: &[HopId]) -> bool {
     any_unknown
 }
 
-fn lit_usize(dag: &HopDag, id: HopId) -> Option<usize> {
+/// A literal node's value as a dimension.
+pub(crate) fn lit_usize(dag: &HopDag, id: HopId) -> Option<usize> {
     match dag.as_lit(id)? {
         ScalarValue::I64(v) if *v >= 0 => Some(*v as usize),
         ScalarValue::F64(v) if *v >= 0.0 => Some(*v as usize),
@@ -77,56 +78,26 @@ fn infer(dag: &HopDag, id: HopId, env: &SizeEnv) -> SizeInfo {
         }
         HopOp::MatMul => {
             let (l, r) = (input(0), input(1));
-            SizeInfo {
-                rows: l.rows,
-                cols: r.cols,
-                sparsity: None,
-                scalar: false,
-            }
+            SizeInfo::dims(l.rows, r.cols, None)
         }
         HopOp::Tsmm => {
             let s = input(0);
-            SizeInfo {
-                rows: s.cols,
-                cols: s.cols,
-                sparsity: None,
-                scalar: false,
-            }
+            SizeInfo::dims(s.cols, s.cols, None)
         }
         HopOp::Tmv | HopOp::MmChain => {
             let s = input(0);
-            SizeInfo {
-                rows: s.cols,
-                cols: Dim::Known(1),
-                sparsity: None,
-                scalar: false,
-            }
+            SizeInfo::dims(s.cols, Dim::Known(1), None)
         }
         HopOp::Transpose => {
             let s = input(0);
-            SizeInfo {
-                rows: s.cols,
-                cols: s.rows,
-                sparsity: s.sparsity,
-                scalar: false,
-            }
+            SizeInfo::dims(s.cols, s.rows, s.sparsity)
         }
         HopOp::Agg(_, dir) => {
             let s = input(0);
             match dir {
                 Direction::Full => SizeInfo::scalar(),
-                Direction::Row => SizeInfo {
-                    rows: s.rows,
-                    cols: Dim::Known(1),
-                    sparsity: Some(1.0),
-                    scalar: false,
-                },
-                Direction::Col => SizeInfo {
-                    rows: Dim::Known(1),
-                    cols: s.cols,
-                    sparsity: Some(1.0),
-                    scalar: false,
-                },
+                Direction::Row => SizeInfo::dims(s.rows, Dim::Known(1), Some(1.0)),
+                Direction::Col => SizeInfo::dims(Dim::Known(1), s.cols, Some(1.0)),
             }
         }
         HopOp::Fused(t) => {
@@ -145,18 +116,8 @@ fn infer(dag: &HopDag, id: HopId, env: &SizeEnv) -> SizeInfo {
                     ..base
                 },
                 Some((_, Direction::Full)) => SizeInfo::scalar(),
-                Some((_, Direction::Row)) => SizeInfo {
-                    rows: base.rows,
-                    cols: Dim::Known(1),
-                    sparsity: Some(1.0),
-                    scalar: false,
-                },
-                Some((_, Direction::Col)) => SizeInfo {
-                    rows: Dim::Known(1),
-                    cols: base.cols,
-                    sparsity: Some(1.0),
-                    scalar: false,
-                },
+                Some((_, Direction::Row)) => SizeInfo::dims(base.rows, Dim::Known(1), Some(1.0)),
+                Some((_, Direction::Col)) => SizeInfo::dims(Dim::Known(1), base.cols, Some(1.0)),
             }
         }
         HopOp::Index => {
@@ -182,155 +143,14 @@ fn infer(dag: &HopDag, id: HopId, env: &SizeEnv) -> SizeInfo {
             }
         }
         HopOp::LeftIndex => input(0),
-        HopOp::Nary(name) => infer_nary(dag, id, name),
-    }
-}
-
-fn infer_nary(dag: &HopDag, id: HopId, name: &str) -> SizeInfo {
-    let node = dag.node(id);
-    let input = |k: usize| dag.node(node.inputs[k]).size;
-    match name {
-        "rand" => {
-            // rows, cols, min, max, sparsity, seed
-            let rows = node.inputs.first().and_then(|&i| lit_usize(dag, i));
-            let cols = node.inputs.get(1).and_then(|&i| lit_usize(dag, i));
-            let sparsity = node
-                .inputs
-                .get(4)
-                .and_then(|&i| dag.as_lit(i))
-                .and_then(|v| v.as_f64().ok());
-            SizeInfo {
-                rows: rows.map_or(Dim::Unknown, Dim::Known),
-                cols: cols.map_or(Dim::Unknown, Dim::Known),
-                sparsity,
-                scalar: false,
-            }
-        }
-        "matrix" => {
-            // data, rows, cols
-            let rows = node.inputs.get(1).and_then(|&i| lit_usize(dag, i));
-            let cols = node.inputs.get(2).and_then(|&i| lit_usize(dag, i));
-            SizeInfo {
-                rows: rows.map_or(Dim::Unknown, Dim::Known),
-                cols: cols.map_or(Dim::Unknown, Dim::Known),
-                sparsity: None,
-                scalar: false,
-            }
-        }
-        "seq" => {
-            let f = node.inputs.first().and_then(|&i| lit_usize(dag, i));
-            let t = node.inputs.get(1).and_then(|&i| lit_usize(dag, i));
-            let step = node
-                .inputs
-                .get(2)
-                .and_then(|&i| lit_usize(dag, i))
-                .unwrap_or(1);
-            let rows = match (f, t) {
-                (Some(a), Some(b)) if b >= a && step > 0 => Dim::Known((b - a) / step + 1),
-                _ => Dim::Unknown,
-            };
-            SizeInfo {
-                rows,
-                cols: Dim::Known(1),
-                sparsity: Some(1.0),
-                scalar: false,
-            }
-        }
-        "read" => {
-            // consult the .mtd sidecar when the path is a literal
-            if let Some(ScalarValue::Str(path)) = node.inputs.first().and_then(|&i| dag.as_lit(i)) {
-                if let Ok(Some(meta)) = sysds_io::Metadata::load(path) {
-                    return SizeInfo::matrix(meta.rows, meta.cols, Some(meta.sparsity()));
-                }
-            }
-            SizeInfo::unknown()
-        }
-        "cbind" => {
-            let (l, r) = (input(0), input(1));
-            let cols = match (l.cols.value(), r.cols.value()) {
-                (Some(a), Some(b)) => Dim::Known(a + b),
-                _ => Dim::Unknown,
-            };
-            SizeInfo {
-                rows: l.rows,
-                cols,
-                sparsity: None,
-                scalar: false,
-            }
-        }
-        "rbind" => {
-            let (l, r) = (input(0), input(1));
-            let rows = match (l.rows.value(), r.rows.value()) {
-                (Some(a), Some(b)) => Dim::Known(a + b),
-                _ => Dim::Unknown,
-            };
-            SizeInfo {
-                rows,
-                cols: l.cols,
-                sparsity: None,
-                scalar: false,
-            }
-        }
-        "solve" => {
-            let (a, b) = (input(0), input(1));
-            SizeInfo {
-                rows: a.cols,
-                cols: b.cols,
-                sparsity: Some(1.0),
-                scalar: false,
-            }
-        }
-        "inv" | "cholesky" => input(0),
-        "diag" => {
-            let s = input(0);
-            match s.cols.value() {
-                Some(1) => match s.rows.value() {
-                    Some(n) => {
-                        SizeInfo::matrix(n, n, s.rows.value().map(|n| 1.0 / n.max(1) as f64))
-                    }
-                    None => SizeInfo::unknown(),
-                },
-                Some(_) => SizeInfo {
-                    rows: s.rows,
-                    cols: Dim::Known(1),
-                    sparsity: Some(1.0),
-                    scalar: false,
-                },
-                None => SizeInfo::unknown(),
-            }
-        }
-        "nrow" | "ncol" | "length" | "det" | "trace" | "as.scalar" | "as.integer" | "as.double"
-        | "as.logical" | "nnz" => SizeInfo::scalar(),
-        "toString" => SizeInfo::scalar(),
-        "print" | "write" | "stop" => SizeInfo::scalar(),
-        "rowIndexMax" => {
-            let s = input(0);
-            SizeInfo {
-                rows: s.rows,
-                cols: Dim::Known(1),
-                sparsity: Some(1.0),
-                scalar: false,
-            }
-        }
-        "cumsum" | "cumprod" | "rev" | "replace" => input(0),
-        "order" => input(0),
-        "removeEmpty" => SizeInfo::unknown(), // data-dependent output size
-        "ifelse" => input(1),
-        "as.matrix" => {
-            let s = input(0);
-            if s.scalar {
-                SizeInfo::matrix(1, 1, Some(1.0))
-            } else {
-                s
-            }
-        }
-        _ => SizeInfo::unknown(),
+        HopOp::Nary(b) => b.size.infer(dag, &node.inputs),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtins::runtime::lookup;
     use sysds_tensor::kernels::BinaryOp;
 
     fn env_with(name: &str, rows: usize, cols: usize) -> SizeEnv {
@@ -385,7 +205,10 @@ mod tests {
         let mx = dag.lit(ScalarValue::F64(1.0));
         let sp = dag.lit(ScalarValue::F64(0.1));
         let seed = dag.lit(ScalarValue::I64(7));
-        let rand = dag.add(HopOp::Nary("rand"), vec![r, c, mn, mx, sp, seed]);
+        let rand = dag.add(
+            HopOp::Nary(lookup("rand").unwrap()),
+            vec![r, c, mn, mx, sp, seed],
+        );
         let unknown = propagate(&mut dag, &SizeEnv::default(), &[rand]);
         assert!(!unknown);
         let s = dag.node(rand).size;
@@ -408,7 +231,7 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let cb = dag.add(HopOp::Nary("cbind"), vec![x, y]);
+        let cb = dag.add(HopOp::Nary(lookup("cbind").unwrap()), vec![x, y]);
         let mut env = env_with("X", 10, 5);
         env.insert("Y".into(), SizeInfo::matrix(10, 2, Some(1.0)));
         propagate(&mut dag, &env, &[cb]);

@@ -21,7 +21,8 @@
 //!   intermediates (compensation plans over `cbind` as in `steplm`).
 //! * [`builtins`] — the registry of DML-bodied builtin functions (`lm`,
 //!   `lmDS`, `lmCG`, `steplm`, `pca`, `kmeans`, `l2svm`, `scale`, ...);
-//!   §2.2's "mechanism for registering DML-bodied built-in functions".
+//!   §2.2's "mechanism for registering DML-bodied built-in functions" —
+//!   and the table of runtime builtins, one row per native builtin.
 //! * [`api`] — the embedding APIs: [`api::SystemDS`] (an `MLContext`-like
 //!   session) and [`api::PreparedScript`] (a `JMLC`-like pre-compiled
 //!   script for low-latency repeated scoring).

@@ -3,6 +3,7 @@
 //! (§3.1). Every operator has one local kernel; federated operands push the
 //! operator to the sites instead.
 
+use crate::builtins::runtime::Effect;
 use crate::compiler::hop::HopOp;
 use crate::compiler::lower::Instr;
 use crate::lineage::{LineageCache, LineageItem};
@@ -14,8 +15,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sysds_common::sync::lock;
 use sysds_common::{EngineConfig, Result, ScalarValue, SysDsError};
-use sysds_frame::{TransformEncoder, TransformSpec};
-use sysds_io::Format;
 use sysds_tensor::kernels::fused::{FusedInput, FusedOutput, FusedTemplate, TemplateNode};
 use sysds_tensor::kernels::*;
 use sysds_tensor::Matrix;
@@ -31,10 +30,8 @@ pub struct ExecCtx {
     pub echo: bool,
     /// Per path, how many `write`s this session has run; part of the
     /// lineage of every `read` of that path.
-    file_gens: Mutex<HashMap<String, u64>>,
+    pub(crate) file_gens: Mutex<HashMap<String, u64>>,
 }
-
-static SEED_COUNTER: AtomicU64 = AtomicU64::new(0x5D5_0001);
 
 impl ExecCtx {
     /// Create a context from a configuration.
@@ -67,11 +64,11 @@ impl ExecCtx {
     }
 
     /// How many `write`s of `path` this session has run.
-    fn file_gen(&self, path: &str) -> u64 {
+    pub(crate) fn file_gen(&self, path: &str) -> u64 {
         lock(&self.file_gens).get(path).copied().unwrap_or(0)
     }
 
-    fn print(&self, line: String) {
+    pub(crate) fn print(&self, line: String) {
         if self.echo {
             println!("{line}");
         }
@@ -173,7 +170,7 @@ fn audit_output(instr: &Instr, data: &Data) {
     );
 }
 
-fn trace_enabled(ctx: &ExecCtx) -> bool {
+pub(crate) fn trace_enabled(ctx: &ExecCtx) -> bool {
     ctx.config.lineage
 }
 
@@ -201,7 +198,7 @@ pub(crate) fn data_leaf(data: &Data, name: &str) -> Arc<LineageItem> {
 }
 
 /// A lineage leaf no other value shares.
-fn fresh_leaf(kind: &str) -> Arc<LineageItem> {
+pub(crate) fn fresh_leaf(kind: &str) -> Arc<LineageItem> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     LineageItem::leaf(format!("{kind}#{}", NEXT.fetch_add(1, Ordering::Relaxed)))
 }
@@ -217,15 +214,11 @@ fn out_lineage(op: &HopOp, inputs: &[&Slot], extra: Option<String>) -> Option<Ar
 
 fn execute_op(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
     // 1. Compute output lineage and probe the reuse cache.
-    let mut lineage = if trace_enabled(ctx) {
-        // `rand` embeds its (possibly generated) seed below instead.
-        if matches!(op, HopOp::Nary("rand")) {
-            None
-        } else {
-            out_lineage(op, inputs, None)
-        }
-    } else {
-        None
+    let mut lineage = match op {
+        // The kernel names the result by the seed it drew.
+        HopOp::Nary(b) if matches!(b.effect, Effect::Seeded(_)) => None,
+        _ if trace_enabled(ctx) => out_lineage(op, inputs, None),
+        _ => None,
     };
     if let Some(lin) = &lineage {
         if cacheable(op) {
@@ -284,6 +277,9 @@ fn execute_op(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
 
 /// Deterministic, compute-heavy ops eligible for lineage caching.
 fn cacheable(op: &HopOp) -> bool {
+    if let HopOp::Nary(b) = op {
+        return b.reuse;
+    }
     matches!(
         op,
         HopOp::MatMul
@@ -295,16 +291,12 @@ fn cacheable(op: &HopOp) -> bool {
             | HopOp::Binary(_)
             | HopOp::Unary(_)
             | HopOp::Fused(_)
-            | HopOp::Nary("solve")
-            | HopOp::Nary("inv")
-            | HopOp::Nary("cholesky")
-            | HopOp::Nary("cbind")
-            | HopOp::Nary("rbind")
-            | HopOp::Nary("rand") // seeded rand is deterministic; seed is in the lineage
     )
 }
 
-type DispatchResult = Result<(Data, Option<Arc<LineageItem>>)>;
+/// An operator's output and, where it is not the operator's own, its
+/// lineage.
+pub(crate) type DispatchResult = Result<(Data, Option<Arc<LineageItem>>)>;
 
 fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
     let data = |k: usize| -> &Data { &inputs[k].data };
@@ -410,7 +402,7 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
             let (r, c) = to_ranges(&x, rl, rh, cl, ch)?;
             Ok((ctx.wrap_matrix(indexing::assign(&x, r, c, &v)?)?, None))
         }
-        HopOp::Nary(name) => nary_dispatch(name, inputs, ctx),
+        HopOp::Nary(b) => (b.kernel)(inputs, ctx),
         HopOp::Lit(_) | HopOp::Var(_) => unreachable!("handled by caller"),
     }
 }
@@ -612,375 +604,11 @@ fn fed_agg(
     }
 }
 
-fn nary_dispatch(name: &str, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
-    let data = |k: usize| -> &Data { &inputs[k].data };
-    match name {
-        "rand" => {
-            let rows = data(0).as_i64()? as usize;
-            let cols = data(1).as_i64()? as usize;
-            let min = data(2).as_f64()?;
-            let max = data(3).as_f64()?;
-            let sparsity = data(4).as_f64()?;
-            let mut seed = data(5).as_i64()?;
-            let pdf = data(6).as_scalar()?.to_display_string();
-            if seed < 0 {
-                // Non-determinism is made explicit: generate a fresh seed
-                // and record it in the lineage (paper §3.1).
-                seed = SEED_COUNTER.fetch_add(1, Ordering::Relaxed) as i64;
-            }
-            let m = match pdf.as_str() {
-                "normal" => {
-                    let base = gen::rand_normal(rows, cols, sparsity, seed as u64);
-                    // scale into [min,max] semantics not defined for normal;
-                    // keep standard normal like SystemDS.
-                    base
-                }
-                _ => gen::rand_uniform(rows, cols, min, max, sparsity, seed as u64),
-            };
-            let lin = trace_enabled(ctx).then(|| {
-                LineageItem::leaf(format!(
-                    "rand:{rows}:{cols}:{min}:{max}:{sparsity}:{seed}:{pdf}"
-                ))
-            });
-            Ok((ctx.wrap_matrix(m)?, lin))
-        }
-        "matrix" => {
-            let rows = data(1).as_i64()? as usize;
-            let cols = data(2).as_i64()? as usize;
-            let m = match data(0) {
-                Data::Scalar(s) => Matrix::filled(rows, cols, s.as_f64()?),
-                d => reorg::reshape(&*d.as_matrix()?, rows, cols)?,
-            };
-            Ok((ctx.wrap_matrix(m)?, None))
-        }
-        "seq" => {
-            let (f, t, i) = (data(0).as_f64()?, data(1).as_f64()?, data(2).as_f64()?);
-            Ok((ctx.wrap_matrix(gen::seq(f, t, i)?)?, None))
-        }
-        "solve" => {
-            let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            Ok((ctx.wrap_matrix(solve::solve(&a, &b)?)?, None))
-        }
-        "inv" => Ok((
-            ctx.wrap_matrix(solve::inverse(&*data(0).as_matrix()?)?)?,
-            None,
-        )),
-        "cholesky" => Ok((
-            ctx.wrap_matrix(solve::cholesky(&*data(0).as_matrix()?)?)?,
-            None,
-        )),
-        "det" => Ok((Data::from_f64(solve::det(&*data(0).as_matrix()?)?), None)),
-        "diag" => Ok((ctx.wrap_matrix(reorg::diag(&*data(0).as_matrix()?)?)?, None)),
-        "trace" => Ok((
-            Data::from_f64(aggregate::trace(&*data(0).as_matrix()?)?),
-            None,
-        )),
-        "nrow" => Ok((
-            Data::Scalar(ScalarValue::I64(dim_of(data(0), true)? as i64)),
-            None,
-        )),
-        "ncol" => Ok((
-            Data::Scalar(ScalarValue::I64(dim_of(data(0), false)? as i64)),
-            None,
-        )),
-        "length" => {
-            let (r, c) = (dim_of(data(0), true)?, dim_of(data(0), false)?);
-            Ok((Data::Scalar(ScalarValue::I64((r * c) as i64)), None))
-        }
-        "nnz" => Ok((
-            Data::Scalar(ScalarValue::I64(data(0).as_matrix()?.nnz() as i64)),
-            None,
-        )),
-        "cbind" => {
-            let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            Ok((ctx.wrap_matrix(indexing::cbind(&a, &b)?)?, None))
-        }
-        "rbind" => {
-            let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            Ok((ctx.wrap_matrix(indexing::rbind(&a, &b)?)?, None))
-        }
-        "cumsum" => Ok((
-            ctx.wrap_matrix(aggregate::cumsum(&*data(0).as_matrix()?))?,
-            None,
-        )),
-        "cumprod" => Ok((
-            ctx.wrap_matrix(aggregate::cumprod(&*data(0).as_matrix()?))?,
-            None,
-        )),
-        "rev" => Ok((ctx.wrap_matrix(reorg::rev(&*data(0).as_matrix()?))?, None)),
-        "quantile" => {
-            let x = data(0).as_matrix()?;
-            let p = data(1).as_f64()?;
-            Ok((Data::from_f64(aggregate::quantile(&x, p)?), None))
-        }
-        "median" => Ok((
-            Data::from_f64(aggregate::median(&*data(0).as_matrix()?)?),
-            None,
-        )),
-        "table" => {
-            let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            Ok((ctx.wrap_matrix(gen::table(&a, &b)?)?, None))
-        }
-        "outer" => {
-            let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            let opname = data(2).as_scalar()?.to_display_string();
-            let op = match opname.as_str() {
-                "+" => BinaryOp::Add,
-                "-" => BinaryOp::Sub,
-                "*" => BinaryOp::Mul,
-                "/" => BinaryOp::Div,
-                "<" => BinaryOp::Lt,
-                "<=" => BinaryOp::Le,
-                ">" => BinaryOp::Gt,
-                ">=" => BinaryOp::Ge,
-                "==" => BinaryOp::Eq,
-                "!=" => BinaryOp::Neq,
-                "min" => BinaryOp::Min,
-                "max" => BinaryOp::Max,
-                other => return Err(SysDsError::runtime(format!("outer: unknown op '{other}'"))),
-            };
-            Ok((ctx.wrap_matrix(gen::outer(&a, &b, op)?)?, None))
-        }
-        "rowIndexMax" => Ok((
-            ctx.wrap_matrix(aggregate::row_index_max(&*data(0).as_matrix()?))?,
-            None,
-        )),
-        "order" => {
-            let x = data(0).as_matrix()?;
-            let by = data(1).as_i64()?;
-            if by < 1 || by as usize > x.cols() {
-                return Err(SysDsError::IndexOutOfBounds {
-                    msg: format!("order by column {by}"),
-                });
-            }
-            let dec = data(2).as_bool()?;
-            let idx = data(3).as_bool()?;
-            Ok((
-                ctx.wrap_matrix(reorg::order(&x, by as usize - 1, dec, idx)?)?,
-                None,
-            ))
-        }
-        "removeEmpty" => {
-            let x = data(0).as_matrix()?;
-            let margin = data(1).as_scalar()?.to_display_string();
-            let by_rows = match margin.as_str() {
-                "rows" => true,
-                "cols" => false,
-                other => return Err(SysDsError::runtime(format!("removeEmpty margin '{other}'"))),
-            };
-            Ok((ctx.wrap_matrix(indexing::remove_empty(&x, by_rows))?, None))
-        }
-        "replace" => {
-            let x = data(0).as_matrix()?;
-            let (p, r) = (data(1).as_f64()?, data(2).as_f64()?);
-            Ok((ctx.wrap_matrix(indexing::replace(&x, p, r))?, None))
-        }
-        "ifelse" => match data(0) {
-            Data::Scalar(s) => {
-                let pick = if s.as_bool()? { data(1) } else { data(2) };
-                Ok((
-                    pick.clone(),
-                    inputs[if s.as_bool()? { 1 } else { 2 }].lineage.clone(),
-                ))
-            }
-            d => {
-                let c = d.as_matrix()?;
-                let (y, n) = (data(1).as_matrix()?, data(2).as_matrix()?);
-                Ok((ctx.wrap_matrix(elementwise::ifelse(&c, &y, &n)?)?, None))
-            }
-        },
-        "as.scalar" => Ok((Data::Scalar(data(0).as_scalar()?), None)),
-        "as.matrix" => Ok((ctx.wrap_matrix((*data(0).as_matrix()?).clone())?, None)),
-        "as.integer" => Ok((Data::Scalar(ScalarValue::I64(data(0).as_i64()?)), None)),
-        "as.double" => Ok((Data::Scalar(ScalarValue::F64(data(0).as_f64()?)), None)),
-        "as.logical" => Ok((Data::Scalar(ScalarValue::Bool(data(0).as_bool()?)), None)),
-        "toString" => {
-            let s = match data(0) {
-                Data::Scalar(s) => s.to_display_string(),
-                Data::Matrix(h) => format!("{}", h.acquire()?),
-                Data::Frame(f) => format!("frame({}x{})", f.rows(), f.cols()),
-                Data::Federated(f) => format!("federated({}x{})", f.rows(), f.cols()),
-                Data::Empty => "empty".into(),
-            };
-            Ok((Data::Scalar(ScalarValue::Str(s)), None))
-        }
-        "print" => {
-            let s = match data(0) {
-                Data::Scalar(s) => s.to_display_string(),
-                Data::Matrix(h) => format!("{}", h.acquire()?),
-                other => format!("<{}>", other.kind()),
-            };
-            ctx.print(s);
-            Ok((Data::Empty, Some(LineageItem::leaf("print"))))
-        }
-        "stop" => {
-            let msg = data(0).as_scalar()?.to_display_string();
-            Err(SysDsError::Stop(msg))
-        }
-        "read" => {
-            let path = data(0).as_scalar()?.to_display_string();
-            let format = Format::parse(&data(1).as_scalar()?.to_display_string())?;
-            let data_type = data(2).as_scalar()?.to_display_string();
-            let header = data(3).as_bool()?;
-            // The leaf names what was read, and which write of the path.
-            let lin = trace_enabled(ctx).then(|| {
-                let (name, gen) = (format.name(), ctx.file_gen(&path));
-                LineageItem::leaf(format!("read:{name}:{header}:{path}#{gen}"))
-            });
-            let out = if data_type == "frame" {
-                Data::Frame(Arc::new(format.read_frame(&path, header)?.detect_schema()))
-            } else {
-                ctx.wrap_matrix(format.read_matrix(&path, header, ctx.config.num_threads)?)?
-            };
-            Ok((out, lin))
-        }
-        "write" => {
-            let path = data(1).as_scalar()?.to_display_string();
-            let format = Format::parse(&data(2).as_scalar()?.to_display_string())?;
-            match data(0) {
-                Data::Frame(f) => format.write_frame(&path, f)?,
-                d => format.write_matrix(&path, &*d.as_matrix()?)?,
-            }
-            *lock(&ctx.file_gens).entry(path.clone()).or_default() += 1;
-            Ok((
-                Data::Empty,
-                Some(LineageItem::leaf(format!("write:{path}"))),
-            ))
-        }
-        "transformencode" => {
-            let spec = parse_transform_spec(&data(1).as_scalar()?.to_display_string())?;
-            let encoder = TransformEncoder::fit(&*data(0).as_frame()?, &spec)?;
-            Ok((Data::Frame(Arc::new(encoder.to_metadata())), None))
-        }
-        "transformapply" => {
-            let encoder = TransformEncoder::from_metadata(&*data(1).as_frame()?)?;
-            Ok((
-                ctx.wrap_matrix(encoder.apply(&*data(0).as_frame()?)?)?,
-                None,
-            ))
-        }
-        // `cbind(values, vectors)`; the compiler splits it by right indexing.
-        "eigen" => {
-            let (w, v) = solve::eigen_symmetric(&*data(0).as_matrix()?)?;
-            Ok((ctx.wrap_matrix(indexing::cbind(&w, &v)?)?, None))
-        }
-        "paramserv" => paramserv(inputs, ctx),
-        other => Err(SysDsError::runtime(format!(
-            "unimplemented builtin '{other}'"
-        ))),
-    }
-}
-
-/// The `paramserv` builtin (paper §2.3 (4)): mini-batch training with a
-/// local parameter server. `w = paramserv(X=X, y=y, epochs=20,
-/// batchsize=32, lr=0.1, mode="BSP", workers=4)`; the defaults are the
-/// values shown, except that an omitted `workers` (no seventh input) is the
-/// engine's thread count. `epochs`, `batchsize` and `workers` must be at
-/// least 1. ASP results depend on thread timing, so the output gets a
-/// lineage leaf of its own.
-fn paramserv(inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
-    use crate::runtime::paramserver::{train_linreg, PsConfig, UpdateMode};
-    let data = |k: usize| -> &Data { &inputs[k].data };
-    let count = |k: usize, name: &str| -> Result<usize> {
-        let v = data(k).as_f64()?;
-        if v >= 1.0 {
-            Ok(v as usize)
-        } else {
-            Err(SysDsError::runtime(format!(
-                "paramserv {name} must be at least 1, got {v}"
-            )))
-        }
-    };
-    let epochs = count(2, "epochs")?;
-    let batch_size = count(3, "batchsize")?;
-    let learning_rate = data(4).as_f64()?;
-    let mode = match data(5).as_scalar()?.to_display_string().as_str() {
-        "BSP" | "bsp" => UpdateMode::Bsp,
-        "ASP" | "asp" => UpdateMode::Asp,
-        other => return Err(SysDsError::runtime(format!("paramserv mode '{other}'"))),
-    };
-    let workers = match inputs.len() {
-        7 => count(6, "workers")?,
-        _ => ctx.config.num_threads,
-    };
-    let config = PsConfig {
-        workers,
-        epochs,
-        batch_size,
-        learning_rate,
-        mode,
-    };
-    let w = train_linreg(&*data(0).as_matrix()?, &*data(1).as_matrix()?, &config)?;
-    let lineage = trace_enabled(ctx).then(|| fresh_leaf("paramserv"));
-    Ok((ctx.wrap_matrix(w)?, lineage))
-}
-
-/// Parse a compact transform spec: `"recode=city,zip dummy=level bin=age:5"`.
-fn parse_transform_spec(spec: &str) -> Result<TransformSpec> {
-    let mut out = TransformSpec::new();
-    for part in spec.split_whitespace() {
-        let (kind, cols) = part
-            .split_once('=')
-            .ok_or_else(|| SysDsError::runtime(format!("malformed transform spec '{part}'")))?;
-        for col in cols.split(',') {
-            out = match kind {
-                "recode" => out.recode(col),
-                "dummy" | "dummycode" => out.dummy_code(col),
-                "bin" => {
-                    let (name, bins) = col.split_once(':').ok_or_else(|| {
-                        SysDsError::runtime("bin spec needs 'column:bins'".to_string())
-                    })?;
-                    let bins: usize = bins
-                        .parse()
-                        .map_err(|_| SysDsError::runtime(format!("bad bin count '{bins}'")))?;
-                    out.bin(name, bins)
-                }
-                other => {
-                    return Err(SysDsError::runtime(format!(
-                        "unknown transform kind '{other}'"
-                    )))
-                }
-            };
-        }
-    }
-    Ok(out)
-}
-
-fn dim_of(d: &Data, rows: bool) -> Result<usize> {
-    Ok(match d {
-        Data::Matrix(h) => {
-            let (r, c) = h
-                .shape()
-                .ok_or_else(|| SysDsError::runtime("shapeless matrix"))?;
-            if rows {
-                r
-            } else {
-                c
-            }
-        }
-        Data::Frame(f) => {
-            if rows {
-                f.rows()
-            } else {
-                f.cols()
-            }
-        }
-        Data::Federated(f) => {
-            if rows {
-                f.rows()
-            } else {
-                f.cols()
-            }
-        }
-        Data::Scalar(_) => 1,
-        Data::Empty => return Err(SysDsError::runtime("nrow/ncol of empty value")),
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use crate::builtins::runtime::lookup;
     use crate::compiler::hop::SizeInfo;
 
     fn ctx() -> ExecCtx {
@@ -1086,7 +714,7 @@ mod tests {
                     out_base + 6,
                 ),
                 instr(
-                    HopOp::Nary("rand"),
+                    HopOp::Nary(lookup("rand").unwrap()),
                     (out_base..out_base + 7).collect(),
                     out_base + 7,
                 ),
@@ -1164,7 +792,7 @@ mod tests {
         run(
             vec![
                 instr(HopOp::Lit(ScalarValue::Str("hello".into())), vec![], 0),
-                instr(HopOp::Nary("print"), vec![0], 1),
+                instr(HopOp::Nary(lookup("print").unwrap()), vec![0], 1),
             ],
             &c,
         );
@@ -1183,19 +811,14 @@ mod tests {
             &c,
         )
         .unwrap();
-        let e = execute(&instr(HopOp::Nary("stop"), vec![0], 1), &mut slots, &st, &c).unwrap_err();
+        let e = execute(
+            &instr(HopOp::Nary(lookup("stop").unwrap()), vec![0], 1),
+            &mut slots,
+            &st,
+            &c,
+        )
+        .unwrap_err();
         assert!(matches!(e, SysDsError::Stop(_)));
-    }
-
-    #[test]
-    fn transform_spec_parsing() {
-        let s = parse_transform_spec("recode=a,b dummy=c bin=d:4").unwrap();
-        // Applying to a frame is covered in frame tests; here we only
-        // check acceptance/rejection of the syntax.
-        let _ = s;
-        assert!(parse_transform_spec("nonsense").is_err());
-        assert!(parse_transform_spec("bin=x").is_err());
-        assert!(parse_transform_spec("frob=x").is_err());
     }
 
     #[test]
@@ -1214,7 +837,11 @@ mod tests {
                     vec![],
                     base + 6,
                 ),
-                instr(HopOp::Nary("rand"), (base..base + 7).collect(), base + 7),
+                instr(
+                    HopOp::Nary(lookup("rand").unwrap()),
+                    (base..base + 7).collect(),
+                    base + 7,
+                ),
             ]
         };
         let mut slots: Vec<Option<Slot>> = vec![None; 16];

@@ -346,24 +346,23 @@ fn cellwise(node: TemplateNode, inputs: &[FusedInput], threads: usize) -> Matrix
     }
 }
 
-/// `ifelse(cond, yes, no)` with scalar or matrix branches broadcast by cell.
+/// `ifelse(cond, yes, no)` by cell; a 1x1 operand stands for every cell.
 pub fn ifelse(cond: &Matrix, yes: &Matrix, no: &Matrix) -> Result<Matrix> {
-    if cond.shape() != yes.shape() || cond.shape() != no.shape() {
+    let operands = [cond, yes, no];
+    let cells = |x: &Matrix| x.shape() != (1, 1);
+    let (m, n) = operands
+        .into_iter()
+        .find(|x| cells(x))
+        .map_or((1, 1), Matrix::shape);
+    if operands.iter().any(|x| cells(x) && x.shape() != (m, n)) {
         return Err(SysDsError::runtime("ifelse operands must share shapes"));
     }
-    let (m, n) = cond.shape();
+    let at = |x: &Matrix, i, j| if cells(x) { x.get(i, j) } else { x.get(0, 0) };
     let mut out = DenseMatrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
-            out.set(
-                i,
-                j,
-                if cond.get(i, j) != 0.0 {
-                    yes.get(i, j)
-                } else {
-                    no.get(i, j)
-                },
-            );
+            let pick = if at(cond, i, j) != 0.0 { yes } else { no };
+            out.set(i, j, at(pick, i, j));
         }
     }
     Ok(Matrix::Dense(out).compact())

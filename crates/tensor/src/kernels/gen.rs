@@ -61,15 +61,20 @@ fn gen_with(
 
 /// `seq(from, to, by)` as a column vector (inclusive bounds, like DML).
 pub fn seq(from: f64, to: f64, by: f64) -> Result<Matrix> {
+    let n = seq_len(from, to, by)?;
+    let data: Vec<f64> = (0..n).map(|k| from + k as f64 * by).collect();
+    Matrix::from_vec(n, 1, data)
+}
+
+/// Number of rows of `seq(from, to, by)`.
+pub fn seq_len(from: f64, to: f64, by: f64) -> Result<usize> {
     if by == 0.0 {
         return Err(SysDsError::runtime("seq increment must be non-zero"));
     }
     if (to - from) * by < 0.0 {
-        return Matrix::from_vec(0, 1, Vec::new());
+        return Ok(0);
     }
-    let n = ((to - from) / by).floor() as usize + 1;
-    let data: Vec<f64> = (0..n).map(|k| from + k as f64 * by).collect();
-    Matrix::from_vec(n, 1, data)
+    Ok(((to - from) / by).floor() as usize + 1)
 }
 
 /// A linear-regression style synthetic dataset: `X` with given sparsity,

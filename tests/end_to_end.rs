@@ -474,6 +474,24 @@ fn scalar_ifelse_and_logic() {
 }
 
 #[test]
+fn ifelse_broadcasts_scalar_branches_over_a_matrix_test() {
+    let mut s = session();
+    let out = s
+        .execute(
+            r#"
+            X = rand(rows=30, cols=4, min=-1, max=1, seed=7)
+            same = sum(ifelse(X > 0, 1, 0)) == sum(X > 0)
+            clipped = sum(ifelse(X > 0, X, 0)) == sum(X * (X > 0))
+            "#,
+            &[],
+            &["same", "clipped"],
+        )
+        .unwrap();
+    assert_eq!(out.scalar("same").unwrap(), ScalarValue::Bool(true));
+    assert_eq!(out.scalar("clipped").unwrap(), ScalarValue::Bool(true));
+}
+
+#[test]
 fn cv_and_grid_search_builtins() {
     let mut s = session();
     let (x, y) = gen::synthetic_regression(200, 5, 1.0, 0.1, 613);
