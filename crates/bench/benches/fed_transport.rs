@@ -7,7 +7,7 @@ use std::sync::Arc;
 use sysds_bench::time;
 use sysds_common::NetConfig;
 use sysds_fed::learn::federated_lm;
-use sysds_fed::{FederatedMatrix, Transport, WorkerHandle};
+use sysds_fed::{ops, FederatedMatrix, Transport, WorkerHandle};
 use sysds_net::{TcpTransport, WorkerServer};
 use sysds_tensor::kernels::gen;
 
@@ -39,8 +39,9 @@ fn main() {
     let tfx = FederatedMatrix::scatter(&x, &tcp).unwrap();
     let tfy = FederatedMatrix::scatter(&y, &tcp).unwrap();
 
-    time("fed_transport/tsmm_inprocess", || lfx.tsmm().unwrap());
-    time("fed_transport/tsmm_tcp", || tfx.tsmm().unwrap());
+    let tsmm = |fx: &FederatedMatrix| fx.exec(&ops::TSMM, &[], None).unwrap();
+    time("fed_transport/tsmm_inprocess", || tsmm(&lfx));
+    time("fed_transport/tsmm_tcp", || tsmm(&tfx));
     time("fed_transport/lm_inprocess", || {
         federated_lm(&lfx, &lfy, 0.001).unwrap()
     });

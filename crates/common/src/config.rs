@@ -19,7 +19,7 @@ pub enum ReusePolicy {
     FullAndPartial,
 }
 
-/// Robustness knobs for networked federation (timeouts, retries, health).
+/// Robustness knobs for networked federation (timeouts and retries).
 ///
 /// All durations are milliseconds. Retries apply only to requests that are
 /// idempotent or deduplicated site-side by request id; the backoff between
@@ -37,8 +37,6 @@ pub struct NetConfig {
     pub backoff_base_ms: u64,
     /// Upper bound on any single backoff sleep.
     pub backoff_max_ms: u64,
-    /// Interval between heartbeat pings from the health checker.
-    pub heartbeat_interval_ms: u64,
     /// Seed for the deterministic backoff jitter.
     pub jitter_seed: u64,
 }
@@ -51,7 +49,6 @@ impl Default for NetConfig {
             max_retries: 3,
             backoff_base_ms: 20,
             backoff_max_ms: 2_000,
-            heartbeat_interval_ms: 1_000,
             jitter_seed: 0x5d5d5,
         }
     }

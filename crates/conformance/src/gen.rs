@@ -556,7 +556,8 @@ impl Gen {
 
 /// Federated-compatible generation: the harness binds input `X` (locally or
 /// scattered). Only ops with federated execution paths touch `X` directly
-/// (mat-vec, tsmm, colSums/sum/mean, scalar and fed-fed elementwise);
+/// (mat-vec, tsmm, `t(X) %*% y` of two federated operands, mmchain,
+/// colSums/sum/mean, sumSq, scalar and fed-fed elementwise);
 /// everything downstream of an aggregate is ordinary local compute. All
 /// compared outputs are local values.
 fn generate_fed(seed: u64, opts: GenOptions) -> Script {
@@ -582,7 +583,7 @@ fn generate_fed(seed: u64, opts: GenOptions) -> Script {
 
     let n = 4 + rng.next_below(5);
     for _ in 0..n {
-        match rng.next_below(7) {
+        match rng.next_below(9) {
             0 => {
                 let s = fresh("s", &mut next_id);
                 let src = fed_vars[rng.next_below(fed_vars.len())].clone();
@@ -648,6 +649,36 @@ fn generate_fed(seed: u64, opts: GenOptions) -> Script {
                     uses: vec![src],
                 });
                 out(&g, &mut outputs);
+            }
+            7 => {
+                // A kept fed mat-vec bound by a statement, so no mmchain
+                // folds it: `t(X) %*% f` runs the fed tmv of two
+                // federated operands; the result is local.
+                let v = fresh("m", &mut next_id);
+                let f = fresh("f", &mut next_id);
+                let g = fresh("m", &mut next_id);
+                let seed_lit = rng.next_below(1 << 20);
+                let src = fed_vars[rng.next_below(fed_vars.len())].clone();
+                stmts.push(Stmt {
+                    text: format!(
+                        "{v} = rand(rows={cols}, cols=1, min=-1, max=1, sparsity=1.0, seed={seed_lit})\n\
+                         {f} = {src} %*% {v}\n\
+                         {g} = t({src}) %*% {f}"
+                    ),
+                    defines: vec![v.clone(), f.clone(), g.clone()],
+                    uses: vec![src],
+                });
+                out(&g, &mut outputs);
+            }
+            8 => {
+                let s = fresh("s", &mut next_id);
+                let src = fed_vars[rng.next_below(fed_vars.len())].clone();
+                stmts.push(Stmt {
+                    text: format!("{s} = sumSq({src})"),
+                    defines: vec![s.clone()],
+                    uses: vec![src],
+                });
+                out(&s, &mut outputs);
             }
             4 => {
                 // Fed-scalar elementwise: result stays federated (NOT an
@@ -780,5 +811,16 @@ mod tests {
             ..GenOptions::default()
         };
         assert!((0..100).any(|seed| generate(seed, fed).render().contains("t(X) %*% (X %*% ")));
+    }
+
+    #[test]
+    fn fed_scripts_reach_tmv_and_sum_sq() {
+        let fed = GenOptions {
+            fed: true,
+            ..GenOptions::default()
+        };
+        let scripts: Vec<String> = (0..100).map(|seed| generate(seed, fed).render()).collect();
+        assert!(scripts.iter().any(|s| s.contains("t(X) %*% f")));
+        assert!(scripts.iter().any(|s| s.contains("sumSq(X)")));
     }
 }

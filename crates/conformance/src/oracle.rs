@@ -303,7 +303,9 @@ fn check_fed_script(script: &Script) -> Result<Option<Divergence>> {
     // TCP transport: two in-process worker servers over real sockets.
     {
         let run = (|| {
-            let mut servers: Vec<WorkerServer> = (0..2)
+            // Declared first, so the servers outlive the session and the
+            // federated values that free their site variables on drop.
+            let servers: Vec<WorkerServer> = (0..2)
                 .map(|_| WorkerServer::bind("127.0.0.1:0", vec![], 1))
                 .collect::<Result<_>>()?;
             let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
@@ -315,9 +317,6 @@ fn check_fed_script(script: &Script) -> Result<Option<Divergence>> {
                 sds.connect_sites(&addr_refs, NetConfig::default())?;
             let xd = sds.federate_with(&x, &sites)?;
             let out = sds.execute_program(&program, &[("X", xd)], &out_names)?;
-            for s in &mut servers {
-                s.shutdown();
-            }
             Ok((out, fp))
         })();
         variants.push(("tcp2".into(), run));

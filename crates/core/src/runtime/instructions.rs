@@ -15,6 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sysds_common::sync::lock;
 use sysds_common::{EngineConfig, Result, ScalarValue, SysDsError};
+use sysds_fed::ops::{self as fed_ops, FedOperand};
 use sysds_tensor::kernels::fused::{FusedInput, FusedOutput, FusedTemplate, TemplateNode};
 use sysds_tensor::kernels::*;
 use sysds_tensor::Matrix;
@@ -323,8 +324,8 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
         HopOp::MatMul => {
             // Federated mat-vec keeps results at the sites.
             if let Data::Federated(f) = data(0) {
-                let v = data(1).as_matrix()?;
-                let out = f.mat_vec(&v)?;
+                let v = FedOperand::Matrix((*data(1).as_matrix()?).clone());
+                let out = f.exec(&fed_ops::MATVEC, &[], Some(v))?.into_federated()?;
                 return Ok((Data::Federated(Arc::new(out)), None));
             }
             let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
@@ -333,7 +334,8 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
         }
         HopOp::Tsmm => {
             if let Data::Federated(f) = data(0) {
-                return Ok((ctx.wrap_matrix(f.tsmm()?)?, None));
+                let g = f.exec(&fed_ops::TSMM, &[], None)?.into_matrix()?;
+                return Ok((ctx.wrap_matrix(g)?, None));
             }
             let x = data(0).as_matrix()?;
             let m = tsmm::tsmm(&x, ctx.config.num_threads, true);
@@ -341,7 +343,8 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
         }
         HopOp::Tmv => {
             if let (Data::Federated(fx), Data::Federated(fy)) = (data(0), data(1)) {
-                return Ok((ctx.wrap_matrix(fx.tmv(fy)?)?, None));
+                let r = fx.exec(&fed_ops::TMV, &[fy], None)?.into_matrix()?;
+                return Ok((ctx.wrap_matrix(r)?, None));
             }
             let (x, y) = (data(0).as_matrix()?, data(1).as_matrix()?);
             Ok((
@@ -350,11 +353,12 @@ fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
             ))
         }
         HopOp::MmChain => {
-            // Federated X splits the chain back into the site-side mat-vec
-            // (kept at the sites) and tmv, as the unfused plan would run.
+            // Federated X runs the whole chain at each site: one request
+            // per site, and only the `cols x 1` partials come back.
             if let Data::Federated(fx) = data(0) {
-                let xv = fx.mat_vec(&*data(1).as_matrix()?)?;
-                return Ok((ctx.wrap_matrix(fx.tmv(&xv)?)?, None));
+                let v = FedOperand::Matrix((*data(1).as_matrix()?).clone());
+                let r = fx.exec(&fed_ops::MMCHAIN, &[], Some(v))?.into_matrix()?;
+                return Ok((ctx.wrap_matrix(r)?, None));
             }
             let (x, v) = (data(0).as_matrix()?, data(1).as_matrix()?);
             Ok((
@@ -467,7 +471,10 @@ fn binary_dispatch(b: BinaryOp, l: &Data, r: &Data, ctx: &ExecCtx) -> DispatchRe
         }
         (Data::Federated(f), Data::Scalar(c)) => {
             // Push scalar ops to the sites; the result stays federated.
-            let out = f.scalar_op(b, c.as_f64()?)?;
+            let s = FedOperand::Scalar(b, c.as_f64()?);
+            let out = f
+                .exec(&fed_ops::SCALAR_OP, &[], Some(s))?
+                .into_federated()?;
             Ok((Data::Federated(Arc::new(out)), None))
         }
         (Data::Scalar(a), m) => {
@@ -481,7 +488,8 @@ fn binary_dispatch(b: BinaryOp, l: &Data, r: &Data, ctx: &ExecCtx) -> DispatchRe
             Ok((ctx.wrap_matrix(out)?, None))
         }
         (Data::Federated(a), Data::Federated(c)) => {
-            let out = a.binary_op(b, c)?;
+            let op = Some(FedOperand::Op(b));
+            let out = a.exec(&fed_ops::BINARY_OP, &[c], op)?.into_federated()?;
             Ok((Data::Federated(Arc::new(out)), None))
         }
         (a, c) => {
@@ -580,19 +588,19 @@ fn fed_agg(
     fed: &Arc<sysds_fed::FederatedMatrix>,
     ctx: &ExecCtx,
 ) -> DispatchResult {
+    let col_sums = || fed.exec(&fed_ops::COL_SUMS, &[], None)?.into_matrix();
     match (f, d) {
-        (AggFn::Sum, Direction::Col) => Ok((ctx.wrap_matrix(fed.col_sums()?)?, None)),
-        (AggFn::Sum, Direction::Full) => {
-            let cs = fed.col_sums()?;
-            Ok((
-                Data::from_f64(aggregate::aggregate_full(AggFn::Sum, &cs)?),
-                None,
-            ))
+        (AggFn::Sum, Direction::Col) => Ok((ctx.wrap_matrix(col_sums()?)?, None)),
+        (AggFn::Sum, Direction::Full) => Ok((
+            Data::from_f64(aggregate::aggregate_full(AggFn::Sum, &col_sums()?)?),
+            None,
+        )),
+        (AggFn::SumSq, Direction::Full) => {
+            let s = fed.exec(&fed_ops::SUM_SQ, &[], None)?.into_scalar()?;
+            Ok((Data::from_f64(s), None))
         }
-        (AggFn::SumSq, Direction::Full) => Ok((Data::from_f64(fed.sum_sq()?), None)),
         (AggFn::Mean, Direction::Full) => {
-            let cs = fed.col_sums()?;
-            let total = aggregate::aggregate_full(AggFn::Sum, &cs)?;
+            let total = aggregate::aggregate_full(AggFn::Sum, &col_sums()?)?;
             Ok((
                 Data::from_f64(total / (fed.rows() * fed.cols()) as f64),
                 None,

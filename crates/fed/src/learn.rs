@@ -9,8 +9,8 @@
 //!   "extend our existing parameter server for respecting the boundaries of
 //!   federated tensors".
 
+use crate::ops::{self, FedOperand};
 use crate::tensor::FederatedMatrix;
-use crate::worker::FedRequest;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::kernels::BinaryOp;
 use sysds_tensor::kernels::{elementwise, solve};
@@ -24,7 +24,7 @@ pub fn federated_lm(x: &FederatedMatrix, y: &FederatedMatrix, lambda: f64) -> Re
             "federated lm expects a label vector".into(),
         ));
     }
-    let mut gram = x.tsmm()?;
+    let mut gram = x.exec(&ops::TSMM, &[], None)?.into_matrix()?;
     if lambda != 0.0 {
         let n = gram.rows();
         let reg = elementwise::binary_ms(
@@ -34,7 +34,7 @@ pub fn federated_lm(x: &FederatedMatrix, y: &FederatedMatrix, lambda: f64) -> Re
         );
         gram = elementwise::binary_mm(BinaryOp::Add, &gram, &reg)?;
     }
-    let xty = x.tmv(y)?;
+    let xty = x.exec(&ops::TMV, &[y], None)?.into_matrix()?;
     solve::solve(&gram, &xty)
 }
 
@@ -65,23 +65,11 @@ impl FederatedParamServer {
     }
 
     /// One BSP epoch: broadcast weights, gather per-site gradients of the
-    /// squared loss, average, and step. Returns the gradient norm.
+    /// squared loss (the `mmchain` row with `y`), average, and step.
+    /// Returns the gradient norm.
     pub fn step(&mut self, x: &FederatedMatrix, y: &FederatedMatrix) -> Result<f64> {
-        if x.num_partitions() != y.num_partitions() {
-            return Err(SysDsError::Federated("X and y partitioning differs".into()));
-        }
-        let mut grad = x
-            .sum_over_sites(
-                |i, px| {
-                    px.worker.request_aggregate(FedRequest::LinRegGradient {
-                        x: px.var.clone(),
-                        y: y.partitions()[i].var.clone(),
-                        w: self.weights.clone(),
-                    })
-                },
-                |acc, g| elementwise::binary_mm(BinaryOp::Add, &acc, &g),
-            )?
-            .ok_or_else(|| SysDsError::Federated("no partitions".into()))?;
+        let w = FedOperand::Matrix(self.weights.clone());
+        let mut grad = x.exec(&ops::MMCHAIN, &[y], Some(w))?.into_matrix()?;
         // Average over the global row count and add the L2 term.
         grad = elementwise::binary_ms(BinaryOp::Div, &grad, x.rows() as f64);
         if self.lambda != 0.0 {

@@ -4,31 +4,30 @@
 //! local data. A master control program holds the federated tensors
 //! including connections to the other sites."
 //!
-//! Here each site is an in-process worker thread owning its partition; the
-//! master communicates exclusively over message channels. The key invariant
-//! — the *exchange constraint* — is enforced structurally: workers only
-//! ever answer with **aggregates whose size is independent of the local row
-//! count** (Gram matrices, gradient vectors, scalar statistics); there is no
-//! request that returns raw rows.
+//! Each site is an in-process worker thread owning its partition, or a TCP
+//! daemon in `sysds-net`; the master reaches both through one
+//! [`Transport`]. Only aggregates whose size is independent of the local
+//! row count leave a site (the *exchange constraint*): the site checks
+//! every request against the row of the instruction it runs.
 //!
-//! * [`worker`] — the federated site: request/response protocol and the
-//!   worker event loop;
-//! * [`transport`] — the pluggable [`Transport`] trait the master uses to
-//!   reach a site (in-process channels here; TCP in `sysds-net`);
-//! * [`tensor`] — [`FederatedMatrix`]: a metadata object mapping disjoint
-//!   row ranges to workers, with federated instructions (tsmm, `t(X)y`,
-//!   broadcast mat-vec, scalar ops, column aggregates). Every instruction
-//!   sends all sites their requests at once, one thread per site, and
-//!   merges the replies in partition order, so site compute overlaps and
-//!   sums stay bitwise reproducible;
+//! * [`ops`] — the table of federated instructions, one [`ops::FedOp`]
+//!   row per operation;
+//! * [`worker`] — the request/response protocol, the site's one
+//!   `execute_request` and the in-process worker loop;
+//! * [`transport`] — the [`Transport`] trait (in-process channels here, TCP
+//!   in `sysds-net`);
+//! * [`tensor`] — [`FederatedMatrix`]: disjoint row ranges mapped to sites;
+//!   [`FederatedMatrix::exec`] runs one row at all sites at once and adds
+//!   the replies up in partition order;
 //! * [`learn`] — federated linear regression (normal equations) and
 //!   federated mini-batch SGD with a parameter-server master.
 
 pub mod learn;
+pub mod ops;
 pub mod tensor;
 pub mod transport;
 pub mod worker;
 
-pub use tensor::FederatedMatrix;
+pub use tensor::{FedValue, FederatedMatrix};
 pub use transport::Transport;
 pub use worker::{FedRequest, FedResponse, WorkerHandle};

@@ -4,12 +4,12 @@
 //! to — potentially remote — in-memory or distributed tensors. Subtensors
 //! cover disjoint index ranges of the tensor" (paper §2.4). We implement
 //! the row-partitioned 2-D case, which is the one federated learning uses.
-//!
-//! The master pushes an instruction to all sites at once: `fan_out`
-//! issues every per-site request concurrently and returns the replies in
-//! partition order, and the reductions add them up in that order, so the
-//! result does not depend on which site answers first.
+//! [`FederatedMatrix::exec`] pushes one row of [`crate::ops`] to all sites
+//! at once. Site variables the master creates (by
+//! [`FederatedMatrix::scatter`] or as a kept result) are removed at the
+//! sites when the last handle drops.
 
+use crate::ops::{FedOp, FedOperand, FedResult};
 use crate::transport::Transport;
 use crate::worker::{FedRequest, FedResponse};
 use std::panic::AssertUnwindSafe;
@@ -17,17 +17,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use sysds_common::error::panic_message;
 use sysds_common::{Result, SysDsError};
-use sysds_tensor::kernels::elementwise::BinaryOp;
+use sysds_tensor::kernels::elementwise::{self, BinaryOp};
 use sysds_tensor::kernels::indexing;
 use sysds_tensor::Matrix;
 
 static NEXT_VAR: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_var(prefix: &str) -> String {
-    format!(
-        "__fed_{prefix}_{}",
-        NEXT_VAR.fetch_add(1, Ordering::Relaxed)
-    )
+    format!("__{prefix}_{}", NEXT_VAR.fetch_add(1, Ordering::Relaxed))
 }
 
 /// One partition: rows `[row_lo, row_hi)` live at `worker` under `var`.
@@ -40,12 +37,70 @@ pub struct FedPartition {
     pub var: String,
 }
 
-/// A row-partitioned federated matrix.
+/// A row-partitioned federated matrix. Clones share the partitions.
 #[derive(Debug, Clone)]
 pub struct FederatedMatrix {
     rows: usize,
     cols: usize,
+    sites: Arc<Sites>,
+}
+
+/// The partitions of a federated matrix, and whether the master created
+/// their site variables (`owned`): then dropping the last handle removes
+/// them at the sites.
+#[derive(Debug)]
+struct Sites {
     partitions: Vec<FedPartition>,
+    owned: bool,
+}
+
+impl Drop for Sites {
+    fn drop(&mut self) {
+        if self.owned {
+            // Best effort and outside any instruction: a site that cannot
+            // be reached has nothing left to free, so errors are ignored
+            // and the `Remove` bypasses the request statistics.
+            fan_out(&self.partitions, |_, p| {
+                p.worker.exchange(FedRequest::Remove { var: p.var.clone() })
+            });
+        }
+    }
+}
+
+/// The result of [`FederatedMatrix::exec`], by the row's [`FedResult`].
+#[derive(Debug)]
+pub enum FedValue {
+    Aggregate(Matrix),
+    Scalar(f64),
+    Federated(FederatedMatrix),
+}
+
+/// Each accessor returns an error for another kind of result.
+impl FedValue {
+    pub fn into_matrix(self) -> Result<Matrix> {
+        match self {
+            FedValue::Aggregate(m) => Ok(m),
+            other => Err(unexpected("an aggregate", &other)),
+        }
+    }
+
+    pub fn into_scalar(self) -> Result<f64> {
+        match self {
+            FedValue::Scalar(v) => Ok(v),
+            other => Err(unexpected("a scalar", &other)),
+        }
+    }
+
+    pub fn into_federated(self) -> Result<FederatedMatrix> {
+        match self {
+            FedValue::Federated(f) => Ok(f),
+            other => Err(unexpected("a federated matrix", &other)),
+        }
+    }
+}
+
+fn unexpected(want: &str, got: &FedValue) -> SysDsError {
+    SysDsError::Federated(format!("expected {want}, got {got:?}"))
 }
 
 impl FederatedMatrix {
@@ -68,7 +123,7 @@ impl FederatedMatrix {
                 row_lo: lo,
                 row_hi: (lo + per).min(rows),
                 worker: Arc::clone(w),
-                var: fresh_var("part"),
+                var: fresh_var("fed_part"),
             })
             .collect();
         let stored = fan_out(&partitions, |_, p| {
@@ -81,13 +136,14 @@ impl FederatedMatrix {
         Ok(FederatedMatrix {
             rows,
             cols: m.cols(),
-            partitions: keep_or_remove(partitions, stored)?,
+            sites: owned(partitions, stored)?,
         })
     }
 
     /// Assemble from partitions that already live at sites. Ranges must be
     /// contiguous from zero and disjoint ("uncovered areas are zero" is
-    /// not needed for the row-partitioned learning case).
+    /// not needed for the row-partitioned learning case). The master did
+    /// not create these variables, so it never removes them.
     pub fn from_partitions(cols: usize, partitions: Vec<FedPartition>) -> Result<FederatedMatrix> {
         let mut expected = 0usize;
         for p in &partitions {
@@ -101,7 +157,10 @@ impl FederatedMatrix {
         Ok(FederatedMatrix {
             rows: expected,
             cols,
-            partitions,
+            sites: Arc::new(Sites {
+                partitions,
+                owned: false,
+            }),
         })
     }
 
@@ -117,170 +176,92 @@ impl FederatedMatrix {
 
     /// Number of federated sites backing this tensor.
     pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
+        self.sites.partitions.len()
     }
 
     /// Access partition metadata.
     pub fn partitions(&self) -> &[FedPartition] {
-        &self.partitions
+        &self.sites.partitions
     }
 
-    /// Federated `t(X) %*% X`: push fused tsmm to every site, add the
-    /// aggregates at the master. Only `cols x cols` matrices travel.
-    pub fn tsmm(&self) -> Result<Matrix> {
-        self.sum_aggregates("tsmm", |_, p| FedRequest::Tsmm { var: p.var.clone() })
-    }
-
-    /// Federated `t(X) %*% y` for an aligned federated `y`.
-    pub fn tmv(&self, y: &FederatedMatrix) -> Result<Matrix> {
-        self.check_aligned(y)?;
-        self.sum_aggregates("tmv", |i, p| FedRequest::Tmv {
-            x: p.var.clone(),
-            y: y.partitions[i].var.clone(),
-        })
-    }
-
-    /// Federated `X %*% v` with broadcast `v`; the row-partitioned result
-    /// stays federated (a new federated matrix of the same ranges).
-    pub fn mat_vec(&self, v: &Matrix) -> Result<FederatedMatrix> {
-        if v.rows() != self.cols || v.cols() != 1 {
-            return Err(SysDsError::DimensionMismatch {
-                op: "fed %*%",
-                lhs: (self.rows, self.cols),
-                rhs: v.shape(),
-            });
+    /// Run the federated instruction `op` at every site at once. Site `i`
+    /// reads this matrix's partition `i`, then partition `i` of each of
+    /// `with` (which must be range-aligned with this one), plus the
+    /// broadcast `operand`. Aggregates and scalars come back and are added
+    /// up at the master in partition order, so sums are bitwise
+    /// reproducible however the replies arrive; a result that stays at the
+    /// sites becomes a new federated matrix over the same row ranges. If
+    /// sites fail, the lowest-numbered site's error is returned, and the
+    /// results other sites kept are removed again.
+    pub fn exec(
+        &self,
+        op: &'static FedOp,
+        with: &[&FederatedMatrix],
+        operand: Option<FedOperand>,
+    ) -> Result<FedValue> {
+        for other in with {
+            self.check_aligned(other)?;
         }
-        self.keep_at_sites("mv", 1, |_, p, out| FedRequest::MatVecKeep {
-            var: p.var.clone(),
-            v: v.clone(),
-            out,
-        })
-    }
-
-    /// Federated element-wise op with an aligned federated operand; the
-    /// result stays federated.
-    pub fn binary_op(&self, op: BinaryOp, other: &FederatedMatrix) -> Result<FederatedMatrix> {
-        self.check_aligned(other)?;
-        if self.cols != other.cols {
-            return Err(SysDsError::Federated(
-                "federated binary op: column mismatch".into(),
-            ));
-        }
-        self.keep_at_sites("bin", self.cols, |i, p, out| FedRequest::BinaryOpKeep {
-            lhs: p.var.clone(),
-            rhs: other.partitions[i].var.clone(),
+        let request = |i: usize, out: Option<String>| FedRequest::Exec {
             op,
+            vars: std::iter::once(self)
+                .chain(with.iter().copied())
+                .map(|m| m.partitions()[i].var.clone())
+                .collect(),
+            operand: operand.clone(),
             out,
-        })
-    }
-
-    /// Federated element-wise op with a broadcast scalar; the result stays
-    /// federated at the sites.
-    pub fn scalar_op(&self, op: BinaryOp, scalar: f64) -> Result<FederatedMatrix> {
-        self.keep_at_sites("sop", self.cols, |_, p, out| FedRequest::ScalarOpKeep {
-            var: p.var.clone(),
-            op,
-            scalar,
-            out,
-        })
-    }
-
-    /// Federated column sums (a `1 x cols` aggregate).
-    pub fn col_sums(&self) -> Result<Matrix> {
-        self.sum_aggregates("col_sums", |_, p| FedRequest::ColSums {
-            var: p.var.clone(),
-        })
-    }
-
-    /// Federated sum of squares (scalar aggregate; e.g. residual norms).
-    pub fn sum_sq(&self) -> Result<f64> {
-        let sum = self.sum_over_sites(
-            |_, p| {
-                p.worker
-                    .request_scalar(FedRequest::SumSq { var: p.var.clone() })
-            },
-            |a, b| Ok(a + b),
-        )?;
-        Ok(sum.unwrap_or(0.0))
-    }
-
-    /// The per-site reduction: send every partition its request
-    /// `request(i, partition)` at once (see `fan_out`) and add the
-    /// results up at the master in partition order. The fixed order keeps
-    /// sums bitwise reproducible however the replies arrive. If sites
-    /// fail, the error of the lowest-numbered one is returned. `None`
-    /// without partitions.
-    pub(crate) fn sum_over_sites<T: Send>(
-        &self,
-        request: impl Fn(usize, &FedPartition) -> Result<T> + Sync,
-        add: impl Fn(T, T) -> Result<T>,
-    ) -> Result<Option<T>> {
-        let mut acc = None;
-        for part in fan_out(&self.partitions, request) {
-            let part = part?;
-            acc = Some(match acc {
-                None => part,
-                Some(a) => add(a, part)?,
+        };
+        let FedResult::Stays { cols } = op.result else {
+            // Aggregates and scalars travel back and are added up in
+            // partition order, a scalar as a `1 x 1` matrix.
+            let parts = fan_out(self.partitions(), |i, p| {
+                match p.worker.request(request(i, None))? {
+                    FedResponse::Aggregate(m) => Ok(m),
+                    FedResponse::Scalar(v) => Ok(Matrix::filled(1, 1, v)),
+                    other => Err(SysDsError::Federated(format!(
+                        "{}: unexpected reply {other:?}",
+                        op.name
+                    ))),
+                }
             });
-        }
-        Ok(acc)
-    }
-
-    /// [`Self::sum_over_sites`] for requests answered with a matrix
-    /// aggregate.
-    fn sum_aggregates(
-        &self,
-        what: &str,
-        request: impl Fn(usize, &FedPartition) -> FedRequest + Sync,
-    ) -> Result<Matrix> {
-        self.sum_over_sites(
-            |i, p| p.worker.request_aggregate(request(i, p)),
-            |a, b| elementwise_add(&a, &b),
-        )?
-        .ok_or_else(|| SysDsError::Federated(format!("{what} over empty federated matrix")))
-    }
-
-    /// The keep-at-site step: send every partition at once the request
-    /// `request(i, partition, out)` that stores its result at the site
-    /// under the fresh variable `out`; the results form a new federated
-    /// matrix with `cols` columns over the same row ranges. If a site
-    /// fails, the results the others stored are removed again (best
-    /// effort) and the lowest-numbered site's error is returned.
-    fn keep_at_sites(
-        &self,
-        prefix: &str,
-        cols: usize,
-        request: impl Fn(usize, &FedPartition, String) -> FedRequest + Sync,
-    ) -> Result<FederatedMatrix> {
+            return match (op.result, add_in_order(parts)?) {
+                (FedResult::Scalar, sum) => Ok(FedValue::Scalar(sum.map_or(0.0, |m| m.get(0, 0)))),
+                (_, Some(sum)) => Ok(FedValue::Aggregate(sum)),
+                (_, None) => Err(SysDsError::Federated(format!(
+                    "{} over empty federated matrix",
+                    op.name
+                ))),
+            };
+        };
         let partitions: Vec<FedPartition> = self
-            .partitions
+            .partitions()
             .iter()
             .map(|p| FedPartition {
-                var: fresh_var(prefix),
+                var: fresh_var(op.name),
                 ..p.clone()
             })
             .collect();
-        let stored = fan_out(&partitions, |i, out| {
-            out.worker
-                .request(request(i, &self.partitions[i], out.var.clone()))
+        let stored = fan_out(&partitions, |i, p| {
+            p.worker.request(request(i, Some(p.var.clone())))
         });
-        FederatedMatrix::from_partitions(cols, keep_or_remove(partitions, stored)?)
-    }
-
-    /// Free the site-side variables backing this federated matrix. Every
-    /// site gets its `Remove` at once; the lowest-numbered failure, if
-    /// any, is returned.
-    pub fn free(self) -> Result<()> {
-        remove_all(&self.partitions)
+        Ok(FedValue::Federated(FederatedMatrix {
+            rows: self.rows,
+            cols: cols(self.cols, operand.as_ref()),
+            sites: owned(partitions, stored)?,
+        }))
     }
 
     fn check_aligned(&self, other: &FederatedMatrix) -> Result<()> {
-        if self.partitions.len() != other.partitions.len()
-            || self.partitions.iter().zip(&other.partitions).any(|(a, b)| {
-                a.row_lo != b.row_lo
-                    || a.row_hi != b.row_hi
-                    || a.worker.endpoint() != b.worker.endpoint()
-            })
+        if self.num_partitions() != other.num_partitions()
+            || self
+                .partitions()
+                .iter()
+                .zip(other.partitions())
+                .any(|(a, b)| {
+                    a.row_lo != b.row_lo
+                        || a.row_hi != b.row_hi
+                        || a.worker.endpoint() != b.worker.endpoint()
+                })
         {
             return Err(SysDsError::Federated(
                 "federated operands are not range-aligned".into(),
@@ -288,6 +269,20 @@ impl FederatedMatrix {
         }
         Ok(())
     }
+}
+
+/// Add the per-site matrices up in partition order; the lowest-numbered
+/// failure wins. `None` without partitions.
+fn add_in_order(parts: Vec<Result<Matrix>>) -> Result<Option<Matrix>> {
+    let mut acc = None;
+    for part in parts {
+        let part = part?;
+        acc = Some(match acc {
+            None => part,
+            Some(a) => elementwise::binary_mm(BinaryOp::Add, &a, &part)?,
+        });
+    }
+    Ok(acc)
 }
 
 /// Issue `request(i, partition)` for every partition at the same time
@@ -335,13 +330,11 @@ fn fan_out<T: Send>(
     })
 }
 
-/// Keep `partitions` if every site stored its variable (`stored[i]` is
-/// `Ok`); otherwise send best-effort `Remove`s to the sites that did and
-/// return the lowest-numbered site's error.
-fn keep_or_remove(
-    partitions: Vec<FedPartition>,
-    stored: Vec<Result<FedResponse>>,
-) -> Result<Vec<FedPartition>> {
+/// The sites of variables the master just stored (`stored[i]` answers
+/// partition `i`). If a site failed, the variables the others stored are
+/// removed again, as their owner drops, and the lowest-numbered site's
+/// error is returned.
+fn owned(partitions: Vec<FedPartition>, stored: Vec<Result<FedResponse>>) -> Result<Arc<Sites>> {
     let mut kept = Vec::with_capacity(partitions.len());
     let mut first_err = None;
     for (p, r) in partitions.into_iter().zip(stored) {
@@ -352,40 +345,41 @@ fn keep_or_remove(
             }
         }
     }
+    let sites = Arc::new(Sites {
+        partitions: kept,
+        owned: true,
+    });
     match first_err {
-        None => Ok(kept),
-        Some(e) => {
-            // Best effort: a failed cleanup must not mask the real error.
-            let _ = remove_all(&kept);
-            Err(e)
-        }
+        None => Ok(sites),
+        Some(e) => Err(e),
     }
-}
-
-/// Send every partition a `Remove` for its variable at once; returns the
-/// lowest-numbered failure, if any.
-fn remove_all(partitions: &[FedPartition]) -> Result<()> {
-    fan_out(partitions, |_, p| {
-        p.worker.request(FedRequest::Remove { var: p.var.clone() })
-    })
-    .into_iter()
-    .try_for_each(|r| r.map(drop))
-}
-
-fn elementwise_add(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Add, a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
     use crate::worker::WorkerHandle;
-    use sysds_tensor::kernels::{gen, matmult, reorg, tsmm as local_tsmm};
+    use sysds_tensor::kernels::{aggregate, gen, matmult, reorg, tsmm as local_tsmm};
+    use sysds_tensor::kernels::{AggFn, Direction};
 
     fn workers(n: usize) -> Vec<Arc<dyn Transport>> {
         (0..n)
             .map(|_| Arc::new(WorkerHandle::spawn(vec![], 1)) as Arc<dyn Transport>)
             .collect()
+    }
+
+    fn nrows(w: &Arc<dyn Transport>, var: &str) -> Result<f64> {
+        let req = FedRequest::Exec {
+            op: &ops::NROWS,
+            vars: vec![var.into()],
+            operand: None,
+            out: None,
+        };
+        match w.request(req)? {
+            FedResponse::Scalar(v) => Ok(v),
+            other => panic!("expected a scalar, got {other:?}"),
+        }
     }
 
     #[test]
@@ -405,7 +399,11 @@ mod tests {
         let m = gen::rand_uniform(40, 5, -1.0, 1.0, 1.0, 142);
         let ws = workers(4);
         let f = FederatedMatrix::scatter(&m, &ws).unwrap();
-        let got = f.tsmm().unwrap();
+        let got = f
+            .exec(&ops::TSMM, &[], None)
+            .unwrap()
+            .into_matrix()
+            .unwrap();
         assert!(got.approx_eq(&local_tsmm::tsmm(&m, 1, false), 1e-9));
     }
 
@@ -415,9 +413,9 @@ mod tests {
         let ws = workers(3);
         let fx = FederatedMatrix::scatter(&x, &ws).unwrap();
         let fy = FederatedMatrix::scatter(&y, &ws).unwrap();
-        let got = fx.tmv(&fy).unwrap();
+        let got = fx.exec(&ops::TMV, &[&fy], None).unwrap();
         let expect = matmult::matmul(&reorg::transpose(&x, 1), &y, 1).unwrap();
-        assert!(got.approx_eq(&expect, 1e-9));
+        assert!(got.into_matrix().unwrap().approx_eq(&expect, 1e-9));
     }
 
     #[test]
@@ -427,7 +425,7 @@ mod tests {
         let ws3 = workers(3);
         let fa = FederatedMatrix::scatter(&x, &ws2).unwrap();
         let fb = FederatedMatrix::scatter(&x, &ws3).unwrap();
-        assert!(fa.tmv(&fb).is_err());
+        assert!(fa.exec(&ops::TMV, &[&fb], None).is_err());
     }
 
     #[test]
@@ -436,17 +434,15 @@ mod tests {
         let v = gen::rand_uniform(4, 1, -1.0, 1.0, 1.0, 146);
         let ws = workers(2);
         let f = FederatedMatrix::scatter(&x, &ws).unwrap();
-        let fp = f.mat_vec(&v).unwrap();
+        let mat_vec = |v: &Matrix| f.exec(&ops::MATVEC, &[], Some(FedOperand::Matrix(v.clone())));
+        let fp = mat_vec(&v).unwrap().into_federated().unwrap();
         assert_eq!(fp.rows(), 22);
         assert_eq!(fp.cols(), 1);
         let local = matmult::matmul(&x, &v, 1).unwrap();
-        let local_ss = sysds_tensor::kernels::aggregate::aggregate_full(
-            sysds_tensor::kernels::AggFn::SumSq,
-            &local,
-        )
-        .unwrap();
-        assert!((fp.sum_sq().unwrap() - local_ss).abs() < 1e-9);
-        assert!(f.mat_vec(&Matrix::zeros(9, 1)).is_err());
+        let local_ss = aggregate::aggregate_full(AggFn::SumSq, &local).unwrap();
+        let ss = fp.exec(&ops::SUM_SQ, &[], None).unwrap().into_scalar();
+        assert!((ss.unwrap() - local_ss).abs() < 1e-9);
+        assert!(mat_vec(&Matrix::zeros(9, 1)).is_err());
     }
 
     #[test]
@@ -456,17 +452,18 @@ mod tests {
         let ws = workers(3);
         let fx = FederatedMatrix::scatter(&x, &ws).unwrap();
         let fy = FederatedMatrix::scatter(&y, &ws).unwrap();
-        let pred = fx.mat_vec(&w).unwrap();
-        let resid = pred.binary_op(BinaryOp::Sub, &fy).unwrap();
+        let pred = fx.exec(&ops::MATVEC, &[], Some(FedOperand::Matrix(w.clone())));
+        let pred = pred.unwrap().into_federated().unwrap();
+        let resid = pred
+            .exec(&ops::BINARY_OP, &[&fy], Some(FedOperand::Op(BinaryOp::Sub)))
+            .unwrap()
+            .into_federated()
+            .unwrap();
         let local_pred = matmult::matmul(&x, &w, 1).unwrap();
-        let local_resid =
-            sysds_tensor::kernels::elementwise::binary_mm(BinaryOp::Sub, &local_pred, &y).unwrap();
-        let local_ss = sysds_tensor::kernels::aggregate::aggregate_full(
-            sysds_tensor::kernels::AggFn::SumSq,
-            &local_resid,
-        )
-        .unwrap();
-        assert!((resid.sum_sq().unwrap() - local_ss).abs() < 1e-9);
+        let local_resid = elementwise::binary_mm(BinaryOp::Sub, &local_pred, &y).unwrap();
+        let local_ss = aggregate::aggregate_full(AggFn::SumSq, &local_resid).unwrap();
+        let ss = resid.exec(&ops::SUM_SQ, &[], None).unwrap().into_scalar();
+        assert!((ss.unwrap() - local_ss).abs() < 1e-9);
     }
 
     #[test]
@@ -474,18 +471,16 @@ mod tests {
         let m = gen::rand_uniform(31, 6, 0.0, 1.0, 1.0, 149);
         let ws = workers(4);
         let f = FederatedMatrix::scatter(&m, &ws).unwrap();
-        let got = f.col_sums().unwrap();
-        let expect = sysds_tensor::kernels::aggregate::aggregate_axis(
-            sysds_tensor::kernels::AggFn::Sum,
-            sysds_tensor::kernels::Direction::Col,
-            &m,
-        )
-        .unwrap();
-        assert!(got.approx_eq(&expect, 1e-9));
+        let got = f.exec(&ops::COL_SUMS, &[], None).unwrap();
+        let expect = aggregate::aggregate_axis(AggFn::Sum, Direction::Col, &m).unwrap();
+        assert!(got.into_matrix().unwrap().approx_eq(&expect, 1e-9));
     }
 
     #[test]
     fn free_releases_site_variables() {
+        // Dropping the last handle frees what the master created; a clone
+        // keeps the variables alive, and so does assembling a matrix over
+        // them with `from_partitions`.
         let m = gen::rand_uniform(10, 2, 0.0, 1.0, 1.0, 150);
         let ws = workers(2);
         let f = FederatedMatrix::scatter(&m, &ws).unwrap();
@@ -494,10 +489,36 @@ mod tests {
             .iter()
             .map(|p| (Arc::clone(&p.worker), p.var.clone()))
             .collect();
-        f.free().unwrap();
-        for (w, var) in vars {
-            assert!(w.request(FedRequest::NumRows { var }).is_err());
+        let clone = f.clone();
+        drop(f);
+        let borrowed = FederatedMatrix::from_partitions(2, clone.partitions().to_vec()).unwrap();
+        for (w, var) in &vars {
+            assert_eq!(nrows(w, var).unwrap(), 5.0);
         }
+        drop(clone);
+        for (w, var) in &vars {
+            let err = nrows(w, var).unwrap_err().to_string();
+            assert!(err.contains("unknown federated variable"), "{err}");
+        }
+        // Dropping site-resident partitions sends nothing.
+        ws[0]
+            .request(FedRequest::Put {
+                var: "site".into(),
+                data: Matrix::zeros(3, 2),
+            })
+            .unwrap();
+        let resident = FederatedMatrix::from_partitions(
+            2,
+            vec![FedPartition {
+                row_lo: 0,
+                row_hi: 3,
+                worker: Arc::clone(&ws[0]),
+                var: "site".into(),
+            }],
+        )
+        .unwrap();
+        drop((resident, borrowed));
+        assert_eq!(nrows(&ws[0], "site").unwrap(), 3.0);
     }
 
     #[test]
@@ -572,7 +593,7 @@ mod tests {
     #[test]
     fn lowest_numbered_failure_wins() {
         let f = federated_over(vec![None, broken("site-b", false), broken("site-c", false)]);
-        let err = f.tsmm().unwrap_err().to_string();
+        let err = f.exec(&ops::TSMM, &[], None).unwrap_err().to_string();
         assert!(err.contains("site-b failed"), "{err}");
     }
 
@@ -582,7 +603,7 @@ mod tests {
             federated_over(vec![None, broken("site-p", true)]),
             federated_over(vec![broken("site-p", true), None]),
         ] {
-            match f.col_sums() {
+            match f.exec(&ops::COL_SUMS, &[], None) {
                 Err(SysDsError::Federated(msg)) => {
                     assert!(msg.contains("site-p blew up"), "{msg}")
                 }
@@ -601,13 +622,20 @@ mod tests {
             .partitions()
             .iter()
             .map(|p| {
-                p.worker
-                    .request_aggregate(FedRequest::Tsmm { var: p.var.clone() })
-                    .unwrap()
+                let req = FedRequest::Exec {
+                    op: &ops::TSMM,
+                    vars: vec![p.var.clone()],
+                    operand: None,
+                    out: None,
+                };
+                match p.worker.request(req).unwrap() {
+                    FedResponse::Aggregate(m) => m,
+                    other => panic!("expected an aggregate, got {other:?}"),
+                }
             })
-            .reduce(|a, b| elementwise_add(&a, &b).unwrap())
+            .reduce(|a, b| elementwise::binary_mm(BinaryOp::Add, &a, &b).unwrap())
             .unwrap();
-        assert_eq!(f.tsmm().unwrap().to_vec(), sequential.to_vec());
-        f.free().unwrap();
+        let got = f.exec(&ops::TSMM, &[], None).unwrap().into_matrix();
+        assert_eq!(got.unwrap().to_vec(), sequential.to_vec());
     }
 }

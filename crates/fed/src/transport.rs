@@ -8,13 +8,13 @@
 //! threads or sockets.
 //!
 //! Implementors provide the raw [`Transport::exchange`] round trip; the
-//! instrumented `request*` wrappers (span + counters + error mapping) are
-//! default methods so every transport reports into `sysds-obs` the same way.
+//! instrumented [`Transport::request`] (span + counters + error mapping)
+//! is a default method so every transport reports into `sysds-obs` the
+//! same way.
 
 use crate::worker::{FedRequest, FedResponse};
 use std::sync::atomic::Ordering;
 use sysds_common::{Result, SysDsError};
-use sysds_tensor::Matrix;
 
 /// One federated site, as seen by the master.
 pub trait Transport: Send + Sync + std::fmt::Debug {
@@ -49,26 +49,6 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         out
-    }
-
-    /// Request an aggregate-matrix response.
-    fn request_aggregate(&self, req: FedRequest) -> Result<Matrix> {
-        match self.request(req)? {
-            FedResponse::Aggregate(m) => Ok(m),
-            other => Err(SysDsError::Federated(format!(
-                "expected aggregate, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Request a scalar response.
-    fn request_scalar(&self, req: FedRequest) -> Result<f64> {
-        match self.request(req)? {
-            FedResponse::Scalar(v) => Ok(v),
-            other => Err(SysDsError::Federated(format!(
-                "expected scalar, got {other:?}"
-            ))),
-        }
     }
 
     /// Liveness probe: a [`FedRequest::Ping`] round trip.

@@ -1,25 +1,24 @@
 //! Federated site workers and the request/response protocol.
 //!
-//! A worker owns named local matrices and executes *federated instructions*
-//! pushed down by the master. Every response is an aggregate (its size
-//! depends only on column counts or is scalar) — the protocol has no
-//! "return your rows" request, which is how the exchange constraint of
-//! paper §3.3 is kept by construction.
+//! A worker owns named local matrices and runs the *federated
+//! instructions* the master pushes down: [`FedRequest::Exec`] runs one row
+//! of [`crate::ops`]. [`execute_request`], shared with the TCP daemon in
+//! `sysds-net`, is the one place a reply leaves a site; it checks every
+//! `Exec` against its row first, so row-partitioned results stay.
 
+use crate::ops::{FedOp, FedOperand, FedResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 use sysds_common::error::panic_message;
 use sysds_common::{Result, SysDsError};
-use sysds_tensor::kernels::{aggregate, elementwise, matmult, matvec, tsmm};
-use sysds_tensor::kernels::{AggFn, BinaryOp, Direction};
 use sysds_tensor::Matrix;
 
-/// Instructions the master can push to a federated site.
+/// Requests the master can send to a federated site.
 ///
 /// `Clone` because networked transports re-send requests on retry; the
-/// mutating variants stay retry-safe through site-side request-id
+/// mutating ones stay retry-safe through site-side request-id
 /// deduplication (see `sysds-net`).
 #[derive(Debug, Clone)]
 pub enum FedRequest {
@@ -27,38 +26,16 @@ pub enum FedRequest {
     Put { var: String, data: Matrix },
     /// Drop a variable.
     Remove { var: String },
-    /// Fused `t(X) %*% X` over the local partition → `cols x cols`.
-    Tsmm { var: String },
-    /// Fused `t(X) %*% y` with both operands local → `cols x 1`.
-    Tmv { x: String, y: String },
-    /// `X %*% v` with a broadcast `v`; result *stays at the site* under
-    /// `out` (it is row-partitioned data, so it may not travel).
-    MatVecKeep { var: String, v: Matrix, out: String },
-    /// Element-wise op with a broadcast scalar, kept at the site.
-    ScalarOpKeep {
-        var: String,
-        op: BinaryOp,
-        scalar: f64,
-        out: String,
+    /// Run the federated instruction `op` over the site variables `vars`
+    /// with the broadcast `operand`. A result that stays at the site is
+    /// stored under `out`, which is present exactly then.
+    Exec {
+        op: &'static FedOp,
+        vars: Vec<String>,
+        operand: Option<FedOperand>,
+        out: Option<String>,
     },
-    /// Element-wise op between two local variables, kept at the site.
-    BinaryOpKeep {
-        lhs: String,
-        rhs: String,
-        op: BinaryOp,
-        out: String,
-    },
-    /// Column sums of a local variable → `1 x cols` aggregate.
-    ColSums { var: String },
-    /// Full sum of squares (e.g. local residual norms) → scalar.
-    SumSq { var: String },
-    /// Local row count → scalar.
-    NumRows { var: String },
-    /// Gradient of squared loss at broadcast weights:
-    /// `t(X) %*% (X w - y)` → `cols x 1` aggregate.
-    LinRegGradient { x: String, y: String, w: Matrix },
-    /// Liveness probe; answered with [`FedResponse::Ok`] without touching
-    /// any site state (used by heartbeat health checks).
+    /// Liveness probe, answered with [`FedResponse::Ok`].
     Ping,
     /// Stop the worker loop.
     Shutdown,
@@ -79,35 +56,22 @@ impl FedRequest {
         match self {
             FedRequest::Put { .. } => "fed_put",
             FedRequest::Remove { .. } => "fed_remove",
-            FedRequest::Tsmm { .. } => "fed_tsmm",
-            FedRequest::Tmv { .. } => "fed_tmv",
-            FedRequest::MatVecKeep { .. } => "fed_matvec",
-            FedRequest::ScalarOpKeep { .. } => "fed_scalar_op",
-            FedRequest::BinaryOpKeep { .. } => "fed_binary_op",
-            FedRequest::ColSums { .. } => "fed_colsums",
-            FedRequest::SumSq { .. } => "fed_sumsq",
-            FedRequest::NumRows { .. } => "fed_nrows",
-            FedRequest::LinRegGradient { .. } => "fed_linreg_grad",
+            FedRequest::Exec { op, .. } => op.name,
             FedRequest::Ping => "fed_ping",
             FedRequest::Shutdown => "fed_shutdown",
         }
     }
 
     /// Whether a replay of this request is observably identical to a single
-    /// delivery *without* site-side deduplication. Read-only requests are;
-    /// mutating requests (`Put`, `Remove`, `*Keep`) need the request-id
-    /// dedup cache a networked server keeps.
+    /// delivery *without* site-side deduplication: every request except
+    /// `Put`, `Remove` and an `Exec` that stores its result under `out`.
+    /// Those need the request-id dedup cache a networked server keeps.
     pub fn idempotent(&self) -> bool {
-        matches!(
+        !matches!(
             self,
-            FedRequest::Tsmm { .. }
-                | FedRequest::Tmv { .. }
-                | FedRequest::ColSums { .. }
-                | FedRequest::SumSq { .. }
-                | FedRequest::NumRows { .. }
-                | FedRequest::LinRegGradient { .. }
-                | FedRequest::Ping
-                | FedRequest::Shutdown
+            FedRequest::Put { .. }
+                | FedRequest::Remove { .. }
+                | FedRequest::Exec { out: Some(_), .. }
         )
     }
 }
@@ -197,13 +161,16 @@ fn get<'a>(vars: &'a HashMap<String, Matrix>, var: &str) -> Result<&'a Matrix> {
 /// Execute one request against a site's variable map, never panicking:
 /// kernel errors *and* kernel panics both become [`FedResponse::Error`]
 /// replies so a malformed request cannot kill the site. Shared by the
-/// in-process worker loop and the TCP daemon in `sysds-net`.
+/// in-process worker loop and the TCP daemon in `sysds-net`. A `Remove`
+/// is the master's best-effort cleanup when a federated matrix drops,
+/// outside any instruction, so neither end traces it.
 pub fn execute_request(
     vars: &mut HashMap<String, Matrix>,
     req: FedRequest,
     threads: usize,
 ) -> FedResponse {
-    let _span = sysds_obs::Span::enter(sysds_obs::Phase::Federated, req.opcode());
+    let _span = (!matches!(req, FedRequest::Remove { .. }))
+        .then(|| sysds_obs::Span::enter(sysds_obs::Phase::Federated, req.opcode()));
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(vars, req, threads))) {
         Ok(Ok(resp)) => resp,
         Ok(Err(e)) => FedResponse::Error(e.to_string()),
@@ -228,52 +195,27 @@ fn execute(
             vars.remove(&var);
             FedResponse::Ok
         }
-        FedRequest::Tsmm { var } => {
-            let x = get(vars, &var)?;
-            FedResponse::Aggregate(tsmm::tsmm(x, threads, true))
-        }
-        FedRequest::Tmv { x, y } => {
-            let xv = get(vars, &x)?;
-            let yv = get(vars, &y)?;
-            FedResponse::Aggregate(tsmm::tmv(xv, yv, threads)?)
-        }
-        FedRequest::MatVecKeep { var, v, out } => {
-            let x = get(vars, &var)?;
-            let r = matmult::matmul(x, &v, threads)?;
-            vars.insert(out, r);
-            FedResponse::Ok
-        }
-        FedRequest::ScalarOpKeep {
-            var,
+        FedRequest::Exec {
             op,
-            scalar,
+            vars: names,
+            operand,
             out,
         } => {
-            let x = get(vars, &var)?;
-            let r = elementwise::binary_ms(op, x, scalar);
-            vars.insert(out, r);
-            FedResponse::Ok
-        }
-        FedRequest::BinaryOpKeep { lhs, rhs, op, out } => {
-            let a = get(vars, &lhs)?;
-            let b = get(vars, &rhs)?;
-            let r = elementwise::binary_mm(op, a, b)?;
-            vars.insert(out, r);
-            FedResponse::Ok
-        }
-        FedRequest::ColSums { var } => {
-            let x = get(vars, &var)?;
-            FedResponse::Aggregate(aggregate::aggregate_axis(AggFn::Sum, Direction::Col, x)?)
-        }
-        FedRequest::SumSq { var } => {
-            let x = get(vars, &var)?;
-            FedResponse::Scalar(aggregate::aggregate_full(AggFn::SumSq, x)?)
-        }
-        FedRequest::NumRows { var } => FedResponse::Scalar(get(vars, &var)?.rows() as f64),
-        FedRequest::LinRegGradient { x, y, w } => {
-            let xv = get(vars, &x)?;
-            let yv = get(vars, &y)?;
-            FedResponse::Aggregate(matvec::mmchain(xv, &w, Some(yv), threads)?)
+            op.check(names.len(), operand.as_ref(), out.is_some())?;
+            let inputs = names
+                .iter()
+                .map(|n| get(vars, n))
+                .collect::<Result<Vec<_>>>()?;
+            let result = (op.kernel)(&inputs, operand.as_ref(), threads)?;
+            match (op.result, out) {
+                (FedResult::Stays { .. }, Some(out)) => {
+                    vars.insert(out, result);
+                    FedResponse::Ok
+                }
+                (FedResult::Aggregate, None) => FedResponse::Aggregate(result),
+                (FedResult::Scalar, None) => FedResponse::Scalar(result.get(0, 0)),
+                _ => unreachable!("FedOp::check pairs `out` with a result that stays"),
+            }
         }
         FedRequest::Ping | FedRequest::Shutdown => FedResponse::Ok,
     })
@@ -282,16 +224,40 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{self, FedOperand};
     use crate::transport::Transport;
-    use sysds_tensor::kernels::{gen, reorg};
+    use sysds_tensor::kernels::{aggregate, elementwise, matmult, reorg, tsmm};
+    use sysds_tensor::kernels::{gen, AggFn, BinaryOp};
+
+    /// An `Exec` of `op` over `vars` without operand or `out`.
+    fn exec(op: &'static FedOp, vars: &[&str]) -> FedRequest {
+        FedRequest::Exec {
+            op,
+            vars: vars.iter().map(|v| v.to_string()).collect(),
+            operand: None,
+            out: None,
+        }
+    }
+
+    fn aggregate(w: &WorkerHandle, req: FedRequest) -> Matrix {
+        match w.request(req).unwrap() {
+            FedResponse::Aggregate(m) => m,
+            other => panic!("expected an aggregate, got {other:?}"),
+        }
+    }
+
+    fn scalar(w: &WorkerHandle, req: FedRequest) -> f64 {
+        match w.request(req).unwrap() {
+            FedResponse::Scalar(v) => v,
+            other => panic!("expected a scalar, got {other:?}"),
+        }
+    }
 
     #[test]
     fn put_tsmm_round_trip() {
         let x = gen::rand_uniform(20, 4, -1.0, 1.0, 1.0, 131);
         let w = WorkerHandle::spawn(vec![("X".into(), x.clone())], 2);
-        let g = w
-            .request_aggregate(FedRequest::Tsmm { var: "X".into() })
-            .unwrap();
+        let g = aggregate(&w, exec(&ops::TSMM, &["X"]));
         let expect = matmult::matmul(&reorg::transpose(&x, 1), &x, 1).unwrap();
         assert!(g.approx_eq(&expect, 1e-9));
     }
@@ -299,11 +265,7 @@ mod tests {
     #[test]
     fn unknown_variable_is_error() {
         let w = WorkerHandle::spawn(vec![], 1);
-        assert!(w
-            .request(FedRequest::Tsmm {
-                var: "missing".into()
-            })
-            .is_err());
+        assert!(w.request(exec(&ops::TSMM, &["missing"])).is_err());
     }
 
     #[test]
@@ -311,16 +273,17 @@ mod tests {
         let x = gen::rand_uniform(10, 3, -1.0, 1.0, 1.0, 132);
         let v = gen::rand_uniform(3, 1, -1.0, 1.0, 1.0, 133);
         let w = WorkerHandle::spawn(vec![("X".into(), x.clone())], 1);
-        w.request(FedRequest::MatVecKeep {
-            var: "X".into(),
-            v: v.clone(),
-            out: "P".into(),
-        })
-        .unwrap();
-        // The site can aggregate over P, proving it exists locally.
-        let ss = w
-            .request_scalar(FedRequest::SumSq { var: "P".into() })
+        let resp = w
+            .request(FedRequest::Exec {
+                op: &ops::MATVEC,
+                vars: vec!["X".into()],
+                operand: Some(FedOperand::Matrix(v.clone())),
+                out: Some("P".into()),
+            })
             .unwrap();
+        assert!(matches!(resp, FedResponse::Ok), "{resp:?}");
+        // The site can aggregate over P, proving it exists locally.
+        let ss = scalar(&w, exec(&ops::SUM_SQ, &["P"]));
         let local = matmult::matmul(&x, &v, 1).unwrap();
         let expect = aggregate::aggregate_full(AggFn::SumSq, &local).unwrap();
         assert!((ss - expect).abs() < 1e-9);
@@ -331,13 +294,15 @@ mod tests {
         let (x, y) = gen::synthetic_regression(30, 4, 1.0, 0.1, 134);
         let wvec = gen::rand_uniform(4, 1, -1.0, 1.0, 1.0, 135);
         let site = WorkerHandle::spawn(vec![("X".into(), x.clone()), ("y".into(), y.clone())], 2);
-        let g = site
-            .request_aggregate(FedRequest::LinRegGradient {
-                x: "X".into(),
-                y: "y".into(),
-                w: wvec.clone(),
-            })
-            .unwrap();
+        let g = aggregate(
+            &site,
+            FedRequest::Exec {
+                op: &ops::MMCHAIN,
+                vars: vec!["X".into(), "y".into()],
+                operand: Some(FedOperand::Matrix(wvec.clone())),
+                out: None,
+            },
+        );
         let pred = matmult::matmul(&x, &wvec, 1).unwrap();
         let resid = elementwise::binary_mm(BinaryOp::Sub, &pred, &y).unwrap();
         let expect = tsmm::tmv(&x, &resid, 1).unwrap();
@@ -352,31 +317,28 @@ mod tests {
             data: Matrix::filled(2, 2, 1.0),
         })
         .unwrap();
-        assert_eq!(
-            w.request_scalar(FedRequest::NumRows { var: "A".into() })
-                .unwrap(),
-            2.0
-        );
+        assert_eq!(scalar(&w, exec(&ops::NROWS, &["A"])), 2.0);
         w.request(FedRequest::Remove { var: "A".into() }).unwrap();
-        assert!(w.request(FedRequest::NumRows { var: "A".into() }).is_err());
+        assert!(w.request(exec(&ops::NROWS, &["A"])).is_err());
     }
 
     #[test]
     fn colsums_aggregate() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let w = WorkerHandle::spawn(vec![("X".into(), x)], 1);
-        let cs = w
-            .request_aggregate(FedRequest::ColSums { var: "X".into() })
-            .unwrap();
+        let cs = aggregate(&w, exec(&ops::COL_SUMS, &["X"]));
         assert_eq!(cs.to_vec(), vec![4.0, 6.0]);
     }
 
     #[test]
     fn worker_survives_errors() {
         let w = WorkerHandle::spawn(vec![("X".into(), Matrix::zeros(2, 2))], 1);
-        assert!(w.request(FedRequest::Tsmm { var: "nope".into() }).is_err());
+        assert!(w.request(exec(&ops::TSMM, &["nope"])).is_err());
+        // A row-partitioned result without `out` is refused, not sent.
+        let err = w.request(exec(&ops::SCALAR_OP, &["X"])).unwrap_err();
+        assert!(err.to_string().contains("fed_scalar_op"), "{err}");
         // still serving afterwards
-        assert!(w.request(FedRequest::Tsmm { var: "X".into() }).is_ok());
+        assert!(w.request(exec(&ops::TSMM, &["X"])).is_ok());
     }
 
     #[test]
@@ -395,7 +357,7 @@ mod tests {
 
     #[test]
     fn idempotence_classification() {
-        assert!(FedRequest::Tsmm { var: "x".into() }.idempotent());
+        assert!(exec(&ops::TSMM, &["x"]).idempotent());
         assert!(FedRequest::Ping.idempotent());
         assert!(!FedRequest::Put {
             var: "x".into(),
@@ -403,12 +365,19 @@ mod tests {
         }
         .idempotent());
         assert!(!FedRequest::Remove { var: "x".into() }.idempotent());
+        assert!(!FedRequest::Exec {
+            op: &ops::SCALAR_OP,
+            vars: vec!["x".into()],
+            operand: Some(FedOperand::Scalar(BinaryOp::Mul, 2.0)),
+            out: Some("y".into()),
+        }
+        .idempotent());
     }
 
     #[test]
     fn execute_request_catches_panics() {
         let mut vars: HashMap<String, Matrix> = HashMap::new();
-        let resp = execute_request(&mut vars, FedRequest::Tsmm { var: "gone".into() }, 1);
+        let resp = execute_request(&mut vars, exec(&ops::TSMM, &["gone"]), 1);
         assert!(matches!(resp, FedResponse::Error(_)));
         let panics = std::panic::catch_unwind(|| {
             let mut vars: HashMap<String, Matrix> = HashMap::new();

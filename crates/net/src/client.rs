@@ -10,8 +10,7 @@
 //!   every request kind: read-only requests are idempotent and mutating
 //!   requests are deduplicated site-side by request id;
 //! * **graceful degradation** — when the budget is exhausted the request
-//!   fails with [`SysDsError::FederatedSiteLost`] instead of hanging;
-//! * **heartbeats** — an optional background pinger tracks site health.
+//!   fails with [`SysDsError::FederatedSiteLost`] instead of hanging.
 //!
 //! Every round trip is recorded into `sysds_obs::net` (per-endpoint bytes,
 //! latency, retries, timeouts) in addition to the federated counters the
@@ -20,9 +19,8 @@
 use crate::wire;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use sysds_common::rng::XorShift64;
 use sysds_common::{NetConfig, Result, SysDsError};
@@ -60,9 +58,6 @@ pub struct TcpTransport {
     cfg: NetConfig,
     threads: usize,
     pool: Mutex<Vec<TcpStream>>,
-    healthy: AtomicBool,
-    heartbeat_stop: Arc<AtomicBool>,
-    heartbeat: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
@@ -79,66 +74,9 @@ impl TcpTransport {
             cfg,
             threads: 1,
             pool: Mutex::new(Vec::new()),
-            healthy: AtomicBool::new(false),
-            heartbeat_stop: Arc::new(AtomicBool::new(false)),
-            heartbeat: Mutex::new(None),
         };
         transport.ping()?;
-        transport.healthy.store(true, Ordering::Relaxed);
         Ok(transport)
-    }
-
-    /// Last known health of the site (updated by requests and heartbeats).
-    pub fn is_healthy(&self) -> bool {
-        self.healthy.load(Ordering::Relaxed)
-    }
-
-    /// Start a background heartbeat: pings every
-    /// [`NetConfig::heartbeat_interval_ms`] and updates [`Self::is_healthy`].
-    /// The pinger holds only a `Weak` reference, so it does not keep the
-    /// transport alive: dropping the last `Arc` (or calling
-    /// [`Self::stop_heartbeat`]) stops the thread. A stopped heartbeat
-    /// cannot be restarted.
-    pub fn start_heartbeat(self: &Arc<Self>) {
-        let mut slot = self.heartbeat.lock().expect("heartbeat poisoned");
-        if slot.is_some() {
-            return;
-        }
-        let me = Arc::downgrade(self);
-        let stop = Arc::clone(&self.heartbeat_stop);
-        let interval = Duration::from_millis(self.cfg.heartbeat_interval_ms.max(10));
-        *slot = Some(std::thread::spawn(move || {
-            let slice = Duration::from_millis(25);
-            loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-                // Upgrade only around the ping: if every strong reference
-                // is gone the transport is being (or has been) dropped.
-                let Some(t) = me.upgrade() else { return };
-                let ok =
-                    t.single_attempt(&wire::request_frame(next_request_id(), &FedRequest::Ping));
-                t.healthy.store(ok.is_ok(), Ordering::Relaxed);
-            }
-        }));
-    }
-
-    /// Stop the background heartbeat and join its thread (also happens
-    /// automatically when the transport is dropped).
-    pub fn stop_heartbeat(&self) {
-        self.heartbeat_stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.heartbeat.lock().expect("heartbeat poisoned").take() {
-            // The pinger may itself hold the last Arc when the upgrade
-            // races a drop; never join the current thread.
-            if join.thread().id() != std::thread::current().id() {
-                let _ = join.join();
-            }
-        }
     }
 
     /// Ask the site daemon to shut down gracefully.
@@ -237,7 +175,6 @@ impl Transport for TcpTransport {
             bytes_sent += frame.len() as u64;
             match self.single_attempt(&frame) {
                 Ok((resp, bytes_recv)) => {
-                    self.healthy.store(true, Ordering::Relaxed);
                     sysds_obs::net::record_request(
                         &self.endpoint,
                         bytes_sent,
@@ -256,7 +193,6 @@ impl Transport for TcpTransport {
                 }
             }
         }
-        self.healthy.store(false, Ordering::Relaxed);
         sysds_obs::net::record_failure(&self.endpoint, retries, timeouts);
         Err(SysDsError::site_lost(
             &self.endpoint,
@@ -270,12 +206,6 @@ impl Transport for TcpTransport {
 
     fn threads(&self) -> usize {
         self.threads
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        self.stop_heartbeat();
     }
 }
 
@@ -305,9 +235,6 @@ mod tests {
             cfg: NetConfig::default().backoff_base_ms(10),
             threads: 1,
             pool: Mutex::new(Vec::new()),
-            healthy: AtomicBool::new(false),
-            heartbeat_stop: Arc::new(AtomicBool::new(false)),
-            heartbeat: Mutex::new(None),
         };
         let mut rng = XorShift64::new(1);
         let b0 = t.backoff(0, &mut rng);
@@ -332,31 +259,5 @@ mod tests {
             (b & 0xFFFF_FFFF) > (a & 0xFFFF_FFFF),
             "sequence must increase"
         );
-    }
-
-    #[test]
-    fn heartbeat_thread_exits_when_transport_dropped() {
-        let mut cfg = NetConfig::default().request_timeout_ms(50);
-        cfg.heartbeat_interval_ms = 10;
-        let t = Arc::new(TcpTransport {
-            addr: "127.0.0.1:1".parse().unwrap(),
-            endpoint: "tcp://test".into(),
-            cfg,
-            threads: 1,
-            pool: Mutex::new(Vec::new()),
-            healthy: AtomicBool::new(false),
-            heartbeat_stop: Arc::new(AtomicBool::new(false)),
-            heartbeat: Mutex::new(None),
-        });
-        t.start_heartbeat();
-        let weak = Arc::downgrade(&t);
-        drop(t); // must stop + join the pinger, not leak the transport
-        for _ in 0..200 {
-            if weak.upgrade().is_none() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        panic!("heartbeat thread kept the transport alive");
     }
 }

@@ -11,8 +11,7 @@
 //!
 //! Robustness is first-class: per-request deadlines, bounded retries with
 //! exponential backoff + deterministic jitter, request-id deduplication for
-//! mutating requests, heartbeat health checks, and typed
-//! `FederatedSiteLost` degradation. The deterministic [`fault::FaultPlan`]
+//! mutating requests, and typed `FederatedSiteLost` degradation. The deterministic [`fault::FaultPlan`]
 //! hook injects drops/delays/truncations server-side so every failure path
 //! is testable in CI without flaky sleeps.
 

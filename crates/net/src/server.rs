@@ -3,11 +3,15 @@
 //! One accept thread plus one thread per connection. All connections share
 //! the site's variable map, the request sequence counter the
 //! [`FaultPlan`] triggers on, and a bounded request-id deduplication cache
-//! that makes retried mutating requests (`Put`, `Remove`, `*Keep`) exactly-
-//! once: a replayed request id is answered from the cache without
-//! re-executing, and a retry that races the still-executing original (e.g.
-//! arriving on a second connection after a timeout) waits for the
-//! original's result via an in-flight marker instead of executing twice.
+//! that makes retried mutating requests (`Put`, `Remove`, an `Exec` that
+//! keeps its result under `out`) exactly-once: a replayed request id is
+//! answered from the cache without re-executing, and a retry that races
+//! the still-executing original (e.g. arriving on a second connection
+//! after a timeout) waits for the original's result via an in-flight
+//! marker instead of executing twice. Every reply, an error for a
+//! malformed payload included, leaves through one write in
+//! `serve_connection`; what it carries comes from the site's one
+//! `execute_request`.
 //! Client request ids carry a randomized per-process epoch (see
 //! `client::next_request_id`), so a restarted or second master never
 //! collides with a predecessor's ids in this cache.
@@ -250,21 +254,16 @@ fn serve_connection(mut stream: TcpStream, state: &SiteState) {
             Ok(Err(_)) | Err(_) => return,
         };
         let request_id = header.request_id;
-        let req = match wire::decode_request(&header, &payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // Malformed payload: answer with an error, keep serving.
-                let frame = wire::response_frame(request_id, &FedResponse::Error(e.to_string()));
-                if wire::write_frame(&mut stream, &frame).is_err() {
-                    return;
-                }
-                continue;
+        // A malformed payload gets an error reply and the link stays up.
+        let (resp, fault, is_shutdown) = match wire::decode_request(&header, &payload) {
+            Ok(req) => {
+                let seq = state.seq.fetch_add(1, Ordering::Relaxed);
+                let is_shutdown = matches!(req, FedRequest::Shutdown);
+                let resp = respond(state, request_id, req);
+                (resp, state.faults.action_for(seq), is_shutdown)
             }
+            Err(e) => (FedResponse::Error(e.to_string()), None, false),
         };
-        let seq = state.seq.fetch_add(1, Ordering::Relaxed);
-        let fault = state.faults.action_for(seq);
-        let is_shutdown = matches!(req, FedRequest::Shutdown);
-        let resp = respond(state, request_id, req);
         let frame = wire::response_frame(request_id, &resp);
         match fault {
             Some(FaultAction::DropResponse) => return,

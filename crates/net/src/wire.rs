@@ -1,28 +1,43 @@
-//! The framed binary wire protocol for federated requests.
+//! The framed binary wire protocol for federated requests, version 2.
 //!
 //! Every message is one frame: a fixed 24-byte little-endian header followed
 //! by an opcode-specific payload. Matrix payloads reuse the workspace binary
 //! block format (`sysds_io::binary`), so a site stores exactly the bytes the
-//! master would spill to disk.
+//! master would spill to disk; strings are a `u32` length and UTF-8 bytes.
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "SNET"
-//! 4       2     version (currently 1)
+//! 4       2     version (2)
 //! 6       1     kind    (0 = request, 1 = response)
-//! 7       1     opcode  (see `FedRequest::wire_opcode` / response codes)
+//! 7       1     opcode  request: 0 Put, 1 Remove, 2 Exec, 3 Ping, 4 Shutdown
+//!                       response: 0 Ok, 1 Aggregate, 2 Scalar, 3 Error
 //! 8       8     request id (echoed verbatim in the response)
 //! 16      8     payload length in bytes
 //! 24      ...   payload
 //! ```
 //!
-//! Decoding is strict: wrong magic, unknown version/kind/opcode, truncated
-//! payloads, and trailing garbage are all rejected with
+//! Every federated instruction travels as one `Exec` payload; the row of
+//! `sysds_fed::ops` it runs is named by its code, so a new row needs no
+//! change here:
+//!
+//! ```text
+//! u8            row code (`FedOp::code`)
+//! u8            n, the number of site variables; then n strings
+//! u8            0 = no `out`; 1 = an `out` string follows
+//! u8            operand: 0 none; 1 matrix block; 2 scalar (operator, f64);
+//!               3 operator. An operator is a u8 index into `BinaryOp::ALL`.
+//! ```
+//!
+//! Decoding is strict: wrong magic, unknown version/kind/opcode/row,
+//! truncated payloads, and trailing garbage are all rejected with
 //! [`SysDsError::Format`] rather than silently tolerated — a corrupt frame
-//! must never be half-applied at a site.
+//! must never be half-applied at a site. Whether an `Exec` fits its row is
+//! the site's check (`FedOp::check`), not the codec's.
 
 use std::io::{Read, Write};
 use sysds_common::{Result, SysDsError};
+use sysds_fed::ops::{self, FedOperand};
 use sysds_fed::{FedRequest, FedResponse};
 use sysds_io::binary::{decode_block, encode_block, put_str, Cursor};
 use sysds_tensor::kernels::BinaryOp;
@@ -30,7 +45,7 @@ use sysds_tensor::kernels::BinaryOp;
 /// Frame magic: the first four bytes of every message.
 pub const MAGIC: [u8; 4] = *b"SNET";
 /// Current protocol version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Upper bound on a payload, guarding length-prefix corruption: a frame
@@ -60,134 +75,108 @@ pub struct FrameHeader {
 
 const REQ_PUT: u8 = 0;
 const REQ_REMOVE: u8 = 1;
-const REQ_TSMM: u8 = 2;
-const REQ_TMV: u8 = 3;
-const REQ_MATVEC_KEEP: u8 = 4;
-const REQ_SCALAR_OP_KEEP: u8 = 5;
-const REQ_BINARY_OP_KEEP: u8 = 6;
-const REQ_COLSUMS: u8 = 7;
-const REQ_SUMSQ: u8 = 8;
-const REQ_NROWS: u8 = 9;
-const REQ_LINREG_GRAD: u8 = 10;
-const REQ_PING: u8 = 11;
-const REQ_SHUTDOWN: u8 = 12;
+const REQ_EXEC: u8 = 2;
+const REQ_PING: u8 = 3;
+const REQ_SHUTDOWN: u8 = 4;
 
 const RESP_OK: u8 = 0;
 const RESP_AGGREGATE: u8 = 1;
 const RESP_SCALAR: u8 = 2;
 const RESP_ERROR: u8 = 3;
 
-fn op_to_u8(op: BinaryOp) -> u8 {
-    match op {
-        BinaryOp::Add => 0,
-        BinaryOp::Sub => 1,
-        BinaryOp::Mul => 2,
-        BinaryOp::Div => 3,
-        BinaryOp::Pow => 4,
-        BinaryOp::Mod => 5,
-        BinaryOp::IntDiv => 6,
-        BinaryOp::Min => 7,
-        BinaryOp::Max => 8,
-        BinaryOp::Eq => 9,
-        BinaryOp::Neq => 10,
-        BinaryOp::Lt => 11,
-        BinaryOp::Le => 12,
-        BinaryOp::Gt => 13,
-        BinaryOp::Ge => 14,
-        BinaryOp::And => 15,
-        BinaryOp::Or => 16,
-    }
+const OPERAND_NONE: u8 = 0;
+const OPERAND_MATRIX: u8 = 1;
+const OPERAND_SCALAR: u8 = 2;
+const OPERAND_OP: u8 = 3;
+
+/// An operator travels as its index in `BinaryOp::ALL`, which lists the
+/// variants in declaration order (so the index is `op as u8`).
+fn get_op(buf: &mut Cursor<'_>) -> Result<BinaryOp> {
+    let code = buf.u8()?;
+    BinaryOp::ALL
+        .get(code as usize)
+        .copied()
+        .ok_or_else(|| SysDsError::Format(format!("unknown binary op code {code}")))
 }
 
-fn u8_to_op(code: u8) -> Result<BinaryOp> {
-    Ok(match code {
-        0 => BinaryOp::Add,
-        1 => BinaryOp::Sub,
-        2 => BinaryOp::Mul,
-        3 => BinaryOp::Div,
-        4 => BinaryOp::Pow,
-        5 => BinaryOp::Mod,
-        6 => BinaryOp::IntDiv,
-        7 => BinaryOp::Min,
-        8 => BinaryOp::Max,
-        9 => BinaryOp::Eq,
-        10 => BinaryOp::Neq,
-        11 => BinaryOp::Lt,
-        12 => BinaryOp::Le,
-        13 => BinaryOp::Gt,
-        14 => BinaryOp::Ge,
-        15 => BinaryOp::And,
-        16 => BinaryOp::Or,
-        _ => return Err(SysDsError::Format(format!("unknown binary op code {code}"))),
-    })
-}
-
-/// Wire opcode of a request (stable protocol contract, distinct from the
-/// human-readable `FedRequest::opcode()` statistics name).
-pub fn request_opcode(req: &FedRequest) -> u8 {
-    match req {
-        FedRequest::Put { .. } => REQ_PUT,
-        FedRequest::Remove { .. } => REQ_REMOVE,
-        FedRequest::Tsmm { .. } => REQ_TSMM,
-        FedRequest::Tmv { .. } => REQ_TMV,
-        FedRequest::MatVecKeep { .. } => REQ_MATVEC_KEEP,
-        FedRequest::ScalarOpKeep { .. } => REQ_SCALAR_OP_KEEP,
-        FedRequest::BinaryOpKeep { .. } => REQ_BINARY_OP_KEEP,
-        FedRequest::ColSums { .. } => REQ_COLSUMS,
-        FedRequest::SumSq { .. } => REQ_SUMSQ,
-        FedRequest::NumRows { .. } => REQ_NROWS,
-        FedRequest::LinRegGradient { .. } => REQ_LINREG_GRAD,
-        FedRequest::Ping => REQ_PING,
-        FedRequest::Shutdown => REQ_SHUTDOWN,
-    }
-}
-
-fn encode_request_payload(req: &FedRequest) -> Vec<u8> {
+/// Encode a request as its frame opcode and payload.
+fn encode_request(req: &FedRequest) -> (u8, Vec<u8>) {
     let mut buf = Vec::new();
-    match req {
+    let opcode = match req {
         FedRequest::Put { var, data } => {
             put_str(&mut buf, var);
             encode_block(data, &mut buf);
+            REQ_PUT
         }
-        FedRequest::Remove { var }
-        | FedRequest::Tsmm { var }
-        | FedRequest::ColSums { var }
-        | FedRequest::SumSq { var }
-        | FedRequest::NumRows { var } => put_str(&mut buf, var),
-        FedRequest::Tmv { x, y } => {
-            put_str(&mut buf, x);
-            put_str(&mut buf, y);
-        }
-        FedRequest::MatVecKeep { var, v, out } => {
+        FedRequest::Remove { var } => {
             put_str(&mut buf, var);
-            put_str(&mut buf, out);
-            encode_block(v, &mut buf);
+            REQ_REMOVE
         }
-        FedRequest::ScalarOpKeep {
-            var,
+        FedRequest::Exec {
             op,
-            scalar,
+            vars,
+            operand,
             out,
         } => {
-            put_str(&mut buf, var);
-            put_str(&mut buf, out);
-            buf.push(op_to_u8(*op));
-            buf.extend_from_slice(&scalar.to_le_bytes());
+            buf.push(op.code);
+            buf.push(u8::try_from(vars.len()).expect("at most 255 site variables"));
+            for var in vars {
+                put_str(&mut buf, var);
+            }
+            match out {
+                None => buf.push(0),
+                Some(out) => {
+                    buf.push(1);
+                    put_str(&mut buf, out);
+                }
+            }
+            match operand {
+                None => buf.push(OPERAND_NONE),
+                Some(FedOperand::Matrix(m)) => {
+                    buf.push(OPERAND_MATRIX);
+                    encode_block(m, &mut buf);
+                }
+                Some(FedOperand::Scalar(op, scalar)) => {
+                    buf.extend([OPERAND_SCALAR, *op as u8]);
+                    buf.extend_from_slice(&scalar.to_le_bytes());
+                }
+                Some(FedOperand::Op(op)) => {
+                    buf.extend([OPERAND_OP, *op as u8]);
+                }
+            }
+            REQ_EXEC
         }
-        FedRequest::BinaryOpKeep { lhs, rhs, op, out } => {
-            put_str(&mut buf, lhs);
-            put_str(&mut buf, rhs);
-            put_str(&mut buf, out);
-            buf.push(op_to_u8(*op));
-        }
-        FedRequest::LinRegGradient { x, y, w } => {
-            put_str(&mut buf, x);
-            put_str(&mut buf, y);
-            encode_block(w, &mut buf);
-        }
-        FedRequest::Ping | FedRequest::Shutdown => {}
-    }
-    buf
+        FedRequest::Ping => REQ_PING,
+        FedRequest::Shutdown => REQ_SHUTDOWN,
+    };
+    (opcode, buf)
+}
+
+fn decode_exec(buf: &mut Cursor<'_>) -> Result<FedRequest> {
+    let code = buf.u8()?;
+    let op = (ops::OPS.into_iter().find(|op| op.code == code))
+        .ok_or_else(|| SysDsError::Format(format!("unknown federated instruction {code}")))?;
+    let vars = (0..buf.u8()?)
+        .map(|_| buf.str())
+        .collect::<Result<Vec<_>>>()?;
+    let out = match buf.u8()? {
+        0 => None,
+        1 => Some(buf.str()?),
+        flag => return Err(SysDsError::Format(format!("bad out flag {flag}"))),
+    };
+    let operand = match buf.u8()? {
+        OPERAND_NONE => None,
+        OPERAND_MATRIX => Some(FedOperand::Matrix(decode_block(buf)?)),
+        OPERAND_SCALAR => Some(FedOperand::Scalar(get_op(buf)?, buf.f64()?)),
+        OPERAND_OP => Some(FedOperand::Op(get_op(buf)?)),
+        tag => return Err(SysDsError::Format(format!("unknown operand tag {tag}"))),
+    };
+    Ok(FedRequest::Exec {
+        op,
+        vars,
+        operand,
+        out,
+    })
 }
 
 /// Decode the request carried by a frame read with [`read_frame`].
@@ -202,43 +191,7 @@ pub fn decode_request(header: &FrameHeader, payload: &[u8]) -> Result<FedRequest
             data: decode_block(&mut buf)?,
         },
         REQ_REMOVE => FedRequest::Remove { var: buf.str()? },
-        REQ_TSMM => FedRequest::Tsmm { var: buf.str()? },
-        REQ_TMV => FedRequest::Tmv {
-            x: buf.str()?,
-            y: buf.str()?,
-        },
-        REQ_MATVEC_KEEP => FedRequest::MatVecKeep {
-            var: buf.str()?,
-            out: buf.str()?,
-            v: decode_block(&mut buf)?,
-        },
-        REQ_SCALAR_OP_KEEP => {
-            let var = buf.str()?;
-            let out = buf.str()?;
-            let op = u8_to_op(buf.u8()?)?;
-            let scalar = buf.f64()?;
-            FedRequest::ScalarOpKeep {
-                var,
-                op,
-                scalar,
-                out,
-            }
-        }
-        REQ_BINARY_OP_KEEP => {
-            let lhs = buf.str()?;
-            let rhs = buf.str()?;
-            let out = buf.str()?;
-            let op = u8_to_op(buf.u8()?)?;
-            FedRequest::BinaryOpKeep { lhs, rhs, op, out }
-        }
-        REQ_COLSUMS => FedRequest::ColSums { var: buf.str()? },
-        REQ_SUMSQ => FedRequest::SumSq { var: buf.str()? },
-        REQ_NROWS => FedRequest::NumRows { var: buf.str()? },
-        REQ_LINREG_GRAD => FedRequest::LinRegGradient {
-            x: buf.str()?,
-            y: buf.str()?,
-            w: decode_block(&mut buf)?,
-        },
+        REQ_EXEC => decode_exec(&mut buf)?,
         REQ_PING => FedRequest::Ping,
         REQ_SHUTDOWN => FedRequest::Shutdown,
         other => {
@@ -319,13 +272,8 @@ fn frame(kind: FrameKind, opcode: u8, request_id: u64, payload: &[u8]) -> Vec<u8
 
 /// Encode a complete request frame.
 pub fn request_frame(request_id: u64, req: &FedRequest) -> Vec<u8> {
-    let payload = encode_request_payload(req);
-    frame(
-        FrameKind::Request,
-        request_opcode(req),
-        request_id,
-        &payload,
-    )
+    let (opcode, payload) = encode_request(req);
+    frame(FrameKind::Request, opcode, request_id, &payload)
 }
 
 /// Encode a complete response frame.
@@ -463,7 +411,7 @@ mod tests {
     fn truncated_frame_rejected() {
         let bytes = request_frame(
             1,
-            &FedRequest::Tsmm {
+            &FedRequest::Remove {
                 var: "long_variable_name".into(),
             },
         );
@@ -481,11 +429,35 @@ mod tests {
 
     #[test]
     fn all_binary_ops_round_trip() {
-        for code in 0..17u8 {
-            let op = u8_to_op(code).unwrap();
-            assert_eq!(op_to_u8(op), code);
+        for op in BinaryOp::ALL {
+            let req = FedRequest::Exec {
+                op: &ops::BINARY_OP,
+                vars: vec!["A".into(), "B".into()],
+                operand: Some(FedOperand::Op(op)),
+                out: Some("C".into()),
+            };
+            let (_, back) = parse_request_frame(&request_frame(1, &req)).unwrap();
+            assert!(
+                matches!(back, FedRequest::Exec { operand: Some(FedOperand::Op(o)), .. } if o == op)
+            );
         }
-        assert!(u8_to_op(17).is_err());
+        let past_the_end = [BinaryOp::ALL.len() as u8];
+        assert!(get_op(&mut Cursor::new(&past_the_end)).is_err());
+    }
+
+    #[test]
+    fn unknown_row_code_rejected() {
+        let exec = FedRequest::Exec {
+            op: &ops::NROWS,
+            vars: vec!["X".into()],
+            operand: None,
+            out: None,
+        };
+        let mut bytes = request_frame(1, &exec);
+        assert!(parse_request_frame(&bytes).is_ok());
+        bytes[HEADER_LEN] = u8::MAX;
+        let err = parse_request_frame(&bytes).unwrap_err().to_string();
+        assert!(err.contains("unknown federated instruction"), "{err}");
     }
 
     #[test]

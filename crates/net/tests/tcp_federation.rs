@@ -4,13 +4,15 @@
 //! frames, deadline overruns, dead sites — must resolve through the
 //! robustness layer (retries, dedup, typed degradation).
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sysds_common::{NetConfig, SysDsError};
 use sysds_fed::learn::federated_lm;
-use sysds_fed::{FedRequest, FederatedMatrix, Transport, WorkerHandle};
-use sysds_net::{FaultPlan, TcpTransport, WorkerServer};
-use sysds_tensor::kernels::{elementwise, gen, BinaryOp};
+use sysds_fed::ops::{self, FedOp, FedOperand, FedResult, OPS};
+use sysds_fed::{FedRequest, FedResponse, FederatedMatrix, Transport, WorkerHandle};
+use sysds_net::{wire, FaultPlan, TcpTransport, WorkerServer};
+use sysds_tensor::kernels::{aggregate, elementwise, gen, indexing, AggFn, BinaryOp, Direction};
 use sysds_tensor::Matrix;
 
 /// Fast-failing config so negative-path tests stay quick.
@@ -23,6 +25,30 @@ fn quick_cfg() -> NetConfig {
 
 fn connect(server: &WorkerServer, cfg: NetConfig) -> Arc<TcpTransport> {
     Arc::new(TcpTransport::connect(&server.local_addr().to_string(), cfg).unwrap())
+}
+
+/// An `Exec` of `op` over the site variables `vars`, without operand or
+/// `out`.
+fn exec(op: &'static FedOp, vars: &[&str]) -> FedRequest {
+    FedRequest::Exec {
+        op,
+        vars: vars.iter().map(|v| v.to_string()).collect(),
+        operand: None,
+        out: None,
+    }
+}
+
+fn in_process(n: usize) -> Vec<Arc<dyn Transport>> {
+    (0..n)
+        .map(|_| Arc::new(WorkerHandle::spawn(vec![], 1)) as Arc<dyn Transport>)
+        .collect()
+}
+
+fn tcp_sites(servers: &[WorkerServer]) -> Vec<Arc<dyn Transport>> {
+    servers
+        .iter()
+        .map(|s| connect(s, quick_cfg()) as Arc<dyn Transport>)
+        .collect()
 }
 
 fn lm_over(workers: &[Arc<dyn Transport>], x: &Matrix, y: &Matrix, lambda: f64) -> Matrix {
@@ -144,14 +170,11 @@ fn dead_site_degrades_to_site_lost() {
     let cfg = quick_cfg().max_retries(1).request_timeout_ms(300);
     let t = connect(&server, cfg);
     server.shutdown();
-    let err = t
-        .request(FedRequest::NumRows { var: "X".into() })
-        .unwrap_err();
+    let err = t.request(exec(&ops::NROWS, &["X"])).unwrap_err();
     assert!(
         matches!(err, SysDsError::FederatedSiteLost { .. }),
         "expected FederatedSiteLost, got: {err}"
     );
-    assert!(!t.is_healthy());
 }
 
 #[test]
@@ -166,9 +189,7 @@ fn site_error_is_a_reply_not_a_retry_storm() {
         .find(|s| s.endpoint == t.endpoint())
         .map(|s| s.retries)
         .unwrap_or(0);
-    let err = t
-        .request(FedRequest::Tsmm { var: "nope".into() })
-        .unwrap_err();
+    let err = t.request(exec(&ops::TSMM, &["nope"])).unwrap_err();
     assert!(
         matches!(err, SysDsError::Federated(_)),
         "expected Federated error, got: {err}"
@@ -189,25 +210,6 @@ fn wire_shutdown_stops_the_daemon_gracefully() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !server.is_stopped() {
         assert!(Instant::now() < deadline, "daemon did not stop");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-#[test]
-fn heartbeat_detects_a_dying_site() {
-    let mut server = WorkerServer::bind("127.0.0.1:0", vec![], 1).unwrap();
-    let mut cfg = quick_cfg().max_retries(0).request_timeout_ms(200);
-    cfg.heartbeat_interval_ms = 50;
-    let t = connect(&server, cfg);
-    t.start_heartbeat();
-    assert!(t.is_healthy());
-    server.shutdown();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while t.is_healthy() {
-        assert!(
-            Instant::now() < deadline,
-            "heartbeat never noticed the dead site"
-        );
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -236,8 +238,8 @@ fn parameter_server_trains_over_tcp() {
     );
 }
 
-/// A site wrapper that records the variable every `Put` and `*Keep`
-/// request stores, so a test can ask the site about it afterwards.
+/// A site wrapper that records the variable every `Put` and kept `Exec`
+/// stores, so a test can ask the site about it afterwards.
 #[derive(Debug)]
 struct Recording {
     inner: Arc<TcpTransport>,
@@ -248,9 +250,7 @@ impl Transport for Recording {
     fn exchange(&self, req: FedRequest) -> sysds_common::Result<sysds_fed::FedResponse> {
         let var = match &req {
             FedRequest::Put { var, .. } => Some(var),
-            FedRequest::MatVecKeep { out, .. }
-            | FedRequest::ScalarOpKeep { out, .. }
-            | FedRequest::BinaryOpKeep { out, .. } => Some(out),
+            FedRequest::Exec { out, .. } => out.as_ref(),
             _ => None,
         };
         if let Some(var) = var {
@@ -304,10 +304,7 @@ fn assert_names_site_1(err: &SysDsError, sites: &[Arc<dyn Transport>]) {
 
 fn assert_site_0_freed(site0: &Recording, var: &str) {
     assert!(
-        site0
-            .inner
-            .request(FedRequest::NumRows { var: var.into() })
-            .is_err(),
+        site0.inner.request(exec(&ops::NROWS, &[var])).is_err(),
         "site 0 still holds '{var}'"
     );
 }
@@ -318,17 +315,15 @@ fn failed_mat_vec_names_the_site_and_frees_the_others() {
     let (_servers, site0, sites) = clean_and_failing_site(2);
     let x = gen::rand_uniform(20, 3, -1.0, 1.0, 1.0, 104);
     let fx = FederatedMatrix::scatter(&x, &sites).unwrap();
-    let err = fx.mat_vec(&Matrix::zeros(3, 1)).unwrap_err();
+    let v = FedOperand::Matrix(Matrix::zeros(3, 1));
+    let err = fx.exec(&ops::MATVEC, &[], Some(v)).unwrap_err();
     assert_names_site_1(&err, &sites);
     let out = site0.stored.lock().unwrap().last().cloned().unwrap();
-    assert!(out.starts_with("__fed_mv_"), "{out}");
+    assert!(out.starts_with("__fed_matvec_"), "{out}");
     assert_site_0_freed(&site0, &out);
     // The input partition itself is untouched.
     let input = fx.partitions()[0].var.clone();
-    assert!(site0
-        .inner
-        .request(FedRequest::NumRows { var: input })
-        .is_ok());
+    assert!(site0.inner.request(exec(&ops::NROWS, &[&input])).is_ok());
 }
 
 #[test]
@@ -374,39 +369,43 @@ fn out_of_order_replies_sum_bitwise_in_partition_order() {
     let fx = FederatedMatrix::scatter(&x, &sites).unwrap();
     let fy = FederatedMatrix::scatter(&y, &sites).unwrap();
 
-    let tsmm = fx.tsmm().unwrap();
-    let tmv = fx.tmv(&fy).unwrap();
-    let col_sums = fx.col_sums().unwrap();
-    let sum_sq = fx.sum_sq().unwrap();
+    let run = |op, with: &[&FederatedMatrix]| fx.exec(op, with, None).unwrap();
+    let tsmm = run(&ops::TSMM, &[]).into_matrix().unwrap();
+    let tmv = run(&ops::TMV, &[&fy]).into_matrix().unwrap();
+    let col_sums = run(&ops::COL_SUMS, &[]).into_matrix().unwrap();
+    let sum_sq = run(&ops::SUM_SQ, &[]).into_scalar().unwrap();
     let mut ps = sysds_fed::learn::FederatedParamServer::new(5, 0.5, 0.0);
     ps.step(&fx, &fy).unwrap();
 
+    let reply = |i: usize, req| fx.partitions()[i].worker.request(req).unwrap();
     let per_site = |req: &dyn Fn(usize) -> FedRequest| -> Vec<Matrix> {
         (0..3)
-            .map(|i| fx.partitions()[i].worker.request_aggregate(req(i)).unwrap())
+            .map(|i| match reply(i, req(i)) {
+                FedResponse::Aggregate(m) => m,
+                other => panic!("expected an aggregate, got {other:?}"),
+            })
             .collect()
     };
     let xv = |i: usize| fx.partitions()[i].var.clone();
     let yv = |i: usize| fy.partitions()[i].var.clone();
-    let want_tsmm = sequential_fold(per_site(&|i| FedRequest::Tsmm { var: xv(i) }), add);
-    let want_tmv = sequential_fold(per_site(&|i| FedRequest::Tmv { x: xv(i), y: yv(i) }), add);
-    let want_col_sums = sequential_fold(per_site(&|i| FedRequest::ColSums { var: xv(i) }), add);
+    let want_tsmm = sequential_fold(per_site(&|i| exec(&ops::TSMM, &[&xv(i)])), add);
+    let want_tmv = sequential_fold(per_site(&|i| exec(&ops::TMV, &[&xv(i), &yv(i)])), add);
+    let want_col_sums = sequential_fold(per_site(&|i| exec(&ops::COL_SUMS, &[&xv(i)])), add);
     let want_sum_sq = sequential_fold(
         (0..3)
-            .map(|i| {
-                fx.partitions()[i]
-                    .worker
-                    .request_scalar(FedRequest::SumSq { var: xv(i) })
-                    .unwrap()
+            .map(|i| match reply(i, exec(&ops::SUM_SQ, &[&xv(i)])) {
+                FedResponse::Scalar(v) => v,
+                other => panic!("expected a scalar, got {other:?}"),
             })
             .collect(),
         |a, b| a + b,
     );
     let grad = sequential_fold(
-        per_site(&|i| FedRequest::LinRegGradient {
-            x: xv(i),
-            y: yv(i),
-            w: Matrix::zeros(5, 1),
+        per_site(&|i| FedRequest::Exec {
+            op: &ops::MMCHAIN,
+            vars: vec![xv(i), yv(i)],
+            operand: Some(FedOperand::Matrix(Matrix::zeros(5, 1))),
+            out: None,
         }),
         add,
     );
@@ -443,10 +442,260 @@ fn site_requests_overlap() {
     let x = gen::rand_uniform(40, 4, -1.0, 1.0, 1.0, 107);
     let fx = FederatedMatrix::scatter(&x, &sites).unwrap();
     let start = Instant::now();
-    fx.tsmm().unwrap();
+    fx.exec(&ops::TSMM, &[], None).unwrap();
     let took = start.elapsed();
     assert!(
         took < Duration::from_millis(350),
         "tsmm over two 200 ms sites took {took:?}"
     );
+}
+
+/// One or more samples per row of the federated instruction table: the
+/// site variables (local matrices, scattered alike) and the broadcast
+/// operand. A new row needs its sample here.
+fn samples(x: &Matrix, y: &Matrix) -> Vec<(&'static FedOp, Vec<Matrix>, Option<FedOperand>)> {
+    let v = gen::rand_uniform(x.cols(), 1, -1.0, 1.0, 1.0, 110);
+    let x2 = gen::rand_uniform(x.rows(), x.cols(), -1.0, 1.0, 1.0, 111);
+    let m = |m: &Matrix| Some(FedOperand::Matrix(m.clone()));
+    vec![
+        (&ops::TSMM, vec![x.clone()], None),
+        (&ops::TMV, vec![x.clone(), y.clone()], None),
+        (&ops::MATVEC, vec![x.clone()], m(&v)),
+        (
+            &ops::SCALAR_OP,
+            vec![x.clone()],
+            Some(FedOperand::Scalar(BinaryOp::Pow, 2.0)),
+        ),
+        (
+            &ops::BINARY_OP,
+            vec![x.clone(), x2],
+            Some(FedOperand::Op(BinaryOp::Mul)),
+        ),
+        (&ops::COL_SUMS, vec![x.clone()], None),
+        (&ops::SUM_SQ, vec![x.clone()], None),
+        (&ops::NROWS, vec![x.clone()], None),
+        (&ops::MMCHAIN, vec![x.clone()], m(&v)),
+        (&ops::MMCHAIN, vec![x.clone(), y.clone()], m(&v)),
+    ]
+}
+
+fn add_col_sums(acc: Option<Matrix>, m: &Matrix) -> Option<Matrix> {
+    let cs = aggregate::aggregate_axis(AggFn::Sum, Direction::Col, m).unwrap();
+    Some(match acc {
+        None => cs,
+        Some(a) => add(a, cs),
+    })
+}
+
+/// Every row, run over 1, 2 and 3 in-process sites and over 2 TCP sites,
+/// is bitwise equal to its kernel run locally on the same row slices and
+/// added up in partition order; a result that stays at the sites is
+/// compared by its column sums.
+#[test]
+fn every_row_agrees_with_its_local_kernel() {
+    let (x, y) = gen::synthetic_regression(37, 4, 1.0, 0.1, 109);
+    let samples = samples(&x, &y);
+    for op in OPS {
+        assert!(
+            samples.iter().any(|(row, ..)| std::ptr::eq(*row, op)),
+            "row {} has no sample",
+            op.name
+        );
+    }
+    let servers: Vec<WorkerServer> = (0..2)
+        .map(|_| WorkerServer::bind("127.0.0.1:0", vec![], 1).unwrap())
+        .collect();
+    let site_sets = [
+        ("inproc1", in_process(1)),
+        ("inproc2", in_process(2)),
+        ("inproc3", in_process(3)),
+        ("tcp2", tcp_sites(&servers)),
+    ];
+    for (sites_name, sites) in &site_sets {
+        for (op, inputs, operand) in &samples {
+            let what = format!("{} over {sites_name}", op.name);
+            let feds: Vec<FederatedMatrix> = inputs
+                .iter()
+                .map(|m| FederatedMatrix::scatter(m, sites).unwrap())
+                .collect();
+            let with: Vec<&FederatedMatrix> = feds[1..].iter().collect();
+            let got = feds[0].exec(op, &with, operand.clone()).unwrap();
+            // The row's kernel on each partition's slices, in order.
+            let local: Vec<Matrix> = feds[0]
+                .partitions()
+                .iter()
+                .map(|p| {
+                    let slices: Vec<Matrix> = inputs
+                        .iter()
+                        .map(|m| indexing::slice(m, p.row_lo..p.row_hi, 0..m.cols()).unwrap())
+                        .collect();
+                    let refs: Vec<&Matrix> = slices.iter().collect();
+                    (op.kernel)(&refs, operand.as_ref(), 1).unwrap()
+                })
+                .collect();
+            match op.result {
+                FedResult::Aggregate => {
+                    let want = sequential_fold(local, add);
+                    assert_eq!(got.into_matrix().unwrap().to_vec(), want.to_vec(), "{what}");
+                }
+                FedResult::Scalar => {
+                    let want =
+                        sequential_fold(local.iter().map(|m| m.get(0, 0)).collect(), |a, b| a + b);
+                    assert_eq!(
+                        got.into_scalar().unwrap().to_bits(),
+                        want.to_bits(),
+                        "{what}"
+                    );
+                }
+                FedResult::Stays { .. } => {
+                    let kept = got.into_federated().unwrap();
+                    assert_eq!(kept.rows(), x.rows(), "{what}");
+                    assert_eq!(kept.cols(), local[0].cols(), "{what}");
+                    let want = local.iter().fold(None, add_col_sums).unwrap();
+                    let col_sums = kept.exec(&ops::COL_SUMS, &[], None).unwrap();
+                    assert_eq!(
+                        col_sums.into_matrix().unwrap().to_vec(),
+                        want.to_vec(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every site variable of `fs`, with the site holding it.
+fn site_vars(fs: &[&FederatedMatrix]) -> Vec<(Arc<dyn Transport>, String)> {
+    fs.iter()
+        .flat_map(|f| f.partitions())
+        .map(|p| (Arc::clone(&p.worker), p.var.clone()))
+        .collect()
+}
+
+#[test]
+fn dropped_handles_free_their_site_variables() {
+    let servers: Vec<WorkerServer> = (0..2)
+        .map(|_| WorkerServer::bind("127.0.0.1:0", vec![], 1).unwrap())
+        .collect();
+    for sites in [in_process(2), tcp_sites(&servers)] {
+        let x = gen::rand_uniform(20, 3, -1.0, 1.0, 1.0, 112);
+        let v = FedOperand::Matrix(gen::rand_uniform(3, 1, -1.0, 1.0, 1.0, 113));
+        let fx = FederatedMatrix::scatter(&x, &sites).unwrap();
+        let kept = |f: &FederatedMatrix, op, with: &[&FederatedMatrix], operand| {
+            f.exec(op, with, Some(operand))
+                .unwrap()
+                .into_federated()
+                .unwrap()
+        };
+        let xv = kept(&fx, &ops::MATVEC, &[], v);
+        let xs = kept(
+            &fx,
+            &ops::SCALAR_OP,
+            &[],
+            FedOperand::Scalar(BinaryOp::Mul, 2.0),
+        );
+        let sum = kept(&fx, &ops::BINARY_OP, &[&xs], FedOperand::Op(BinaryOp::Add));
+        let vars = site_vars(&[&fx, &xv, &xs, &sum]);
+        assert_eq!(vars.len(), 8);
+        for (site, var) in &vars {
+            assert!(site.request(exec(&ops::NROWS, &[var])).is_ok(), "{var}");
+        }
+        drop((fx, xv, xs, sum));
+        for (site, var) in &vars {
+            let err = site.request(exec(&ops::NROWS, &[var])).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown federated variable"),
+                "{} still holds {var}: {err}",
+                site.endpoint()
+            );
+        }
+    }
+}
+
+#[test]
+fn dropping_a_handle_whose_site_is_dead_returns_within_the_timeout_budget() {
+    let mut server = WorkerServer::bind("127.0.0.1:0", vec![], 1).unwrap();
+    let cfg = quick_cfg().max_retries(1).request_timeout_ms(300);
+    let site = connect(&server, cfg) as Arc<dyn Transport>;
+    let x = gen::rand_uniform(10, 2, -1.0, 1.0, 1.0, 114);
+    let fx = FederatedMatrix::scatter(&x, &[site]).unwrap();
+    server.shutdown();
+    let start = Instant::now();
+    drop(fx);
+    // One request's budget: every attempt's deadline plus the backoffs.
+    let budget = (cfg.max_retries as u64 + 1) * cfg.request_timeout_ms
+        + cfg.max_retries as u64 * cfg.backoff_max_ms;
+    assert!(
+        start.elapsed() < Duration::from_millis(budget),
+        "drop took {:?}, budget {budget} ms",
+        start.elapsed()
+    );
+}
+
+/// Send `req` on a raw connection and read the reply.
+fn raw_request(stream: &mut TcpStream, id: u64, req: &FedRequest) -> FedResponse {
+    wire::write_frame(stream, &wire::request_frame(id, req)).unwrap();
+    let (header, payload) = wire::read_frame(stream).unwrap().unwrap();
+    assert_eq!(header.request_id, id);
+    wire::decode_response(&header, &payload).unwrap()
+}
+
+/// Each crafted `Exec` gets an error reply naming its row, and the site
+/// still answers the `Ping` that follows on the same connection.
+fn assert_refused(crafted: &[FedRequest]) {
+    let x = gen::rand_uniform(6, 2, -1.0, 1.0, 1.0, 115);
+    let server = WorkerServer::bind("127.0.0.1:0", vec![("X".into(), x)], 1).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for (i, req) in crafted.iter().enumerate() {
+        let id = 2 * i as u64 + 1;
+        match raw_request(&mut stream, id, req) {
+            FedResponse::Error(msg) => assert!(msg.contains(req.opcode()), "{msg}"),
+            other => panic!("{req:?} was answered with {other:?}"),
+        }
+        let pong = raw_request(&mut stream, id + 1, &FedRequest::Ping);
+        assert!(matches!(pong, FedResponse::Ok), "{pong:?}");
+    }
+}
+
+#[test]
+fn exec_that_would_send_rows_back_gets_an_error_reply() {
+    // Row-partitioned results without an `out` to keep them under.
+    assert_refused(&[
+        FedRequest::Exec {
+            op: &ops::MATVEC,
+            vars: vec!["X".into()],
+            operand: Some(FedOperand::Matrix(Matrix::filled(2, 1, 1.0))),
+            out: None,
+        },
+        FedRequest::Exec {
+            op: &ops::SCALAR_OP,
+            vars: vec!["X".into()],
+            operand: Some(FedOperand::Scalar(BinaryOp::Mul, 1.0)),
+            out: None,
+        },
+    ]);
+}
+
+#[test]
+fn exec_with_the_wrong_operand_count_gets_an_error_reply() {
+    assert_refused(&[
+        exec(&ops::TSMM, &["X", "X"]),
+        exec(&ops::TMV, &["X"]),
+        FedRequest::Exec {
+            op: &ops::BINARY_OP,
+            vars: vec!["X".into()],
+            operand: Some(FedOperand::Op(BinaryOp::Add)),
+            out: Some("Z".into()),
+        },
+        // An operand the row does not take.
+        FedRequest::Exec {
+            op: &ops::COL_SUMS,
+            vars: vec!["X".into()],
+            operand: Some(FedOperand::Op(BinaryOp::Add)),
+            out: None,
+        },
+    ]);
 }

@@ -1,35 +1,16 @@
-//! Property tests for the framed wire protocol: every request/response
-//! variant survives serialize → deserialize exactly (including empty and
+//! Property tests for the framed wire protocol: every request kind, an
+//! `Exec` of every row of the federated instruction table, and every
+//! response survive serialize → deserialize exactly (including empty and
 //! large matrices), and truncated or corrupted frames are rejected instead
 //! of being half-decoded.
 
 use sysds_common::property;
+use sysds_fed::ops::{FedOperand, FedResult, OperandKind, OPS};
 use sysds_fed::{FedRequest, FedResponse};
 use sysds_net::wire;
 use sysds_tensor::kernels::gen;
 use sysds_tensor::kernels::BinaryOp;
 use sysds_tensor::Matrix;
-
-/// All binary ops the wire protocol must carry.
-const OPS: [BinaryOp; 17] = [
-    BinaryOp::Add,
-    BinaryOp::Sub,
-    BinaryOp::Mul,
-    BinaryOp::Div,
-    BinaryOp::Pow,
-    BinaryOp::Mod,
-    BinaryOp::IntDiv,
-    BinaryOp::Min,
-    BinaryOp::Max,
-    BinaryOp::Eq,
-    BinaryOp::Neq,
-    BinaryOp::Lt,
-    BinaryOp::Le,
-    BinaryOp::Gt,
-    BinaryOp::Ge,
-    BinaryOp::And,
-    BinaryOp::Or,
-];
 
 /// A matrix of the given shape — empty when either dimension is 0, dense
 /// or sparse otherwise depending on `sparsity`.
@@ -52,47 +33,37 @@ fn same_response(a: &FedResponse, b: &FedResponse) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
-/// One instance of every request variant from the generated ingredients.
-fn all_request_variants(var: String, m: Matrix, op: BinaryOp, scalar: f64) -> Vec<FedRequest> {
-    vec![
+/// One instance of every request kind from the generated ingredients:
+/// `Put`, `Remove`, `Ping`, `Shutdown`, and an `Exec` of every row of the
+/// federated instruction table for each site-variable count it takes.
+fn all_requests(var: String, m: Matrix, op: BinaryOp, scalar: f64) -> Vec<FedRequest> {
+    let mut reqs = vec![
         FedRequest::Put {
             var: var.clone(),
             data: m.clone(),
         },
         FedRequest::Remove { var: var.clone() },
-        FedRequest::Tsmm { var: var.clone() },
-        FedRequest::Tmv {
-            x: var.clone(),
-            y: format!("{var}_y"),
-        },
-        FedRequest::MatVecKeep {
-            var: var.clone(),
-            v: m.clone(),
-            out: format!("{var}_out"),
-        },
-        FedRequest::ScalarOpKeep {
-            var: var.clone(),
-            op,
-            scalar,
-            out: format!("{var}_out"),
-        },
-        FedRequest::BinaryOpKeep {
-            lhs: var.clone(),
-            rhs: format!("{var}_rhs"),
-            op,
-            out: format!("{var}_out"),
-        },
-        FedRequest::ColSums { var: var.clone() },
-        FedRequest::SumSq { var: var.clone() },
-        FedRequest::NumRows { var: var.clone() },
-        FedRequest::LinRegGradient {
-            x: var.clone(),
-            y: format!("{var}_y"),
-            w: m,
-        },
         FedRequest::Ping,
         FedRequest::Shutdown,
-    ]
+    ];
+    for row in OPS {
+        let operand = match row.operand {
+            OperandKind::None => None,
+            OperandKind::Matrix => Some(FedOperand::Matrix(m.clone())),
+            OperandKind::Scalar => Some(FedOperand::Scalar(op, scalar)),
+            OperandKind::Op => Some(FedOperand::Op(op)),
+        };
+        let out = matches!(row.result, FedResult::Stays { .. }).then(|| format!("{var}_out"));
+        for n in row.vars.clone() {
+            reqs.push(FedRequest::Exec {
+                op: row,
+                vars: (0..n).map(|i| format!("{var}_{i}")).collect(),
+                operand: operand.clone(),
+                out: out.clone(),
+            });
+        }
+    }
+    reqs
 }
 
 property! {
@@ -105,19 +76,19 @@ property! {
         rows in g.int(0usize..20),
         cols in g.int(0usize..8),
         sparsity in g.pick(&[1.0, 0.2]),
-        op_idx in g.int(0usize..17),
+        op_idx in g.int(0usize..BinaryOp::ALL.len()),
         scalar in g.float(-1e9f64..1e9),
         id in g.seed(),
         seed in g.seed(),
     ) {
         let m = matrix_for(rows, cols, sparsity, seed);
-        for req in all_request_variants(var.clone(), m, OPS[op_idx], scalar) {
+        for req in all_requests(var.clone(), m, BinaryOp::ALL[op_idx], scalar) {
             let bytes = wire::request_frame(id, &req);
             let (back_id, back) = wire::parse_request_frame(&bytes).unwrap();
             assert_eq!(back_id, id);
             assert!(
                 same_request(&req, &back),
-                "variant {:?} changed across the wire", req.opcode()
+                "{} changed across the wire", req.opcode()
             );
         }
     }
@@ -190,7 +161,7 @@ property! {
     fn trailing_garbage_is_rejected(
         junk in g.vec(1..16, |g| g.int(0..=u8::MAX)),
     ) {
-        let mut bytes = wire::request_frame(9, &FedRequest::Tsmm { var: "X".into() });
+        let mut bytes = wire::request_frame(9, &FedRequest::Remove { var: "X".into() });
         bytes.extend_from_slice(&junk);
         assert!(wire::parse_request_frame(&bytes).is_err());
     }

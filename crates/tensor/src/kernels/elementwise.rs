@@ -37,6 +37,28 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
+    /// Every operator once, in declaration order. The federated wire
+    /// protocol encodes an operator as its index here.
+    pub const ALL: [BinaryOp; 17] = [
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Div,
+        BinaryOp::Pow,
+        BinaryOp::Mod,
+        BinaryOp::IntDiv,
+        BinaryOp::Min,
+        BinaryOp::Max,
+        BinaryOp::Eq,
+        BinaryOp::Neq,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+        BinaryOp::And,
+        BinaryOp::Or,
+    ];
+
     /// Apply to two scalars.
     #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
@@ -510,26 +532,12 @@ mod tests {
     #[test]
     fn opcode_strings_unique() {
         use std::collections::HashSet;
-        let ops = [
-            BinaryOp::Add,
-            BinaryOp::Sub,
-            BinaryOp::Mul,
-            BinaryOp::Div,
-            BinaryOp::Pow,
-            BinaryOp::Mod,
-            BinaryOp::IntDiv,
-            BinaryOp::Min,
-            BinaryOp::Max,
-            BinaryOp::Eq,
-            BinaryOp::Neq,
-            BinaryOp::Lt,
-            BinaryOp::Le,
-            BinaryOp::Gt,
-            BinaryOp::Ge,
-            BinaryOp::And,
-            BinaryOp::Or,
-        ];
-        let set: HashSet<_> = ops.iter().map(|o| o.opcode()).collect();
-        assert_eq!(set.len(), ops.len());
+        let set: HashSet<_> = BinaryOp::ALL.iter().map(|o| o.opcode()).collect();
+        assert_eq!(set.len(), BinaryOp::ALL.len());
+        // `ALL` lists every variant once, in declaration order.
+        for (i, op) in BinaryOp::ALL.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?}");
+        }
+        assert_eq!(BinaryOp::Or as usize + 1, BinaryOp::ALL.len());
     }
 }

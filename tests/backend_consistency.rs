@@ -156,6 +156,72 @@ fn federated_scalar_and_colsums_ops() {
     assert!((fout.f64("total").unwrap() - lout.f64("total").unwrap()).abs() < 1e-9);
 }
 
+/// An in-process site that counts the requests sent to it.
+#[derive(Debug)]
+struct CountedSite {
+    inner: sysds_fed::WorkerHandle,
+    requests: std::sync::atomic::AtomicUsize,
+}
+
+impl sysds_fed::Transport for CountedSite {
+    fn exchange(&self, req: sysds_fed::FedRequest) -> sysds_common::Result<sysds_fed::FedResponse> {
+        self.requests
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.exchange(req)
+    }
+
+    fn endpoint(&self) -> &str {
+        self.inner.endpoint()
+    }
+
+    fn threads(&self) -> usize {
+        self.inner.threads()
+    }
+}
+
+#[test]
+fn federated_mmchain_is_one_request_per_site() {
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    let (x, _) = gen::synthetic_regression(90, 5, 1.0, 0.0, 810);
+    let counted: Vec<Arc<CountedSite>> = (0..3)
+        .map(|_| {
+            Arc::new(CountedSite {
+                inner: sysds_fed::WorkerHandle::spawn(vec![], 1),
+                requests: Default::default(),
+            })
+        })
+        .collect();
+    let sites: Vec<Arc<dyn sysds_fed::Transport>> = counted
+        .iter()
+        .map(|c| Arc::clone(c) as Arc<dyn sysds_fed::Transport>)
+        .collect();
+    let requests = || -> usize {
+        counted
+            .iter()
+            .map(|c| c.requests.load(Ordering::Relaxed))
+            .sum()
+    };
+    let mut s = local_session();
+    let fx = s.federate_with(&x, &sites).unwrap();
+    let script = "v = rand(rows=5, cols=1, seed=3)\ng = t(X) %*% (X %*% v)";
+    let program = s.compile(script).unwrap();
+    assert!(s
+        .explain(&program, sysds::compiler::explain::ExplainLevel::Hops)
+        .contains("mmchain"));
+    let before = requests();
+    let fout = s.execute(script, &[("X", fx.clone())], &["g"]).unwrap();
+    // One `mmchain` request per site: no kept `X %*% v`, no second trip.
+    assert_eq!(requests() - before, sites.len());
+    let lout = s
+        .execute(script, &[("X", Data::from_matrix(x))], &["g"])
+        .unwrap();
+    assert!(fout
+        .matrix("g")
+        .unwrap()
+        .approx_eq(&lout.matrix("g").unwrap(), 1e-9));
+}
+
 #[test]
 fn paramserver_matches_closed_form() {
     use sysds::runtime::paramserver::{train_linreg, PsConfig, UpdateMode};
