@@ -325,7 +325,7 @@ fn worker_cmd(args: &[String]) -> ExitCode {
         i += 1;
     }
     let Some(addr) = listen else { usage() };
-    let server = match WorkerServer::bind(&addr, vec![], threads) {
+    let mut server = match WorkerServer::bind(&addr, vec![], threads) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -335,9 +335,7 @@ fn worker_cmd(args: &[String]) -> ExitCode {
     // The endpoint line is the startup handshake scripts wait for (the
     // bound port matters when --listen used port 0).
     println!("# sysds worker listening on {}", server.endpoint());
-    while !server.is_stopped() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    server.wait();
     eprintln!("# sysds worker shut down");
     ExitCode::SUCCESS
 }

@@ -28,6 +28,7 @@
 
 use super::hop::{HopDag, HopId, HopOp};
 use super::{BasicBlock, Root};
+use crate::builtins::runtime::{Param, MATMUL, TMV, TRANSPOSE, TSMM};
 use sysds_common::hash::FxHashMap;
 use sysds_common::{Result, ScalarValue, SysDsError};
 use sysds_tensor::kernels::{AggFn, BinaryOp, Direction, UnaryOp};
@@ -81,7 +82,7 @@ pub fn gradient_block(block: &BasicBlock, wrt: &[&str]) -> Result<BasicBlock> {
         let dep = |k: usize| depends.get(node.inputs[k]).copied().unwrap_or(false);
         match &node.op {
             HopOp::Lit(_) | HopOp::Var(_) => {}
-            HopOp::Binary(BinaryOp::Add) => {
+            HopOp::Op(_, Param::Binary(BinaryOp::Add)) => {
                 if dep(0) {
                     accumulate(&mut dag, &mut adjoint, node.inputs[0], g);
                 }
@@ -89,27 +90,27 @@ pub fn gradient_block(block: &BasicBlock, wrt: &[&str]) -> Result<BasicBlock> {
                     accumulate(&mut dag, &mut adjoint, node.inputs[1], g);
                 }
             }
-            HopOp::Binary(BinaryOp::Sub) => {
+            HopOp::Op(_, Param::Binary(BinaryOp::Sub)) => {
                 if dep(0) {
                     accumulate(&mut dag, &mut adjoint, node.inputs[0], g);
                 }
                 if dep(1) {
-                    let neg = dag.add(HopOp::Unary(UnaryOp::Neg), vec![g]);
+                    let neg = dag.add(HopOp::unary(UnaryOp::Neg), vec![g]);
                     accumulate(&mut dag, &mut adjoint, node.inputs[1], neg);
                 }
             }
-            HopOp::Binary(BinaryOp::Mul) => {
+            HopOp::Op(_, Param::Binary(BinaryOp::Mul)) => {
                 let (a, b) = (node.inputs[0], node.inputs[1]);
                 if dep(0) {
-                    let da = dag.add(HopOp::Binary(BinaryOp::Mul), vec![g, b]);
+                    let da = dag.add(HopOp::binary(BinaryOp::Mul), vec![g, b]);
                     accumulate(&mut dag, &mut adjoint, a, da);
                 }
                 if dep(1) {
-                    let db = dag.add(HopOp::Binary(BinaryOp::Mul), vec![g, a]);
+                    let db = dag.add(HopOp::binary(BinaryOp::Mul), vec![g, a]);
                     accumulate(&mut dag, &mut adjoint, b, db);
                 }
             }
-            HopOp::Binary(BinaryOp::Div) => {
+            HopOp::Op(_, Param::Binary(BinaryOp::Div)) => {
                 // Denominators must be constants of the optimization (the
                 // common case: normalization by nrow(X)); the numerator
                 // gets dA += G / b.
@@ -120,11 +121,11 @@ pub fn gradient_block(block: &BasicBlock, wrt: &[&str]) -> Result<BasicBlock> {
                     ));
                 }
                 if dep(0) {
-                    let da = dag.add(HopOp::Binary(BinaryOp::Div), vec![g, b]);
+                    let da = dag.add(HopOp::binary(BinaryOp::Div), vec![g, b]);
                     accumulate(&mut dag, &mut adjoint, a, da);
                 }
             }
-            HopOp::Binary(BinaryOp::Pow) => {
+            HopOp::Op(_, Param::Binary(BinaryOp::Pow)) => {
                 let (a, k) = (node.inputs[0], node.inputs[1]);
                 if dep(1) {
                     return Err(SysDsError::compile(
@@ -133,103 +134,103 @@ pub fn gradient_block(block: &BasicBlock, wrt: &[&str]) -> Result<BasicBlock> {
                 }
                 // dA += G * k * A^(k-1), with k as a (possibly dynamic) node
                 let onel = dag.lit(ScalarValue::F64(1.0));
-                let km1 = dag.add(HopOp::Binary(BinaryOp::Sub), vec![k, onel]);
-                let pk = dag.add(HopOp::Binary(BinaryOp::Pow), vec![a, km1]);
-                let scaled = dag.add(HopOp::Binary(BinaryOp::Mul), vec![pk, k]);
-                let da = dag.add(HopOp::Binary(BinaryOp::Mul), vec![g, scaled]);
+                let km1 = dag.add(HopOp::binary(BinaryOp::Sub), vec![k, onel]);
+                let pk = dag.add(HopOp::binary(BinaryOp::Pow), vec![a, km1]);
+                let scaled = dag.add(HopOp::binary(BinaryOp::Mul), vec![pk, k]);
+                let da = dag.add(HopOp::binary(BinaryOp::Mul), vec![g, scaled]);
                 accumulate(&mut dag, &mut adjoint, a, da);
             }
-            HopOp::MatMul => {
+            op if op.is(MATMUL) => {
                 let (a, b) = (node.inputs[0], node.inputs[1]);
                 if dep(0) {
                     // dA += G %*% t(B)
-                    let bt = dag.add(HopOp::Transpose, vec![b]);
-                    let da = dag.add(HopOp::MatMul, vec![g, bt]);
+                    let bt = dag.add(HopOp::op(TRANSPOSE), vec![b]);
+                    let da = dag.add(HopOp::op(MATMUL), vec![g, bt]);
                     accumulate(&mut dag, &mut adjoint, a, da);
                 }
                 if dep(1) {
                     // dB += t(A) %*% G
-                    let at = dag.add(HopOp::Transpose, vec![a]);
-                    let db = dag.add(HopOp::MatMul, vec![at, g]);
+                    let at = dag.add(HopOp::op(TRANSPOSE), vec![a]);
+                    let db = dag.add(HopOp::op(MATMUL), vec![at, g]);
                     accumulate(&mut dag, &mut adjoint, b, db);
                 }
             }
-            HopOp::Tsmm => {
+            op if op.is(TSMM) => {
                 // C = t(X) X; dX += X (G + t(G))
                 let x = node.inputs[0];
-                let gt = dag.add(HopOp::Transpose, vec![g]);
-                let gsym = dag.add(HopOp::Binary(BinaryOp::Add), vec![g, gt]);
-                let dx = dag.add(HopOp::MatMul, vec![x, gsym]);
+                let gt = dag.add(HopOp::op(TRANSPOSE), vec![g]);
+                let gsym = dag.add(HopOp::binary(BinaryOp::Add), vec![g, gt]);
+                let dx = dag.add(HopOp::op(MATMUL), vec![x, gsym]);
                 accumulate(&mut dag, &mut adjoint, x, dx);
             }
-            HopOp::Tmv => {
+            op if op.is(TMV) => {
                 // c = t(X) y; dX += y t(G); dy += X G
                 let (x, y) = (node.inputs[0], node.inputs[1]);
                 if dep(0) {
-                    let gt = dag.add(HopOp::Transpose, vec![g]);
-                    let dx = dag.add(HopOp::MatMul, vec![y, gt]);
+                    let gt = dag.add(HopOp::op(TRANSPOSE), vec![g]);
+                    let dx = dag.add(HopOp::op(MATMUL), vec![y, gt]);
                     accumulate(&mut dag, &mut adjoint, x, dx);
                 }
                 if dep(1) {
-                    let dy = dag.add(HopOp::MatMul, vec![x, g]);
+                    let dy = dag.add(HopOp::op(MATMUL), vec![x, g]);
                     accumulate(&mut dag, &mut adjoint, y, dy);
                 }
             }
-            HopOp::Transpose => {
-                let gt = dag.add(HopOp::Transpose, vec![g]);
+            op if op.is(TRANSPOSE) => {
+                let gt = dag.add(HopOp::op(TRANSPOSE), vec![g]);
                 accumulate(&mut dag, &mut adjoint, node.inputs[0], gt);
             }
-            HopOp::Agg(AggFn::Sum, Direction::Full) => {
+            HopOp::Op(_, Param::Agg(AggFn::Sum, Direction::Full)) => {
                 // dX += G * ones(shape(X)); G is scalar, and scalar ⊙
                 // matrix broadcasts — multiply against X*0+1 to get shape.
                 let x = node.inputs[0];
                 let zero = dag.lit(ScalarValue::F64(0.0));
-                let zeros = dag.add(HopOp::Binary(BinaryOp::Mul), vec![x, zero]);
+                let zeros = dag.add(HopOp::binary(BinaryOp::Mul), vec![x, zero]);
                 let onel = dag.lit(ScalarValue::F64(1.0));
-                let ones = dag.add(HopOp::Binary(BinaryOp::Add), vec![zeros, onel]);
-                let dx = dag.add(HopOp::Binary(BinaryOp::Mul), vec![ones, g]);
+                let ones = dag.add(HopOp::binary(BinaryOp::Add), vec![zeros, onel]);
+                let dx = dag.add(HopOp::binary(BinaryOp::Mul), vec![ones, g]);
                 accumulate(&mut dag, &mut adjoint, x, dx);
             }
-            HopOp::Agg(AggFn::SumSq, Direction::Full) => {
+            HopOp::Op(_, Param::Agg(AggFn::SumSq, Direction::Full)) => {
                 // dX += 2 G ⊙ X
                 let x = node.inputs[0];
                 let two = dag.lit(ScalarValue::F64(2.0));
-                let gx = dag.add(HopOp::Binary(BinaryOp::Mul), vec![x, two]);
-                let dx = dag.add(HopOp::Binary(BinaryOp::Mul), vec![gx, g]);
+                let gx = dag.add(HopOp::binary(BinaryOp::Mul), vec![x, two]);
+                let dx = dag.add(HopOp::binary(BinaryOp::Mul), vec![gx, g]);
                 accumulate(&mut dag, &mut adjoint, x, dx);
             }
-            HopOp::Unary(u) => {
+            HopOp::Op(_, Param::Unary(u)) => {
                 let x = node.inputs[0];
                 let local = match u {
                     UnaryOp::Neg => {
-                        let d = dag.add(HopOp::Unary(UnaryOp::Neg), vec![g]);
+                        let d = dag.add(HopOp::unary(UnaryOp::Neg), vec![g]);
                         accumulate(&mut dag, &mut adjoint, x, d);
                         continue;
                     }
-                    UnaryOp::Exp => dag.add(HopOp::Unary(UnaryOp::Exp), vec![x]),
+                    UnaryOp::Exp => dag.add(HopOp::unary(UnaryOp::Exp), vec![x]),
                     UnaryOp::Log => {
                         let onel = dag.lit(ScalarValue::F64(1.0));
-                        dag.add(HopOp::Binary(BinaryOp::Div), vec![onel, x].clone())
+                        dag.add(HopOp::binary(BinaryOp::Div), vec![onel, x].clone())
                     }
                     UnaryOp::Sqrt => {
                         // 1 / (2 sqrt(x))
-                        let s = dag.add(HopOp::Unary(UnaryOp::Sqrt), vec![x]);
+                        let s = dag.add(HopOp::unary(UnaryOp::Sqrt), vec![x]);
                         let two = dag.lit(ScalarValue::F64(2.0));
-                        let denom = dag.add(HopOp::Binary(BinaryOp::Mul), vec![s, two]);
+                        let denom = dag.add(HopOp::binary(BinaryOp::Mul), vec![s, two]);
                         let onel = dag.lit(ScalarValue::F64(1.0));
-                        dag.add(HopOp::Binary(BinaryOp::Div), vec![onel, denom])
+                        dag.add(HopOp::binary(BinaryOp::Div), vec![onel, denom])
                     }
                     UnaryOp::Sigmoid => {
                         // s(x)(1 - s(x))
-                        let s = dag.add(HopOp::Unary(UnaryOp::Sigmoid), vec![x]);
+                        let s = dag.add(HopOp::unary(UnaryOp::Sigmoid), vec![x]);
                         let onel = dag.lit(ScalarValue::F64(1.0));
-                        let oneminus = dag.add(HopOp::Binary(BinaryOp::Sub), vec![onel, s]);
-                        dag.add(HopOp::Binary(BinaryOp::Mul), vec![s, oneminus])
+                        let oneminus = dag.add(HopOp::binary(BinaryOp::Sub), vec![onel, s]);
+                        dag.add(HopOp::binary(BinaryOp::Mul), vec![s, oneminus])
                     }
-                    UnaryOp::Sin => dag.add(HopOp::Unary(UnaryOp::Cos), vec![x]),
+                    UnaryOp::Sin => dag.add(HopOp::unary(UnaryOp::Cos), vec![x]),
                     UnaryOp::Cos => {
-                        let s = dag.add(HopOp::Unary(UnaryOp::Sin), vec![x]);
-                        dag.add(HopOp::Unary(UnaryOp::Neg), vec![s])
+                        let s = dag.add(HopOp::unary(UnaryOp::Sin), vec![x]);
+                        dag.add(HopOp::unary(UnaryOp::Neg), vec![s])
                     }
                     other => {
                         return Err(SysDsError::compile(format!(
@@ -238,7 +239,7 @@ pub fn gradient_block(block: &BasicBlock, wrt: &[&str]) -> Result<BasicBlock> {
                         )))
                     }
                 };
-                let dx = dag.add(HopOp::Binary(BinaryOp::Mul), vec![g, local]);
+                let dx = dag.add(HopOp::binary(BinaryOp::Mul), vec![g, local]);
                 accumulate(&mut dag, &mut adjoint, x, dx);
             }
             other => {
@@ -280,7 +281,7 @@ pub fn gradient_block(block: &BasicBlock, wrt: &[&str]) -> Result<BasicBlock> {
 fn accumulate(dag: &mut HopDag, adjoint: &mut FxHashMap<HopId, HopId>, node: HopId, delta: HopId) {
     match adjoint.get(&node) {
         Some(&existing) => {
-            let sum = dag.add(HopOp::Binary(BinaryOp::Add), vec![existing, delta]);
+            let sum = dag.add(HopOp::binary(BinaryOp::Add), vec![existing, delta]);
             adjoint.insert(node, sum);
         }
         None => {

@@ -1,5 +1,5 @@
 //! Operator fusion: cell-wise chains and aggregates over them collapse
-//! into a single [`HopOp::Fused`] node carrying an expression template.
+//! into a single node of the `fused` row carrying an expression template.
 //!
 //! SystemDS generates fused operators to avoid materializing the
 //! intermediates of element-wise pipelines like `sum((X - U %*% t(V))^2)`
@@ -18,7 +18,7 @@
 //! learn the sizes.
 
 use super::hop::{Dim, Hop, HopDag, HopId, HopOp};
-use std::sync::Arc;
+use crate::builtins::runtime::Param;
 use sysds_common::hash::FxHashMap;
 use sysds_tensor::kernels::fused::{FusedTemplate, TemplateNode};
 use sysds_tensor::kernels::AggFn;
@@ -60,7 +60,7 @@ pub fn fuse(dag: &mut HopDag, roots: &[HopId]) -> usize {
                     absorbed[m] = true;
                 }
             }
-            dag.replace(id, HopOp::Fused(Arc::new(template)), leaves);
+            dag.replace(id, HopOp::fused(template), leaves);
             fused += 1;
         }
     }
@@ -100,7 +100,7 @@ fn absorbable(
 }
 
 fn is_cellwise(op: &HopOp) -> bool {
-    matches!(op, HopOp::Binary(_) | HopOp::Unary(_))
+    matches!(op, HopOp::Op(_, Param::Binary(_) | Param::Unary(_)))
 }
 
 /// Every operand of a template member must be a valid leaf by itself:
@@ -130,7 +130,7 @@ fn try_fuse(
     // The root is either an aggregate over a cell-wise top, or the
     // topmost cell-wise op itself. Var/Sd are not single-pass fusable.
     let (agg, top) = match &node.op {
-        HopOp::Agg(f, d) if !matches!(f, AggFn::Var | AggFn::Sd) => {
+        HopOp::Op(_, Param::Agg(f, d)) if !matches!(f, AggFn::Var | AggFn::Sd) => {
             (Some((*f, *d)), node.inputs[0])
         }
         op if is_cellwise(op) => (None, id),
@@ -217,11 +217,11 @@ impl Builder<'_> {
         }
         let idx = if self.region[id] {
             match &self.dag.node(id).op {
-                HopOp::Unary(u) => {
+                HopOp::Op(_, Param::Unary(u)) => {
                     let a = self.build(self.dag.node(id).inputs[0]);
                     self.push(TemplateNode::Unary(*u, a))
                 }
-                HopOp::Binary(b) => {
+                HopOp::Op(_, Param::Binary(b)) => {
                     let (op, l, r) = (*b, self.dag.node(id).inputs[0], self.dag.node(id).inputs[1]);
                     let a = self.build(l);
                     let c = self.build(r);
@@ -262,7 +262,7 @@ mod tests {
 
     fn fused_of(dag: &HopDag, id: HopId) -> &FusedTemplate {
         match &dag.node(id).op {
-            HopOp::Fused(t) => t,
+            HopOp::Op(_, Param::Fused(t)) => t,
             other => panic!("expected Fused at {id}, got {other:?}"),
         }
     }
@@ -272,10 +272,10 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let sub = dag.add(HopOp::Binary(BinaryOp::Sub), vec![x, y]);
+        let sub = dag.add(HopOp::binary(BinaryOp::Sub), vec![x, y]);
         let two = dag.lit(ScalarValue::F64(2.0));
-        let sq = dag.add(HopOp::Binary(BinaryOp::Pow), vec![sub, two]);
-        let agg = dag.add(HopOp::Agg(AggFn::Sum, Direction::Full), vec![sq]);
+        let sq = dag.add(HopOp::binary(BinaryOp::Pow), vec![sub, two]);
+        let agg = dag.add(HopOp::agg(AggFn::Sum, Direction::Full), vec![sq]);
         let env = env(&[("X", 10, 4), ("Y", 10, 4)]);
         propagate(&mut dag, &env, &[agg]);
         assert_eq!(fuse(&mut dag, &[agg]), 1);
@@ -293,9 +293,9 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let neg = dag.add(HopOp::Unary(UnaryOp::Neg), vec![x]);
-        let e = dag.add(HopOp::Unary(UnaryOp::Exp), vec![neg]);
-        let mul = dag.add(HopOp::Binary(BinaryOp::Mul), vec![e, y]);
+        let neg = dag.add(HopOp::unary(UnaryOp::Neg), vec![x]);
+        let e = dag.add(HopOp::unary(UnaryOp::Exp), vec![neg]);
+        let mul = dag.add(HopOp::binary(BinaryOp::Mul), vec![e, y]);
         let env = env(&[("X", 6, 6), ("Y", 6, 6)]);
         propagate(&mut dag, &env, &[mul]);
         assert_eq!(fuse(&mut dag, &[mul]), 1);
@@ -310,10 +310,10 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let add = dag.add(HopOp::Binary(BinaryOp::Add), vec![x, y]);
+        let add = dag.add(HopOp::binary(BinaryOp::Add), vec![x, y]);
         propagate(&mut dag, &env(&[("X", 5, 5), ("Y", 5, 5)]), &[add]);
         assert_eq!(fuse(&mut dag, &[add]), 0);
-        assert_eq!(dag.node(add).op, HopOp::Binary(BinaryOp::Add));
+        assert_eq!(dag.node(add).op, HopOp::binary(BinaryOp::Add));
     }
 
     #[test]
@@ -323,17 +323,17 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let d = dag.add(HopOp::Binary(BinaryOp::Sub), vec![x, y]);
+        let d = dag.add(HopOp::binary(BinaryOp::Sub), vec![x, y]);
         let two = dag.lit(ScalarValue::F64(2.0));
-        let sq = dag.add(HopOp::Binary(BinaryOp::Pow), vec![d, two]);
-        let agg = dag.add(HopOp::Agg(AggFn::Sum, Direction::Full), vec![sq]);
+        let sq = dag.add(HopOp::binary(BinaryOp::Pow), vec![d, two]);
+        let agg = dag.add(HopOp::agg(AggFn::Sum, Direction::Full), vec![sq]);
         let roots = [agg, d];
         propagate(&mut dag, &env(&[("X", 8, 3), ("Y", 8, 3)]), &roots);
         assert_eq!(fuse(&mut dag, &roots), 1);
         let t = fused_of(&dag, agg);
         assert_eq!(t.signature(), "sum(X^2)");
         assert_eq!(dag.node(agg).inputs, vec![d]);
-        assert_eq!(dag.node(d).op, HopOp::Binary(BinaryOp::Sub));
+        assert_eq!(dag.node(d).op, HopOp::binary(BinaryOp::Sub));
     }
 
     #[test]
@@ -344,10 +344,10 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let mu = dag.add(HopOp::Var("mu".into()), vec![]);
-        let sub = dag.add(HopOp::Binary(BinaryOp::Sub), vec![x, mu]);
+        let sub = dag.add(HopOp::binary(BinaryOp::Sub), vec![x, mu]);
         let two = dag.lit(ScalarValue::F64(2.0));
-        let sq = dag.add(HopOp::Binary(BinaryOp::Pow), vec![sub, two]);
-        let agg = dag.add(HopOp::Agg(AggFn::Sum, Direction::Col), vec![sq]);
+        let sq = dag.add(HopOp::binary(BinaryOp::Pow), vec![sub, two]);
+        let agg = dag.add(HopOp::agg(AggFn::Sum, Direction::Col), vec![sq]);
         let mut e = env(&[("X", 20, 5)]);
         e.insert("mu".into(), SizeInfo::matrix(1, 5, Some(1.0)));
         propagate(&mut dag, &e, &[agg]);
@@ -364,8 +364,8 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let two = dag.lit(ScalarValue::F64(2.0));
-        let sq = dag.add(HopOp::Binary(BinaryOp::Pow), vec![x, two]);
-        let agg = dag.add(HopOp::Agg(AggFn::Var, Direction::Full), vec![sq]);
+        let sq = dag.add(HopOp::binary(BinaryOp::Pow), vec![x, two]);
+        let agg = dag.add(HopOp::agg(AggFn::Var, Direction::Full), vec![sq]);
         propagate(&mut dag, &env(&[("X", 12, 12)]), &[agg]);
         // The aggregate cannot fuse and the lone `sq` is not worthwhile.
         assert_eq!(fuse(&mut dag, &[agg]), 0);
@@ -376,10 +376,10 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let sub = dag.add(HopOp::Binary(BinaryOp::Sub), vec![x, y]);
+        let sub = dag.add(HopOp::binary(BinaryOp::Sub), vec![x, y]);
         let two = dag.lit(ScalarValue::F64(2.0));
-        let sq = dag.add(HopOp::Binary(BinaryOp::Pow), vec![sub, two]);
-        let agg = dag.add(HopOp::Agg(AggFn::Sum, Direction::Full), vec![sq]);
+        let sq = dag.add(HopOp::binary(BinaryOp::Pow), vec![sub, two]);
+        let agg = dag.add(HopOp::agg(AggFn::Sum, Direction::Full), vec![sq]);
         propagate(&mut dag, &SizeEnv::default(), &[agg]);
         assert_eq!(fuse(&mut dag, &[agg]), 0, "no shapes, no fusion");
     }
@@ -391,11 +391,11 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let mul = dag.add(HopOp::Binary(BinaryOp::Mul), vec![x, y]);
+        let mul = dag.add(HopOp::binary(BinaryOp::Mul), vec![x, y]);
         let two = dag.lit(ScalarValue::F64(2.0));
-        let sq = dag.add(HopOp::Binary(BinaryOp::Pow), vec![mul, two]);
-        let add = dag.add(HopOp::Binary(BinaryOp::Add), vec![mul, sq]);
-        let agg = dag.add(HopOp::Agg(AggFn::Sum, Direction::Full), vec![add]);
+        let sq = dag.add(HopOp::binary(BinaryOp::Pow), vec![mul, two]);
+        let add = dag.add(HopOp::binary(BinaryOp::Add), vec![mul, sq]);
+        let agg = dag.add(HopOp::agg(AggFn::Sum, Direction::Full), vec![add]);
         propagate(&mut dag, &env(&[("X", 9, 9), ("Y", 9, 9)]), &[agg]);
         assert_eq!(fuse(&mut dag, &[agg]), 1);
         let t = fused_of(&dag, agg);

@@ -1,16 +1,19 @@
 //! High-level operator (HOP) DAGs.
 //!
 //! All statements of a basic block compile into one DAG of high-level
-//! operators (paper §2.3 (2)). Nodes are hash-consed on construction, which
-//! gives common-subexpression elimination for free; rewrites then replace
-//! patterns (e.g. `t(X) %*% X` → fused `tsmm`), and size propagation
-//! annotates every node with dimensions and sparsity for memory estimates,
-//! size-dependent rewrites and fusion.
+//! operators (paper §2.3 (2)). A node is a literal, a variable read, or an
+//! operator: a row of the operator table ([`crate::builtins::runtime`]),
+//! which states the node's opcode, effect, size rule and kernels. Nodes
+//! are hash-consed on construction, which gives common-subexpression
+//! elimination for free; rewrites then replace patterns (e.g.
+//! `t(X) %*% X` → fused `tsmm`), and size propagation annotates every node
+//! with dimensions and sparsity for memory estimates, size-dependent
+//! rewrites and fusion.
 
-use crate::builtins::runtime::{Builtin, Effect};
+use crate::builtins::runtime::{Effect, Operator, Param, AGG, BINARY, FUSED, UNARY};
 use std::sync::Arc;
 use sysds_common::hash::FxHashMap;
-use sysds_common::{ScalarValue, ValueType};
+use sysds_common::ScalarValue;
 use sysds_tensor::kernels::fused::FusedTemplate;
 use sysds_tensor::kernels::{AggFn, BinaryOp, Direction, UnaryOp};
 use sysds_tensor::Matrix;
@@ -25,58 +28,45 @@ pub enum HopOp {
     Lit(ScalarValue),
     /// Read of a live-in variable.
     Var(String),
-    /// Element-wise unary op.
-    Unary(UnaryOp),
-    /// Element-wise / scalar binary op (operand kinds resolved at runtime).
-    Binary(BinaryOp),
-    /// Matrix multiplication `%*%`.
-    MatMul,
-    /// Fused transpose-self product `t(X) %*% X` (rewrite-introduced).
-    Tsmm,
-    /// Fused `t(X) %*% y` (rewrite-introduced).
-    Tmv,
-    /// Fused mat-vec chain `t(X) %*% (X %*% v)` over inputs `X, v`, read
-    /// in one pass over `X` (rewrite-introduced when fusion is on).
-    MmChain,
-    /// Transpose.
-    Transpose,
-    /// Aggregation.
-    Agg(AggFn, Direction),
-    /// A fused cell-wise pipeline (optionally closed by an aggregate),
-    /// introduced by the fusion pass after dynamic rewrites. Inputs are
-    /// the template's leaves in template order.
-    Fused(Arc<FusedTemplate>),
-    /// Right indexing; inputs: `target, row_lo, row_hi, col_lo, col_hi`
-    /// (1-based inclusive scalar hops).
-    Index,
-    /// Left indexing; inputs: `target, value, row_lo, row_hi, col_lo, col_hi`.
-    LeftIndex,
-    /// A runtime builtin with positional inputs (`rand`, `cbind`, `solve`,
-    /// `nrow`, `print`, ...), by its row of the builtin table. Named
-    /// arguments are resolved to positions during construction.
-    Nary(&'static Builtin),
+    /// An operator by its row of the operator table and, for a family row,
+    /// the member. A builtin's named arguments are resolved to positions
+    /// during construction.
+    Op(&'static Operator, Param),
 }
 
 impl HopOp {
+    /// A node of a row that is not a family.
+    pub fn op(row: &'static Operator) -> HopOp {
+        HopOp::Op(row, Param::None)
+    }
+
+    pub fn unary(op: UnaryOp) -> HopOp {
+        HopOp::Op(UNARY, Param::Unary(op))
+    }
+
+    pub fn binary(op: BinaryOp) -> HopOp {
+        HopOp::Op(BINARY, Param::Binary(op))
+    }
+
+    pub fn agg(f: AggFn, d: Direction) -> HopOp {
+        HopOp::Op(AGG, Param::Agg(f, d))
+    }
+
+    pub fn fused(template: FusedTemplate) -> HopOp {
+        HopOp::Op(FUSED, Param::Fused(Arc::new(template)))
+    }
+
+    /// Whether this is a node of `row`.
+    pub fn is(&self, row: &Operator) -> bool {
+        matches!(self, HopOp::Op(r, _) if *r == row)
+    }
+
     /// Opcode string used for lineage hashing and tracing.
     pub fn opcode(&self) -> String {
         match self {
             HopOp::Lit(v) => format!("lit:{v:?}"),
             HopOp::Var(n) => format!("var:{n}"),
-            HopOp::Unary(u) => u.opcode().to_string(),
-            HopOp::Binary(b) => b.opcode().to_string(),
-            HopOp::MatMul => "ba+*".to_string(),
-            HopOp::Tsmm => "tsmm".to_string(),
-            HopOp::Tmv => "tmv".to_string(),
-            HopOp::MmChain => "mmchain".to_string(),
-            HopOp::Transpose => "r'".to_string(),
-            HopOp::Agg(f, d) => format!("ua{f:?}{d:?}").to_lowercase(),
-            // The template signature keys lineage, heavy-hitter stats, and
-            // the estimate-vs-actual audit, e.g. `fused:sum((X-Y)^2)`.
-            HopOp::Fused(t) => format!("fused:{}", t.signature()),
-            HopOp::Index => "rightIndex".to_string(),
-            HopOp::LeftIndex => "leftIndex".to_string(),
-            HopOp::Nary(b) => b.name.to_string(),
+            HopOp::Op(row, param) => row.opcode(param),
         }
     }
 }
@@ -210,12 +200,12 @@ impl HopDag {
         &self.nodes
     }
 
-    /// Add a node with hash-consing. A builtin with an effect always gets
+    /// Add a node with hash-consing. An operator with an effect always gets
     /// a fresh node, except that a seeded one is merged when its seed input
     /// is a literal ≥ 0 (an unseeded call draws a fresh seed at runtime).
     pub fn add(&mut self, op: HopOp, inputs: Vec<HopId>) -> HopId {
         let skip_cse = match &op {
-            HopOp::Nary(b) => match b.effect {
+            HopOp::Op(row, _) => match row.effect {
                 Effect::Pure => false,
                 Effect::Seeded(k) => inputs
                     .get(k)
@@ -223,7 +213,7 @@ impl HopDag {
                     .is_none_or(|seed| seed < 0),
                 Effect::Nondeterministic | Effect::Output | Effect::Write => true,
             },
-            _ => false,
+            HopOp::Lit(_) | HopOp::Var(_) => false,
         };
         let key = (op.opcode(), inputs.clone());
         if !skip_cse {
@@ -277,26 +267,19 @@ impl HopDag {
             _ => None,
         }
     }
-
-    /// Infer the value type a node produces where statically known.
-    pub fn value_type(&self, id: HopId) -> Option<ValueType> {
-        match &self.nodes[id].op {
-            HopOp::Lit(v) => Some(v.value_type()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtins::runtime::{MATMUL, MMCHAIN, TRANSPOSE, TSMM};
 
     #[test]
     fn hash_consing_dedupes() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t1 = dag.add(HopOp::Transpose, vec![x]);
-        let t2 = dag.add(HopOp::Transpose, vec![x]);
+        let t1 = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let t2 = dag.add(HopOp::op(TRANSPOSE), vec![x]);
         assert_eq!(t1, t2);
         assert_eq!(dag.len(), 2);
     }
@@ -306,8 +289,8 @@ mod tests {
         let mut dag = HopDag::new();
         let s = dag.lit(ScalarValue::Str("hi".into()));
         let print = crate::builtins::runtime::lookup("print").unwrap();
-        let p1 = dag.add(HopOp::Nary(print), vec![s]);
-        let p2 = dag.add(HopOp::Nary(print), vec![s]);
+        let p1 = dag.add(HopOp::op(print), vec![s]);
+        let p2 = dag.add(HopOp::op(print), vec![s]);
         assert_ne!(p1, p2);
     }
 
@@ -325,7 +308,7 @@ mod tests {
     fn reachability() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
         let dead = dag.add(HopOp::Var("Y".into()), vec![]);
         let mark = dag.reachable(&[t]);
         assert!(mark[x] && mark[t]);
@@ -348,12 +331,12 @@ mod tests {
 
     #[test]
     fn opcode_strings() {
-        assert_eq!(HopOp::MatMul.opcode(), "ba+*");
-        assert_eq!(HopOp::Tsmm.opcode(), "tsmm");
-        assert_eq!(HopOp::MmChain.opcode(), "mmchain");
-        assert_eq!(HopOp::Binary(BinaryOp::Add).opcode(), "+");
+        assert_eq!(HopOp::op(MATMUL).opcode(), "ba+*");
+        assert_eq!(HopOp::op(TSMM).opcode(), "tsmm");
+        assert_eq!(HopOp::op(MMCHAIN).opcode(), "mmchain");
+        assert_eq!(HopOp::binary(BinaryOp::Add).opcode(), "+");
         assert_eq!(
-            HopOp::Agg(AggFn::Sum, Direction::Full).opcode(),
+            HopOp::agg(AggFn::Sum, Direction::Full).opcode(),
             "uasumfull"
         );
     }

@@ -237,6 +237,7 @@ pub fn plan_for(block: &BasicBlock, env: &SizeEnv, config: &EngineConfig) -> std
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtins::runtime::{MATMUL, TMV, TRANSPOSE};
     use crate::compiler::{compile_expression, compile_program};
     use crate::parser::{ast::Expr, parse_program};
     use sysds_common::ScalarValue;
@@ -252,7 +253,7 @@ mod tests {
     #[test]
     fn lowering_assigns_slots_in_dependency_order() {
         let block = compile_expression(&Expr::Binary(
-            crate::parser::ast::BinOp::Add,
+            crate::parser::ast::BinOp::Cell(sysds_tensor::kernels::BinaryOp::Add),
             Box::new(Expr::var("X")),
             Box::new(Expr::var("Y")),
         ))
@@ -343,14 +344,14 @@ mod tests {
             &size_env(&[("X", 100, 5), ("y", 100, 1)]),
             &EngineConfig::default(),
         );
-        assert!(plan.instrs.iter().any(|i| i.op == HopOp::Tmv));
+        assert!(plan.instrs.iter().any(|i| i.op == HopOp::op(TMV)));
         // With unknown sizes it stays a transpose + matmul.
         let plan2 = lower(
             &block.clone(),
             &SizeEnv::default(),
             &EngineConfig::default(),
         );
-        assert!(plan2.instrs.iter().any(|i| i.op == HopOp::MatMul));
+        assert!(plan2.instrs.iter().any(|i| i.op == HopOp::op(MATMUL)));
         assert!(plan2.had_unknown);
     }
 
@@ -368,7 +369,7 @@ mod tests {
         };
         let plan = lower(block, &size_env(&[("X", 4, 4)]), &EngineConfig::default());
         // the transpose (overwritten binding) is not reachable from roots
-        assert!(!plan.instrs.iter().any(|i| i.op == HopOp::Transpose));
+        assert!(!plan.instrs.iter().any(|i| i.op == HopOp::op(TRANSPOSE)));
     }
 
     #[test]
@@ -386,9 +387,7 @@ mod tests {
             .instrs
             .iter()
             .enumerate()
-            .filter(|(_, i)| {
-                i.op == HopOp::Nary(crate::builtins::runtime::lookup("print").unwrap())
-            })
+            .filter(|(_, i)| i.op == HopOp::op(crate::builtins::runtime::lookup("print").unwrap()))
             .map(|(k, _)| k)
             .collect();
         assert_eq!(prints.len(), 2);

@@ -20,7 +20,8 @@ pub mod lower;
 pub mod rewrites;
 pub mod size;
 
-use crate::builtins::runtime::{self, Builtin, Effect, Outputs, ParamDefault};
+use crate::builtins::runtime::{self, Effect, Operator, Outputs, ParamDefault};
+use crate::builtins::runtime::{LEFT_INDEX, MATMUL, RIGHT_INDEX, TRANSPOSE};
 use crate::parser::ast::*;
 use hop::{HopDag, HopId, HopOp};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -882,31 +883,17 @@ impl DagBuilder {
             Expr::Var(n) => self.var(n),
             Expr::Unary(UnOp::Neg, a) => {
                 let id = self.expr(a, ctx)?;
-                self.dag.add(HopOp::Unary(UnaryOp::Neg), vec![id])
+                self.dag.add(HopOp::unary(UnaryOp::Neg), vec![id])
             }
             Expr::Unary(UnOp::Not, a) => {
                 let id = self.expr(a, ctx)?;
-                self.dag.add(HopOp::Unary(UnaryOp::Not), vec![id])
+                self.dag.add(HopOp::unary(UnaryOp::Not), vec![id])
             }
             Expr::Binary(op, a, b) => {
                 let (l, r) = (self.expr(a, ctx)?, self.expr(b, ctx)?);
                 let hop = match op {
-                    BinOp::MatMul => HopOp::MatMul,
-                    BinOp::Add => HopOp::Binary(BinaryOp::Add),
-                    BinOp::Sub => HopOp::Binary(BinaryOp::Sub),
-                    BinOp::Mul => HopOp::Binary(BinaryOp::Mul),
-                    BinOp::Div => HopOp::Binary(BinaryOp::Div),
-                    BinOp::Pow => HopOp::Binary(BinaryOp::Pow),
-                    BinOp::Mod => HopOp::Binary(BinaryOp::Mod),
-                    BinOp::IntDiv => HopOp::Binary(BinaryOp::IntDiv),
-                    BinOp::Eq => HopOp::Binary(BinaryOp::Eq),
-                    BinOp::Neq => HopOp::Binary(BinaryOp::Neq),
-                    BinOp::Lt => HopOp::Binary(BinaryOp::Lt),
-                    BinOp::Le => HopOp::Binary(BinaryOp::Le),
-                    BinOp::Gt => HopOp::Binary(BinaryOp::Gt),
-                    BinOp::Ge => HopOp::Binary(BinaryOp::Ge),
-                    BinOp::And => HopOp::Binary(BinaryOp::And),
-                    BinOp::Or => HopOp::Binary(BinaryOp::Or),
+                    BinOp::MatMul => HopOp::op(MATMUL),
+                    BinOp::Cell(op) => HopOp::binary(*op),
                 };
                 self.dag.add(hop, vec![l, r])
             }
@@ -914,13 +901,14 @@ impl DagBuilder {
                 let (f, t) = (self.expr(a, ctx)?, self.expr(b, ctx)?);
                 let one = self.dag.lit(ScalarValue::I64(1));
                 let seq = runtime::lookup("seq").expect("seq is a runtime builtin");
-                self.dag.add(HopOp::Nary(seq), vec![f, t, one])
+                self.dag.add(HopOp::op(seq), vec![f, t, one])
             }
             Expr::Index { target, rows, cols } => {
                 let t = self.expr(target, ctx)?;
                 let (rl, rh) = self.index_bounds(rows, t, true, ctx)?;
                 let (cl, ch) = self.index_bounds(cols, t, false, ctx)?;
-                self.dag.add(HopOp::Index, vec![t, rl, rh, cl, ch])
+                self.dag
+                    .add(HopOp::op(RIGHT_INDEX), vec![t, rl, rh, cl, ch])
             }
             Expr::Call { name, args } => self.call(name, args, ctx)?,
         })
@@ -939,7 +927,7 @@ impl DagBuilder {
                 let one = self.dag.lit(ScalarValue::I64(1));
                 let dim = runtime::lookup(if is_rows { "nrow" } else { "ncol" });
                 let dim = dim.expect("nrow and ncol are runtime builtins");
-                (one, self.dag.add(HopOp::Nary(dim), vec![target]))
+                (one, self.dag.add(HopOp::op(dim), vec![target]))
             }
             IndexExpr::Single(e) => {
                 let id = self.expr(e, ctx)?;
@@ -961,7 +949,9 @@ impl DagBuilder {
         let v = self.expr(value, ctx)?;
         let (rl, rh) = self.index_bounds(rows, t, true, ctx)?;
         let (cl, ch) = self.index_bounds(cols, t, false, ctx)?;
-        Ok(self.dag.add(HopOp::LeftIndex, vec![t, v, rl, rh, cl, ch]))
+        Ok(self
+            .dag
+            .add(HopOp::op(LEFT_INDEX), vec![t, v, rl, rh, cl, ch]))
     }
 
     fn call(&mut self, name: &str, args: &[Arg], ctx: &Ctx) -> Result<HopId> {
@@ -974,15 +964,15 @@ impl DagBuilder {
         if args.len() == 1 && args[0].name.is_none() {
             if let Some(u) = unary_builtin(name) {
                 let id = self.expr(&args[0].value, ctx)?;
-                return Ok(self.dag.add(HopOp::Unary(u), vec![id]));
+                return Ok(self.dag.add(HopOp::unary(u), vec![id]));
             }
             if let Some((f, d)) = agg_builtin(name) {
                 let id = self.expr(&args[0].value, ctx)?;
-                return Ok(self.dag.add(HopOp::Agg(f, d), vec![id]));
+                return Ok(self.dag.add(HopOp::agg(f, d), vec![id]));
             }
             if name == "t" {
                 let id = self.expr(&args[0].value, ctx)?;
-                return Ok(self.dag.add(HopOp::Transpose, vec![id]));
+                return Ok(self.dag.add(HopOp::op(TRANSPOSE), vec![id]));
             }
         }
         // min/max with two arguments are element-wise.
@@ -994,7 +984,7 @@ impl DagBuilder {
             } else {
                 BinaryOp::Max
             };
-            return Ok(self.dag.add(HopOp::Binary(op), vec![l, r]));
+            return Ok(self.dag.add(HopOp::binary(op), vec![l, r]));
         }
         let Some(builtin) = runtime::lookup(name) else {
             return Err(SysDsError::compile(format!("unknown function '{name}'")));
@@ -1005,10 +995,10 @@ impl DagBuilder {
             for a in &args[1..] {
                 let sep = self.dag.lit(ScalarValue::Str(" ".into()));
                 let v = self.expr(&a.value, ctx)?;
-                acc = self.dag.add(HopOp::Binary(BinaryOp::Add), vec![acc, sep]);
-                acc = self.dag.add(HopOp::Binary(BinaryOp::Add), vec![acc, v]);
+                acc = self.dag.add(HopOp::binary(BinaryOp::Add), vec![acc, sep]);
+                acc = self.dag.add(HopOp::binary(BinaryOp::Add), vec![acc, v]);
             }
-            return Ok(self.dag.add(HopOp::Nary(builtin), vec![acc]));
+            return Ok(self.dag.add(HopOp::op(builtin), vec![acc]));
         }
         if builtin.whole_rhs.is_some() {
             return Err(SysDsError::compile(format!(
@@ -1016,13 +1006,18 @@ impl DagBuilder {
             )));
         }
         let inputs = self.builtin_inputs(builtin, args, ctx)?;
-        Ok(self.dag.add(HopOp::Nary(builtin), inputs))
+        Ok(self.dag.add(HopOp::op(builtin), inputs))
     }
 
     /// Bind a runtime builtin's arguments to the positions of its
     /// parameters and compile them; a [`ParamDefault::Runtime`] parameter
     /// left unbound is left out.
-    fn builtin_inputs(&mut self, builtin: &Builtin, args: &[Arg], ctx: &Ctx) -> Result<Vec<HopId>> {
+    fn builtin_inputs(
+        &mut self,
+        builtin: &Operator,
+        args: &[Arg],
+        ctx: &Ctx,
+    ) -> Result<Vec<HopId>> {
         let exprs = bind_params(
             builtin.name,
             builtin.params,
@@ -1043,7 +1038,7 @@ impl DagBuilder {
     /// with the nodes `outputs` adds for the targets.
     fn builtin_block(
         &mut self,
-        builtin: &'static Builtin,
+        builtin: &'static Operator,
         outputs: Outputs,
         args: &[Arg],
         targets: &[String],
@@ -1052,7 +1047,7 @@ impl DagBuilder {
     ) -> Result<()> {
         self.flush(blocks);
         let inputs = self.builtin_inputs(builtin, args, ctx)?;
-        let call = self.dag.add(HopOp::Nary(builtin), inputs);
+        let call = self.dag.add(HopOp::op(builtin), inputs);
         let outputs = outputs(&mut self.dag, call);
         let name = builtin.name;
         if targets.len() > outputs.len() {
@@ -1074,22 +1069,11 @@ fn root_ids(roots: &[Root]) -> Vec<HopId> {
     roots.iter().map(Root::id).collect()
 }
 
+/// The unary operator a DML function name calls: its opcode (`ceiling`
+/// is `ceil`).
 fn unary_builtin(name: &str) -> Option<UnaryOp> {
-    Some(match name {
-        "abs" => UnaryOp::Abs,
-        "exp" => UnaryOp::Exp,
-        "log" => UnaryOp::Log,
-        "sqrt" => UnaryOp::Sqrt,
-        "sin" => UnaryOp::Sin,
-        "cos" => UnaryOp::Cos,
-        "tan" => UnaryOp::Tan,
-        "sign" => UnaryOp::Sign,
-        "round" => UnaryOp::Round,
-        "floor" => UnaryOp::Floor,
-        "ceil" | "ceiling" => UnaryOp::Ceil,
-        "sigmoid" => UnaryOp::Sigmoid,
-        _ => return None,
-    })
+    let name = if name == "ceiling" { "ceil" } else { name };
+    UnaryOp::ALL.into_iter().find(|u| u.opcode() == name)
 }
 
 fn agg_builtin(name: &str) -> Option<(AggFn, Direction)> {
@@ -1127,7 +1111,7 @@ pub fn is_runtime_builtin(name: &str) -> bool {
 
 /// The row and output split of a builtin that must be the whole
 /// right-hand side of an assignment.
-fn whole_rhs(name: &str) -> Option<(&'static Builtin, Outputs)> {
+fn whole_rhs(name: &str) -> Option<(&'static Operator, Outputs)> {
     let builtin = runtime::lookup(name)?;
     Some((builtin, builtin.whole_rhs?))
 }
@@ -1135,6 +1119,7 @@ fn whole_rhs(name: &str) -> Option<(&'static Builtin, Outputs)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtins::runtime::TSMM;
     use crate::parser::parse_program;
 
     fn compile(src: &str) -> CompiledProgram {
@@ -1181,7 +1166,7 @@ mod tests {
             .dag
             .nodes()
             .iter()
-            .filter(|n| n.op == HopOp::Tsmm)
+            .filter(|n| n.op == HopOp::op(TSMM))
             .count();
         assert_eq!(tsmm_count, 1);
     }
@@ -1192,7 +1177,7 @@ mod tests {
         let Block::Basic(bb) = &p.blocks[0] else {
             panic!()
         };
-        assert!(bb.dag.nodes().iter().any(|n| n.op == HopOp::Tsmm));
+        assert!(bb.dag.nodes().iter().any(|n| n.op == HopOp::op(TSMM)));
     }
 
     #[test]
@@ -1237,7 +1222,7 @@ mod tests {
             .dag
             .nodes()
             .iter()
-            .filter(|n| matches!(n.op, HopOp::Binary(BinaryOp::Mul)))
+            .filter(|n| n.op == HopOp::binary(BinaryOp::Mul))
             .count();
         assert_eq!(muls, 1, "X*X must be CSE'd across inlined calls");
     }
@@ -1252,7 +1237,7 @@ mod tests {
             .dag
             .nodes()
             .iter()
-            .find(|n| n.op == HopOp::Nary(runtime::lookup("rand").unwrap()))
+            .find(|n| n.op == HopOp::op(runtime::lookup("rand").unwrap()))
             .unwrap();
         // canonical order: rows, cols, min, max, sparsity, seed, pdf
         assert_eq!(bb.dag.as_lit(rand.inputs[0]), Some(&ScalarValue::I64(5)));
@@ -1387,7 +1372,7 @@ mod tests {
                 panic!()
             };
             let nodes = bb.dag.nodes().iter();
-            let rand = HopOp::Nary(runtime::lookup("rand").unwrap());
+            let rand = HopOp::op(runtime::lookup("rand").unwrap());
             nodes.filter(|n| n.op == rand).count()
         };
         assert_eq!(
@@ -1447,13 +1432,13 @@ mod tests {
         let Block::Basic(bb) = &p.blocks[0] else {
             panic!()
         };
-        assert!(bb.dag.nodes().iter().any(|n| n.op == HopOp::LeftIndex));
+        assert!(bb.dag.nodes().iter().any(|n| n.op == HopOp::op(LEFT_INDEX)));
         // the binding for B points at the LeftIndex node
         let Root::Bind(name, id) = &bb.roots[bb.roots.len() - 1] else {
             panic!()
         };
         assert_eq!(name, "B");
-        assert_eq!(bb.dag.node(*id).op, HopOp::LeftIndex);
+        assert_eq!(bb.dag.node(*id).op, HopOp::op(LEFT_INDEX));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! the one-pass `mmchain` operator.
 
 use super::hop::{Dim, HopDag, HopId, HopOp};
+use crate::builtins::runtime::{Param, MATMUL, MMCHAIN, TMV, TRANSPOSE, TSMM};
 use sysds_common::ScalarValue;
-use sysds_tensor::kernels::{BinaryOp, UnaryOp};
+use sysds_tensor::kernels::{BinaryOp, Direction, UnaryOp};
 
 /// Apply static rewrites; returns remapped roots.
 pub fn rewrite_static(dag: &mut HopDag, roots: &[HopId]) -> Vec<HopId> {
@@ -43,64 +44,26 @@ pub fn rewrite_dynamic(dag: &mut HopDag) {
     }
 }
 
-/// Fold `Binary(lit, lit)` and `Unary(lit)` into literals.
+/// Fold an operator with a scalar rule over literal inputs into a literal,
+/// by the rule the runtime applies to scalars.
 fn constant_fold(dag: &mut HopDag, id: HopId) -> Option<HopId> {
     let node = dag.node(id);
-    match (&node.op, node.inputs.as_slice()) {
-        (HopOp::Binary(op), &[a, b]) => {
-            let (va, vb) = (dag.as_lit(a)?, dag.as_lit(b)?);
-            // String concatenation via `+`.
-            if let (BinaryOp::Add, ScalarValue::Str(x), y) = (*op, va, vb) {
-                let folded = ScalarValue::Str(format!("{x}{}", y.to_display_string()));
-                return Some(dag.lit(folded));
-            }
-            if let (BinaryOp::Add, x, ScalarValue::Str(y)) = (*op, va, vb) {
-                let folded = ScalarValue::Str(format!("{}{y}", x.to_display_string()));
-                return Some(dag.lit(folded));
-            }
-            let (x, y) = (va.as_f64().ok()?, vb.as_f64().ok()?);
-            let v = op.apply(x, y);
-            let folded = fold_value(*op, va, vb, v);
-            Some(dag.lit(folded))
-        }
-        (HopOp::Unary(op), &[a]) => {
-            let va = dag.as_lit(a)?;
-            let x = va.as_f64().ok()?;
-            let v = op.apply(x);
-            let folded = match (op, va) {
-                (UnaryOp::Neg, ScalarValue::I64(i)) => ScalarValue::I64(-i),
-                (UnaryOp::Not, _) => ScalarValue::Bool(v != 0.0),
-                _ => ScalarValue::F64(v),
-            };
-            Some(dag.lit(folded))
-        }
-        _ => None,
-    }
-}
-
-fn fold_value(op: BinaryOp, a: &ScalarValue, b: &ScalarValue, v: f64) -> ScalarValue {
-    use BinaryOp::*;
-    match op {
-        Eq | Neq | Lt | Le | Gt | Ge | And | Or => ScalarValue::Bool(v != 0.0),
-        Add | Sub | Mul | IntDiv | Mod | Min | Max
-            if matches!(a, ScalarValue::I64(_) | ScalarValue::Bool(_))
-                && matches!(b, ScalarValue::I64(_) | ScalarValue::Bool(_))
-                && v.fract() == 0.0 =>
-        {
-            ScalarValue::I64(v as i64)
-        }
-        _ => ScalarValue::F64(v),
-    }
+    let HopOp::Op(row, param) = &node.op else {
+        return None;
+    };
+    let inputs: Option<Vec<&ScalarValue>> = node.inputs.iter().map(|&i| dag.as_lit(i)).collect();
+    let folded = (row.fold?)(param, &inputs?).ok()?;
+    Some(dag.lit(folded))
 }
 
 /// `t(t(X))` → `X`.
 fn double_transpose(dag: &HopDag, id: HopId) -> Option<HopId> {
     let node = dag.node(id);
-    if node.op != HopOp::Transpose {
+    if !node.op.is(TRANSPOSE) {
         return None;
     }
     let inner = dag.node(node.inputs[0]);
-    if inner.op == HopOp::Transpose {
+    if inner.op.is(TRANSPOSE) {
         Some(inner.inputs[0])
     } else {
         None
@@ -110,7 +73,7 @@ fn double_transpose(dag: &HopDag, id: HopId) -> Option<HopId> {
 /// `X*1`, `1*X`, `X+0`, `0+X`, `X-0`, `X/1`, `X^1` → `X`.
 fn identity_op(dag: &HopDag, id: HopId) -> Option<HopId> {
     let node = dag.node(id);
-    let HopOp::Binary(op) = node.op else {
+    let HopOp::Op(_, Param::Binary(op)) = node.op else {
         return None;
     };
     let &[a, b] = node.inputs.as_slice() else {
@@ -133,16 +96,13 @@ fn identity_op(dag: &HopDag, id: HopId) -> Option<HopId> {
 /// (same for mean/min/max/var/sd/sumSq).
 fn transpose_invariant_agg(dag: &mut HopDag, id: HopId) -> Option<HopId> {
     let node = dag.node(id);
-    let HopOp::Agg(f, dir) = node.op else {
+    let HopOp::Op(_, Param::Agg(_, Direction::Full)) = node.op else {
         return None;
     };
-    if dir != sysds_tensor::kernels::Direction::Full {
-        return None;
-    }
     let inner = dag.node(node.inputs[0]);
-    if inner.op == HopOp::Transpose {
-        let x = inner.inputs[0];
-        dag.replace(id, HopOp::Agg(f, dir), vec![x]);
+    if inner.op.is(TRANSPOSE) {
+        let (op, x) = (node.op.clone(), inner.inputs[0]);
+        dag.replace(id, op, vec![x]);
     }
     None // structural replacement
 }
@@ -151,7 +111,7 @@ fn transpose_invariant_agg(dag: &mut HopDag, id: HopId) -> Option<HopId> {
 /// operator (paper §3.4, operator fusion).
 fn sigmoid_fusion(dag: &mut HopDag, id: HopId) -> Option<HopId> {
     let node = dag.node(id);
-    let HopOp::Binary(BinaryOp::Div) = node.op else {
+    let HopOp::Op(_, Param::Binary(BinaryOp::Div)) = node.op else {
         return None;
     };
     let &[one_a, denom] = node.inputs.as_slice() else {
@@ -162,7 +122,7 @@ fn sigmoid_fusion(dag: &mut HopDag, id: HopId) -> Option<HopId> {
         return None;
     }
     let dnode = dag.node(denom);
-    let HopOp::Binary(BinaryOp::Add) = dnode.op else {
+    let HopOp::Op(_, Param::Binary(BinaryOp::Add)) = dnode.op else {
         return None;
     };
     let &[l, r] = dnode.inputs.as_slice() else {
@@ -174,30 +134,30 @@ fn sigmoid_fusion(dag: &mut HopDag, id: HopId) -> Option<HopId> {
         return None;
     }
     let enode = dag.node(exp_id);
-    if enode.op != HopOp::Unary(UnaryOp::Exp) {
+    if enode.op != HopOp::unary(UnaryOp::Exp) {
         return None;
     }
     let nnode = dag.node(enode.inputs[0]);
-    if nnode.op != HopOp::Unary(UnaryOp::Neg) {
+    if nnode.op != HopOp::unary(UnaryOp::Neg) {
         return None;
     }
     let x = nnode.inputs[0];
-    dag.replace(id, HopOp::Unary(UnaryOp::Sigmoid), vec![x]);
+    dag.replace(id, HopOp::unary(UnaryOp::Sigmoid), vec![x]);
     None // structural replacement
 }
 
 /// `t(X) %*% X` → `tsmm(X)` (in place).
 fn tsmm_fusion(dag: &mut HopDag, id: HopId) -> Option<HopId> {
     let node = dag.node(id);
-    if node.op != HopOp::MatMul {
+    if !node.op.is(MATMUL) {
         return None;
     }
     let &[l, r] = node.inputs.as_slice() else {
         return None;
     };
     let lnode = dag.node(l);
-    if lnode.op == HopOp::Transpose && lnode.inputs[0] == r {
-        dag.replace(id, HopOp::Tsmm, vec![r]);
+    if lnode.op.is(TRANSPOSE) && lnode.inputs[0] == r {
+        dag.replace(id, HopOp::op(TSMM), vec![r]);
     }
     None // structural replacement, not an alias
 }
@@ -205,19 +165,19 @@ fn tsmm_fusion(dag: &mut HopDag, id: HopId) -> Option<HopId> {
 /// `t(X) %*% y` → `tmv(X, y)` when `y` is known to be a column vector.
 fn tmv_fusion(dag: &mut HopDag, id: HopId) {
     let node = dag.node(id);
-    if node.op != HopOp::MatMul {
+    if !node.op.is(MATMUL) {
         return;
     }
     let &[l, r] = node.inputs.as_slice() else {
         return;
     };
     let lnode = dag.node(l);
-    if lnode.op != HopOp::Transpose {
+    if !lnode.op.is(TRANSPOSE) {
         return;
     }
     let x = lnode.inputs[0];
     if dag.node(r).size.cols == Dim::Known(1) && !dag.node(r).size.scalar {
-        dag.replace(id, HopOp::Tmv, vec![x, r]);
+        dag.replace(id, HopOp::op(TMV), vec![x, r]);
     }
 }
 
@@ -244,14 +204,14 @@ pub fn mmchain_fusion(dag: &mut HopDag, roots: &[HopId]) -> usize {
             continue;
         };
         let inner = dag.node(q);
-        let single_use_matvec = node.op == HopOp::Tmv
-            && inner.op == HopOp::MatMul
+        let single_use_matvec = node.op.is(TMV)
+            && inner.op.is(MATMUL)
             && uses[q] == 1
             && inner.inputs[0] == x
             && inner.size.cols == Dim::Known(1);
         if single_use_matvec {
             let v = inner.inputs[1];
-            dag.replace(id, HopOp::MmChain, vec![x, v]);
+            dag.replace(id, HopOp::op(MMCHAIN), vec![x, v]);
             chains += 1;
         }
     }
@@ -269,7 +229,7 @@ mod tests {
         let mut dag = HopDag::new();
         let a = dag.lit(ScalarValue::I64(2));
         let b = dag.lit(ScalarValue::I64(3));
-        let sum = dag.add(HopOp::Binary(BinaryOp::Add), vec![a, b]);
+        let sum = dag.add(HopOp::binary(BinaryOp::Add), vec![a, b]);
         let roots = rewrite_static(&mut dag, &[sum]);
         assert_eq!(dag.as_lit(roots[0]), Some(&ScalarValue::I64(5)));
     }
@@ -279,7 +239,7 @@ mod tests {
         let mut dag = HopDag::new();
         let a = dag.lit(ScalarValue::I64(2));
         let b = dag.lit(ScalarValue::I64(3));
-        let cmp = dag.add(HopOp::Binary(BinaryOp::Lt), vec![a, b]);
+        let cmp = dag.add(HopOp::binary(BinaryOp::Lt), vec![a, b]);
         let roots = rewrite_static(&mut dag, &[cmp]);
         assert_eq!(dag.as_lit(roots[0]), Some(&ScalarValue::Bool(true)));
     }
@@ -289,7 +249,7 @@ mod tests {
         let mut dag = HopDag::new();
         let a = dag.lit(ScalarValue::Str("k=".into()));
         let b = dag.lit(ScalarValue::I64(7));
-        let cat = dag.add(HopOp::Binary(BinaryOp::Add), vec![a, b]);
+        let cat = dag.add(HopOp::binary(BinaryOp::Add), vec![a, b]);
         let roots = rewrite_static(&mut dag, &[cat]);
         assert_eq!(dag.as_lit(roots[0]), Some(&ScalarValue::Str("k=7".into())));
     }
@@ -300,9 +260,9 @@ mod tests {
         let mut dag = HopDag::new();
         let a = dag.lit(ScalarValue::I64(1));
         let b = dag.lit(ScalarValue::I64(2));
-        let sum = dag.add(HopOp::Binary(BinaryOp::Add), vec![a, b]);
+        let sum = dag.add(HopOp::binary(BinaryOp::Add), vec![a, b]);
         let c = dag.lit(ScalarValue::I64(3));
-        let prod = dag.add(HopOp::Binary(BinaryOp::Mul), vec![sum, c]);
+        let prod = dag.add(HopOp::binary(BinaryOp::Mul), vec![sum, c]);
         let roots = rewrite_static(&mut dag, &[prod]);
         assert_eq!(dag.as_lit(roots[0]), Some(&ScalarValue::I64(9)));
     }
@@ -311,8 +271,8 @@ mod tests {
     fn eliminates_double_transpose() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t1 = dag.add(HopOp::Transpose, vec![x]);
-        let t2 = dag.add(HopOp::Transpose, vec![t1]);
+        let t1 = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let t2 = dag.add(HopOp::op(TRANSPOSE), vec![t1]);
         let roots = rewrite_static(&mut dag, &[t2]);
         assert_eq!(roots[0], x);
     }
@@ -323,8 +283,8 @@ mod tests {
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let one = dag.lit(ScalarValue::F64(1.0));
         let zero = dag.lit(ScalarValue::F64(0.0));
-        let m = dag.add(HopOp::Binary(BinaryOp::Mul), vec![x, one]);
-        let a = dag.add(HopOp::Binary(BinaryOp::Add), vec![m, zero]);
+        let m = dag.add(HopOp::binary(BinaryOp::Mul), vec![x, one]);
+        let a = dag.add(HopOp::binary(BinaryOp::Add), vec![m, zero]);
         let roots = rewrite_static(&mut dag, &[a]);
         assert_eq!(roots[0], x);
     }
@@ -333,10 +293,10 @@ mod tests {
     fn tsmm_fused_from_pattern() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
-        let mm = dag.add(HopOp::MatMul, vec![t, x]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![t, x]);
         let roots = rewrite_static(&mut dag, &[mm]);
-        assert_eq!(dag.node(roots[0]).op, HopOp::Tsmm);
+        assert_eq!(dag.node(roots[0]).op, HopOp::op(TSMM));
         assert_eq!(dag.node(roots[0]).inputs, vec![x]);
     }
 
@@ -345,25 +305,25 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("y".into()), vec![]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
-        let mm = dag.add(HopOp::MatMul, vec![t, y]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![t, y]);
         let mut env = SizeEnv::default();
         env.insert("X".into(), SizeInfo::matrix(100, 5, Some(1.0)));
         env.insert("y".into(), SizeInfo::matrix(100, 1, Some(1.0)));
         propagate(&mut dag, &env, &[mm]);
         rewrite_dynamic(&mut dag);
-        assert_eq!(dag.node(mm).op, HopOp::Tmv);
+        assert_eq!(dag.node(mm).op, HopOp::op(TMV));
         assert_eq!(dag.node(mm).inputs, vec![x, y]);
 
         // Without size knowledge the pattern is left alone.
         let mut dag2 = HopDag::new();
         let x2 = dag2.add(HopOp::Var("X".into()), vec![]);
         let y2 = dag2.add(HopOp::Var("y".into()), vec![]);
-        let t2 = dag2.add(HopOp::Transpose, vec![x2]);
-        let mm2 = dag2.add(HopOp::MatMul, vec![t2, y2]);
+        let t2 = dag2.add(HopOp::op(TRANSPOSE), vec![x2]);
+        let mm2 = dag2.add(HopOp::op(MATMUL), vec![t2, y2]);
         propagate(&mut dag2, &SizeEnv::default(), &[mm2]);
         rewrite_dynamic(&mut dag2);
-        assert_eq!(dag2.node(mm2).op, HopOp::MatMul);
+        assert_eq!(dag2.node(mm2).op, HopOp::op(MATMUL));
     }
 
     /// `t(X) %*% (X %*% v)` with known sizes, after the dynamic rewrites;
@@ -372,9 +332,9 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let v = dag.add(HopOp::Var("v".into()), vec![]);
-        let xv = dag.add(HopOp::MatMul, vec![x, v]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
-        let mm = dag.add(HopOp::MatMul, vec![t, xv]);
+        let xv = dag.add(HopOp::op(MATMUL), vec![x, v]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![t, xv]);
         let mut env = SizeEnv::default();
         env.insert("X".into(), SizeInfo::matrix(100, 5, Some(1.0)));
         env.insert("v".into(), SizeInfo::matrix(5, 1, Some(1.0)));
@@ -386,9 +346,9 @@ mod tests {
     #[test]
     fn mmchain_fused_from_single_use_matvec() {
         let (mut dag, [x, v, _, mm]) = chain_dag();
-        assert_eq!(dag.node(mm).op, HopOp::Tmv);
+        assert_eq!(dag.node(mm).op, HopOp::op(TMV));
         assert_eq!(mmchain_fusion(&mut dag, &[mm]), 1);
-        assert_eq!(dag.node(mm).op, HopOp::MmChain);
+        assert_eq!(dag.node(mm).op, HopOp::op(MMCHAIN));
         assert_eq!(dag.node(mm).inputs, vec![x, v]);
     }
 
@@ -397,19 +357,19 @@ mod tests {
         // X %*% v is also a statement root: it must stay materialized.
         let (mut dag, [_, _, xv, mm]) = chain_dag();
         assert_eq!(mmchain_fusion(&mut dag, &[mm, xv]), 0);
-        assert_eq!(dag.node(mm).op, HopOp::Tmv);
+        assert_eq!(dag.node(mm).op, HopOp::op(TMV));
 
         // X %*% v feeds a second consumer.
         let (mut dag, [_, _, xv, mm]) = chain_dag();
         let s = dag.add(
-            HopOp::Agg(
+            HopOp::agg(
                 sysds_tensor::kernels::AggFn::Sum,
                 sysds_tensor::kernels::Direction::Full,
             ),
             vec![xv],
         );
         assert_eq!(mmchain_fusion(&mut dag, &[mm, s]), 0);
-        assert_eq!(dag.node(mm).op, HopOp::Tmv);
+        assert_eq!(dag.node(mm).op, HopOp::op(TMV));
     }
 
     #[test]
@@ -419,9 +379,9 @@ mod tests {
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let z = dag.add(HopOp::Var("Z".into()), vec![]);
         let v = dag.add(HopOp::Var("v".into()), vec![]);
-        let xv = dag.add(HopOp::MatMul, vec![x, v]);
-        let t = dag.add(HopOp::Transpose, vec![z]);
-        let mm = dag.add(HopOp::MatMul, vec![t, xv]);
+        let xv = dag.add(HopOp::op(MATMUL), vec![x, v]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![z]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![t, xv]);
         let mut env = SizeEnv::default();
         env.insert("X".into(), SizeInfo::matrix(100, 5, Some(1.0)));
         env.insert("Z".into(), SizeInfo::matrix(100, 5, Some(1.0)));
@@ -429,7 +389,7 @@ mod tests {
         propagate(&mut dag, &env, &[mm]);
         rewrite_dynamic(&mut dag);
         assert_eq!(mmchain_fusion(&mut dag, &[mm]), 0);
-        assert_eq!(dag.node(mm).op, HopOp::Tmv);
+        assert_eq!(dag.node(mm).op, HopOp::op(TMV));
     }
 
     #[test]
@@ -437,19 +397,19 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
-        let mm = dag.add(HopOp::MatMul, vec![t, y]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![t, y]);
         rewrite_static(&mut dag, &[mm]);
-        assert_eq!(dag.node(mm).op, HopOp::MatMul);
+        assert_eq!(dag.node(mm).op, HopOp::op(MATMUL));
     }
 
     #[test]
     fn sum_of_transpose_drops_transpose() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
         let s = dag.add(
-            HopOp::Agg(
+            HopOp::agg(
                 sysds_tensor::kernels::AggFn::Sum,
                 sysds_tensor::kernels::Direction::Full,
             ),
@@ -459,7 +419,7 @@ mod tests {
         assert_eq!(dag.node(s).inputs, vec![x]);
         // row aggregates are NOT transpose-invariant and stay untouched
         let r = dag.add(
-            HopOp::Agg(
+            HopOp::agg(
                 sysds_tensor::kernels::AggFn::Sum,
                 sysds_tensor::kernels::Direction::Row,
             ),
@@ -474,13 +434,13 @@ mod tests {
         // 1 / (1 + exp(-X)) → sigmoid(X)
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let neg = dag.add(HopOp::Unary(UnaryOp::Neg), vec![x]);
-        let ex = dag.add(HopOp::Unary(UnaryOp::Exp), vec![neg]);
+        let neg = dag.add(HopOp::unary(UnaryOp::Neg), vec![x]);
+        let ex = dag.add(HopOp::unary(UnaryOp::Exp), vec![neg]);
         let one = dag.lit(ScalarValue::F64(1.0));
-        let denom = dag.add(HopOp::Binary(BinaryOp::Add), vec![one, ex]);
-        let div = dag.add(HopOp::Binary(BinaryOp::Div), vec![one, denom]);
+        let denom = dag.add(HopOp::binary(BinaryOp::Add), vec![one, ex]);
+        let div = dag.add(HopOp::binary(BinaryOp::Div), vec![one, denom]);
         rewrite_static(&mut dag, &[div]);
-        assert_eq!(dag.node(div).op, HopOp::Unary(UnaryOp::Sigmoid));
+        assert_eq!(dag.node(div).op, HopOp::unary(UnaryOp::Sigmoid));
         assert_eq!(dag.node(div).inputs, vec![x]);
     }
 
@@ -489,27 +449,120 @@ mod tests {
         // 2 / (1 + exp(-X)) must stay a division
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let neg = dag.add(HopOp::Unary(UnaryOp::Neg), vec![x]);
-        let ex = dag.add(HopOp::Unary(UnaryOp::Exp), vec![neg]);
+        let neg = dag.add(HopOp::unary(UnaryOp::Neg), vec![x]);
+        let ex = dag.add(HopOp::unary(UnaryOp::Exp), vec![neg]);
         let one = dag.lit(ScalarValue::F64(1.0));
         let two = dag.lit(ScalarValue::F64(2.0));
-        let denom = dag.add(HopOp::Binary(BinaryOp::Add), vec![one, ex]);
-        let div = dag.add(HopOp::Binary(BinaryOp::Div), vec![two, denom]);
+        let denom = dag.add(HopOp::binary(BinaryOp::Add), vec![one, ex]);
+        let div = dag.add(HopOp::binary(BinaryOp::Div), vec![two, denom]);
         rewrite_static(&mut dag, &[div]);
-        assert_eq!(dag.node(div).op, HopOp::Binary(BinaryOp::Div));
+        assert_eq!(dag.node(div).op, HopOp::binary(BinaryOp::Div));
     }
 
     #[test]
     fn unary_fold() {
         let mut dag = HopDag::new();
         let a = dag.lit(ScalarValue::F64(4.0));
-        let s = dag.add(HopOp::Unary(UnaryOp::Sqrt), vec![a]);
+        let s = dag.add(HopOp::unary(UnaryOp::Sqrt), vec![a]);
         let roots = rewrite_static(&mut dag, &[s]);
         assert_eq!(dag.as_lit(roots[0]), Some(&ScalarValue::F64(2.0)));
         // integer negation stays integer
         let i = dag.lit(ScalarValue::I64(3));
-        let n = dag.add(HopOp::Unary(UnaryOp::Neg), vec![i]);
+        let n = dag.add(HopOp::unary(UnaryOp::Neg), vec![i]);
         let roots = rewrite_static(&mut dag, &[n]);
         assert_eq!(dag.as_lit(roots[0]), Some(&ScalarValue::I64(-3)));
+    }
+
+    /// The literal `op` folds to, and the value the runtime computes for
+    /// the same node when it is not folded.
+    fn folded_and_run(op: HopOp, operands: &[&ScalarValue]) -> (ScalarValue, ScalarValue) {
+        use crate::compiler::lower::Instr;
+        use crate::runtime::instructions::{execute, ExecCtx};
+        use crate::runtime::value::SymbolTable;
+        let mut dag = HopDag::new();
+        let inputs = operands.iter().map(|v| dag.lit((*v).clone())).collect();
+        let node = dag.add(op, inputs);
+        let config = sysds_common::EngineConfig {
+            spill_dir: sysds_common::testing::unique_temp_dir("sysds-fold-tests"),
+            ..Default::default()
+        };
+        let ctx = ExecCtx::new(config).unwrap();
+        let mut slots = vec![None; dag.len()];
+        for (id, hop) in dag.nodes().iter().enumerate() {
+            let (op, inputs) = (hop.op.clone(), hop.inputs.clone());
+            let instr = Instr {
+                op,
+                inputs,
+                out: id,
+                size: SizeInfo::unknown(),
+            };
+            execute(&instr, &mut slots, &SymbolTable::new(), &ctx).unwrap();
+        }
+        let run = slots[node].take().unwrap().data.as_scalar().unwrap();
+        let roots = rewrite_static(&mut dag, &[node]);
+        (
+            dag.as_lit(roots[0]).expect("folded to a literal").clone(),
+            run,
+        )
+    }
+
+    #[test]
+    fn folding_and_runtime_agree_on_scalars() {
+        let edges = [
+            ScalarValue::I64(0),
+            ScalarValue::I64(-1),
+            ScalarValue::I64(2),
+            ScalarValue::I64(70),
+            ScalarValue::I64(i64::MAX),
+            ScalarValue::I64(i64::MIN),
+            ScalarValue::F64(2.5),
+            ScalarValue::F64(f64::NAN),
+            ScalarValue::Bool(true),
+        ];
+        for op in BinaryOp::ALL {
+            for a in &edges {
+                for b in &edges {
+                    let (folded, run) = folded_and_run(HopOp::binary(op), &[a, b]);
+                    let what = format!("{a:?} {} {b:?}", op.opcode());
+                    assert_eq!(format!("{folded:?}"), format!("{run:?}"), "{what}");
+                    assert_eq!(
+                        folded.to_display_string(),
+                        run.to_display_string(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        for op in UnaryOp::ALL {
+            for a in &edges {
+                let (folded, run) = folded_and_run(HopOp::unary(op), &[a]);
+                assert_eq!(
+                    format!("{folded:?}"),
+                    format!("{run:?}"),
+                    "{} {a:?}",
+                    op.opcode()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_rule_types() {
+        let fold = |op, a, b| folded_and_run(HopOp::binary(op), &[&a, &b]).0;
+        let (i, f) = (ScalarValue::I64, ScalarValue::F64);
+        assert_eq!(fold(BinaryOp::Div, i(6), i(2)), f(3.0));
+        assert_eq!(fold(BinaryOp::Pow, i(2), i(3)), f(8.0));
+        assert_eq!(fold(BinaryOp::Pow, i(2), i(70)), f(2f64.powi(70)));
+        assert_eq!(
+            fold(BinaryOp::Mul, i(i64::MIN), i(2)),
+            f(i64::MIN as f64 * 2.0)
+        );
+        assert_eq!(fold(BinaryOp::IntDiv, i(-7), i(2)), i(-4));
+        assert_eq!(fold(BinaryOp::Mod, i(-7), i(2)), i(1));
+        assert!(matches!(fold(BinaryOp::Mod, i(7), i(0)), ScalarValue::F64(v) if v.is_nan()));
+        assert_eq!(fold(BinaryOp::Add, i(i64::MAX), i(0)), i(i64::MAX));
+        assert_eq!(fold(BinaryOp::Lt, i(1), f(2.5)), ScalarValue::Bool(true));
+        let neg = folded_and_run(HopOp::unary(UnaryOp::Neg), &[&i(i64::MIN)]).0;
+        assert_eq!(neg, f(-(i64::MIN as f64)));
     }
 }

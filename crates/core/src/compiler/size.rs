@@ -1,13 +1,13 @@
 //! Size propagation: dimensions and sparsity through HOP DAGs (paper §2.3).
 //!
-//! Sizes feed memory estimates (`--explain`, the estimate-vs-actual audit),
-//! size-dependent rewrites and fusion, and flag blocks for dynamic
-//! recompilation when unknown at compile time.
+//! A literal is a scalar, a variable has its size at block entry, and an
+//! operator node gets the size its row's rule gives for its member and
+//! input nodes. Sizes feed memory estimates (`--explain`, the
+//! estimate-vs-actual audit), size-dependent rewrites and fusion, and flag
+//! blocks for dynamic recompilation when unknown at compile time.
 
-use super::hop::{Dim, HopDag, HopId, HopOp, SizeInfo};
+use super::hop::{HopDag, HopId, HopOp, SizeInfo};
 use sysds_common::hash::FxHashMap;
-use sysds_common::ScalarValue;
-use sysds_tensor::kernels::Direction;
 
 /// Known sizes of live-in variables at block entry.
 pub type SizeEnv = FxHashMap<String, SizeInfo>;
@@ -20,7 +20,12 @@ pub fn propagate(dag: &mut HopDag, env: &SizeEnv, roots: &[HopId]) -> bool {
     let mark = dag.reachable(roots);
     let mut any_unknown = false;
     for id in 0..dag.len() {
-        let size = infer(dag, id, env);
+        let node = dag.node(id);
+        let size = match &node.op {
+            HopOp::Lit(_) => SizeInfo::scalar(),
+            HopOp::Var(name) => env.get(name).copied().unwrap_or_else(SizeInfo::unknown),
+            HopOp::Op(row, param) => row.size.infer(param, dag, &node.inputs),
+        };
         dag.node_mut(id).size = size;
         if mark[id] && !size.fully_known() {
             any_unknown = true;
@@ -29,129 +34,13 @@ pub fn propagate(dag: &mut HopDag, env: &SizeEnv, roots: &[HopId]) -> bool {
     any_unknown
 }
 
-/// A literal node's value as a dimension.
-pub(crate) fn lit_usize(dag: &HopDag, id: HopId) -> Option<usize> {
-    match dag.as_lit(id)? {
-        ScalarValue::I64(v) if *v >= 0 => Some(*v as usize),
-        ScalarValue::F64(v) if *v >= 0.0 => Some(*v as usize),
-        _ => None,
-    }
-}
-
-fn infer(dag: &HopDag, id: HopId, env: &SizeEnv) -> SizeInfo {
-    let node = dag.node(id);
-    let input = |k: usize| dag.node(node.inputs[k]).size;
-    match &node.op {
-        HopOp::Lit(_) => SizeInfo::scalar(),
-        HopOp::Var(name) => env.get(name).copied().unwrap_or_else(SizeInfo::unknown),
-        HopOp::Unary(u) => {
-            let s = input(0);
-            let sparsity = if u.zero_preserving() {
-                s.sparsity
-            } else {
-                Some(1.0)
-            };
-            SizeInfo { sparsity, ..s }
-        }
-        HopOp::Binary(b) => {
-            let (l, r) = (input(0), input(1));
-            // Scalar op scalar stays scalar; otherwise the matrix side wins.
-            if l.scalar && r.scalar {
-                return SizeInfo::scalar();
-            }
-            let shape = if l.scalar { r } else { l };
-            let sparsity = if b.zero_preserving_left() || b.zero_preserving_right() {
-                // worst case: min of the operand sparsities
-                match (l.sparsity, r.sparsity) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (Some(a), None) | (None, Some(a)) => Some(a),
-                    _ => None,
-                }
-            } else {
-                Some(1.0)
-            };
-            SizeInfo {
-                sparsity,
-                scalar: false,
-                ..shape
-            }
-        }
-        HopOp::MatMul => {
-            let (l, r) = (input(0), input(1));
-            SizeInfo::dims(l.rows, r.cols, None)
-        }
-        HopOp::Tsmm => {
-            let s = input(0);
-            SizeInfo::dims(s.cols, s.cols, None)
-        }
-        HopOp::Tmv | HopOp::MmChain => {
-            let s = input(0);
-            SizeInfo::dims(s.cols, Dim::Known(1), None)
-        }
-        HopOp::Transpose => {
-            let s = input(0);
-            SizeInfo::dims(s.cols, s.rows, s.sparsity)
-        }
-        HopOp::Agg(_, dir) => {
-            let s = input(0);
-            match dir {
-                Direction::Full => SizeInfo::scalar(),
-                Direction::Row => SizeInfo::dims(s.rows, Dim::Known(1), Some(1.0)),
-                Direction::Col => SizeInfo::dims(Dim::Known(1), s.cols, Some(1.0)),
-            }
-        }
-        HopOp::Fused(t) => {
-            // The cell-wise body has the shape of its (first) matrix leaf;
-            // an aggregate root reshapes exactly like HopOp::Agg.
-            let base = node
-                .inputs
-                .iter()
-                .map(|&i| dag.node(i).size)
-                .find(|s| !s.scalar)
-                .unwrap_or_else(SizeInfo::unknown);
-            match t.agg {
-                None => SizeInfo {
-                    sparsity: None,
-                    scalar: false,
-                    ..base
-                },
-                Some((_, Direction::Full)) => SizeInfo::scalar(),
-                Some((_, Direction::Row)) => SizeInfo::dims(base.rows, Dim::Known(1), Some(1.0)),
-                Some((_, Direction::Col)) => SizeInfo::dims(Dim::Known(1), base.cols, Some(1.0)),
-            }
-        }
-        HopOp::Index => {
-            // inputs: target, rl, rh, cl, ch (1-based inclusive literals or
-            // dynamic scalars).
-            let rl = lit_usize(dag, node.inputs[1]);
-            let rh = lit_usize(dag, node.inputs[2]);
-            let cl = lit_usize(dag, node.inputs[3]);
-            let ch = lit_usize(dag, node.inputs[4]);
-            let rows = match (rl, rh) {
-                (Some(a), Some(b)) if b >= a => Dim::Known(b - a + 1),
-                _ => Dim::Unknown,
-            };
-            let cols = match (cl, ch) {
-                (Some(a), Some(b)) if b >= a => Dim::Known(b - a + 1),
-                _ => Dim::Unknown,
-            };
-            SizeInfo {
-                rows,
-                cols,
-                sparsity: input(0).sparsity,
-                scalar: false,
-            }
-        }
-        HopOp::LeftIndex => input(0),
-        HopOp::Nary(b) => b.size.infer(dag, &node.inputs),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtins::runtime::lookup;
-    use sysds_tensor::kernels::BinaryOp;
+    use crate::builtins::runtime::{lookup, MATMUL, RIGHT_INDEX, TMV, TRANSPOSE, TSMM};
+    use crate::compiler::hop::Dim;
+    use sysds_common::ScalarValue;
+    use sysds_tensor::kernels::{AggFn, BinaryOp, Direction};
 
     fn env_with(name: &str, rows: usize, cols: usize) -> SizeEnv {
         let mut env = SizeEnv::default();
@@ -164,7 +53,7 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let mm = dag.add(HopOp::MatMul, vec![x, y]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![x, y]);
         let mut env = env_with("X", 10, 5);
         env.insert("Y".into(), SizeInfo::matrix(5, 3, Some(1.0)));
         let unknown = propagate(&mut dag, &env, &[mm]);
@@ -177,8 +66,8 @@ mod tests {
     fn tsmm_and_tmv_sizes() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let g = dag.add(HopOp::Tsmm, vec![x]);
-        let v = dag.add(HopOp::Tmv, vec![x, x]);
+        let g = dag.add(HopOp::op(TSMM), vec![x]);
+        let v = dag.add(HopOp::op(TMV), vec![x, x]);
         propagate(&mut dag, &env_with("X", 100, 7), &[g, v]);
         assert_eq!(dag.node(g).size.rows, Dim::Known(7));
         assert_eq!(dag.node(g).size.cols, Dim::Known(7));
@@ -190,7 +79,7 @@ mod tests {
     fn unknown_inputs_flag_recompile() {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t = dag.add(HopOp::Transpose, vec![x]);
+        let t = dag.add(HopOp::op(TRANSPOSE), vec![x]);
         let unknown = propagate(&mut dag, &SizeEnv::default(), &[t]);
         assert!(unknown);
         assert_eq!(dag.node(t).size.rows, Dim::Unknown);
@@ -206,7 +95,7 @@ mod tests {
         let sp = dag.lit(ScalarValue::F64(0.1));
         let seed = dag.lit(ScalarValue::I64(7));
         let rand = dag.add(
-            HopOp::Nary(lookup("rand").unwrap()),
+            HopOp::op(lookup("rand").unwrap()),
             vec![r, c, mn, mx, sp, seed],
         );
         let unknown = propagate(&mut dag, &SizeEnv::default(), &[rand]);
@@ -221,7 +110,7 @@ mod tests {
         let mut dag = HopDag::new();
         let a = dag.lit(ScalarValue::F64(1.0));
         let b = dag.lit(ScalarValue::F64(2.0));
-        let s = dag.add(HopOp::Binary(BinaryOp::Add), vec![a, b]);
+        let s = dag.add(HopOp::binary(BinaryOp::Add), vec![a, b]);
         propagate(&mut dag, &SizeEnv::default(), &[s]);
         assert!(dag.node(s).size.scalar);
     }
@@ -231,7 +120,7 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let cb = dag.add(HopOp::Nary(lookup("cbind").unwrap()), vec![x, y]);
+        let cb = dag.add(HopOp::op(lookup("cbind").unwrap()), vec![x, y]);
         let mut env = env_with("X", 10, 5);
         env.insert("Y".into(), SizeInfo::matrix(10, 2, Some(1.0)));
         propagate(&mut dag, &env, &[cb]);
@@ -243,9 +132,9 @@ mod tests {
         // t(t(X)) %*% X : dims and sparsity must survive a transpose chain.
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let t1 = dag.add(HopOp::Transpose, vec![x]);
-        let t2 = dag.add(HopOp::Transpose, vec![t1]);
-        let mm = dag.add(HopOp::MatMul, vec![t1, x]);
+        let t1 = dag.add(HopOp::op(TRANSPOSE), vec![x]);
+        let t2 = dag.add(HopOp::op(TRANSPOSE), vec![t1]);
+        let mm = dag.add(HopOp::op(MATMUL), vec![t1, x]);
         let mut env = SizeEnv::default();
         env.insert("X".into(), SizeInfo::matrix(20, 6, Some(0.25)));
         let unknown = propagate(&mut dag, &env, &[t2, mm]);
@@ -267,7 +156,7 @@ mod tests {
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
         let y = dag.add(HopOp::Var("Y".into()), vec![]);
-        let mul = dag.add(HopOp::Binary(BinaryOp::Mul), vec![x, y]);
+        let mul = dag.add(HopOp::binary(BinaryOp::Mul), vec![x, y]);
         let mut env = SizeEnv::default();
         env.insert("X".into(), SizeInfo::matrix(8, 8, Some(0.5)));
         env.insert("Y".into(), SizeInfo::matrix(8, 8, Some(0.1)));
@@ -285,18 +174,9 @@ mod tests {
         // full-aggregate sum(X) -> scalar.
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let cs = dag.add(
-            HopOp::Agg(sysds_tensor::kernels::AggFn::Sum, Direction::Col),
-            vec![x],
-        );
-        let rs = dag.add(
-            HopOp::Agg(sysds_tensor::kernels::AggFn::Sum, Direction::Row),
-            vec![cs],
-        );
-        let full = dag.add(
-            HopOp::Agg(sysds_tensor::kernels::AggFn::Sum, Direction::Full),
-            vec![x],
-        );
+        let cs = dag.add(HopOp::agg(AggFn::Sum, Direction::Col), vec![x]);
+        let rs = dag.add(HopOp::agg(AggFn::Sum, Direction::Row), vec![cs]);
+        let full = dag.add(HopOp::agg(AggFn::Sum, Direction::Full), vec![x]);
         let unknown = propagate(&mut dag, &env_with("X", 50, 9), &[rs, full]);
         assert!(!unknown);
         assert_eq!(dag.node(cs).size.rows, Dim::Known(1));
@@ -312,7 +192,7 @@ mod tests {
         // dynamic recompilation learns the real dims.
         let mut dag = HopDag::new();
         let x = dag.add(HopOp::Var("X".into()), vec![]);
-        let g = dag.add(HopOp::Tsmm, vec![x]);
+        let g = dag.add(HopOp::op(TSMM), vec![x]);
         let unknown = propagate(&mut dag, &SizeEnv::default(), &[g]);
         assert!(unknown);
         assert_eq!(dag.node(g).size.memory_estimate(), None);
@@ -326,7 +206,7 @@ mod tests {
         let l2 = dag.lit(ScalarValue::I64(4));
         let c1 = dag.lit(ScalarValue::I64(1));
         let c2 = dag.lit(ScalarValue::I64(1));
-        let ix = dag.add(HopOp::Index, vec![x, l1, l2, c1, c2]);
+        let ix = dag.add(HopOp::op(RIGHT_INDEX), vec![x, l1, l2, c1, c2]);
         propagate(&mut dag, &env_with("X", 10, 5), &[ix]);
         assert_eq!(dag.node(ix).size.rows, Dim::Known(3));
         assert_eq!(dag.node(ix).size.cols, Dim::Known(1));

@@ -1,26 +1,13 @@
 //! Abstract syntax tree of DML programs.
 
 use sysds_common::ScalarValue;
+use sysds_tensor::kernels::BinaryOp;
 
-/// Binary operators in expressions.
+/// Binary operators in expressions: `%*%`, or a cell-wise operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Pow,
-    Mod,
-    IntDiv,
     MatMul,
-    Eq,
-    Neq,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
+    Cell(BinaryOp),
 }
 
 /// Unary operators.
@@ -165,12 +152,12 @@ mod tests {
     #[test]
     fn ast_equality() {
         let a = Expr::Binary(
-            BinOp::Add,
+            BinOp::Cell(BinaryOp::Add),
             Box::new(Expr::var("x")),
             Box::new(Expr::num(1.0)),
         );
         let b = Expr::Binary(
-            BinOp::Add,
+            BinOp::Cell(BinaryOp::Add),
             Box::new(Expr::var("x")),
             Box::new(Expr::num(1.0)),
         );

@@ -7,6 +7,7 @@
 use super::ast::*;
 use super::lexer::{tokenize, Token, TokenKind};
 use sysds_common::{Result, ScalarValue, SysDsError};
+use sysds_tensor::kernels::BinaryOp;
 
 /// Parse a full DML program.
 pub fn parse_program(src: &str) -> Result<Program> {
@@ -344,7 +345,7 @@ impl Parser {
         while self.at(&TokenKind::Or) {
             self.bump();
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Binary(BinOp::Cell(BinaryOp::Or), Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -354,7 +355,7 @@ impl Parser {
         while self.at(&TokenKind::And) {
             self.bump();
             let rhs = self.not_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Binary(BinOp::Cell(BinaryOp::And), Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -372,12 +373,12 @@ impl Parser {
     fn cmp_expr(&mut self) -> Result<Expr> {
         let lhs = self.add_expr()?;
         let op = match self.kind() {
-            TokenKind::Eq => BinOp::Eq,
-            TokenKind::Neq => BinOp::Neq,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
+            TokenKind::Eq => BinOp::Cell(BinaryOp::Eq),
+            TokenKind::Neq => BinOp::Cell(BinaryOp::Neq),
+            TokenKind::Lt => BinOp::Cell(BinaryOp::Lt),
+            TokenKind::Le => BinOp::Cell(BinaryOp::Le),
+            TokenKind::Gt => BinOp::Cell(BinaryOp::Gt),
+            TokenKind::Ge => BinOp::Cell(BinaryOp::Ge),
             _ => return Ok(lhs),
         };
         self.bump();
@@ -389,8 +390,8 @@ impl Parser {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
+                TokenKind::Plus => BinOp::Cell(BinaryOp::Add),
+                TokenKind::Minus => BinOp::Cell(BinaryOp::Sub),
                 _ => break,
             };
             self.bump();
@@ -404,8 +405,8 @@ impl Parser {
         let mut lhs = self.special_expr()?;
         loop {
             let op = match self.kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
+                TokenKind::Star => BinOp::Cell(BinaryOp::Mul),
+                TokenKind::Slash => BinOp::Cell(BinaryOp::Div),
                 _ => break,
             };
             self.bump();
@@ -420,8 +421,8 @@ impl Parser {
         loop {
             let op = match self.kind() {
                 TokenKind::MatMul => BinOp::MatMul,
-                TokenKind::Mod => BinOp::Mod,
-                TokenKind::IntDiv => BinOp::IntDiv,
+                TokenKind::Mod => BinOp::Cell(BinaryOp::Mod),
+                TokenKind::IntDiv => BinOp::Cell(BinaryOp::IntDiv),
                 _ => break,
             };
             self.bump();
@@ -466,7 +467,11 @@ impl Parser {
             self.bump();
             // right-associative; exponent may itself be unary (-1)
             let exp = self.unary_expr()?;
-            Ok(Expr::Binary(BinOp::Pow, Box::new(base), Box::new(exp)))
+            Ok(Expr::Binary(
+                BinOp::Cell(BinaryOp::Pow),
+                Box::new(base),
+                Box::new(exp),
+            ))
         } else {
             Ok(base)
         }
@@ -617,10 +622,10 @@ mod tests {
         assert_eq!(
             value,
             Expr::Binary(
-                BinOp::Add,
+                BinOp::Cell(BinaryOp::Add),
                 Box::new(Expr::int(1)),
                 Box::new(Expr::Binary(
-                    BinOp::Mul,
+                    BinOp::Cell(BinaryOp::Mul),
                     Box::new(Expr::int(2)),
                     Box::new(Expr::int(3))
                 ))
@@ -634,7 +639,7 @@ mod tests {
         let Stmt::Assign { value, .. } = stmt("x = a * B %*% C") else {
             panic!()
         };
-        let Expr::Binary(BinOp::Mul, _, rhs) = value else {
+        let Expr::Binary(BinOp::Cell(BinaryOp::Mul), _, rhs) = value else {
             panic!("{value:?}")
         };
         assert!(matches!(*rhs, Expr::Binary(BinOp::MatMul, _, _)));
@@ -650,10 +655,13 @@ mod tests {
         let Stmt::Assign { value, .. } = stmt("x = 2 ^ 3 ^ 2") else {
             panic!()
         };
-        let Expr::Binary(BinOp::Pow, _, rhs) = value else {
+        let Expr::Binary(BinOp::Cell(BinaryOp::Pow), _, rhs) = value else {
             panic!()
         };
-        assert!(matches!(*rhs, Expr::Binary(BinOp::Pow, _, _)));
+        assert!(matches!(
+            *rhs,
+            Expr::Binary(BinOp::Cell(BinaryOp::Pow), _, _)
+        ));
     }
 
     #[test]
@@ -790,11 +798,11 @@ mod tests {
         let Stmt::Assign { value, .. } = stmt("x = a > 1 & b < 2") else {
             panic!()
         };
-        let Expr::Binary(BinOp::And, l, r) = value else {
+        let Expr::Binary(BinOp::Cell(BinaryOp::And), l, r) = value else {
             panic!()
         };
-        assert!(matches!(*l, Expr::Binary(BinOp::Gt, _, _)));
-        assert!(matches!(*r, Expr::Binary(BinOp::Lt, _, _)));
+        assert!(matches!(*l, Expr::Binary(BinOp::Cell(BinaryOp::Gt), _, _)));
+        assert!(matches!(*r, Expr::Binary(BinOp::Cell(BinaryOp::Lt), _, _)));
     }
 
     #[test]
@@ -804,7 +812,7 @@ mod tests {
         };
         // ! binds looser than comparison but tighter than &? No: per our
         // grammar !fixed & y = (!fixed) & y since not_expr is above and.
-        let Expr::Binary(BinOp::And, l, _) = value else {
+        let Expr::Binary(BinOp::Cell(BinaryOp::And), l, _) = value else {
             panic!("{value:?}")
         };
         assert!(matches!(*l, Expr::Unary(UnOp::Not, _)));

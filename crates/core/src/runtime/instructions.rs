@@ -1,9 +1,14 @@
 //! Instruction execution: local (CP) and federated instructions (paper
 //! §2.3 (4)), with lineage tracing and reuse hooks around every operation
-//! (§3.1). Every operator has one local kernel; federated operands push the
-//! operator to the sites instead.
+//! (§3.1). Each instruction runs its operator's row: the row's effect
+//! decides whether the lineage is known before the kernel runs, its reuse
+//! flag whether the cache is probed and offered the result, and its
+//! partial-reuse probe whether a miss can be composed from cached pieces.
+//! An instruction with a federated input runs the row's federated kernel,
+//! which pushes the operator to the sites, or fails with one error when
+//! the row has none.
 
-use crate::builtins::runtime::Effect;
+use crate::builtins::runtime::{Effect, Operator, Param};
 use crate::compiler::hop::HopOp;
 use crate::compiler::lower::Instr;
 use crate::lineage::{LineageCache, LineageItem};
@@ -14,10 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sysds_common::sync::lock;
-use sysds_common::{EngineConfig, Result, ScalarValue, SysDsError};
-use sysds_fed::ops::{self as fed_ops, FedOperand};
-use sysds_tensor::kernels::fused::{FusedInput, FusedOutput, FusedTemplate, TemplateNode};
-use sysds_tensor::kernels::*;
+use sysds_common::{EngineConfig, Result, SysDsError};
 use sysds_tensor::Matrix;
 
 /// Shared execution context threaded through the interpreter.
@@ -99,12 +101,6 @@ pub struct Slot {
     pub lineage: Option<Arc<LineageItem>>,
 }
 
-impl Slot {
-    fn new(data: Data, lineage: Option<Arc<LineageItem>>) -> Slot {
-        Slot { data, lineage }
-    }
-}
-
 /// Execute one lowered instruction against the slot file.
 pub fn execute(
     instr: &Instr,
@@ -114,30 +110,30 @@ pub fn execute(
 ) -> Result<()> {
     let out = match &instr.op {
         HopOp::Lit(v) => {
-            let lin = trace_enabled(ctx).then(|| LineageItem::leaf(format!("lit:{v}")));
-            Slot::new(Data::Scalar(v.clone()), lin)
+            let lineage = trace_enabled(ctx).then(|| LineageItem::leaf(format!("lit:{v}")));
+            Slot {
+                data: Data::Scalar(v.clone()),
+                lineage,
+            }
         }
         HopOp::Var(name) => {
             let entry = symbols.get(name)?;
-            let lin = if trace_enabled(ctx) {
-                Some(
-                    entry
-                        .lineage
-                        .clone()
-                        .unwrap_or_else(|| data_leaf(&entry.data, name)),
-                )
-            } else {
-                None
-            };
-            Slot::new(entry.data.clone(), lin)
+            let lineage = trace_enabled(ctx).then(|| {
+                let leaf = || data_leaf(&entry.data, name);
+                entry.lineage.clone().unwrap_or_else(leaf)
+            });
+            Slot {
+                data: entry.data.clone(),
+                lineage,
+            }
         }
-        op => {
+        HopOp::Op(row, param) => {
             let inputs: Vec<&Slot> = instr
                 .inputs
                 .iter()
                 .map(|&i| slots[i].as_ref().expect("inputs computed before use"))
                 .collect();
-            let out = execute_op(op, &inputs, ctx)?;
+            let out = execute_op(row, param, &inputs, ctx)?;
             if sysds_obs::stats_enabled() {
                 audit_output(instr, &out.data);
             }
@@ -204,52 +200,34 @@ pub(crate) fn fresh_leaf(kind: &str) -> Arc<LineageItem> {
     LineageItem::leaf(format!("{kind}#{}", NEXT.fetch_add(1, Ordering::Relaxed)))
 }
 
-fn out_lineage(op: &HopOp, inputs: &[&Slot], extra: Option<String>) -> Option<Arc<LineageItem>> {
-    let mut ins = Vec::with_capacity(inputs.len());
-    for s in inputs {
-        ins.push(s.lineage.clone()?);
-    }
-    let opcode = extra.unwrap_or_else(|| op.opcode());
-    Some(LineageItem::node(opcode, ins))
-}
-
-fn execute_op(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
-    // 1. Compute output lineage and probe the reuse cache.
-    let mut lineage = match op {
-        // The kernel names the result by the seed it drew.
-        HopOp::Nary(b) if matches!(b.effect, Effect::Seeded(_)) => None,
-        _ if trace_enabled(ctx) => out_lineage(op, inputs, None),
-        _ => None,
+fn execute_op(row: &Operator, param: &Param, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
+    // 1. Compute output lineage and probe the reuse cache. A seeded kernel
+    // names the result by the seed it drew.
+    let seeded = matches!(row.effect, Effect::Seeded(_));
+    let mut lineage = if trace_enabled(ctx) && !seeded {
+        inputs
+            .iter()
+            .map(|s| s.lineage.clone())
+            .collect::<Option<Vec<_>>>()
+            .map(|ins| LineageItem::node(row.opcode(param), ins))
+    } else {
+        None
     };
-    if let Some(lin) = &lineage {
-        if cacheable(op) {
-            if let Some(hit) = ctx.cache.probe(lin) {
-                return Ok(Slot::new(ctx.wrap_matrix((*hit).clone())?, lineage));
-            }
-            // Partial reuse: compensation plans over cbind (paper §3.1).
-            // The probes read the inputs, so they need local matrices; a
-            // federated input skips them.
-            let local = inputs.iter().all(|s| matches!(s.data, Data::Matrix(_)));
-            if let (HopOp::Tsmm, true) = (op, local) {
-                let xi = inputs[0].data.as_matrix()?;
-                if let Some(hit) = ctx
-                    .cache
-                    .probe_partial_tsmm(lin, &xi, ctx.config.num_threads)?
-                {
-                    ctx.cache.put(lin, hit.clone(), u128::MAX / 2);
-                    return Ok(Slot::new(ctx.wrap_matrix((*hit).clone())?, lineage));
-                }
-            }
-            if let (HopOp::Tmv, true) = (op, local) {
-                let xi = inputs[0].data.as_matrix()?;
-                let y = inputs[1].data.as_matrix()?;
-                if let Some(hit) =
-                    ctx.cache
-                        .probe_partial_tmv(lin, &xi, &y, ctx.config.num_threads)?
-                {
-                    ctx.cache.put(lin, hit.clone(), u128::MAX / 2);
-                    return Ok(Slot::new(ctx.wrap_matrix((*hit).clone())?, lineage));
-                }
+    if let Some(lin) = lineage.as_ref().filter(|_| row.reuse) {
+        if let Some(hit) = ctx.cache.probe(lin) {
+            let data = ctx.wrap_matrix((*hit).clone())?;
+            return Ok(Slot { data, lineage });
+        }
+        // Partial reuse: compensation plans over cbind (paper §3.1). The
+        // probes read the inputs, so they need local matrices.
+        let local = inputs.iter().all(|s| matches!(s.data, Data::Matrix(_)));
+        if let (Some(probe), true) = (row.partial, local) {
+            let xs = inputs.iter().map(|s| s.data.as_matrix());
+            let xs = xs.collect::<Result<Vec<_>>>()?;
+            if let Some(hit) = probe(&ctx.cache, lin, &xs, ctx.config.num_threads)? {
+                ctx.cache.put(lin, hit.clone(), u128::MAX / 2);
+                let data = ctx.wrap_matrix((*hit).clone())?;
+                return Ok(Slot { data, lineage });
             }
         }
     }
@@ -259,8 +237,9 @@ fn execute_op(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
     // cache's cost model either way.
     let start = Instant::now();
     let (data, lineage_override) = {
-        let _span = sysds_obs::Span::enter_with(sysds_obs::Phase::Instruction, || op.opcode());
-        dispatch(op, inputs, ctx)?
+        let _span =
+            sysds_obs::Span::enter_with(sysds_obs::Phase::Instruction, || row.opcode(param));
+        dispatch(row, param, inputs, ctx)?
     };
     let elapsed = start.elapsed().as_nanos();
     if let Some(l) = lineage_override {
@@ -268,356 +247,38 @@ fn execute_op(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> Result<Slot> {
     }
 
     // 3. Offer the result for caching.
-    if let (Some(lin), Data::Matrix(h)) = (&lineage, &data) {
-        if cacheable(op) {
-            ctx.cache.put(lin, h.acquire()?, elapsed);
-        }
+    if let (Some(lin), Data::Matrix(h), true) = (&lineage, &data, row.reuse) {
+        ctx.cache.put(lin, h.acquire()?, elapsed);
     }
-    Ok(Slot::new(data, lineage))
-}
-
-/// Deterministic, compute-heavy ops eligible for lineage caching.
-fn cacheable(op: &HopOp) -> bool {
-    if let HopOp::Nary(b) = op {
-        return b.reuse;
-    }
-    matches!(
-        op,
-        HopOp::MatMul
-            | HopOp::Tsmm
-            | HopOp::Tmv
-            | HopOp::MmChain
-            | HopOp::Transpose
-            | HopOp::Agg(_, _)
-            | HopOp::Binary(_)
-            | HopOp::Unary(_)
-            | HopOp::Fused(_)
-    )
+    Ok(Slot { data, lineage })
 }
 
 /// An operator's output and, where it is not the operator's own, its
 /// lineage.
 pub(crate) type DispatchResult = Result<(Data, Option<Arc<LineageItem>>)>;
 
-fn dispatch(op: &HopOp, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
-    let data = |k: usize| -> &Data { &inputs[k].data };
-    match op {
-        HopOp::Unary(u) => {
-            let out = match data(0) {
-                Data::Scalar(s) => match u {
-                    UnaryOp::Not => Data::Scalar(ScalarValue::Bool(!s.as_bool()?)),
-                    UnaryOp::Neg => match s {
-                        ScalarValue::I64(v) => Data::Scalar(ScalarValue::I64(-v)),
-                        other => Data::Scalar(ScalarValue::F64(-other.as_f64()?)),
-                    },
-                    _ => Data::Scalar(ScalarValue::F64(u.apply(s.as_f64()?))),
-                },
-                d => ctx.wrap_matrix(elementwise::unary_mt(
-                    *u,
-                    &*d.as_matrix()?,
-                    ctx.config.num_threads,
-                ))?,
-            };
-            Ok((out, None))
-        }
-        HopOp::Binary(b) => binary_dispatch(*b, data(0), data(1), ctx),
-        HopOp::MatMul => {
-            // Federated mat-vec keeps results at the sites.
-            if let Data::Federated(f) = data(0) {
-                let v = FedOperand::Matrix((*data(1).as_matrix()?).clone());
-                let out = f.exec(&fed_ops::MATVEC, &[], Some(v))?.into_federated()?;
-                return Ok((Data::Federated(Arc::new(out)), None));
-            }
-            let (a, b) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            let m = matmult::matmul(&a, &b, ctx.config.num_threads)?;
-            Ok((ctx.wrap_matrix(m)?, None))
-        }
-        HopOp::Tsmm => {
-            if let Data::Federated(f) = data(0) {
-                let g = f.exec(&fed_ops::TSMM, &[], None)?.into_matrix()?;
-                return Ok((ctx.wrap_matrix(g)?, None));
-            }
-            let x = data(0).as_matrix()?;
-            let m = tsmm::tsmm(&x, ctx.config.num_threads, true);
-            Ok((ctx.wrap_matrix(m)?, None))
-        }
-        HopOp::Tmv => {
-            if let (Data::Federated(fx), Data::Federated(fy)) = (data(0), data(1)) {
-                let r = fx.exec(&fed_ops::TMV, &[fy], None)?.into_matrix()?;
-                return Ok((ctx.wrap_matrix(r)?, None));
-            }
-            let (x, y) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            Ok((
-                ctx.wrap_matrix(tsmm::tmv(&x, &y, ctx.config.num_threads)?)?,
-                None,
-            ))
-        }
-        HopOp::MmChain => {
-            // Federated X runs the whole chain at each site: one request
-            // per site, and only the `cols x 1` partials come back.
-            if let Data::Federated(fx) = data(0) {
-                let v = FedOperand::Matrix((*data(1).as_matrix()?).clone());
-                let r = fx.exec(&fed_ops::MMCHAIN, &[], Some(v))?.into_matrix()?;
-                return Ok((ctx.wrap_matrix(r)?, None));
-            }
-            let (x, v) = (data(0).as_matrix()?, data(1).as_matrix()?);
-            Ok((
-                ctx.wrap_matrix(matvec::mmchain(&x, &v, None, ctx.config.num_threads)?)?,
-                None,
-            ))
-        }
-        HopOp::Transpose => {
-            let x = data(0).as_matrix()?;
-            Ok((
-                ctx.wrap_matrix(reorg::transpose(&x, ctx.config.num_threads))?,
-                None,
-            ))
-        }
-        HopOp::Agg(f, d) => {
-            if let Data::Federated(fed) = data(0) {
-                return fed_agg(*f, *d, fed, ctx);
-            }
-            let x = data(0).as_matrix()?;
-            let threads = ctx.config.num_threads;
-            match d {
-                Direction::Full => Ok((
-                    Data::from_f64(aggregate::aggregate_full_mt(*f, &x, threads)?),
-                    None,
-                )),
-                _ => Ok((
-                    ctx.wrap_matrix(aggregate::aggregate_axis_mt(*f, *d, &x, threads)?)?,
-                    None,
-                )),
-            }
-        }
-        HopOp::Fused(t) => fused_dispatch(t, inputs, ctx),
-        HopOp::Index => {
-            let x = data(0).as_matrix()?;
-            let (rl, rh) = (data(1).as_i64()?, data(2).as_i64()?);
-            let (cl, ch) = (data(3).as_i64()?, data(4).as_i64()?);
-            let (r, c) = to_ranges(&x, rl, rh, cl, ch)?;
-            Ok((ctx.wrap_matrix(indexing::slice(&x, r, c)?)?, None))
-        }
-        HopOp::LeftIndex => {
-            let x = data(0).as_matrix()?;
-            let v = data(1).as_matrix()?;
-            let (rl, rh) = (data(2).as_i64()?, data(3).as_i64()?);
-            let (cl, ch) = (data(4).as_i64()?, data(5).as_i64()?);
-            let (r, c) = to_ranges(&x, rl, rh, cl, ch)?;
-            Ok((ctx.wrap_matrix(indexing::assign(&x, r, c, &v)?)?, None))
-        }
-        HopOp::Nary(b) => (b.kernel)(inputs, ctx),
-        HopOp::Lit(_) | HopOp::Var(_) => unreachable!("handled by caller"),
-    }
-}
-
-fn to_ranges(
-    x: &Matrix,
-    rl: i64,
-    rh: i64,
-    cl: i64,
-    ch: i64,
-) -> Result<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-    let check = |lo: i64, hi: i64, n: usize, what: &str| -> Result<std::ops::Range<usize>> {
-        if lo < 1 || hi < lo || hi as usize > n {
-            return Err(SysDsError::IndexOutOfBounds {
-                msg: format!("{what} range [{lo}:{hi}] of {n}"),
-            });
-        }
-        Ok((lo as usize - 1)..(hi as usize))
-    };
-    Ok((
-        check(rl, rh, x.rows(), "row")?,
-        check(cl, ch, x.cols(), "column")?,
-    ))
-}
-
-fn binary_dispatch(b: BinaryOp, l: &Data, r: &Data, ctx: &ExecCtx) -> DispatchResult {
-    match (l, r) {
-        (Data::Scalar(a), Data::Scalar(c)) => {
-            // String concatenation with `+`.
-            if b == BinaryOp::Add
-                && (matches!(a, ScalarValue::Str(_)) || matches!(c, ScalarValue::Str(_)))
-            {
-                return Ok((
-                    Data::Scalar(ScalarValue::Str(format!(
-                        "{}{}",
-                        a.to_display_string(),
-                        c.to_display_string()
-                    ))),
-                    None,
-                ));
-            }
-            let v = b.apply(a.as_f64()?, c.as_f64()?);
-            let out = match b {
-                BinaryOp::Eq
-                | BinaryOp::Neq
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-                | BinaryOp::And
-                | BinaryOp::Or => Data::Scalar(ScalarValue::Bool(v != 0.0)),
-                _ if matches!(a, ScalarValue::I64(_) | ScalarValue::Bool(_))
-                    && matches!(c, ScalarValue::I64(_) | ScalarValue::Bool(_))
-                    && v.fract() == 0.0
-                    && v.is_finite() =>
-                {
-                    Data::Scalar(ScalarValue::I64(v as i64))
-                }
-                _ => Data::from_f64(v),
-            };
-            Ok((out, None))
-        }
-        (Data::Federated(f), Data::Scalar(c)) => {
-            // Push scalar ops to the sites; the result stays federated.
-            let s = FedOperand::Scalar(b, c.as_f64()?);
-            let out = f
-                .exec(&fed_ops::SCALAR_OP, &[], Some(s))?
-                .into_federated()?;
-            Ok((Data::Federated(Arc::new(out)), None))
-        }
-        (Data::Scalar(a), m) => {
-            let out =
-                elementwise::binary_sm_mt(b, a.as_f64()?, &*m.as_matrix()?, ctx.config.num_threads);
-            Ok((ctx.wrap_matrix(out)?, None))
-        }
-        (m, Data::Scalar(c)) => {
-            let out =
-                elementwise::binary_ms_mt(b, &*m.as_matrix()?, c.as_f64()?, ctx.config.num_threads);
-            Ok((ctx.wrap_matrix(out)?, None))
-        }
-        (Data::Federated(a), Data::Federated(c)) => {
-            let op = Some(FedOperand::Op(b));
-            let out = a.exec(&fed_ops::BINARY_OP, &[c], op)?.into_federated()?;
-            Ok((Data::Federated(Arc::new(out)), None))
-        }
-        (a, c) => {
-            let (ma, mc) = (a.as_matrix()?, c.as_matrix()?);
-            let out = elementwise::binary_mm_mt(b, &ma, &mc, ctx.config.num_threads)?;
-            Ok((ctx.wrap_matrix(out)?, None))
-        }
-    }
-}
-
-/// Execute a fused template: the one-pass kernel when every operand is a
-/// local matrix (of one common shape) or a numeric scalar; otherwise the
-/// template replays op by op through the regular dispatch (federated or
-/// frame operands, shape drift after a stale plan).
-fn fused_dispatch(t: &FusedTemplate, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
-    enum Operand {
-        M(Arc<Matrix>),
-        S(f64),
-    }
-    let mut operands: Vec<Operand> = Vec::with_capacity(inputs.len());
-    let mut shape: Option<(usize, usize)> = None;
-    for s in inputs {
-        match &s.data {
-            Data::Matrix(h) => {
-                let m = h.acquire()?;
-                let dims = (m.rows(), m.cols());
-                if *shape.get_or_insert(dims) != dims {
-                    return fused_fallback(t, inputs, ctx);
-                }
-                operands.push(Operand::M(m));
-            }
-            Data::Scalar(v) => match v.as_f64() {
-                Ok(x) => operands.push(Operand::S(x)),
-                Err(_) => return fused_fallback(t, inputs, ctx),
-            },
-            _ => return fused_fallback(t, inputs, ctx),
-        }
-    }
-    let Some((m, n)) = shape else {
-        // All-scalar at runtime (sizes drifted): replay.
-        return fused_fallback(t, inputs, ctx);
-    };
-    let fused_inputs: Vec<FusedInput> = operands
-        .iter()
-        .map(|o| match o {
-            Operand::M(m) => FusedInput::Matrix(m),
-            Operand::S(x) => FusedInput::Scalar(*x),
-        })
-        .collect();
-    let out = fused::eval(t, &fused_inputs, ctx.config.num_threads)?;
-    if sysds_obs::stats_enabled() {
-        let counters = sysds_obs::counters();
-        counters.fusion_hits.fetch_add(1, Ordering::Relaxed);
-        counters.fusion_bytes_saved.fetch_add(
-            (t.saved_intermediates * m * n * std::mem::size_of::<f64>()) as u64,
-            Ordering::Relaxed,
-        );
-    }
-    match out {
-        FusedOutput::Scalar(v) => Ok((Data::from_f64(v), None)),
-        FusedOutput::Matrix(out) => Ok((ctx.wrap_matrix(out)?, None)),
-    }
-}
-
-/// Replay a fused template node by node through the regular operator
-/// dispatch. Semantically identical to the unfused plan (including
-/// broadcasts and federated pushdown); counts no fusion hit.
-fn fused_fallback(t: &FusedTemplate, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
-    t.validate()?;
-    let mut slots: Vec<Slot> = Vec::with_capacity(t.nodes.len());
-    for node in &t.nodes {
-        let slot = match node {
-            TemplateNode::Input(k) => (*inputs[*k]).clone(),
-            TemplateNode::Const(c) => Slot::new(Data::from_f64(*c), None),
-            TemplateNode::Unary(u, a) => {
-                let (data, _) = dispatch(&HopOp::Unary(*u), &[&slots[*a]], ctx)?;
-                Slot::new(data, None)
-            }
-            TemplateNode::Binary(b, a, c) => {
-                let (data, _) = dispatch(&HopOp::Binary(*b), &[&slots[*a], &slots[*c]], ctx)?;
-                Slot::new(data, None)
-            }
-        };
-        slots.push(slot);
-    }
-    let root = &slots[t.root];
-    match t.agg {
-        Some((f, d)) => dispatch(&HopOp::Agg(f, d), &[root], ctx),
-        None => Ok((root.data.clone(), None)),
-    }
-}
-
-fn fed_agg(
-    f: AggFn,
-    d: Direction,
-    fed: &Arc<sysds_fed::FederatedMatrix>,
+/// Run `row`'s kernel, or its federated kernel when an input is federated.
+pub(crate) fn dispatch(
+    row: &Operator,
+    param: &Param,
+    inputs: &[&Slot],
     ctx: &ExecCtx,
 ) -> DispatchResult {
-    let col_sums = || fed.exec(&fed_ops::COL_SUMS, &[], None)?.into_matrix();
-    match (f, d) {
-        (AggFn::Sum, Direction::Col) => Ok((ctx.wrap_matrix(col_sums()?)?, None)),
-        (AggFn::Sum, Direction::Full) => Ok((
-            Data::from_f64(aggregate::aggregate_full(AggFn::Sum, &col_sums()?)?),
-            None,
-        )),
-        (AggFn::SumSq, Direction::Full) => {
-            let s = fed.exec(&fed_ops::SUM_SQ, &[], None)?.into_scalar()?;
-            Ok((Data::from_f64(s), None))
-        }
-        (AggFn::Mean, Direction::Full) => {
-            let total = aggregate::aggregate_full(AggFn::Sum, &col_sums()?)?;
-            Ok((
-                Data::from_f64(total / (fed.rows() * fed.cols()) as f64),
-                None,
-            ))
-        }
-        _ => Err(SysDsError::Federated(format!(
-            "aggregate {f:?}/{d:?} not supported on federated matrices"
-        ))),
+    if !inputs.iter().any(|s| matches!(s.data, Data::Federated(_))) {
+        return (row.kernel)(param, inputs, ctx);
     }
+    let kernel = row.fed.ok_or_else(|| row.rejects(param))?;
+    kernel(param, inputs, ctx)
 }
 
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
-    use crate::builtins::runtime::lookup;
+    use crate::builtins::runtime::{lookup, RIGHT_INDEX, TSMM};
     use crate::compiler::hop::SizeInfo;
+    use sysds_common::ScalarValue;
+    use sysds_tensor::kernels::BinaryOp;
 
     fn ctx() -> ExecCtx {
         let mut config = EngineConfig::default();
@@ -650,7 +311,7 @@ mod tests {
             vec![
                 instr(HopOp::Lit(ScalarValue::I64(2)), vec![], 0),
                 instr(HopOp::Lit(ScalarValue::I64(3)), vec![], 1),
-                instr(HopOp::Binary(BinaryOp::Add), vec![0, 1], 2),
+                instr(HopOp::binary(BinaryOp::Add), vec![0, 1], 2),
             ],
             &c,
         );
@@ -664,8 +325,8 @@ mod tests {
             vec![
                 instr(HopOp::Lit(ScalarValue::I64(7)), vec![], 0),
                 instr(HopOp::Lit(ScalarValue::I64(2)), vec![], 1),
-                instr(HopOp::Binary(BinaryOp::Mul), vec![0, 1], 2),
-                instr(HopOp::Binary(BinaryOp::Div), vec![0, 1], 3),
+                instr(HopOp::binary(BinaryOp::Mul), vec![0, 1], 2),
+                instr(HopOp::binary(BinaryOp::Div), vec![0, 1], 3),
             ],
             &c,
         );
@@ -687,7 +348,7 @@ mod tests {
             vec![
                 instr(HopOp::Lit(ScalarValue::Str("n=".into())), vec![], 0),
                 instr(HopOp::Lit(ScalarValue::I64(4)), vec![], 1),
-                instr(HopOp::Binary(BinaryOp::Add), vec![0, 1], 2),
+                instr(HopOp::binary(BinaryOp::Add), vec![0, 1], 2),
             ],
             &c,
         );
@@ -722,11 +383,11 @@ mod tests {
                     out_base + 6,
                 ),
                 instr(
-                    HopOp::Nary(lookup("rand").unwrap()),
+                    HopOp::op(lookup("rand").unwrap()),
                     (out_base..out_base + 7).collect(),
                     out_base + 7,
                 ),
-                instr(HopOp::Tsmm, vec![out_base + 7], out_base + 8),
+                instr(HopOp::op(TSMM), vec![out_base + 7], out_base + 8),
             ]
         };
         // First run computes, second reuses (same seed → same lineage).
@@ -763,7 +424,7 @@ mod tests {
             instr(HopOp::Lit(ScalarValue::I64(2)), vec![], 2),
             instr(HopOp::Lit(ScalarValue::I64(2)), vec![], 3),
             instr(HopOp::Lit(ScalarValue::I64(3)), vec![], 4),
-            instr(HopOp::Index, vec![0, 1, 2, 3, 4], 5),
+            instr(HopOp::op(RIGHT_INDEX), vec![0, 1, 2, 3, 4], 5),
         ];
         for i in &instrs {
             execute(i, &mut slots, &symbols, &c).unwrap();
@@ -790,7 +451,7 @@ mod tests {
         for i in &instrs {
             execute(i, &mut slots, &st, &c).unwrap();
         }
-        let bad = instr(HopOp::Index, vec![0, 1, 2, 3, 4], 5);
+        let bad = instr(HopOp::op(RIGHT_INDEX), vec![0, 1, 2, 3, 4], 5);
         assert!(execute(&bad, &mut slots, &st, &c).is_err());
     }
 
@@ -800,7 +461,7 @@ mod tests {
         run(
             vec![
                 instr(HopOp::Lit(ScalarValue::Str("hello".into())), vec![], 0),
-                instr(HopOp::Nary(lookup("print").unwrap()), vec![0], 1),
+                instr(HopOp::op(lookup("print").unwrap()), vec![0], 1),
             ],
             &c,
         );
@@ -820,7 +481,7 @@ mod tests {
         )
         .unwrap();
         let e = execute(
-            &instr(HopOp::Nary(lookup("stop").unwrap()), vec![0], 1),
+            &instr(HopOp::op(lookup("stop").unwrap()), vec![0], 1),
             &mut slots,
             &st,
             &c,
@@ -846,7 +507,7 @@ mod tests {
                     base + 6,
                 ),
                 instr(
-                    HopOp::Nary(lookup("rand").unwrap()),
+                    HopOp::op(lookup("rand").unwrap()),
                     (base..base + 7).collect(),
                     base + 7,
                 ),

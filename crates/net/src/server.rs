@@ -16,15 +16,18 @@
 //! `client::next_request_id`), so a restarted or second master never
 //! collides with a predecessor's ids in this cache.
 //!
-//! Shutdown is graceful: a wire `Shutdown` request (or
-//! [`WorkerServer::shutdown`]) stops the accept loop, lets in-flight
-//! requests finish and their responses flush, then joins every thread.
+//! Accept and idle reads block; nothing polls. Shutdown is graceful: a
+//! wire `Shutdown` request (or [`WorkerServer::shutdown`]) sets the stop
+//! flag and wakes the accept with a connection to the server's own
+//! address. The accept thread then calls `shutdown(Read)` on its clone of
+//! every open stream, which ends each idle read, lets in-flight requests
+//! finish and their responses flush, and joins every thread.
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::wire;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -39,8 +42,6 @@ const DEDUP_CAPACITY: usize = 1024;
 /// Longest a retry waits for the original in-flight attempt to finish
 /// before giving up with an error reply.
 const DEDUP_WAIT_TIMEOUT: Duration = Duration::from_secs(60);
-/// Poll granularity of idle connections and the accept loop.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Read deadline for the body of a frame whose first byte has arrived.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -103,15 +104,46 @@ struct SiteState {
     /// Server-wide request sequence; the fault plan matches against it.
     seq: AtomicU64,
     threads: usize,
-    shutdown: AtomicBool,
+    stop: Arc<Stop>,
     site_id: u64,
 }
 
-/// A running TCP federated site.
+/// The stop flag, and the listening address a stop connects to, to wake
+/// the blocked accept.
+#[derive(Debug)]
+struct Stop {
+    flag: AtomicBool,
+    addr: SocketAddr,
+}
+
+impl Stop {
+    fn stop(&self) {
+        if self.flag.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
+    }
+
+    fn stopped(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// A running TCP federated site. It holds only the stop handle: the site
+/// state belongs to the server's threads and is freed by the accept
+/// thread as it ends. Freed on the caller's thread instead, small blocks
+/// of the handlers' allocator arenas stayed cached there and kept about
+/// 20 MB of freed site data resident (glibc, `fed_train` set-up).
 #[derive(Debug)]
 pub struct WorkerServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_join: Option<JoinHandle<()>>,
 }
 
@@ -135,12 +167,13 @@ impl WorkerServer {
     ) -> Result<WorkerServer> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| SysDsError::Federated(format!("bind {addr}: {e}")))?;
-        let local = listener
+        let addr = listener
             .local_addr()
             .map_err(|e| SysDsError::Federated(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| SysDsError::Federated(format!("set_nonblocking: {e}")))?;
+        let stop = Arc::new(Stop {
+            flag: AtomicBool::new(false),
+            addr,
+        });
         let state = Arc::new(SiteState {
             vars: Mutex::new(initial.into_iter().collect()),
             dedup: Mutex::new(DedupCache::new()),
@@ -148,34 +181,35 @@ impl WorkerServer {
             faults,
             seq: AtomicU64::new(0),
             threads: threads.max(1),
-            shutdown: AtomicBool::new(false),
+            stop: Arc::clone(&stop),
             site_id: NEXT_TCP_SITE.fetch_add(1, Ordering::Relaxed),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_join = std::thread::spawn(move || {
-            accept_loop(listener, state, accept_shutdown);
-        });
+        let accept_join = std::thread::spawn(move || accept_loop(listener, state));
         Ok(WorkerServer {
-            addr: local,
-            shutdown,
+            stop,
             accept_join: Some(accept_join),
         })
     }
 
     /// The bound socket address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.stop.addr
     }
 
     /// The endpoint string clients connect to.
     pub fn endpoint(&self) -> String {
-        format!("tcp://{}", self.addr)
+        format!("tcp://{}", self.stop.addr)
     }
 
     /// Stop accepting, drain in-flight requests, and join all threads.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.stop.stop();
+        self.wait();
+    }
+
+    /// Block until the server has stopped (after a wire `Shutdown`
+    /// request or [`WorkerServer::shutdown`]) and joined its threads.
+    pub fn wait(&mut self) {
         if let Some(join) = self.accept_join.take() {
             let _ = join.join();
         }
@@ -184,8 +218,7 @@ impl WorkerServer {
     /// Whether the server has fully stopped (after a wire `Shutdown`
     /// request or [`WorkerServer::shutdown`]).
     pub fn is_stopped(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-            && self.accept_join.as_ref().is_none_or(|j| j.is_finished())
+        self.stop.stopped() && self.accept_join.as_ref().is_none_or(|j| j.is_finished())
     }
 }
 
@@ -195,60 +228,57 @@ impl Drop for WorkerServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<SiteState>, external_stop: Arc<AtomicBool>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if external_stop.load(Ordering::Relaxed) || state.shutdown.load(Ordering::Relaxed) {
+fn accept_loop(listener: TcpListener, state: Arc<SiteState>) {
+    // Each handler, with a clone of its stream whose read side a stop
+    // shuts down.
+    let mut handlers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    for stream in listener.incoming() {
+        if state.stop.stopped() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(&state);
-                handlers.push(std::thread::spawn(move || {
-                    let _worker = sysds_obs::set_worker(state.site_id);
-                    serve_connection(stream, &state);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => break,
-        }
-        handlers.retain(|h| !h.is_finished());
+        let Ok(stream) = stream else { break };
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let site = Arc::clone(&state);
+        let handler = std::thread::spawn(move || {
+            let _worker = sysds_obs::set_worker(site.site_id);
+            serve_connection(stream, &site);
+        });
+        handlers.push((handler, clone));
+        handlers.retain(|(h, _)| !h.is_finished());
     }
-    // Propagate the stop to connection handlers and drain them: each one
-    // finishes (and flushes) its in-flight request before exiting.
-    state.shutdown.store(true, Ordering::Relaxed);
-    external_stop.store(true, Ordering::Relaxed);
-    for h in handlers {
-        let _ = h.join();
+    // Wake every idle read, then drain the handlers: each one finishes
+    // (and flushes) its in-flight request before exiting.
+    state.stop.stop();
+    for (_, stream) in &handlers {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (handler, _) in handlers {
+        let _ = handler.join();
     }
 }
 
+/// Serve one connection, then close it: the accept thread's clone of the
+/// stream must not keep it open.
 fn serve_connection(mut stream: TcpStream, state: &SiteState) {
+    serve_frames(&mut stream, state);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn serve_frames(stream: &mut TcpStream, state: &SiteState) {
     let _ = stream.set_nodelay(true);
     loop {
-        // Idle-wait for the next frame with a short poll so shutdown is
-        // honored quickly, without consuming bytes (peek).
-        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return, // peer closed
+        // Block until the next frame starts, without consuming it; the
+        // peer closing or a stop ends the wait.
+        let _ = stream.set_read_timeout(None);
+        match stream.peek(&mut [0u8; 1]) {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if state.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
         }
         // A frame is arriving: read it whole under the long deadline.
         let _ = stream.set_read_timeout(Some(FRAME_READ_TIMEOUT));
-        let (header, payload) = match wire::read_frame(&mut stream) {
+        let (header, payload) = match wire::read_frame(stream) {
             Ok(Ok(frame)) => frame,
             // Protocol violation: this peer is corrupt; drop the link.
             Ok(Err(_)) | Err(_) => return,
@@ -269,7 +299,7 @@ fn serve_connection(mut stream: TcpStream, state: &SiteState) {
             Some(FaultAction::DropResponse) => return,
             Some(FaultAction::DelayMillis(ms)) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                let _ = wire::write_frame(&mut stream, &frame);
+                let _ = wire::write_frame(stream, &frame);
             }
             Some(FaultAction::CloseAfterBytes(n)) => {
                 let cut = n.min(frame.len());
@@ -278,13 +308,13 @@ fn serve_connection(mut stream: TcpStream, state: &SiteState) {
                 return;
             }
             None => {
-                if wire::write_frame(&mut stream, &frame).is_err() {
+                if wire::write_frame(stream, &frame).is_err() {
                     return;
                 }
             }
         }
         if is_shutdown {
-            state.shutdown.store(true, Ordering::Relaxed);
+            state.stop.stop();
             return;
         }
     }
@@ -370,7 +400,10 @@ mod tests {
             faults: FaultPlan::none(),
             seq: AtomicU64::new(0),
             threads: 1,
-            shutdown: AtomicBool::new(false),
+            stop: Arc::new(Stop {
+                flag: AtomicBool::new(false),
+                addr: "127.0.0.1:0".parse().unwrap(),
+            }),
             site_id: 0,
         });
         // Simulate the original attempt still executing.
@@ -414,5 +447,33 @@ mod tests {
         assert!(!server.is_stopped());
         server.shutdown();
         assert!(server.is_stopped());
+    }
+
+    #[test]
+    fn shutdown_wakes_idle_connections_at_once() {
+        let best = (0..5)
+            .map(|_| {
+                let mut server = WorkerServer::bind("127.0.0.1:0", vec![], 1).unwrap();
+                // Three connections, each answered once, so their handlers
+                // are running and idle.
+                let idle: Vec<TcpStream> = (0..3)
+                    .map(|k| {
+                        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+                        let ping = wire::request_frame(k, &FedRequest::Ping);
+                        wire::write_frame(&mut conn, &ping).unwrap();
+                        wire::read_frame(&mut conn).unwrap().unwrap();
+                        conn
+                    })
+                    .collect();
+                let start = Instant::now();
+                server.shutdown();
+                let took = start.elapsed();
+                assert!(server.is_stopped());
+                drop(idle);
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(best < Duration::from_millis(10), "shutdown took {best:?}");
     }
 }

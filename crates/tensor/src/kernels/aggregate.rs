@@ -23,6 +23,19 @@ pub enum AggFn {
     SumSq,
 }
 
+impl AggFn {
+    /// Every aggregation function once, in declaration order.
+    pub const ALL: [AggFn; 7] = [
+        AggFn::Sum,
+        AggFn::Mean,
+        AggFn::Min,
+        AggFn::Max,
+        AggFn::Var,
+        AggFn::Sd,
+        AggFn::SumSq,
+    ];
+}
+
 /// Aggregation direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -32,6 +45,11 @@ pub enum Direction {
     Row,
     /// One result per column (`1 x n`).
     Col,
+}
+
+impl Direction {
+    /// Every direction once, in declaration order.
+    pub const ALL: [Direction; 3] = [Direction::Full, Direction::Row, Direction::Col];
 }
 
 /// Kahan-compensated accumulator (shared with the fused kernel).

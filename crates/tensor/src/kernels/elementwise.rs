@@ -159,6 +159,24 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
+    /// Every operator once, in declaration order.
+    pub const ALL: [UnaryOp; 14] = [
+        UnaryOp::Neg,
+        UnaryOp::Not,
+        UnaryOp::Abs,
+        UnaryOp::Exp,
+        UnaryOp::Log,
+        UnaryOp::Sqrt,
+        UnaryOp::Sin,
+        UnaryOp::Cos,
+        UnaryOp::Tan,
+        UnaryOp::Sign,
+        UnaryOp::Round,
+        UnaryOp::Floor,
+        UnaryOp::Ceil,
+        UnaryOp::Sigmoid,
+    ];
+
     /// Apply to one scalar.
     #[inline]
     pub fn apply(self, v: f64) -> f64 {
