@@ -20,6 +20,8 @@
 //! All engines share one workload definition, [`workload::HyperParamWorkload`],
 //! which is also what the SystemDS engine runs via DML in `sysds-bench`.
 
+#![deny(unsafe_code)]
+
 pub mod engines;
 pub mod workload;
 

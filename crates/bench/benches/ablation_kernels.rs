@@ -1,8 +1,10 @@
 //! Ablation 1 (§4.2 kernel gap): the paper's portable-vs-native kernel gap
 //! (SysDS vs SysDS-B) is `gram_tsmm_dense` (the portable row-at-a-time
 //! loop, kept only for this comparison) vs `gram_tsmm_dense_blas` (the
-//! blocked loop the engine runs), next to the explicit `t(X)%*%X` and the
-//! engine's one dense matmul loop, single- and multi-threaded.
+//! kernel of the host's dense-kernel tier, which the engine runs), next to
+//! the explicit `t(X)%*%X` and the engine's one dense matmul loop, single-
+//! and multi-threaded. The `gram_shapes` group times both `tsmm` kernels
+//! at the `fed_train` site shape and the `hpo_reuse` shape, in GFLOP/s.
 //! The `matvec` and `mmchain` groups cover the bandwidth-bound lmCG step;
 //! the `cellwise` group covers element-wise and aggregate kernels, which
 //! run as one-node templates on the fused evaluator. `solve_spd` is the
@@ -10,11 +12,13 @@
 
 use sysds_bench::{max_threads, time};
 use sysds_tensor::kernels::{aggregate, elementwise, gen, matmult, matvec, reorg, solve, tsmm};
-use sysds_tensor::kernels::{AggFn, BinaryOp, Direction, UnaryOp};
+use sysds_tensor::kernels::{kernel_tier, AggFn, BinaryOp, Direction, UnaryOp};
 use sysds_tensor::Matrix;
 
 fn main() {
+    println!("dense kernel tier: {}", kernel_tier());
     bench_products();
+    bench_gram_shapes();
     bench_matvec();
     bench_cellwise();
     bench_solve();
@@ -48,6 +52,23 @@ fn bench_products() {
     time("ablation_kernels/gram_tsmm_dense_blas", || {
         tsmm::tsmm(&x, threads, true)
     });
+}
+
+/// Portable vs dispatched dense `tsmm` at one `fed_train` site's partition
+/// (20000x64, one thread) and at the `hpo_reuse` input (8000x250, two
+/// threads), reported also as GFLOP/s: `rows * cols * (cols + 1)`, one
+/// multiply and one add per cell of the upper triangle per row.
+fn bench_gram_shapes() {
+    for (rows, cols, t, seed) in [(20_000, 64, 1, 6014), (8_000, 250, 2, 6015)] {
+        let x = gen::rand_uniform(rows, cols, -1.0, 1.0, 1.0, seed);
+        let gflop = (rows * cols * (cols + 1)) as f64 / 1e9;
+        for (name, blas) in [("gram_tsmm_dense", false), ("gram_tsmm_dense_blas", true)] {
+            let secs = time(&format!("gram_shapes/{name}/{rows}x{cols}/{t}t"), || {
+                tsmm::tsmm(&x, t, blas)
+            });
+            println!("{:>48} {:>10.2} GFLOP/s", "", gflop / secs);
+        }
+    }
 }
 
 /// Bandwidth-bound mat-vec kernels on a dense tall-skinny X, reported

@@ -19,6 +19,8 @@
 //! * 5(c): reuse flattens the k-sweep to near-constant after model 1.
 //! * 5(d): the reuse gap grows with the input rows.
 
+#![deny(unsafe_code)]
+
 use sysds_baselines::HyperParamWorkload;
 use sysds_bench::{mean_secs, print_table, run_baseline, run_sysds, Scale, SysVariant};
 

@@ -8,6 +8,8 @@
 //! not absolute numbers (the substrate is a simulator, not the authors'
 //! testbed).
 
+#![deny(unsafe_code)]
+
 use std::time::Instant;
 use sysds::api::SystemDS;
 use sysds_baselines::{EagerEngine, Engine, GraphEngine, HyperParamWorkload, NativeEngine};

@@ -7,6 +7,8 @@
 //! lineage keys ([`hash`]), small deterministic RNG utilities ([`rng`]), lock
 //! helpers that ignore poisoning ([`sync`]), and test support ([`testing`]).
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod error;
 pub mod hash;

@@ -13,6 +13,8 @@
 //! sysds fuzz --seed 0 --iters 1000          # differential conformance fuzz
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use sysds::api::SystemDS;

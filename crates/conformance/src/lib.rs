@@ -15,6 +15,8 @@
 //!   replayed as a tier-1 test;
 //! * [`fuzz`] — the campaign driver behind `sysds fuzz --seed S --iters N`.
 
+#![deny(unsafe_code)]
+
 pub mod corpus;
 pub mod fuzz;
 pub mod gen;

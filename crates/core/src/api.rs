@@ -144,6 +144,7 @@ impl SystemDS {
             audit: sysds_obs::audit::worst_offenders(10),
             recompile_triggers: sysds_obs::audit::recompile_triggers(),
             net_sites: sysds_obs::net::site_stats(),
+            kernel_tier: sysds_tensor::kernels::kernel_tier(),
         }
     }
 
@@ -364,6 +365,9 @@ pub struct RunReport {
     /// Per-endpoint network statistics for remote federated sites
     /// (requests, retries, timeouts, bytes, latency), sorted by endpoint.
     pub net_sites: Vec<sysds_obs::SiteStats>,
+    /// The dense-kernel tier this process runs: `avx512f`, `avx2+fma` or
+    /// `blocked` (see [`sysds_tensor::kernels::KernelTier`]).
+    pub kernel_tier: sysds_tensor::kernels::KernelTier,
 }
 
 impl RunReport {
@@ -371,6 +375,7 @@ impl RunReport {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        let _ = writeln!(out, "Dense kernels: {}", self.kernel_tier);
         out.push_str("Heavy hitter instructions:\n");
         if self.heavy_hitters.is_empty() {
             out.push_str("  (none recorded)\n");

@@ -49,6 +49,8 @@
 //! assert_eq!(b.rows(), 5);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod api;
 pub mod builtins;
 pub mod compiler;

@@ -22,6 +22,8 @@
 //! * [`learn`] — federated linear regression (normal equations) and
 //!   federated mini-batch SGD with a parameter-server master.
 
+#![deny(unsafe_code)]
+
 pub mod learn;
 pub mod ops;
 pub mod tensor;

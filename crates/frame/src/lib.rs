@@ -16,6 +16,8 @@
 //!   (the paper's data-integration abstractions);
 //! * [`prep`] — scaling/normalization, train/test splits.
 
+#![deny(unsafe_code)]
+
 pub mod clean;
 pub mod frame;
 pub mod link;

@@ -7,6 +7,8 @@
 //! reproduces exactly that: threads own byte ranges of the file and parse
 //! their lines straight into their own output rows.
 
+#![deny(unsafe_code)]
+
 pub mod binary;
 pub mod csv;
 pub mod descriptor;

@@ -15,6 +15,8 @@
 //! hook injects drops/delays/truncations server-side so every failure path
 //! is testable in CI without flaky sleeps.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod fault;
 pub mod server;

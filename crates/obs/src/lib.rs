@@ -25,6 +25,8 @@
 //! on the registry; enabling tracing ([`enable_trace`]) additionally
 //! appends every span to a JSONL file.
 
+#![deny(unsafe_code)]
+
 pub mod audit;
 pub mod chrome_trace;
 pub mod fingerprint;

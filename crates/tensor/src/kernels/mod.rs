@@ -10,11 +10,16 @@
 //!   ones. Only broadcasting, the sparse-left zero-preserving product,
 //!   var/sd, the cumulative ops and `ifelse` keep their own loops.
 //! * **Products** — [`matmult`], [`matvec`], [`tsmm`] — pick a loop by
-//!   representation and shape only. Dense products run one kernel tier,
-//!   the cache-blocked loops; no engine option selects another. The
-//!   paper's SysDS vs SysDS-B gap (§4.2) is measured by the
-//!   `ablation_kernels` bench against `tsmm`'s portable loop. The dense
-//!   loops skip zero cells one by one, so `0 * NaN` never enters a sum.
+//!   representation and shape only; no engine option selects another.
+//!   Dense `tsmm` runs one dispatched kernel: [`kernel_tier`] picks an
+//!   `avx512f` or `avx2,fma` register-tiled kernel ([`gram`]) once per
+//!   process, and the blocked loop is the fallback for other hosts and
+//!   for inputs with a non-finite cell. The other dense products run the
+//!   cache-blocked loops. The paper's SysDS vs SysDS-B gap (§4.2) is
+//!   measured by the `ablation_kernels` bench against `tsmm`'s portable
+//!   loop. The dense loops skip zero cells one by one, so `0 * NaN` never
+//!   enters a sum; the tiled kernel runs only on finite cells, where a
+//!   zero cell adds `+0.0`.
 //!
 //! Every row-partitioned kernel takes its partitions from
 //! `par_row_partitions` and runs them through `run_partitions` or
@@ -25,6 +30,8 @@ pub mod aggregate;
 pub mod elementwise;
 pub mod fused;
 pub mod gen;
+#[allow(unsafe_code)]
+pub mod gram;
 pub mod indexing;
 pub mod matmult;
 pub mod matvec;
@@ -34,6 +41,7 @@ pub mod tsmm;
 
 pub use aggregate::{AggFn, Direction};
 pub use elementwise::{BinaryOp, UnaryOp};
+pub use gram::{kernel_tier, KernelTier};
 
 use crate::matrix::DenseMatrix;
 

@@ -11,41 +11,67 @@
 //!   contributes the outer product `x_i' x_i`, which is exactly why SysDS
 //!   "largely outperforms Julia and TF on sparse data" in Figure 5(b).
 //!
-//! Dense `t(X) %*% X` has two loops. The engine always runs the blocked
-//! one, which sums 8 input rows per sweep over the accumulator. The
-//! portable row-at-a-time loop stays only as the portable tier that the
-//! §4.2 kernel ablation (`ablation_kernels`, `gram_tsmm_dense` vs
-//! `gram_tsmm_dense_blas`) measures. Both skip zero cells of `X`, so they
-//! agree on which cells are `NaN` and differ on finite cells only by
-//! summation order.
+//! Dense `t(X) %*% X` runs the kernel of the process's dense-kernel tier
+//! ([`super::kernel_tier`]): the register-tiled `avx512f` or `avx2,fma`
+//! kernel of [`super::gram`] when every cell of `X` is finite, and
+//! otherwise the blocked loop, which sums 8 input rows per sweep over the
+//! accumulator. The blocked loop is also the whole tier on hosts without
+//! AVX2+FMA and on non-x86-64 targets. The portable row-at-a-time loop
+//! stays only as the portable tier that the §4.2 kernel ablation
+//! (`ablation_kernels`, `gram_tsmm_dense` vs `gram_tsmm_dense_blas`)
+//! measures. The loops skip zero cells of `X`; the tiled kernels multiply
+//! them, which adds `+0.0` for finite cells. So all agree on which cells
+//! are `NaN` and differ on finite cells only by summation order and, on
+//! the tiled kernels, by fused multiply-add rounding. Each kernel sums
+//! partitions in a fixed order, so one host and thread count give one
+//! result.
 
-use super::{par_row_partitions, run_partitions};
+use super::gram::{self, KernelTier};
+use super::{kernel_tier, par_row_partitions, run_partitions};
 use crate::matrix::{DenseMatrix, Matrix, SparseMatrix};
+use std::sync::atomic::AtomicBool;
 use sysds_common::{Result, SysDsError};
 
 /// `t(X) %*% X` (a `cols x cols` symmetric matrix). For dense `X`,
-/// `blas` picks the blocked loop; `false` picks the portable loop, which
-/// only the §4.2 kernel ablation and the benchmark harness ask for.
+/// `blas` picks the kernel of the process's dense-kernel tier; `false`
+/// picks the portable loop, which only the §4.2 kernel ablation and the
+/// benchmark harness ask for.
 pub fn tsmm(x: &Matrix, threads: usize, blas: bool) -> Matrix {
     match x {
-        Matrix::Dense(d) => Matrix::Dense(tsmm_dense(d, threads, blas)),
+        Matrix::Dense(d) if blas => Matrix::Dense(tsmm_dense_on(d, threads, kernel_tier())),
+        Matrix::Dense(d) => Matrix::Dense(tsmm_dense_loop(d, threads, tsmm_rows_naive)),
         Matrix::Sparse(s) => tsmm_sparse(s, threads),
     }
 }
 
-fn tsmm_dense(x: &DenseMatrix, threads: usize, blas: bool) -> DenseMatrix {
-    // Partition input rows; each partition accumulates a private n x n
-    // upper triangle. For tall-skinny X (the lmDS shape) the private
-    // buffers are tiny relative to X.
+/// Dense `t(X) %*% X` on `tier`: its tiled kernel when every cell of `x`
+/// is finite, else the blocked loop.
+pub(crate) fn tsmm_dense_on(x: &DenseMatrix, threads: usize, tier: KernelTier) -> DenseMatrix {
+    if tier != KernelTier::Blocked {
+        let n = x.cols();
+        let parts = par_row_partitions(x.rows(), n * (n + 1) / 2, threads);
+        let stop = AtomicBool::new(false);
+        let partials = run_partitions(&parts, |lo, hi| gram::upper_gram(tier, x, lo, hi, &stop));
+        if let Some(partials) = partials.into_iter().collect() {
+            return DenseMatrix::from_vec(n, n, symmetric_sum(partials, n));
+        }
+    }
+    tsmm_dense_loop(x, threads, tsmm_rows_blocked)
+}
+
+/// Dense `t(X) %*% X` with `rows` accumulating each row partition's upper
+/// triangle into a private `n x n` buffer. For tall-skinny X (the lmDS
+/// shape) the private buffers are tiny relative to X.
+fn tsmm_dense_loop(
+    x: &DenseMatrix,
+    threads: usize,
+    rows: fn(&DenseMatrix, &mut [f64], usize, usize),
+) -> DenseMatrix {
     let n = x.cols();
     let parts = par_row_partitions(x.rows(), n * (n + 1) / 2, threads);
     let partials = run_partitions(&parts, |lo, hi| {
         let mut acc = vec![0.0f64; n * n];
-        if blas {
-            tsmm_rows_blocked(x, &mut acc, lo, hi);
-        } else {
-            tsmm_rows_naive(x, &mut acc, lo, hi);
-        }
+        rows(x, &mut acc, lo, hi);
         acc
     });
     DenseMatrix::from_vec(n, n, symmetric_sum(partials, n))
@@ -238,6 +264,80 @@ mod tests {
             let g = tsmm(&x, 1, blas);
             assert_eq!((g.get(0, 0), g.get(0, 1)), (8.0, 36.0), "blas={blas}");
             assert!(g.get(1, 1).is_nan(), "blas={blas}");
+        }
+    }
+
+    /// The tiers this host can run besides the blocked loop.
+    fn tiled_tiers() -> Vec<KernelTier> {
+        KernelTier::ALL
+            .into_iter()
+            .filter(|t| *t != KernelTier::Blocked && t.is_supported())
+            .collect()
+    }
+
+    #[test]
+    fn tiled_tiers_match_the_blocked_loop_on_every_edge_shape() {
+        // Rows around one sweep (8) and one k-block (128); widths around the
+        // panel widths (8, 16) and the workload widths (64, 250, 256). Odd
+        // widths hold zero cells, which the blocked loop skips and the tiled
+        // kernels multiply. Debug builds skip the 20000-row inputs wider than
+        // 17; release builds run all.
+        let rows = [0usize, 1, 7, 8, 9, 127, 129, 20_000];
+        let cols = [1usize, 3, 15, 16, 17, 33, 64, 250, 256];
+        for tier in tiled_tiers() {
+            for (&m, &n) in rows.iter().flat_map(|m| cols.iter().map(move |n| (m, n))) {
+                if cfg!(debug_assertions) && m * n > 20_000 * 17 {
+                    continue;
+                }
+                let sparsity = if n % 2 == 1 { 0.6 } else { 1.0 };
+                let x = gen::rand_uniform(m, n, -1.0, 1.0, sparsity, (m * 1000 + n) as u64);
+                let d = &DenseMatrix::from_vec(m, n, x.to_vec());
+                for threads in [1usize, 2, 4] {
+                    let want = tsmm_dense_on(d, threads, KernelTier::Blocked);
+                    let got = tsmm_dense_on(d, threads, tier);
+                    for i in 0..n {
+                        for j in 0..n {
+                            let (g, w) = (got.get(i, j), want.get(i, j));
+                            // sqrt(G_ii G_jj) bounds the sum of |x_ki x_kj|.
+                            let scale = (want.get(i, i) * want.get(j, j)).sqrt();
+                            assert!(
+                                (g - w).abs() <= 1e-12 * scale,
+                                "{tier} {m}x{n} threads={threads} ({i},{j}): {g} vs {w}"
+                            );
+                            assert_eq!(g.to_bits(), got.get(j, i).to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_cells_run_the_blocked_loop_bit_for_bit() {
+        // Row 0 holds [0, NaN]: its zero cell meets the NaN of its own row.
+        // The other poisoned inputs put Inf, -Inf and NaN in the last
+        // k-block of one partition, so the other partitions run to the end.
+        let mut base = gen::rand_uniform(300, 20, -1.0, 1.0, 0.7, 21).to_vec();
+        base[0] = 0.0;
+        base[1] = f64::NAN;
+        let mut specials = base.clone();
+        specials[299 * 20 + 5] = f64::INFINITY;
+        specials[290 * 20 + 7] = f64::NEG_INFINITY;
+        specials[150 * 20 + 19] = f64::NAN;
+        for v in [base, specials] {
+            let d = DenseMatrix::from_vec(300, 20, v);
+            for tier in tiled_tiers() {
+                for threads in [1usize, 2, 4] {
+                    let bits = |g: DenseMatrix| {
+                        g.into_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(tsmm_dense_on(&d, threads, tier)),
+                        bits(tsmm_dense_on(&d, threads, KernelTier::Blocked)),
+                        "{tier} threads={threads}"
+                    );
+                }
+            }
         }
     }
 

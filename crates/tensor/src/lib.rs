@@ -10,11 +10,14 @@
 //!    (CSR) representations chosen automatically by sparsity.
 //! 2. [`kernels`] — the operation library: matrix multiplication (one
 //!    cache-blocked multi-threaded dense loop), the fused
-//!    transpose-self product `tsmm` (`t(X) %*% X`), element-wise ops with
+//!    transpose-self product `tsmm` (`t(X) %*% X`, on the register-tiled
+//!    kernel of the host's ISA where it has one), element-wise ops with
 //!    broadcasting, aggregations, reorg ops, solvers, indexing, and
 //!    generators.
 //! 3. [`compress`] — [`CompressedMatrix`], the column-group compressed
 //!    representation.
+
+#![deny(unsafe_code)]
 
 pub mod compress;
 pub mod kernels;

@@ -66,6 +66,17 @@ fn stats_and_explain_flags() {
     assert!(err.contains("EXPLAIN (HOPS):"), "{err}");
     assert!(err.contains("Lineage cache:"), "{err}");
     assert!(err.contains("Heavy hitter instructions:"), "{err}");
+    let tiers = err
+        .lines()
+        .filter(|l| l.starts_with("Dense kernels: "))
+        .collect::<Vec<_>>();
+    assert!(
+        matches!(
+            tiers[..],
+            ["Dense kernels: avx512f" | "Dense kernels: avx2+fma" | "Dense kernels: blocked"]
+        ),
+        "{err}"
+    );
 }
 
 #[test]
