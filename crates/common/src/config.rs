@@ -24,7 +24,7 @@ pub enum ReusePolicy {
 /// All durations are milliseconds. Retries apply only to requests that are
 /// idempotent or deduplicated site-side by request id; the backoff between
 /// attempt `k` and `k+1` is `backoff_base_ms * 2^k` plus deterministic
-/// jitter, capped at `backoff_max_ms`.
+/// jitter, capped at `sysds_net::client::BACKOFF_MAX_MS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// TCP connect timeout per attempt.
@@ -35,10 +35,6 @@ pub struct NetConfig {
     pub max_retries: u32,
     /// Base backoff before the first retry.
     pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_max_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for NetConfig {
@@ -48,8 +44,6 @@ impl Default for NetConfig {
             request_timeout_ms: 30_000,
             max_retries: 3,
             backoff_base_ms: 20,
-            backoff_max_ms: 2_000,
-            jitter_seed: 0x5d5d5,
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use sysds_common::hash::{combine, hash_str, FxHashSet};
+use sysds_common::hash::{combine, hash_str, FxHashMap, FxHashSet};
 
 /// One node of a lineage DAG.
 #[derive(Debug)]
@@ -48,45 +48,64 @@ impl LineageItem {
         })
     }
 
-    /// Number of nodes in the DAG (shared nodes counted once).
+    /// Number of nodes in the DAG (shared nodes counted once). Walks with
+    /// an explicit stack, so a chain as long as a loop's trip count does
+    /// not overflow the thread's stack.
     pub fn dag_size(self: &Arc<Self>) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        fn walk(item: &Arc<LineageItem>, seen: &mut std::collections::HashSet<u64>) {
-            // hash + ptr to disambiguate equal-hash distinct nodes cheaply
-            if !seen.insert(Arc::as_ptr(item) as u64) {
-                return;
-            }
-            for i in &item.inputs {
-                walk(i, seen);
+        let mut seen = FxHashSet::default();
+        let mut pending = vec![&**self];
+        while let Some(item) = pending.pop() {
+            if seen.insert(item as *const Self) {
+                pending.extend(item.inputs.iter().map(|i| &**i));
             }
         }
-        walk(self, &mut seen);
         seen.len()
     }
 
     /// Serialize the DAG as a deterministic, numbered trace — the format
     /// used for debugging via "query processing over lineage traces".
+    /// Nodes are numbered in post-order, inputs left to right; the walk
+    /// keeps its own stack.
     pub fn trace(self: &Arc<Self>) -> String {
-        let mut ids: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut ids: FxHashMap<*const Self, usize> = FxHashMap::default();
         let mut out = String::new();
-        fn walk(
-            item: &Arc<LineageItem>,
-            ids: &mut std::collections::HashMap<u64, usize>,
-            out: &mut String,
-        ) -> usize {
-            let ptr = Arc::as_ptr(item) as u64;
-            if let Some(&id) = ids.get(&ptr) {
-                return id;
+        // Each entry is a node and the number of its inputs visited so far.
+        let mut stack = vec![(&**self, 0usize)];
+        while let Some(top) = stack.last_mut() {
+            let item = top.0;
+            if let Some(input) = item.inputs.get(top.1) {
+                top.1 += 1;
+                if !ids.contains_key(&Arc::as_ptr(input)) {
+                    stack.push((&**input, 0));
+                }
+                continue;
             }
-            let input_ids: Vec<usize> = item.inputs.iter().map(|i| walk(i, ids, out)).collect();
+            stack.pop();
             let id = ids.len();
-            ids.insert(ptr, id);
-            let args: Vec<String> = input_ids.iter().map(|i| format!("%{i}")).collect();
+            ids.insert(item as *const Self, id);
+            let args: Vec<String> = item
+                .inputs
+                .iter()
+                .map(|i| format!("%{}", ids[&Arc::as_ptr(i)]))
+                .collect();
             let _ = writeln!(out, "%{id} <- {} ({})", item.opcode, args.join(", "));
-            id
         }
-        walk(self, &mut ids, &mut out);
         out
+    }
+}
+
+impl Drop for LineageItem {
+    /// Frees the DAG with a worklist instead of the derived recursive drop,
+    /// so releasing a chain as long as a loop's trip count does not
+    /// overflow the thread's stack. Inputs still shared elsewhere only lose
+    /// a reference.
+    fn drop(&mut self) {
+        let mut pending = std::mem::take(&mut self.inputs);
+        while let Some(input) = pending.pop() {
+            if let Some(mut freed) = Arc::into_inner(input) {
+                pending.append(&mut freed.inputs);
+            }
+        }
     }
 }
 

@@ -12,10 +12,11 @@ use crate::compiler::lower::{plan_for, Plan};
 use crate::compiler::{bind_params, BasicBlock, Block, CompiledFunction, CompiledProgram};
 use crate::runtime::instructions::{execute, ExecCtx, Slot};
 use crate::runtime::value::{Data, SymbolTable};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use sysds_common::error::panic_message;
-use sysds_common::{Result, ScalarValue, SysDsError};
+use sysds_common::{par, Result, ScalarValue, SysDsError};
 use sysds_tensor::Matrix;
 
 /// The block interpreter.
@@ -196,10 +197,12 @@ impl Interpreter {
     // ---- parfor ----------------------------------------------------------
 
     /// Parallel for with result merge (paper §2.3: dedicated backends for
-    /// parallel for loops, e.g. hyper-parameter tuning). Workers get
-    /// deep-copied symbol tables; result variables (pre-existing variables
-    /// written by the loop) are merged by comparing against the pre-loop
-    /// value — SystemML's `ResultMergeLocalMemory` strategy.
+    /// parallel for loops, e.g. hyper-parameter tuning). Workers run as
+    /// `par::map` items (worker 0 on this thread), enter this thread's span
+    /// context and get deep-copied symbol tables; a panicking worker becomes
+    /// a runtime error. Result variables (pre-existing variables written by
+    /// the loop) are merged by comparing against the pre-loop value —
+    /// SystemML's `ResultMergeLocalMemory` strategy.
     fn exec_parfor(
         &self,
         var: &str,
@@ -215,46 +218,36 @@ impl Interpreter {
             .map(|w| iters.iter().copied().skip(w).step_by(workers).collect())
             .collect();
         let before = st.clone();
-        let results: Vec<Result<SymbolTable>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let mut local = before.clone();
-                    s.spawn(move || -> Result<SymbolTable> {
-                        let _worker = sysds_obs::set_worker(w as u64);
-                        let _span =
-                            sysds_obs::Span::enter_with(sysds_obs::Phase::ParforWorker, || {
-                                format!("worker-{w}")
-                            });
-                        let start = std::time::Instant::now();
-                        for &v in chunk {
-                            local.set(var.to_string(), iter_value(v), None);
-                            self.exec_blocks(body, &mut local)?;
-                        }
-                        if sysds_obs::stats_enabled() {
-                            let c = sysds_obs::counters();
-                            c.parfor_workers.fetch_add(1, Ordering::Relaxed);
-                            c.parfor_iters
-                                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                            c.parfor_worker_nanos
-                                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(SysDsError::runtime(format!(
-                            "parfor worker panicked: {}",
-                            panic_message(p.as_ref()).unwrap_or("unknown panic")
-                        )))
-                    })
-                })
-                .collect()
+        let ctx = sysds_obs::SpanContext::current();
+        let results = par::map(chunks.into_iter().enumerate().collect(), |(w, chunk)| {
+            let _ctx = ctx.enter();
+            catch_unwind(AssertUnwindSafe(|| -> Result<SymbolTable> {
+                let _worker = sysds_obs::set_worker(w as u64);
+                let _span = sysds_obs::Span::enter_with(sysds_obs::Phase::ParforWorker, || {
+                    format!("worker-{w}")
+                });
+                let mut local = before.clone();
+                let start = std::time::Instant::now();
+                for &v in &chunk {
+                    local.set(var.to_string(), iter_value(v), None);
+                    self.exec_blocks(body, &mut local)?;
+                }
+                if sysds_obs::stats_enabled() {
+                    let c = sysds_obs::counters();
+                    c.parfor_workers.fetch_add(1, Ordering::Relaxed);
+                    c.parfor_iters
+                        .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                    c.parfor_worker_nanos
+                        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+                Ok(local)
+            }))
+            .unwrap_or_else(|p| {
+                Err(SysDsError::runtime(format!(
+                    "parfor worker panicked: {}",
+                    panic_message(p.as_ref()).unwrap_or("unknown panic")
+                )))
+            })
         });
 
         // Merge: result variables are those that existed before the loop.

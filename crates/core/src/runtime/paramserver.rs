@@ -7,9 +7,9 @@
 //! asynchronously (ASP: apply updates as they arrive, with at most one
 //! queued gradient per worker).
 
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{mpsc, RwLock};
 use sysds_common::sync::{read, write};
-use sysds_common::{Result, SysDsError};
+use sysds_common::{par, Result, SysDsError};
 use sysds_tensor::kernels::BinaryOp;
 use sysds_tensor::kernels::{elementwise, indexing, matmult, tsmm};
 use sysds_tensor::Matrix;
@@ -82,7 +82,7 @@ pub fn train_linreg(x: &Matrix, y: &Matrix, config: &PsConfig) -> Result<Matrix>
         ));
     }
 
-    let weights = Arc::new(RwLock::new(Matrix::zeros(x.cols(), 1)));
+    let weights = RwLock::new(Matrix::zeros(x.cols(), 1));
     match config.mode {
         UpdateMode::Bsp => train_bsp(&shards, &weights, config)?,
         UpdateMode::Asp => train_asp(&shards, &weights, config)?,
@@ -93,29 +93,18 @@ pub fn train_linreg(x: &Matrix, y: &Matrix, config: &PsConfig) -> Result<Matrix>
 
 fn train_bsp(
     shards: &[(Matrix, Matrix)],
-    weights: &Arc<RwLock<Matrix>>,
+    weights: &RwLock<Matrix>,
     config: &PsConfig,
 ) -> Result<()> {
     for epoch in 0..config.epochs {
         let w_snapshot = read(weights).clone();
         // All workers compute gradients against the same snapshot (barrier).
-        let grads: Vec<Result<Vec<Matrix>>> = std::thread::scope(|s| {
-            shards
-                .iter()
-                .map(|(xs, ys)| {
-                    let w = w_snapshot.clone();
-                    s.spawn(move || -> Result<Vec<Matrix>> {
-                        let mut out = Vec::new();
-                        for (xb, yb) in batches(xs, ys, config.batch_size, epoch as u64) {
-                            out.push(linreg_gradient(&xb, &yb, &w)?);
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("ps worker panicked"))
-                .collect()
+        let grads = par::map(shards.iter().collect(), |(xs, ys)| {
+            let mut out = Vec::new();
+            for (xb, yb) in batches(xs, ys, config.batch_size, epoch as u64) {
+                out.push(linreg_gradient(&xb, &yb, &w_snapshot)?);
+            }
+            Ok::<_, SysDsError>(out)
         });
         // Server: average all batch gradients, one step.
         let mut acc: Option<Matrix> = None;
@@ -139,9 +128,16 @@ fn train_bsp(
     Ok(())
 }
 
+/// One item of an ASP run: the server loop, or a worker with its shard and
+/// its own sender.
+enum AspItem<'a> {
+    Server(mpsc::Receiver<Matrix>),
+    Worker(&'a (Matrix, Matrix), mpsc::SyncSender<Matrix>),
+}
+
 fn train_asp(
     shards: &[(Matrix, Matrix)],
-    weights: &Arc<RwLock<Matrix>>,
+    weights: &RwLock<Matrix>,
     config: &PsConfig,
 ) -> Result<()> {
     // A bounded queue bounds staleness: a worker that gets more than one
@@ -152,37 +148,42 @@ fn train_asp(
         .iter()
         .map(|(xs, _)| config.epochs * xs.rows().div_ceil(config.batch_size.max(1)))
         .sum();
-    std::thread::scope(|s| -> Result<()> {
-        for (xs, ys) in shards {
-            let tx = tx.clone();
-            let weights = Arc::clone(weights);
-            s.spawn(move || -> Result<()> {
-                for epoch in 0..config.epochs {
-                    for (xb, yb) in batches(xs, ys, config.batch_size, epoch as u64) {
-                        // Read possibly-stale weights without a barrier.
-                        let w = read(&weights).clone();
-                        let g = linreg_gradient(&xb, &yb, &w)?;
-                        let _ = tx.send(g);
-                    }
+    // The server is item 0, so it runs on the calling thread once every
+    // worker has started. Each worker owns its sender, so the channel
+    // closes when the last worker ends; a server error drops the receiver,
+    // which unblocks workers waiting on a full queue.
+    let mut work = vec![AspItem::Server(rx)];
+    for shard in shards {
+        work.push(AspItem::Worker(shard, tx.clone()));
+    }
+    drop(tx);
+    par::map(work, |item| match item {
+        AspItem::Server(rx) => {
+            // Apply each gradient as it arrives.
+            let mut applied = 0usize;
+            while let Ok(g) = rx.recv() {
+                let step = elementwise::binary_ms(BinaryOp::Mul, &g, config.learning_rate);
+                let mut w = write(weights);
+                *w = elementwise::binary_mm(BinaryOp::Sub, &w, &step)?;
+                applied += 1;
+            }
+            debug_assert!(applied <= expected);
+            Ok(())
+        }
+        AspItem::Worker((xs, ys), tx) => {
+            for epoch in 0..config.epochs {
+                for (xb, yb) in batches(xs, ys, config.batch_size, epoch as u64) {
+                    // Read possibly-stale weights without a barrier.
+                    let w = read(weights).clone();
+                    let g = linreg_gradient(&xb, &yb, &w)?;
+                    let _ = tx.send(g);
                 }
-                Ok(())
-            });
+            }
+            Ok(())
         }
-        drop(tx);
-        // Owned here, so a server error drops it and unblocks workers
-        // waiting on a full queue before the scope joins them.
-        let rx = rx;
-        // Server applies each gradient as it arrives.
-        let mut applied = 0usize;
-        while let Ok(g) = rx.recv() {
-            let step = elementwise::binary_ms(BinaryOp::Mul, &g, config.learning_rate);
-            let mut w = write(weights);
-            *w = elementwise::binary_mm(BinaryOp::Sub, &w, &step)?;
-            applied += 1;
-        }
-        debug_assert!(applied <= expected);
-        Ok(())
     })
+    .into_iter()
+    .collect()
 }
 
 /// Contiguous mini-batches with an epoch-dependent rotation so epochs see

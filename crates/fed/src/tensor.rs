@@ -16,7 +16,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use sysds_common::error::panic_message;
-use sysds_common::{Result, SysDsError};
+use sysds_common::{par, Result, SysDsError};
 use sysds_tensor::kernels::elementwise::{self, BinaryOp};
 use sysds_tensor::kernels::indexing;
 use sysds_tensor::Matrix;
@@ -286,17 +286,18 @@ fn add_in_order(parts: Vec<Result<Matrix>>) -> Result<Option<Matrix>> {
 }
 
 /// Issue `request(i, partition)` for every partition at the same time
-/// and return the results in partition order. Partition 0 runs on the
-/// calling thread, every other one on a scoped thread of its own that
-/// re-enters the caller's span context, so its `federated` spans keep
-/// their parent instruction and worker tag. A panicking request becomes a
-/// [`SysDsError::Federated`] error for its partition.
+/// and return the results in partition order (through
+/// [`sysds_common::par::map`], so partition 0 runs on the calling thread).
+/// Every request re-enters the caller's span context, so its `federated`
+/// spans keep their parent instruction and worker tag. A panicking request
+/// becomes a [`SysDsError::Federated`] error for its partition.
 fn fan_out<T: Send>(
     partitions: &[FedPartition],
     request: impl Fn(usize, &FedPartition) -> Result<T> + Sync,
 ) -> Vec<Result<T>> {
-    let run = |i: usize| {
-        let p = &partitions[i];
+    let ctx = sysds_obs::SpanContext::current();
+    par::map(partitions.iter().enumerate().collect(), |(i, p)| {
+        let _ctx = ctx.enter();
         std::panic::catch_unwind(AssertUnwindSafe(|| request(i, p))).unwrap_or_else(|payload| {
             let msg = panic_message(payload.as_ref()).unwrap_or("unknown panic");
             Err(SysDsError::Federated(format!(
@@ -304,29 +305,6 @@ fn fan_out<T: Send>(
                 p.worker.endpoint()
             )))
         })
-    };
-    if partitions.len() <= 1 {
-        return (0..partitions.len()).map(run).collect();
-    }
-    let ctx = sysds_obs::SpanContext::current();
-    let run = &run;
-    std::thread::scope(|s| {
-        let others: Vec<_> = (1..partitions.len())
-            .map(|i| {
-                s.spawn(move || {
-                    let _ctx = ctx.enter();
-                    run(i)
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(partitions.len());
-        results.push(run(0));
-        results.extend(
-            others
-                .into_iter()
-                .map(|h| h.join().expect("fan-out requests catch their panics")),
-        );
-        results
     })
 }
 

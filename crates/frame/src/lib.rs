@@ -13,15 +13,16 @@
 //! * [`clean`] — imputation, outlier detection (z-score and IQR),
 //!   winsorizing, deduplication;
 //! * [`link`] — schema alignment and fuzzy entity linking across frames
-//!   (the paper's data-integration abstractions);
-//! * [`prep`] — scaling/normalization, train/test splits.
+//!   (the paper's data-integration abstractions).
+//!
+//! Scaling and normalization are the DML-bodied `scale`/`normalize`
+//! builtins of the core crate, not functions here.
 
 #![deny(unsafe_code)]
 
 pub mod clean;
 pub mod frame;
 pub mod link;
-pub mod prep;
 pub mod transform;
 
 pub use frame::{Frame, FrameColumn};

@@ -5,7 +5,6 @@
 
 use sysds_common::property;
 use sysds_frame::clean::{self, ImputeMethod, OutlierMethod};
-use sysds_frame::prep;
 use sysds_frame::{Frame, FrameColumn, TransformEncoder, TransformSpec};
 use sysds_tensor::kernels::gen;
 
@@ -118,29 +117,5 @@ property! {
         let o = clean::detect_outliers(&w, OutlierMethod::ZScore(k * 1.5)).unwrap();
         // after clamping at k sigma, nothing lies beyond 1.5k sigma
         assert_eq!(o.nnz(), 0);
-    }
-
-    #[test]
-    fn split_partitions_exactly(rows in g.int(4usize..100), frac in g.float(0.1f64..0.9), seed in g.seed()) {
-        let (x, y) = gen::synthetic_regression(rows, 3, 1.0, 0.1, seed);
-        let (xtr, ytr, xte, yte) = prep::train_test_split(&x, &y, frac, seed).unwrap();
-        assert_eq!(xtr.rows() + xte.rows(), rows);
-        assert_eq!(ytr.rows(), xtr.rows());
-        assert_eq!(yte.rows(), xte.rows());
-        assert!(xtr.rows() >= 1);
-    }
-
-    #[test]
-    fn scale_apply_is_invertible(seed in g.seed()) {
-        let m = gen::rand_uniform(30, 4, -5.0, 5.0, 1.0, seed);
-        let rules = prep::scale_fit(&m, true, true);
-        let scaled = prep::scale_apply(&m, &rules).unwrap();
-        // invert: x = z * sd + mean
-        for i in 0..30 {
-            for j in 0..4 {
-                let back = scaled.get(i, j) * rules.scale[j] + rules.shift[j];
-                assert!((back - m.get(i, j)).abs() < 1e-9);
-            }
-        }
     }
 }

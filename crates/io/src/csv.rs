@@ -31,7 +31,7 @@ use crate::descriptor::FormatDescriptor;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use sysds_common::{Result, SysDsError};
+use sysds_common::{par, Result, SysDsError};
 use sysds_frame::{Frame, FrameColumn};
 use sysds_tensor::{DenseMatrix, Matrix};
 
@@ -97,7 +97,7 @@ pub(crate) fn read_chunked(
 
     // Pass 1: count the non-blank lines of every range, keeping the field
     // counts of the first two (the header's and the first data row's).
-    let counts = par_map(ranges.clone(), |range| {
+    let counts = par::map(ranges.clone(), |range| {
         let mut count = 0usize;
         let mut fields = Vec::new();
         scan_range(src, len, range, block, |line| {
@@ -141,7 +141,7 @@ pub(crate) fn read_chunked(
         work.push((range, first, count, chunk));
         first += count;
     }
-    let nnz = par_map(work, |(range, first, count, chunk)| {
+    let nnz = par::map(work, |(range, first, count, chunk)| {
         let mut seen = 0usize;
         let mut nnz = 0usize;
         let mut rows_out = chunk.chunks_exact_mut(cols);
@@ -341,26 +341,6 @@ fn scan_range(
     }
     // The file's last line, with no `\n` after it.
     lines(&carry)
-}
-
-/// `f` applied to every work item, the first on the calling thread and
-/// each other on a scoped thread of its own; results in item order.
-fn par_map<W: Send, T: Send>(work: Vec<W>, f: impl Fn(W) -> T + Sync) -> Vec<T> {
-    let f = &f;
-    let mut work = work.into_iter();
-    let Some(first) = work.next() else {
-        return Vec::new();
-    };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = work.map(|w| s.spawn(move || f(w))).collect();
-        let mut out = vec![f(first)];
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("csv reader thread panicked")),
-        );
-        out
-    })
 }
 
 fn parse_field(field: &str, desc: &FormatDescriptor, row: usize, col: usize) -> Result<f64> {

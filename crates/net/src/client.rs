@@ -26,6 +26,12 @@ use sysds_common::rng::XorShift64;
 use sysds_common::{NetConfig, Result, SysDsError};
 use sysds_fed::{FedRequest, FedResponse, Transport};
 
+/// Upper bound on any single backoff sleep between retries.
+pub const BACKOFF_MAX_MS: u64 = 2_000;
+
+/// Seed of the deterministic backoff jitter (folded with the request id).
+const JITTER_SEED: u64 = 0x5d5d5;
+
 /// Process-wide request sequence, combined with a randomized epoch by
 /// [`next_request_id`].
 static NEXT_REQUEST_SEQ: AtomicU64 = AtomicU64::new(1);
@@ -145,12 +151,12 @@ impl TcpTransport {
 
     fn backoff(&self, attempt: u32, rng: &mut XorShift64) -> Duration {
         let base = self.cfg.backoff_base_ms.max(1);
-        let max = self.cfg.backoff_max_ms.max(base);
+        let max = BACKOFF_MAX_MS.max(base);
         let exp = base.saturating_mul(1u64 << attempt.min(16));
         let capped = exp.min(max);
         // Deterministic jitter in [0, capped/2]: spreads synchronized
         // retries without introducing nondeterminism into tests. The total
-        // is clamped so no single sleep ever exceeds backoff_max_ms.
+        // is clamped so no single sleep ever exceeds BACKOFF_MAX_MS.
         let jitter = rng.next_below((capped / 2 + 1) as usize) as u64;
         Duration::from_millis((capped + jitter).min(max))
     }
@@ -160,7 +166,7 @@ impl Transport for TcpTransport {
     fn exchange(&self, req: FedRequest) -> Result<FedResponse> {
         let request_id = next_request_id();
         let frame = wire::request_frame(request_id, &req);
-        let mut rng = XorShift64::new(self.cfg.jitter_seed ^ request_id);
+        let mut rng = XorShift64::new(JITTER_SEED ^ request_id);
         let attempts = self.cfg.max_retries as u64 + 1;
         let start = Instant::now();
         let mut bytes_sent = 0u64;
@@ -241,11 +247,10 @@ mod tests {
         let b4 = t.backoff(4, &mut rng);
         assert!(b0 >= Duration::from_millis(10));
         assert!(b4 >= b0);
-        let cap_ms = t.cfg.backoff_max_ms;
         for attempt in 0..40 {
             assert!(
-                t.backoff(attempt, &mut rng) <= Duration::from_millis(cap_ms),
-                "attempt {attempt} slept past backoff_max_ms"
+                t.backoff(attempt, &mut rng) <= Duration::from_millis(BACKOFF_MAX_MS),
+                "attempt {attempt} slept past BACKOFF_MAX_MS"
             );
         }
     }

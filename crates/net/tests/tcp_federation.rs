@@ -624,7 +624,7 @@ fn dropping_a_handle_whose_site_is_dead_returns_within_the_timeout_budget() {
     drop(fx);
     // One request's budget: every attempt's deadline plus the backoffs.
     let budget = (cfg.max_retries as u64 + 1) * cfg.request_timeout_ms
-        + cfg.max_retries as u64 * cfg.backoff_max_ms;
+        + cfg.max_retries as u64 * sysds_net::client::BACKOFF_MAX_MS;
     assert!(
         start.elapsed() < Duration::from_millis(budget),
         "drop took {:?}, budget {budget} ms",

@@ -748,22 +748,17 @@ fn run(
             }))
         }
         Direction::Row => {
-            let partials = super::run_partitions(parts, |lo, hi| {
-                let mut out = Vec::with_capacity(hi - lo);
+            let mut out = vec![0.0; m];
+            super::run_row_chunks(parts, &mut out, 1, |lo, hi, chunk| {
                 blocks((lo, hi), &mut |rl, rh, vals: &[f64]| {
                     let base = layout.start(rl);
                     for i in rl..rh {
                         let row = &vals[layout.start(i) - base..layout.start(i + 1) - base];
-                        out.push(row_agg(f, row, n, layout.row_has_zeros(i, n)));
+                        chunk[i - lo] = row_agg(f, row, n, layout.row_has_zeros(i, n));
                     }
                 });
-                out
             });
-            Ok(FusedOutput::Matrix(Matrix::from_vec(
-                m,
-                1,
-                partials.concat(),
-            )?))
+            Ok(FusedOutput::Matrix(Matrix::from_vec(m, 1, out)?))
         }
         Direction::Col => {
             let init = match f {

@@ -31,7 +31,7 @@
 //! the partitioning, so mat-vec results are bitwise identical for every
 //! thread count. Chain partials are merged in partition order.
 
-use super::{par_row_partitions, run_partitions};
+use super::{par_row_partitions, run_partitions, run_row_chunks};
 use crate::matrix::{DenseMatrix, Matrix};
 use sysds_common::{Result, SysDsError};
 
@@ -41,12 +41,13 @@ pub fn dense_mv(x: &DenseMatrix, v: &[f64], threads: usize) -> Vec<f64> {
     debug_assert_eq!(x.cols(), v.len());
     let skip_zeros = !v.iter().all(|w| w.is_finite());
     let parts = par_row_partitions(x.rows(), x.cols(), threads);
-    run_partitions(&parts, |lo, hi| {
-        (lo..hi)
-            .map(|i| row_dot(x.row(i), v, skip_zeros))
-            .collect::<Vec<f64>>()
-    })
-    .concat()
+    let mut out = vec![0.0; x.rows()];
+    run_row_chunks(&parts, &mut out, 1, |lo, _, chunk| {
+        for (i, o) in (lo..).zip(chunk) {
+            *o = row_dot(x.row(i), v, skip_zeros);
+        }
+    });
+    out
 }
 
 /// `t(X) %*% (X %*% v - y)` in one pass over `X` (`y` absent means zero).

@@ -23,8 +23,10 @@
 //!
 //! Every row-partitioned kernel takes its partitions from
 //! `par_row_partitions` and runs them through `run_partitions` or
-//! `run_row_chunks`, the only places that spawn threads. `num_threads`
-//! only caps the partition count: small inputs run on the calling thread.
+//! `run_row_chunks`, which split the work and hand it to
+//! [`sysds_common::par::map`]: partition 0 runs on the calling thread and
+//! each other partition on a scoped thread of its own. `num_threads` only
+//! caps the partition count: small inputs run on the calling thread.
 
 pub mod aggregate;
 pub mod elementwise;
@@ -44,6 +46,7 @@ pub use elementwise::{BinaryOp, UnaryOp};
 pub use gram::{kernel_tier, KernelTier};
 
 use crate::matrix::DenseMatrix;
+use sysds_common::par;
 
 /// Work (roughly cells touched or multiply-adds) below which row-partitioned
 /// kernels stay sequential; thread spawns cost more than the work they
@@ -73,16 +76,7 @@ where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
 {
-    if parts.len() <= 1 {
-        return parts.iter().map(|&(lo, hi)| f(lo, hi)).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(parts.len(), || None);
-    let work = parts.iter().zip(out.iter_mut()).collect();
-    run_each(work, |(&(lo, hi), slot)| *slot = Some(f(lo, hi)));
-    out.into_iter()
-        .map(|r| r.expect("worker fills its slot"))
-        .collect()
+    par::map(parts.to_vec(), |(lo, hi)| f(lo, hi))
 }
 
 /// Run `f(lo, hi, chunk)` once per `(lo, hi)` row partition, where `chunk`
@@ -92,25 +86,14 @@ pub(crate) fn run_row_chunks<F>(parts: &[(usize, usize)], out: &mut [f64], row_l
 where
     F: Fn(usize, usize, &mut [f64]) + Sync,
 {
-    if let [(lo, hi)] = *parts {
-        return f(lo, hi, &mut out[lo * row_len..hi * row_len]);
-    }
-    let mut work = Vec::with_capacity(parts.len());
     let mut rest = out;
-    for &(lo, hi) in parts {
-        let (chunk, tail) = rest.split_at_mut((hi - lo) * row_len);
-        rest = tail;
-        work.push((lo, hi, chunk));
-    }
-    run_each(work, |(lo, hi, chunk)| f(lo, hi, chunk));
-}
-
-/// Apply `f` to every work item, one scoped thread per item.
-fn run_each<W: Send>(work: Vec<W>, f: impl Fn(W) + Sync) {
-    let f = &f;
-    std::thread::scope(|s| {
-        for w in work {
-            s.spawn(move || f(w));
-        }
-    });
+    let work = parts
+        .iter()
+        .map(|&(lo, hi)| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * row_len);
+            rest = tail;
+            (lo, hi, chunk)
+        })
+        .collect();
+    par::map(work, |(lo, hi, chunk)| f(lo, hi, chunk));
 }

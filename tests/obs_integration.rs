@@ -116,6 +116,21 @@ fn trace_flag_writes_parseable_jsonl_spans() {
         "records: {records:?}"
     );
 
+    // Every worker enters the caller's span context, so each worker span
+    // hangs off the enclosing span: the program's one `execute` span.
+    let execute: Vec<u64> = records
+        .iter()
+        .filter(|r| r.phase == "execute")
+        .map(|r| r.id)
+        .collect();
+    assert_eq!(execute.len(), 1, "records: {records:?}");
+    for r in records.iter().filter(|r| r.phase == "parfor_worker") {
+        assert_eq!(
+            r.parent, execute[0],
+            "worker span without its parent: {r:?}"
+        );
+    }
+
     // Parent linking: instructions executed inside a parfor worker hang
     // off that worker's span.
     let worker_span_ids: BTreeSet<u64> = records

@@ -347,3 +347,32 @@ fn read_with_and_without_header_does_not_hit() {
     assert_eq!(out.f64("b").unwrap(), 170.0);
     assert_eq!(s.cache_stats().hits, 0);
 }
+
+#[test]
+fn a_long_loop_with_reuse_traces_and_frees_its_lineage() {
+    // Every iteration adds one node to X's lineage chain, so tracing and
+    // dropping it must not recurse once per node.
+    const ITERS: usize = 200_000;
+    let script = format!(
+        "X = matrix(1, rows=2, cols=2); i = 0; while (i < {ITERS}) {{ X = X + 1; i = i + 1 }}"
+    );
+    let mut s = session(ReusePolicy::FullAndPartial);
+    let out = s.execute(&script, &[], &["X"]).unwrap();
+    assert_eq!(
+        out.matrix("X").unwrap().to_vec(),
+        vec![ITERS as f64 + 1.0; 4]
+    );
+    let trace = out.lineage_trace("X").expect("lineage recorded");
+    assert!(
+        trace.lines().count() > ITERS,
+        "{} lines",
+        trace.lines().count()
+    );
+    let last = trace.lines().last().unwrap();
+    assert!(
+        last.starts_with(&format!("%{} <- + (", trace.lines().count() - 1)),
+        "{last}"
+    );
+    drop(out);
+    drop(s);
+}
