@@ -1,5 +1,5 @@
 //! Transport ablation: the same federated algorithms (tsmm, lm) over the
-//! in-process channel transport vs the localhost-TCP transport — isolating
+//! in-process site called directly vs the localhost-TCP transport — isolating
 //! the cost of framing, sockets, and the robustness layer from the
 //! federated computation itself.
 
@@ -16,7 +16,7 @@ const SITES: usize = 2;
 fn main() {
     let (x, y) = gen::synthetic_regression(20_000, 32, 1.0, 0.05, 6401);
 
-    // In-process channel transport.
+    // In-process sites, called directly.
     let local: Vec<Arc<dyn Transport>> = (0..SITES)
         .map(|_| Arc::new(WorkerHandle::spawn(vec![], 1)) as Arc<dyn Transport>)
         .collect();

@@ -234,14 +234,7 @@ impl SystemDS {
     /// Scatter a matrix across fresh in-process federated workers and wrap
     /// it as a federated input value (paper §3.3).
     pub fn federate(&self, m: &Matrix, num_workers: usize) -> Result<Data> {
-        let workers: Vec<Arc<dyn Transport>> = (0..num_workers.max(1))
-            .map(|_| {
-                Arc::new(WorkerHandle::spawn(vec![], self.ctx.config.num_threads))
-                    as Arc<dyn Transport>
-            })
-            .collect();
-        let fed = FederatedMatrix::scatter(m, &workers)?;
-        Ok(Data::Federated(Arc::new(fed)))
+        Ok(self.federate_many(&[m], num_workers)?.remove(0))
     }
 
     /// Scatter several row-aligned matrices (e.g. features and labels)

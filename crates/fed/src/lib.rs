@@ -4,17 +4,17 @@
 //! local data. A master control program holds the federated tensors
 //! including connections to the other sites."
 //!
-//! Each site is an in-process worker thread owning its partition, or a TCP
-//! daemon in `sysds-net`; the master reaches both through one
-//! [`Transport`]. Only aggregates whose size is independent of the local
+//! Each site is one [`Site`] owning its partitions: an in-process site
+//! called directly, or a TCP daemon in `sysds-net`; the master reaches
+//! both through one [`Transport`]. Only aggregates whose size is independent of the local
 //! row count leave a site (the *exchange constraint*): the site checks
 //! every request against the row of the instruction it runs.
 //!
 //! * [`ops`] — the table of federated instructions, one [`ops::FedOp`]
 //!   row per operation;
-//! * [`worker`] — the request/response protocol, the site's one
-//!   `execute_request` and the in-process worker loop;
-//! * [`transport`] — the [`Transport`] trait (in-process channels here, TCP
+//! * [`worker`] — the request/response protocol, the [`Site`] with its one
+//!   [`Site::respond`], and the in-process handle that calls it directly;
+//! * [`transport`] — the [`Transport`] trait (the in-process site here, TCP
 //!   in `sysds-net`);
 //! * [`tensor`] — [`FederatedMatrix`]: disjoint row ranges mapped to sites;
 //!   [`FederatedMatrix::exec`] runs one row at all sites at once and adds
@@ -32,4 +32,4 @@ pub mod worker;
 
 pub use tensor::{FedValue, FederatedMatrix};
 pub use transport::Transport;
-pub use worker::{FedRequest, FedResponse, WorkerHandle};
+pub use worker::{FedRequest, FedResponse, Site, WorkerHandle};

@@ -2,7 +2,7 @@
 //!
 //! Every operation a site runs is one [`FedOp`] row. The request
 //! ([`crate::FedRequest::Exec`]), the wire codec in `sysds-net`, the site
-//! ([`crate::worker::execute_request`]) and the master's fan-out
+//! ([`crate::Site::respond`]) and the master's fan-out
 //! ([`crate::FederatedMatrix::exec`]) all read the row, so a new operation
 //! is one row here plus its sample in the agreement test
 //! (`crates/net/tests/tcp_federation.rs`). The site checks every `Exec`

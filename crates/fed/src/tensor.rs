@@ -28,7 +28,7 @@ fn fresh_var(prefix: &str) -> String {
 }
 
 /// One partition: rows `[row_lo, row_hi)` live at `worker` under `var`.
-/// The worker is any [`Transport`] — an in-process thread or a TCP site.
+/// The worker is any [`Transport`] — an in-process site or a TCP site.
 #[derive(Debug, Clone)]
 pub struct FedPartition {
     pub row_lo: usize,
@@ -528,10 +528,6 @@ mod tests {
 
         fn endpoint(&self) -> &str {
             &self.endpoint
-        }
-
-        fn threads(&self) -> usize {
-            1
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! `FederatedMatrix` and the learning algorithms never talk to a concrete
 //! worker type: they hold `Arc<dyn Transport>` handles and issue
-//! [`FedRequest`]s through this trait. The in-process channel transport
+//! [`FedRequest`]s through this trait. The in-process site called directly
 //! ([`crate::worker::WorkerHandle`]) and the TCP transport in `sysds-net`
-//! both implement it, so the same federated program runs unchanged over
-//! threads or sockets.
+//! both implement it, so the same federated program runs unchanged in one
+//! process or over sockets.
 //!
 //! Implementors provide the raw [`Transport::exchange`] round trip; the
 //! instrumented [`Transport::request`] (span + counters + error mapping)
@@ -19,18 +19,15 @@ use sysds_common::{Result, SysDsError};
 /// One federated site, as seen by the master.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Send one request and wait for the raw response. Transport-level
-    /// failures (closed channel, socket error, exhausted retries) surface
-    /// as `Err`; site-side execution failures arrive as
-    /// [`FedResponse::Error`] and are mapped by [`Transport::request`].
+    /// failures (socket error, exhausted retries) surface as `Err`;
+    /// site-side execution failures arrive as [`FedResponse::Error`] and
+    /// are mapped by [`Transport::request`].
     fn exchange(&self, req: FedRequest) -> Result<FedResponse>;
 
     /// Stable identity of the site (e.g. `inproc://site-3` or
     /// `tcp://127.0.0.1:7700`). Partition alignment checks compare
     /// endpoints, so two handles to the same site must agree.
     fn endpoint(&self) -> &str;
-
-    /// Degree of parallelism the site uses for its local kernels.
-    fn threads(&self) -> usize;
 
     /// Send one request and wait for the response, instrumented with a
     /// `Federated` span and the master-side request counters.

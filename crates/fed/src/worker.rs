@@ -1,16 +1,16 @@
-//! Federated site workers and the request/response protocol.
+//! Federated sites and the request/response protocol.
 //!
-//! A worker owns named local matrices and runs the *federated
+//! A [`Site`] owns named local matrices and runs the *federated
 //! instructions* the master pushes down: [`FedRequest::Exec`] runs one row
-//! of [`crate::ops`]. [`execute_request`], shared with the TCP daemon in
-//! `sysds-net`, is the one place a reply leaves a site; it checks every
-//! `Exec` against its row first, so row-partitioned results stay.
+//! of [`crate::ops`]. [`Site::respond`], shared by the in-process site
+//! called directly ([`WorkerHandle`]) and the TCP daemon in `sysds-net`, is
+//! the one place a reply leaves a site; it checks every `Exec` against its
+//! row first, so row-partitioned results stay.
 
 use crate::ops::{FedOp, FedOperand, FedResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 use sysds_common::error::panic_message;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::Matrix;
@@ -37,7 +37,8 @@ pub enum FedRequest {
     },
     /// Liveness probe, answered with [`FedResponse::Ok`].
     Ping,
-    /// Stop the worker loop.
+    /// Stop a TCP site daemon. An in-process site is called directly and
+    /// has nothing to stop; it answers [`FedResponse::Ok`].
     Shutdown,
 }
 
@@ -76,80 +77,73 @@ impl FedRequest {
     }
 }
 
-/// A request, the master's span context it was sent under (so the site's
-/// span links to the master's request span) and the reply channel.
-type Envelope = (FedRequest, sysds_obs::SpanContext, Sender<FedResponse>);
-
-/// Logical site ids for worker attribution in traces.
-static NEXT_SITE_ID: AtomicU64 = AtomicU64::new(0);
-
-/// The master-side handle to one federated site running as an in-process
-/// thread (the channel transport).
-#[derive(Debug)]
-pub struct WorkerHandle {
-    tx: Sender<Envelope>,
-    join: Option<JoinHandle<()>>,
+/// One federated site (paper §3.3): the local variables it owns, the
+/// thread count of its kernels and its id, the worker tag its spans carry.
+/// [`WorkerHandle`] calls it directly; the TCP daemon in `sysds-net` calls
+/// it for every request it receives. Requests to one site run one at a
+/// time, under the lock on its variables.
+pub struct Site {
+    vars: Mutex<HashMap<String, Matrix>>,
     threads: usize,
+    id: u64,
+}
+
+impl Site {
+    /// A site holding the `initial` variables, running its kernels on
+    /// `threads` threads.
+    pub fn new(initial: Vec<(String, Matrix)>, threads: usize) -> Site {
+        // Parfor worker ids index concurrently running threads, which Linux
+        // caps at 2^22 (`PID_MAX_LIMIT`). Site ids start above that, so a
+        // site and a parfor worker never share a trace row.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1 << 22);
+        Site {
+            vars: Mutex::new(initial.into_iter().collect()),
+            threads: threads.max(1),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// Answer one request on the calling thread, its spans tagged with the
+    /// site's id. Never panics: kernel errors *and* kernel panics both
+    /// become [`FedResponse::Error`] replies, so a malformed request cannot
+    /// kill the site.
+    pub fn respond(&self, req: FedRequest) -> FedResponse {
+        let _worker = sysds_obs::set_worker(self.id);
+        let mut vars = self.vars.lock().expect("site vars poisoned");
+        execute_request(&mut vars, req, self.threads)
+    }
+}
+
+/// The master-side handle to an in-process site, called directly.
+pub struct WorkerHandle {
+    site: Site,
     endpoint: String,
 }
 
 impl WorkerHandle {
-    /// Spawn a site worker with initial local variables.
+    /// A new in-process site with initial local variables.
     pub fn spawn(initial: Vec<(String, Matrix)>, threads: usize) -> WorkerHandle {
-        let (tx, rx) = channel::<Envelope>();
-        let site_id = NEXT_SITE_ID.fetch_add(1, Ordering::Relaxed);
-        let join = std::thread::spawn(move || {
-            let mut vars: HashMap<String, Matrix> = initial.into_iter().collect();
-            while let Ok((req, master, reply)) = rx.recv() {
-                if matches!(req, FedRequest::Shutdown) {
-                    let _ = reply.send(FedResponse::Ok);
-                    break;
-                }
-                let resp = {
-                    let _parent = master.enter();
-                    let _worker = sysds_obs::set_worker(site_id);
-                    execute_request(&mut vars, req, threads)
-                };
-                let _ = reply.send(resp);
-            }
-        });
-        WorkerHandle {
-            tx,
-            join: Some(join),
-            threads,
-            endpoint: format!("inproc://site-{site_id}"),
-        }
+        let site = Site::new(initial, threads);
+        let endpoint = format!("inproc://site-{}", site.id);
+        WorkerHandle { site, endpoint }
+    }
+}
+
+impl std::fmt::Debug for WorkerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerHandle")
+            .field("endpoint", &self.endpoint)
+            .finish()
     }
 }
 
 impl crate::transport::Transport for WorkerHandle {
     fn exchange(&self, req: FedRequest) -> Result<FedResponse> {
-        let (rtx, rrx) = channel();
-        self.tx
-            .send((req, sysds_obs::SpanContext::current(), rtx))
-            .map_err(|_| SysDsError::Federated("worker channel closed".into()))?;
-        rrx.recv()
-            .map_err(|_| SysDsError::Federated("worker died before responding".into()))
+        Ok(self.site.respond(req))
     }
 
     fn endpoint(&self) -> &str {
         &self.endpoint
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Drop for WorkerHandle {
-    fn drop(&mut self) {
-        let (rtx, _rrx) = channel();
-        let _ = self
-            .tx
-            .send((FedRequest::Shutdown, sysds_obs::SpanContext::default(), rtx));
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
     }
 }
 
@@ -158,13 +152,11 @@ fn get<'a>(vars: &'a HashMap<String, Matrix>, var: &str) -> Result<&'a Matrix> {
         .ok_or_else(|| SysDsError::Federated(format!("unknown federated variable '{var}'")))
 }
 
-/// Execute one request against a site's variable map, never panicking:
-/// kernel errors *and* kernel panics both become [`FedResponse::Error`]
-/// replies so a malformed request cannot kill the site. Shared by the
-/// in-process worker loop and the TCP daemon in `sysds-net`. A `Remove`
-/// is the master's best-effort cleanup when a federated matrix drops,
-/// outside any instruction, so neither end traces it.
-pub fn execute_request(
+/// Execute one request against a site's variable map (see
+/// [`Site::respond`]). A `Remove` is the master's best-effort cleanup when
+/// a federated matrix drops, outside any instruction, so neither end
+/// traces it.
+fn execute_request(
     vars: &mut HashMap<String, Matrix>,
     req: FedRequest,
     threads: usize,
@@ -226,6 +218,7 @@ mod tests {
     use super::*;
     use crate::ops::{self, FedOperand};
     use crate::transport::Transport;
+    use std::sync::Barrier;
     use sysds_tensor::kernels::{aggregate, elementwise, matmult, reorg, tsmm};
     use sysds_tensor::kernels::{gen, AggFn, BinaryOp};
 
@@ -339,6 +332,52 @@ mod tests {
         assert!(err.to_string().contains("fed_scalar_op"), "{err}");
         // still serving afterwards
         assert!(w.request(exec(&ops::TSMM, &["X"])).is_ok());
+    }
+
+    /// Each caller `k` stores `X{k}`, keeps `Y{k} = X{k} * (k + 2)` and
+    /// asks for `t(Y{k}) %*% Y{k}`; `together` holds the callers between
+    /// their `Put` and the rest.
+    fn caller(w: &WorkerHandle, k: usize, x: &Matrix, together: &Barrier) -> Matrix {
+        let (xk, yk) = (format!("X{k}"), format!("Y{k}"));
+        w.request(FedRequest::Put {
+            var: xk.clone(),
+            data: x.clone(),
+        })
+        .unwrap();
+        together.wait();
+        w.request(FedRequest::Exec {
+            op: &ops::SCALAR_OP,
+            vars: vec![xk],
+            operand: Some(FedOperand::Scalar(BinaryOp::Mul, k as f64 + 2.0)),
+            out: Some(yk.clone()),
+        })
+        .unwrap();
+        aggregate(w, exec(&ops::TSMM, &[&yk]))
+    }
+
+    #[test]
+    fn concurrent_callers_get_the_serial_results() {
+        let xs: Vec<Matrix> = (0..6)
+            .map(|k| gen::rand_uniform(40, 5, -1.0, 1.0, 1.0, 140 + k))
+            .collect();
+        let serial = WorkerHandle::spawn(vec![], 2);
+        let alone = Barrier::new(1);
+        let expect: Vec<Matrix> = (0..xs.len())
+            .map(|k| caller(&serial, k, &xs[k], &alone))
+            .collect();
+
+        let shared = WorkerHandle::spawn(vec![], 2);
+        let together = Barrier::new(xs.len());
+        let got = sysds_common::par::map((0..xs.len()).collect(), |k| {
+            caller(&shared, k, &xs[k], &together)
+        });
+        for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(g.to_vec(), e.to_vec(), "caller {k}");
+            assert_eq!(
+                scalar(&shared, exec(&ops::NROWS, &[&format!("X{k}")])),
+                40.0
+            );
+        }
     }
 
     #[test]

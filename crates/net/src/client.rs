@@ -62,7 +62,6 @@ pub struct TcpTransport {
     addr: SocketAddr,
     endpoint: String,
     cfg: NetConfig,
-    threads: usize,
     pool: Mutex<Vec<TcpStream>>,
 }
 
@@ -78,7 +77,6 @@ impl TcpTransport {
             addr: sock_addr,
             endpoint: format!("tcp://{sock_addr}"),
             cfg,
-            threads: 1,
             pool: Mutex::new(Vec::new()),
         };
         transport.ping()?;
@@ -209,10 +207,6 @@ impl Transport for TcpTransport {
     fn endpoint(&self) -> &str {
         &self.endpoint
     }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +233,6 @@ mod tests {
             addr: "127.0.0.1:1".parse().unwrap(),
             endpoint: "tcp://test".into(),
             cfg: NetConfig::default().backoff_base_ms(10),
-            threads: 1,
             pool: Mutex::new(Vec::new()),
         };
         let mut rng = XorShift64::new(1);

@@ -11,7 +11,7 @@
 //! marker instead of executing twice. Every reply, an error for a
 //! malformed payload included, leaves through one write in
 //! `serve_connection`; what it carries comes from the site's one
-//! `execute_request`.
+//! [`Site::respond`], the one the in-process handle calls too.
 //! Client request ids carry a randomized per-process epoch (see
 //! `client::next_request_id`), so a restarted or second master never
 //! collides with a predecessor's ids in this cache.
@@ -33,8 +33,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sysds_common::{Result, SysDsError};
-use sysds_fed::worker::execute_request;
-use sysds_fed::{FedRequest, FedResponse};
+use sysds_fed::{FedRequest, FedResponse, Site};
 use sysds_tensor::Matrix;
 
 /// Maximum request ids remembered for replay deduplication.
@@ -44,10 +43,6 @@ const DEDUP_CAPACITY: usize = 1024;
 const DEDUP_WAIT_TIMEOUT: Duration = Duration::from_secs(60);
 /// Read deadline for the body of a frame whose first byte has arrived.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Offset for TCP site ids in trace worker attribution, keeping them
-/// visually distinct from in-process site ids.
-static NEXT_TCP_SITE: AtomicU64 = AtomicU64::new(10_000);
 
 /// State of a request id in the dedup cache.
 #[derive(Clone)]
@@ -96,16 +91,14 @@ impl DedupCache {
 }
 
 struct SiteState {
-    vars: Mutex<HashMap<String, Matrix>>,
+    site: Site,
     dedup: Mutex<DedupCache>,
     /// Signalled whenever an in-flight dedup entry completes.
     dedup_done: Condvar,
     faults: FaultPlan,
     /// Server-wide request sequence; the fault plan matches against it.
     seq: AtomicU64,
-    threads: usize,
     stop: Arc<Stop>,
-    site_id: u64,
 }
 
 /// The stop flag, and the listening address a stop connects to, to wake
@@ -175,14 +168,12 @@ impl WorkerServer {
             addr,
         });
         let state = Arc::new(SiteState {
-            vars: Mutex::new(initial.into_iter().collect()),
+            site: Site::new(initial, threads),
             dedup: Mutex::new(DedupCache::new()),
             dedup_done: Condvar::new(),
             faults,
             seq: AtomicU64::new(0),
-            threads: threads.max(1),
             stop: Arc::clone(&stop),
-            site_id: NEXT_TCP_SITE.fetch_add(1, Ordering::Relaxed),
         });
         let accept_join = std::thread::spawn(move || accept_loop(listener, state));
         Ok(WorkerServer {
@@ -241,10 +232,7 @@ fn accept_loop(listener: TcpListener, state: Arc<SiteState>) {
             continue;
         };
         let site = Arc::clone(&state);
-        let handler = std::thread::spawn(move || {
-            let _worker = sysds_obs::set_worker(site.site_id);
-            serve_connection(stream, &site);
-        });
+        let handler = std::thread::spawn(move || serve_connection(stream, &site));
         handlers.push((handler, clone));
         handlers.retain(|(h, _)| !h.is_finished());
     }
@@ -325,8 +313,7 @@ fn respond(state: &SiteState, request_id: u64, req: FedRequest) -> FedResponse {
         return FedResponse::Ok;
     }
     if req.idempotent() {
-        let mut vars = state.vars.lock().expect("site vars poisoned");
-        return execute_request(&mut vars, req, state.threads);
+        return state.site.respond(req);
     }
     // Mutating request: under the dedup lock, atomically either claim the
     // id (first arrival) or defer to the attempt that already did. A retry
@@ -358,10 +345,7 @@ fn respond(state: &SiteState, request_id: u64, req: FedRequest) -> FedResponse {
             }
         }
     }
-    let resp = {
-        let mut vars = state.vars.lock().expect("site vars poisoned");
-        execute_request(&mut vars, req, state.threads)
-    };
+    let resp = state.site.respond(req);
     state
         .dedup
         .lock()
@@ -394,17 +378,15 @@ mod tests {
     #[test]
     fn retry_waits_for_in_flight_original_instead_of_reexecuting() {
         let state = Arc::new(SiteState {
-            vars: Mutex::new(HashMap::new()),
+            site: Site::new(vec![], 1),
             dedup: Mutex::new(DedupCache::new()),
             dedup_done: Condvar::new(),
             faults: FaultPlan::none(),
             seq: AtomicU64::new(0),
-            threads: 1,
             stop: Arc::new(Stop {
                 flag: AtomicBool::new(false),
                 addr: "127.0.0.1:0".parse().unwrap(),
             }),
-            site_id: 0,
         });
         // Simulate the original attempt still executing.
         state.dedup.lock().unwrap().begin(42);
@@ -434,9 +416,15 @@ mod tests {
             matches!(resp, FedResponse::Scalar(v) if v == 9.0),
             "retry must replay the original result, got {resp:?}"
         );
+        let stored = state.site.respond(FedRequest::Exec {
+            op: &sysds_fed::ops::NROWS,
+            vars: vec!["X".into()],
+            operand: None,
+            out: None,
+        });
         assert!(
-            state.vars.lock().unwrap().is_empty(),
-            "retry must not re-execute the mutation"
+            matches!(stored, FedResponse::Error(_)),
+            "retry must not re-execute the mutation, got {stored:?}"
         );
     }
 

@@ -1,5 +1,5 @@
 //! End-to-end federation over real sockets: the TCP transport must be
-//! indistinguishable from the in-process channel transport (bitwise-equal
+//! indistinguishable from the in-process site called directly (bitwise-equal
 //! results), and every injected failure mode — dropped responses, truncated
 //! frames, deadline overruns, dead sites — must resolve through the
 //! robustness layer (retries, dedup, typed degradation).
@@ -261,10 +261,6 @@ impl Transport for Recording {
 
     fn endpoint(&self) -> &str {
         self.inner.endpoint()
-    }
-
-    fn threads(&self) -> usize {
-        self.inner.threads()
     }
 }
 

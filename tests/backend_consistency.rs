@@ -173,10 +173,6 @@ impl sysds_fed::Transport for CountedSite {
     fn endpoint(&self) -> &str {
         self.inner.endpoint()
     }
-
-    fn threads(&self) -> usize {
-        self.inner.threads()
-    }
 }
 
 #[test]

@@ -207,10 +207,12 @@ fn federated_spans_link_to_their_instruction() {
     // This is the only test in this binary that traces in-process.
     let trace = temp_dir().join(format!("fed-trace-{}.jsonl", std::process::id()));
     let mut traced = session(Some(trace.clone()));
+    // A parfor in the same trace: its workers' ids must not collide with
+    // the sites'.
     let run = traced.execute(
-        "B = lmDS(X=X, y=y, reg=0.001)",
+        "B = lmDS(X=X, y=y, reg=0.001)\ns = 0\nparfor (i in 1:4) { s = i + sum(B) }",
         &[("X", fx), ("y", fy)],
-        &["B"],
+        &["B", "s"],
     );
     sysds_obs::disable_trace();
     run.unwrap();
@@ -230,6 +232,29 @@ fn federated_spans_link_to_their_instruction() {
             r.parent != 0 && ids.contains(&r.parent),
             "federated span without its parent in the trace: {r:?}"
         );
+    }
+    let parfor: BTreeSet<u64> = records
+        .iter()
+        .filter(|r| r.phase == "parfor_worker")
+        .filter_map(|r| r.worker)
+        .collect();
+    assert!(!parfor.is_empty(), "the parfor traced no worker");
+    // Site execution spans carry the site's worker id; their parent is the
+    // master's request span, which runs outside any worker.
+    let sites: Vec<&TraceRecord> = federated
+        .iter()
+        .copied()
+        .filter(|r| r.worker.is_some())
+        .collect();
+    assert!(sites.len() >= 6, "{federated:?}");
+    for r in &sites {
+        let parent = records.iter().find(|p| p.id == r.parent).unwrap();
+        assert!(
+            parent.phase == "federated" && parent.worker.is_none(),
+            "site span not under its master request span: {r:?} under {parent:?}"
+        );
+        let w = r.worker.unwrap();
+        assert!(!parfor.contains(&w), "site and parfor worker share id {w}");
     }
     let _ = std::fs::remove_file(&trace);
 }
