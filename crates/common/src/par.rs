@@ -13,8 +13,8 @@
 //!   first panicking item's own payload (in item order) is re-raised.
 //!
 //! Threads know nothing of the caller's span context: an item that records
-//! spans enters `sysds_obs::SpanContext` itself (this crate has no
-//! dependencies).
+//! spans enters `sysds_obs::SpanContext` itself (`sysds-obs` builds on this
+//! crate, not the other way round).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 

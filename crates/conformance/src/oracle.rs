@@ -214,15 +214,9 @@ pub fn check_script(script: &Script) -> Result<Option<Divergence>> {
     let matrix = config_matrix();
     let (ref_out, ref_fp) = run_under(&text, matrix[0].config.clone(), &[], &out_names)?;
     for oc in &matrix[1..] {
-        sysds_obs::counters()
-            .conf_checks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let (out, fp) = match run_under(&text, oc.config.clone(), &[], &out_names) {
             Ok(r) => r,
             Err(e) => {
-                sysds_obs::counters()
-                    .conf_divergences
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return Ok(Some(Divergence {
                     seed: script.seed,
                     config_a: matrix[0].name.into(),
@@ -236,9 +230,6 @@ pub fn check_script(script: &Script) -> Result<Option<Divergence>> {
         };
         for name in &script.outputs {
             if let Some(detail) = diff_value(&ref_out, &out, name) {
-                sysds_obs::counters()
-                    .conf_divergences
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return Ok(Some(Divergence {
                     seed: script.seed,
                     config_a: matrix[0].name.into(),
@@ -323,15 +314,9 @@ fn check_fed_script(script: &Script) -> Result<Option<Divergence>> {
     }
 
     for (vname, run) in variants {
-        sysds_obs::counters()
-            .conf_checks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let (out, fp) = match run {
             Ok(r) => r,
             Err(e) => {
-                sysds_obs::counters()
-                    .conf_divergences
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return Ok(Some(Divergence {
                     seed: script.seed,
                     config_a: "local".into(),
@@ -345,9 +330,6 @@ fn check_fed_script(script: &Script) -> Result<Option<Divergence>> {
         };
         for name in &script.outputs {
             if let Some(detail) = diff_value(&ref_out, &out, name) {
-                sysds_obs::counters()
-                    .conf_divergences
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return Ok(Some(Divergence {
                     seed: script.seed,
                     config_a: "local".into(),

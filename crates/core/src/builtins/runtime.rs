@@ -49,6 +49,9 @@ pub struct Operator {
     /// Parameters in positional order, each with what an omitted argument
     /// takes. Empty for the core rows.
     pub(crate) params: Params,
+    /// Whether positional arguments past the last parameter are further
+    /// inputs, as in `print(a, b, ...)`.
+    pub(crate) variadic: bool,
     /// `Some` for a builtin that must be the whole right-hand side of an
     /// assignment; such a statement compiles into a basic block of its own.
     pub(crate) whole_rhs: Option<Outputs>,
@@ -176,6 +179,7 @@ impl Operator {
         Operator {
             name,
             params,
+            variadic: false,
             whole_rhs: None,
             effect: Effect::Pure,
             reuse: false,
@@ -196,6 +200,13 @@ impl Operator {
 
     const fn with(self, effect: Effect) -> Operator {
         Operator { effect, ..self }
+    }
+
+    const fn variadic(self) -> Operator {
+        Operator {
+            variadic: true,
+            ..self
+        }
     }
 
     const fn whole_rhs(self, outputs: Outputs) -> Operator {
@@ -414,7 +425,7 @@ static OPERATORS: [Operator; 52] = [
         |_, i, _| scalar(ScalarValue::Bool(i[0].data.as_bool()?))),
     Operator::new("toString", X, Scalar, to_string),
     // Effects and I/O.
-    Operator::new("print", X, Scalar, print).with(Output),
+    Operator::new("print", X, Scalar, print).with(Output).variadic(),
     Operator::new("stop", X, Scalar, |_, i, _| Err(SysDsError::Stop(text(i, 0)?))).with(Output),
     Operator::new("read", &[("file", Required), ("format", Str("csv")),
         ("data_type", Str("matrix")), ("header", Bool(false))], Rule(read_size), read),
@@ -557,14 +568,9 @@ fn fused(p: &Param, inputs: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
         })
         .collect();
     let out = fused::eval(t, &fused_inputs, ctx.config.num_threads)?;
-    if sysds_obs::stats_enabled() {
-        let counters = sysds_obs::counters();
-        counters.fusion_hits.fetch_add(1, Ordering::Relaxed);
-        counters.fusion_bytes_saved.fetch_add(
-            (t.saved_intermediates * m * n * std::mem::size_of::<f64>()) as u64,
-            Ordering::Relaxed,
-        );
-    }
+    let saved = t.saved_intermediates * m * n * std::mem::size_of::<f64>();
+    sysds_obs::count(|c| &c.fusion_hits, 1);
+    sysds_obs::count(|c| &c.fusion_bytes_saved, saved as u64);
     match out {
         FusedOutput::Scalar(v) => number(v),
         FusedOutput::Matrix(out) => matrix(ctx, out),
@@ -1014,13 +1020,16 @@ fn to_string(_: &Param, i: &[&Slot], _: &ExecCtx) -> DispatchResult {
     scalar(ScalarValue::Str(s))
 }
 
+/// Prints its inputs on one line, separated by single spaces.
 fn print(_: &Param, i: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
-    let s = match &i[0].data {
-        Data::Scalar(s) => s.to_display_string(),
-        Data::Matrix(h) => format!("{}", h.acquire()?),
-        other => format!("<{}>", other.kind()),
-    };
-    ctx.print(s);
+    let parts = i.iter().map(|slot| {
+        Ok(match &slot.data {
+            Data::Scalar(s) => s.to_display_string(),
+            Data::Matrix(h) => format!("{}", h.acquire()?),
+            other => format!("<{}>", other.kind()),
+        })
+    });
+    ctx.print(parts.collect::<Result<Vec<_>>>()?.join(" "));
     Ok((Data::Empty, Some(LineageItem::leaf("print"))))
 }
 

@@ -376,6 +376,21 @@ mod tests {
     }
 
     #[test]
+    fn plan_fingerprint_is_the_fx_hash_of_the_runtime_explain() {
+        let p = compiled("X = rand(rows=100, cols=10, seed=1)\ng = t(X) %*% X\nprint(sum(g))");
+        let config = EngineConfig::default();
+        let text = explain(&p, &config, ExplainLevel::Runtime);
+        assert_eq!(
+            sysds_obs::fingerprint64(&text),
+            sysds_common::hash::hash_str(&text)
+        );
+        assert_eq!(
+            plan_fingerprint(&p, &config),
+            sysds_common::hash::hash_str(&text)
+        );
+    }
+
+    #[test]
     fn hops_level_shows_sizes_and_exec() {
         let p = compiled("X = rand(rows=100, cols=10, seed=1)\ng = t(X) %*% X");
         let text = explain(&p, &EngineConfig::default(), ExplainLevel::Hops);

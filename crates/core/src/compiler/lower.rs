@@ -220,14 +220,8 @@ pub fn plan_for(block: &BasicBlock, env: &SizeEnv, config: &EngineConfig) -> std
         });
     }
     let _span = trigger.map(|trigger| {
-        let span = sysds_obs::Span::enter(sysds_obs::Phase::Recompile, "recompile");
-        if sysds_obs::stats_enabled() {
-            sysds_obs::counters()
-                .recompiles
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            sysds_obs::audit::record_recompile(trigger);
-        }
-        span
+        sysds_obs::audit::record_recompile(trigger);
+        sysds_obs::Span::enter(sysds_obs::Phase::Recompile, "recompile")
     });
     let plan = std::sync::Arc::new(lower(block, env, config));
     *guard = Some(plan.clone());

@@ -169,7 +169,7 @@ pub fn compile_program(
     let mut functions = FxHashMap::default();
     for name in names {
         let def = ctx.defs.get(&name).unwrap().clone();
-        let body = remove_static_branches(inline_pass(&def.body, &ctx)?);
+        let body = rewrite_stmts(&def.body, &ctx)?;
         let blocks = compile_stmts(&body, &ctx)?;
         let mut params = Vec::new();
         for (pname, _ty, default) in &def.params {
@@ -197,7 +197,7 @@ pub fn compile_program(
         );
     }
 
-    let stmts = remove_static_branches(inline_pass(&program.statements, &ctx)?);
+    let stmts = rewrite_stmts(&program.statements, &ctx)?;
     let blocks = compile_stmts(&stmts, &ctx)?;
     Ok(CompiledProgram { blocks, functions })
 }
@@ -378,41 +378,126 @@ fn is_inlinable(def: &FunctionDef, ctx: &Ctx) -> bool {
 
 /// Rename all variables of an inlined body with a unique prefix.
 fn rename_expr(e: &Expr, map: &FxHashMap<String, String>) -> Expr {
-    match e {
-        Expr::Var(n) => Expr::Var(map.get(n).cloned().unwrap_or_else(|| n.clone())),
-        Expr::Const(v) => Expr::Const(v.clone()),
-        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(rename_expr(a, map))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(rename_expr(a, map)),
-            Box::new(rename_expr(b, map)),
-        ),
-        Expr::Seq(a, b) => Expr::Seq(Box::new(rename_expr(a, map)), Box::new(rename_expr(b, map))),
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| Arg {
-                    name: a.name.clone(),
-                    value: rename_expr(&a.value, map),
-                })
-                .collect(),
-        },
-        Expr::Index { target, rows, cols } => Expr::Index {
-            target: Box::new(rename_expr(target, map)),
-            rows: rename_index(rows, map),
-            cols: rename_index(cols, map),
-        },
-    }
+    map_expr(e, &mut |node| rename_var(node, map))
 }
 
 fn rename_index(ix: &IndexExpr, map: &FxHashMap<String, String>) -> IndexExpr {
+    map_index(ix, &mut |node| rename_var(node, map))
+}
+
+fn rename_var(node: Expr, map: &FxHashMap<String, String>) -> Expr {
+    match node {
+        Expr::Var(n) => Expr::Var(map.get(&n).cloned().unwrap_or(n)),
+        other => other,
+    }
+}
+
+/// Rebuild `e` bottom-up, left to right, passing every rebuilt node
+/// through `f`.
+fn map_expr(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+    let node = match e {
+        Expr::Var(_) | Expr::Const(_) => e.clone(),
+        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(map_expr(a, f))),
+        Expr::Binary(op, a, b) => {
+            let a = map_expr(a, f);
+            Expr::Binary(*op, Box::new(a), Box::new(map_expr(b, f)))
+        }
+        Expr::Seq(a, b) => {
+            let a = map_expr(a, f);
+            Expr::Seq(Box::new(a), Box::new(map_expr(b, f)))
+        }
+        Expr::Call { name, args } => Expr::Call {
+            name: name.clone(),
+            args: map_args(args, f),
+        },
+        Expr::Index { target, rows, cols } => {
+            let target = Box::new(map_expr(target, f));
+            let rows = map_index(rows, f);
+            Expr::Index {
+                target,
+                rows,
+                cols: map_index(cols, f),
+            }
+        }
+    };
+    f(node)
+}
+
+fn map_args(args: &[Arg], f: &mut impl FnMut(Expr) -> Expr) -> Vec<Arg> {
+    args.iter()
+        .map(|a| Arg {
+            name: a.name.clone(),
+            value: map_expr(&a.value, f),
+        })
+        .collect()
+}
+
+fn map_index(ix: &IndexExpr, f: &mut impl FnMut(Expr) -> Expr) -> IndexExpr {
     match ix {
         IndexExpr::All => IndexExpr::All,
-        IndexExpr::Single(e) => IndexExpr::Single(Box::new(rename_expr(e, map))),
+        IndexExpr::Single(e) => IndexExpr::Single(Box::new(map_expr(e, f))),
         IndexExpr::Range(a, b) => {
-            IndexExpr::Range(Box::new(rename_expr(a, map)), Box::new(rename_expr(b, map)))
+            let a = map_expr(a, f);
+            IndexExpr::Range(Box::new(a), Box::new(map_expr(b, f)))
         }
+    }
+}
+
+/// `s`, a statement without a body, with every call to a DML function
+/// nested in one of its expressions hoisted into a fresh temporary whose
+/// assignment is pushed to `out`: `B[, i] = f(X)` becomes `t = f(X);
+/// B[, i] = t`. A call that is a whole statement (`x = f(..)`, `[a, b] =
+/// f(..)`, `f(..)`) stays, with its arguments hoisted.
+fn hoist_calls(s: &Stmt, ctx: &Ctx, out: &mut Vec<Stmt>) -> Stmt {
+    let whole = |e: &Expr, out: &mut Vec<Stmt>| match e {
+        Expr::Call { name, args } if ctx.defs.contains_key(name) => Expr::Call {
+            name: name.clone(),
+            args: map_args(args, &mut |node| hoist_call(node, ctx, out)),
+        },
+        _ => map_expr(e, &mut |node| hoist_call(node, ctx, out)),
+    };
+    match s {
+        Stmt::Assign { target, value } => Stmt::Assign {
+            target: target.clone(),
+            value: whole(value, out),
+        },
+        Stmt::MultiAssign { targets, value } => Stmt::MultiAssign {
+            targets: targets.clone(),
+            value: whole(value, out),
+        },
+        Stmt::ExprStmt(e) => Stmt::ExprStmt(whole(e, out)),
+        Stmt::IndexAssign {
+            target,
+            rows,
+            cols,
+            value,
+        } => {
+            let mut each = |node| hoist_call(node, ctx, out);
+            let value = map_expr(value, &mut each);
+            Stmt::IndexAssign {
+                target: target.clone(),
+                rows: map_index(rows, &mut each),
+                cols: map_index(cols, &mut each),
+                value,
+            }
+        }
+        _ => unreachable!("control flow has bodies, not expressions to hoist from"),
+    }
+}
+
+/// `node` itself, or a fresh temporary bound to it by a statement pushed
+/// to `out` when it is a call to a DML function.
+fn hoist_call(node: Expr, ctx: &Ctx, out: &mut Vec<Stmt>) -> Expr {
+    match node {
+        Expr::Call { ref name, .. } if ctx.defs.contains_key(name) => {
+            let temp = gensym("call");
+            out.push(Stmt::Assign {
+                target: temp.clone(),
+                value: node,
+            });
+            Expr::Var(temp)
+        }
+        other => other,
     }
 }
 
@@ -462,61 +547,83 @@ pub(crate) fn bind_params<'a, P, T>(
         .collect()
 }
 
-/// Inline eligible function calls in a statement list (recursively).
-fn inline_pass(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Stmt>> {
+/// Prepare a statement list for block construction, recursively:
+/// - every call to a DML function nested in an expression becomes a
+///   statement of its own ([`hoist_calls`]); `if`/`while` predicates and
+///   loop bounds are left as they are;
+/// - eligible function calls are inlined;
+/// - static branch removal (paper Example 1: "removing unnecessary
+///   branches"): an `if` with a constant predicate is spliced into the
+///   surrounding statements, so the taken branch merges into the
+///   enclosing basic block.
+fn rewrite_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Stmt>> {
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
-        match s {
-            Stmt::Assign {
-                target,
-                value: Expr::Call { name, args },
-            } if ctx.defs.get(name).is_some_and(|d| is_inlinable(d, ctx)) => {
-                inline_call(ctx, name, args, std::slice::from_ref(target), &mut out)?;
-            }
-            Stmt::MultiAssign {
-                targets,
-                value: Expr::Call { name, args },
-            } if ctx.defs.get(name).is_some_and(|d| is_inlinable(d, ctx)) => {
-                inline_call(ctx, name, args, targets, &mut out)?;
-            }
+        // Temporaries hoisted out of `s`, assigned before it.
+        let mut hoisted = Vec::new();
+        let s = match s {
             Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
-            } => out.push(Stmt::If {
-                cond: cond.clone(),
-                then_branch: inline_pass(then_branch, ctx)?,
-                else_branch: inline_pass(else_branch, ctx)?,
-            }),
+            } => match const_eval_cond(cond) {
+                Some(taken) => {
+                    let branch = if taken { then_branch } else { else_branch };
+                    out.extend(rewrite_stmts(branch, ctx)?);
+                    continue;
+                }
+                None => Stmt::If {
+                    cond: cond.clone(),
+                    then_branch: rewrite_stmts(then_branch, ctx)?,
+                    else_branch: rewrite_stmts(else_branch, ctx)?,
+                },
+            },
             Stmt::For {
                 var,
                 from,
                 to,
                 step,
                 body,
-            } => out.push(Stmt::For {
+            } => Stmt::For {
                 var: var.clone(),
                 from: from.clone(),
                 to: to.clone(),
                 step: step.clone(),
-                body: inline_pass(body, ctx)?,
-            }),
+                body: rewrite_stmts(body, ctx)?,
+            },
             Stmt::Parfor {
                 var,
                 from,
                 to,
                 body,
-            } => out.push(Stmt::Parfor {
+            } => Stmt::Parfor {
                 var: var.clone(),
                 from: from.clone(),
                 to: to.clone(),
-                body: inline_pass(body, ctx)?,
-            }),
-            Stmt::While { cond, body } => out.push(Stmt::While {
+                body: rewrite_stmts(body, ctx)?,
+            },
+            Stmt::While { cond, body } => Stmt::While {
                 cond: cond.clone(),
-                body: inline_pass(body, ctx)?,
-            }),
-            other => out.push(other.clone()),
+                body: rewrite_stmts(body, ctx)?,
+            },
+            other => hoist_calls(other, ctx, &mut hoisted),
+        };
+        for s in hoisted.into_iter().chain([s]) {
+            match s {
+                Stmt::Assign {
+                    target,
+                    value: Expr::Call { name, args },
+                } if ctx.defs.get(&name).is_some_and(|d| is_inlinable(d, ctx)) => {
+                    inline_call(ctx, &name, &args, std::slice::from_ref(&target), &mut out)?;
+                }
+                Stmt::MultiAssign {
+                    targets,
+                    value: Expr::Call { name, args },
+                } if ctx.defs.get(&name).is_some_and(|d| is_inlinable(d, ctx)) => {
+                    inline_call(ctx, &name, &args, &targets, &mut out)?;
+                }
+                other => out.push(other),
+            }
         }
     }
     Ok(out)
@@ -603,61 +710,6 @@ fn inline_call(
 // ---------------------------------------------------------------------
 // Block construction
 // ---------------------------------------------------------------------
-
-/// Static branch removal at the AST level (paper Example 1: "removing
-/// unnecessary branches"): `if` statements with constant predicates are
-/// spliced into the surrounding statement stream, so the taken branch
-/// merges into the enclosing basic block.
-fn remove_static_branches(stmts: Vec<Stmt>) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(stmts.len());
-    for s in stmts {
-        match s {
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => match const_eval_cond(&cond) {
-                Some(true) => out.extend(remove_static_branches(then_branch)),
-                Some(false) => out.extend(remove_static_branches(else_branch)),
-                None => out.push(Stmt::If {
-                    cond,
-                    then_branch: remove_static_branches(then_branch),
-                    else_branch: remove_static_branches(else_branch),
-                }),
-            },
-            Stmt::For {
-                var,
-                from,
-                to,
-                step,
-                body,
-            } => out.push(Stmt::For {
-                var,
-                from,
-                to,
-                step,
-                body: remove_static_branches(body),
-            }),
-            Stmt::Parfor {
-                var,
-                from,
-                to,
-                body,
-            } => out.push(Stmt::Parfor {
-                var,
-                from,
-                to,
-                body: remove_static_branches(body),
-            }),
-            Stmt::While { cond, body } => out.push(Stmt::While {
-                cond,
-                body: remove_static_branches(body),
-            }),
-            other => out.push(other),
-        }
-    }
-    out
-}
 
 fn compile_stmts(stmts: &[Stmt], ctx: &Ctx) -> Result<Vec<Block>> {
     let mut blocks = Vec::new();
@@ -989,17 +1041,6 @@ impl DagBuilder {
         let Some(builtin) = runtime::lookup(name) else {
             return Err(SysDsError::compile(format!("unknown function '{name}'")));
         };
-        // print with multiple args concatenates.
-        if name == "print" && args.len() > 1 {
-            let mut acc = self.expr(&args[0].value, ctx)?;
-            for a in &args[1..] {
-                let sep = self.dag.lit(ScalarValue::Str(" ".into()));
-                let v = self.expr(&a.value, ctx)?;
-                acc = self.dag.add(HopOp::binary(BinaryOp::Add), vec![acc, sep]);
-                acc = self.dag.add(HopOp::binary(BinaryOp::Add), vec![acc, v]);
-            }
-            return Ok(self.dag.add(HopOp::op(builtin), vec![acc]));
-        }
         if builtin.whole_rhs.is_some() {
             return Err(SysDsError::compile(format!(
                 "'{name}' must be the whole right-hand side of an assignment"
@@ -1011,13 +1052,20 @@ impl DagBuilder {
 
     /// Bind a runtime builtin's arguments to the positions of its
     /// parameters and compile them; a [`ParamDefault::Runtime`] parameter
-    /// left unbound is left out.
+    /// left unbound is left out, and the arguments past the last parameter
+    /// of a variadic row follow in order.
     fn builtin_inputs(
         &mut self,
         builtin: &Operator,
         args: &[Arg],
         ctx: &Ctx,
     ) -> Result<Vec<HopId>> {
+        let extra = if builtin.variadic {
+            args.len().saturating_sub(builtin.params.len())
+        } else {
+            0
+        };
+        let (args, rest) = args.split_at(args.len() - extra);
         let exprs = bind_params(
             builtin.name,
             builtin.params,
@@ -1030,7 +1078,12 @@ impl DagBuilder {
             },
         )
         .map_err(SysDsError::compile)?;
-        let inputs = exprs.iter().flatten().map(|e| self.expr(e, ctx));
+        let rest = rest.iter().map(|a| &a.value);
+        let inputs = exprs
+            .iter()
+            .flatten()
+            .chain(rest)
+            .map(|e| self.expr(e, ctx));
         inputs.collect()
     }
 
@@ -1439,6 +1492,47 @@ mod tests {
         };
         assert_eq!(name, "B");
         assert_eq!(bb.dag.node(*id).op, HopOp::op(LEFT_INDEX));
+    }
+
+    #[test]
+    fn nested_calls_become_call_blocks_before_their_statement() {
+        let src = r#"
+            f = function(matrix[double] X) return (matrix[double] Y) {
+                if (nrow(X) > 3) { Y = X } else { Y = t(X) }
+            }
+            B[, 1] = f(A)
+            s = 2 * sum(f(f(A)))
+        "#;
+        let p = compile(src);
+        let calls: Vec<(&str, &[String])> = p
+            .blocks
+            .iter()
+            .filter_map(|b| match b {
+                Block::Call {
+                    function, targets, ..
+                } => Some((function.as_str(), targets.as_slice())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls.len(), 3, "one call block per call: {calls:?}");
+        assert!(calls.iter().all(|(f, t)| *f == "f" && t.len() == 1));
+        assert!(matches!(p.blocks.last(), Some(Block::Basic(_))));
+    }
+
+    #[test]
+    fn print_arguments_are_inputs_of_its_row() {
+        let p = compile(r#"print("a", x, 2)"#);
+        let Block::Basic(bb) = &p.blocks[0] else {
+            panic!()
+        };
+        let print = HopOp::op(runtime::lookup("print").unwrap());
+        let node = bb.dag.nodes().iter().find(|n| n.op == print).unwrap();
+        assert_eq!(node.inputs.len(), 3);
+        assert!(!bb
+            .dag
+            .nodes()
+            .iter()
+            .any(|n| n.op == HopOp::binary(BinaryOp::Add)));
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl Inner {
             let e = self.map.remove(&h).expect("every heap entry is in the map");
             self.bytes -= e.bytes;
             self.stats.evictions += 1;
-            obs_count(|c| &c.lin_evictions);
+            sysds_obs::count(|c| &c.lin_evictions, 1);
             victims.push(h);
         }
         victims
@@ -116,13 +116,6 @@ impl Inner {
 /// Minimum compute time for an intermediate to be admitted; cheap ops are
 /// faster to recompute than to cache (SystemML's cost-based admission).
 const MIN_COMPUTE_NANOS: u128 = 50_000; // 50µs
-
-/// Mirror one cache event into the global observability counters.
-fn obs_count(pick: impl Fn(&sysds_obs::Counters) -> &std::sync::atomic::AtomicU64) {
-    if sysds_obs::stats_enabled() {
-        pick(sysds_obs::counters()).fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-}
 
 impl LineageCache {
     /// Create a cache with the given policy and byte limit.
@@ -153,10 +146,10 @@ impl LineageCache {
         let hit = inner.lookup(lineage);
         if hit.is_some() {
             inner.stats.hits += 1;
-            obs_count(|c| &c.lin_hits);
+            sysds_obs::count(|c| &c.lin_hits, 1);
         } else {
             inner.stats.misses += 1;
-            obs_count(|c| &c.lin_misses);
+            sysds_obs::count(|c| &c.lin_misses, 1);
         }
         hit
     }
@@ -196,7 +189,7 @@ impl LineageCache {
         let bottom = indexing::cbind(&reorg::transpose(&cross, threads), &corner)?;
         let full = indexing::rbind(&top, &bottom)?;
         lock(&self.inner).stats.partial_hits += 1;
-        obs_count(|c| &c.lin_partial_hits);
+        sysds_obs::count(|c| &c.lin_partial_hits, 1);
         Ok(Some(Arc::new(full)))
     }
 
@@ -228,7 +221,7 @@ impl LineageCache {
         let tail = tsmm_k::tmv(&b, y, threads)?;
         let full = indexing::rbind(&tmv_a, &tail)?;
         lock(&self.inner).stats.partial_hits += 1;
-        obs_count(|c| &c.lin_partial_hits);
+        sysds_obs::count(|c| &c.lin_partial_hits, 1);
         Ok(Some(Arc::new(full)))
     }
 

@@ -42,8 +42,10 @@ pub struct MatrixHandle {
 }
 
 impl MatrixHandle {
-    /// A handle outside any pool (never evicted).
-    pub fn unmanaged(m: Matrix) -> MatrixHandle {
+    /// A handle outside any pool (never evicted). A shared matrix is held,
+    /// not copied.
+    pub fn unmanaged(m: impl Into<Arc<Matrix>>) -> MatrixHandle {
+        let m = m.into();
         let bytes = m.in_memory_size();
         let shape = m.shape();
         let sparsity = m.sparsity();
@@ -52,7 +54,7 @@ impl MatrixHandle {
             id,
             state: Arc::new(Mutex::new(HandleState {
                 id,
-                mem: Some(Arc::new(m)),
+                mem: Some(m),
                 disk: None,
                 shape,
                 sparsity,
@@ -102,12 +104,8 @@ impl MatrixHandle {
         let bytes =
             std::fs::read(&path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
         let m = Arc::new(sysds_io::binary::decode_matrix(&bytes)?);
-        if sysds_obs::stats_enabled() {
-            let c = sysds_obs::counters();
-            c.buf_restores.fetch_add(1, Ordering::Relaxed);
-            c.buf_restored_bytes
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        }
+        sysds_obs::count(|c| &c.buf_restores, 1);
+        sysds_obs::count(|c| &c.buf_restored_bytes, bytes.len() as u64);
         st.mem = Some(m.clone());
         Ok(m)
     }
@@ -127,18 +125,10 @@ impl HandleState {
             let encoded = sysds_io::binary::encode_matrix(m);
             std::fs::write(&path, &encoded)
                 .map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-            if sysds_obs::stats_enabled() {
-                sysds_obs::counters()
-                    .buf_spilled_bytes
-                    .fetch_add(encoded.len() as u64, Ordering::Relaxed);
-            }
+            sysds_obs::count(|c| &c.buf_spilled_bytes, encoded.len() as u64);
             self.disk = Some(path);
         }
-        if sysds_obs::stats_enabled() {
-            sysds_obs::counters()
-                .buf_evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        sysds_obs::count(|c| &c.buf_evictions, 1);
         self.mem = None;
         Ok(self.bytes)
     }
@@ -173,7 +163,7 @@ impl BufferPool {
     }
 
     /// Register a new matrix, then enforce the capacity limit.
-    pub fn register(&self, m: Matrix) -> Result<MatrixHandle> {
+    pub fn register(&self, m: impl Into<Arc<Matrix>>) -> Result<MatrixHandle> {
         let handle = MatrixHandle::unmanaged(m);
         lock(&self.entries).push(Arc::downgrade(&handle.state));
         self.enforce_limit()?;

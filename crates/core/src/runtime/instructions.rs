@@ -84,7 +84,8 @@ impl ExecCtx {
     }
 
     /// Wrap a matrix result, registering large ones with the buffer pool.
-    pub fn wrap_matrix(&self, m: Matrix) -> Result<Data> {
+    pub fn wrap_matrix(&self, m: impl Into<Arc<Matrix>>) -> Result<Data> {
+        let m = m.into();
         // Tiny results are not worth pool bookkeeping.
         if m.in_memory_size() >= 1 << 16 {
             Ok(Data::Matrix(self.pool.register(m)?))
@@ -214,8 +215,9 @@ fn execute_op(row: &Operator, param: &Param, inputs: &[&Slot], ctx: &ExecCtx) ->
         None
     };
     if let Some(lin) = lineage.as_ref().filter(|_| row.reuse) {
+        // A hit shares the cached matrix instead of copying it.
         if let Some(hit) = ctx.cache.probe(lin) {
-            let data = ctx.wrap_matrix((*hit).clone())?;
+            let data = ctx.wrap_matrix(hit)?;
             return Ok(Slot { data, lineage });
         }
         // Partial reuse: compensation plans over cbind (paper §3.1). The
@@ -226,7 +228,7 @@ fn execute_op(row: &Operator, param: &Param, inputs: &[&Slot], ctx: &ExecCtx) ->
             let xs = xs.collect::<Result<Vec<_>>>()?;
             if let Some(hit) = probe(&ctx.cache, lin, &xs, ctx.config.num_threads)? {
                 ctx.cache.put(lin, hit.clone(), u128::MAX / 2);
-                let data = ctx.wrap_matrix((*hit).clone())?;
+                let data = ctx.wrap_matrix(hit)?;
                 return Ok(Slot { data, lineage });
             }
         }
@@ -364,45 +366,58 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rand_and_tsmm_with_cache() {
+    /// `X = rand(200, 60, seed=42); tsmm(X)` into slots `base..base + 9`.
+    fn rand_tsmm(base: usize) -> Vec<Instr> {
+        let lit = |v: ScalarValue, out: usize| instr(HopOp::Lit(v), vec![], out);
+        vec![
+            lit(ScalarValue::I64(200), base),
+            lit(ScalarValue::I64(60), base + 1),
+            lit(ScalarValue::F64(0.0), base + 2),
+            lit(ScalarValue::F64(1.0), base + 3),
+            lit(ScalarValue::F64(1.0), base + 4),
+            lit(ScalarValue::I64(42), base + 5),
+            lit(ScalarValue::Str("uniform".into()), base + 6),
+            instr(
+                HopOp::op(lookup("rand").unwrap()),
+                (base..base + 7).collect(),
+                base + 7,
+            ),
+            instr(HopOp::op(TSMM), vec![base + 7], base + 8),
+        ]
+    }
+
+    /// Runs [`rand_tsmm`] twice under reuse: the first run computes, the
+    /// second reuses (same seed, same lineage).
+    fn twice_with_reuse() -> (ExecCtx, Vec<Option<Slot>>) {
         let mut config = EngineConfig::with_reuse();
         config.spill_dir = sysds_common::testing::unique_temp_dir("sysds-instr-tests");
         let c = ExecCtx::new(config).unwrap();
-        let mk = |out_base: usize| {
-            vec![
-                instr(HopOp::Lit(ScalarValue::I64(200)), vec![], out_base),
-                instr(HopOp::Lit(ScalarValue::I64(60)), vec![], out_base + 1),
-                instr(HopOp::Lit(ScalarValue::F64(0.0)), vec![], out_base + 2),
-                instr(HopOp::Lit(ScalarValue::F64(1.0)), vec![], out_base + 3),
-                instr(HopOp::Lit(ScalarValue::F64(1.0)), vec![], out_base + 4),
-                instr(HopOp::Lit(ScalarValue::I64(42)), vec![], out_base + 5),
-                instr(
-                    HopOp::Lit(ScalarValue::Str("uniform".into())),
-                    vec![],
-                    out_base + 6,
-                ),
-                instr(
-                    HopOp::op(lookup("rand").unwrap()),
-                    (out_base..out_base + 7).collect(),
-                    out_base + 7,
-                ),
-                instr(HopOp::op(TSMM), vec![out_base + 7], out_base + 8),
-            ]
-        };
-        // First run computes, second reuses (same seed → same lineage).
         let mut slots: Vec<Option<Slot>> = vec![None; 18];
         let symbols = SymbolTable::new();
-        for i in mk(0) {
+        for i in rand_tsmm(0).into_iter().chain(rand_tsmm(9)) {
             execute(&i, &mut slots, &symbols, &c).unwrap();
         }
-        for i in mk(9) {
-            execute(&i, &mut slots, &symbols, &c).unwrap();
-        }
+        (c, slots)
+    }
+
+    #[test]
+    fn rand_and_tsmm_with_cache() {
+        let (c, slots) = twice_with_reuse();
         let a = slots[8].as_ref().unwrap().data.as_matrix().unwrap();
         let b = slots[17].as_ref().unwrap().data.as_matrix().unwrap();
         assert!(a.approx_eq(&b, 0.0));
         assert!(c.cache.stats().hits >= 1, "stats: {:?}", c.cache.stats());
+    }
+
+    #[test]
+    fn cache_hits_share_the_cached_matrix() {
+        let (c, slots) = twice_with_reuse();
+        let hit = slots[17].as_ref().unwrap();
+        let cached = c.cache.probe(hit.lineage.as_ref().unwrap()).unwrap();
+        let out = hit.data.as_matrix().unwrap();
+        assert!(Arc::ptr_eq(&out, &cached), "the hit must not copy");
+        let computed = slots[8].as_ref().unwrap().data.as_matrix().unwrap();
+        assert_eq!(out.to_vec(), computed.to_vec(), "bitwise equal");
     }
 
     #[test]

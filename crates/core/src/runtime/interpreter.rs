@@ -13,7 +13,6 @@ use crate::compiler::{bind_params, BasicBlock, Block, CompiledFunction, Compiled
 use crate::runtime::instructions::{execute, ExecCtx, Slot};
 use crate::runtime::value::{Data, SymbolTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use sysds_common::error::panic_message;
 use sysds_common::{par, Result, ScalarValue, SysDsError};
@@ -232,14 +231,10 @@ impl Interpreter {
                     local.set(var.to_string(), iter_value(v), None);
                     self.exec_blocks(body, &mut local)?;
                 }
-                if sysds_obs::stats_enabled() {
-                    let c = sysds_obs::counters();
-                    c.parfor_workers.fetch_add(1, Ordering::Relaxed);
-                    c.parfor_iters
-                        .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    c.parfor_worker_nanos
-                        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
+                let nanos = start.elapsed().as_nanos() as u64;
+                sysds_obs::count(|c| &c.parfor_workers, 1);
+                sysds_obs::count(|c| &c.parfor_iters, chunk.len() as u64);
+                sysds_obs::count(|c| &c.parfor_worker_nanos, nanos);
                 Ok(local)
             }))
             .unwrap_or_else(|p| {

@@ -24,7 +24,7 @@ pub enum Data {
 
 impl Data {
     /// Wrap a matrix without buffer-pool registration (small/temporary).
-    pub fn from_matrix(m: Matrix) -> Data {
+    pub fn from_matrix(m: impl Into<Arc<Matrix>>) -> Data {
         Data::Matrix(crate::runtime::bufferpool::MatrixHandle::unmanaged(m))
     }
 

@@ -13,7 +13,6 @@
 //! same way.
 
 use crate::worker::{FedRequest, FedResponse};
-use std::sync::atomic::Ordering;
 use sysds_common::{Result, SysDsError};
 
 /// One federated site, as seen by the master.
@@ -39,12 +38,8 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
             Ok(FedResponse::Error(msg)) => Err(SysDsError::Federated(msg)),
             other => other,
         };
-        if sysds_obs::stats_enabled() {
-            let c = sysds_obs::counters();
-            c.fed_requests.fetch_add(1, Ordering::Relaxed);
-            c.fed_request_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+        sysds_obs::count(|c| &c.fed_requests, 1);
+        sysds_obs::count(|c| &c.fed_request_nanos, start.elapsed().as_nanos() as u64);
         out
     }
 

@@ -3,12 +3,13 @@
 //! SystemDS stores dimensions, sparsity, and format next to each persisted
 //! dataset so the compiler can propagate sizes without reading the data
 //! (paper §2.3: size propagation needs dims and sparsity up front). We write
-//! a minimal JSON object with a hand-rolled serializer/parser (flat schema,
-//! no nesting — no serde needed).
+//! a minimal JSON object by hand and read it with the workspace's JSON
+//! reader ([`sysds_common::json`]).
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use sysds_common::json::{self, Value};
 use sysds_common::{Result, SysDsError};
 
 /// Dataset metadata persisted beside the data file.
@@ -56,50 +57,44 @@ impl Metadata {
         if let Some(nnz) = self.nnz {
             write!(s, ", \"nnz\": {nnz}").unwrap();
         }
-        write!(
-            s,
-            ", \"format\": \"{}\", \"header\": {}",
-            self.format, self.header
-        )
-        .unwrap();
-        s.push('}');
+        s.push_str(", \"format\": \"");
+        json::escape_into(&mut s, &self.format);
+        write!(s, "\", \"header\": {}}}", self.header).unwrap();
         s
     }
 
-    /// Parse the JSON produced by [`Metadata::to_json`] (tolerant of key
-    /// order and whitespace; flat string/number/bool values only).
+    /// Parse a JSON object with at least `rows` and `cols`; unknown keys
+    /// are ignored.
     pub fn from_json(text: &str) -> Result<Metadata> {
-        let inner = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| SysDsError::Format("mtd: expected a JSON object".into()))?;
-        let mut rows = None;
-        let mut cols = None;
-        let mut nnz = None;
-        let mut format = None;
-        let mut header = false;
-        for pair in split_top_level(inner) {
-            let (k, v) = pair
-                .split_once(':')
-                .ok_or_else(|| SysDsError::Format(format!("mtd: malformed pair '{pair}'")))?;
-            let key = k.trim().trim_matches('"');
-            let value = v.trim();
-            match key {
-                "rows" => rows = Some(parse_usize(value)?),
-                "cols" => cols = Some(parse_usize(value)?),
-                "nnz" => nnz = Some(parse_usize(value)?),
-                "format" => format = Some(value.trim_matches('"').to_string()),
-                "header" => header = value == "true",
-                _ => {} // forward compatible: ignore unknown keys
-            }
-        }
+        let malformed = |what: &str| SysDsError::Format(format!("mtd: {what}"));
+        let obj = json::parse(text)
+            .filter(|v| matches!(v, Value::Object(_)))
+            .ok_or_else(|| malformed("expected a JSON object"))?;
+        let size = |key: &str| -> Result<Option<usize>> {
+            obj.field(key)
+                .map(|v| {
+                    v.as_u64()
+                        .map(|n| n as usize)
+                        .ok_or_else(|| malformed(&format!("expected integer {key}, got {v:?}")))
+                })
+                .transpose()
+        };
+        let format = match obj.field("format") {
+            None => "csv".to_string(),
+            Some(v) => v
+                .as_str()
+                .ok_or_else(|| malformed("format must be a string"))?
+                .to_string(),
+        };
         Ok(Metadata {
-            rows: rows.ok_or_else(|| SysDsError::Format("mtd: missing rows".into()))?,
-            cols: cols.ok_or_else(|| SysDsError::Format("mtd: missing cols".into()))?,
-            nnz,
-            format: format.unwrap_or_else(|| "csv".into()),
-            header,
+            rows: size("rows")?.ok_or_else(|| malformed("missing rows"))?,
+            cols: size("cols")?.ok_or_else(|| malformed("missing cols"))?,
+            nnz: size("nnz")?,
+            format,
+            header: obj
+                .field("header")
+                .and_then(Value::as_bool)
+                .unwrap_or(false),
         })
     }
 
@@ -118,32 +113,6 @@ impl Metadata {
             Err(e) => Err(SysDsError::io(p.display().to_string(), e)),
         }
     }
-}
-
-fn parse_usize(v: &str) -> Result<usize> {
-    v.parse()
-        .map_err(|_| SysDsError::Format(format!("mtd: expected integer, got '{v}'")))
-}
-
-/// Split `a: 1, b: "x,y"` at top-level commas (commas inside quotes kept).
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth_quote = false;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => depth_quote = !depth_quote,
-            ',' if !depth_quote => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < s.len() {
-        out.push(&s[start..]);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -183,6 +152,15 @@ mod tests {
         assert!(Metadata::from_json("not json").is_err());
         assert!(Metadata::from_json(r#"{"rows": 2}"#).is_err());
         assert!(Metadata::from_json(r#"{"rows": "x", "cols": 1}"#).is_err());
+    }
+
+    #[test]
+    fn escaped_quotes_keep_the_next_key() {
+        let text = r#"{"rows": 2, "cols": 3, "note": "x\", y", "format": "binary"}"#;
+        let m = Metadata::from_json(text).unwrap();
+        assert_eq!(m.format, "binary");
+        let odd = Metadata::matrix(1, 1, 1, "a\"b\\c");
+        assert_eq!(Metadata::from_json(&odd.to_json()).unwrap(), odd);
     }
 
     #[test]

@@ -83,6 +83,8 @@ fn tcp_lm_is_bitwise_identical_to_in_process() {
 
 #[test]
 fn dropped_first_response_completes_via_retry() {
+    // Per-site network statistics are recorded only while stats are on.
+    sysds_obs::enable_stats();
     let (x, y) = gen::synthetic_regression(60, 4, 1.0, 0.1, 100);
     // Site 0 executes its first post-connect request (the Put from
     // scatter) but never answers it: the client must retry, and the
@@ -137,6 +139,8 @@ fn truncated_response_completes_via_retry() {
 
 #[test]
 fn delayed_response_times_out_then_retries() {
+    // Per-site network statistics are recorded only while stats are on.
+    sysds_obs::enable_stats();
     let (x, y) = gen::synthetic_regression(40, 3, 1.0, 0.1, 102);
     // The delayed response overruns the 100ms per-attempt deadline; the
     // retry (sequence 2, no fault) succeeds.
@@ -179,6 +183,8 @@ fn dead_site_degrades_to_site_lost() {
 
 #[test]
 fn site_error_is_a_reply_not_a_retry_storm() {
+    // Per-site network statistics are recorded only while stats are on.
+    sysds_obs::enable_stats();
     // A request that fails *at the site* (missing variable) must come back
     // as one FedResponse::Error reply — a federated error, not a transport
     // failure, and without burning the retry budget.

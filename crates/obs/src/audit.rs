@@ -6,12 +6,10 @@
 //! module keeps a per-opcode table of how those estimates compared to the
 //! observed outputs (residual = actual bytes / estimated bytes), plus a
 //! per-trigger attribution of every dynamic recompile. Like the registry,
-//! cells are lock-light: a `RwLock<HashMap>` is read-locked on the common
-//! path and all mutation inside a cell is relaxed atomics.
+//! the table is a keyed-cell table of all-atomic cells.
 
-use std::collections::HashMap;
+use crate::{Obs, OBS};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// Residuals are accumulated as fixed-point milli-units (ratio × 1000) so
 /// cells stay plain `AtomicU64`s. Capped to keep sums from overflowing.
@@ -31,7 +29,7 @@ pub struct EstimateInfo {
 }
 
 #[derive(Debug, Default)]
-struct AuditCell {
+pub(crate) struct AuditCell {
     /// Matrix outputs observed for this opcode.
     count: AtomicU64,
     /// Outputs whose compile-time estimate was unknown (no dims).
@@ -101,45 +99,31 @@ impl AuditRow {
     }
 }
 
-fn table() -> &'static RwLock<HashMap<String, Arc<AuditCell>>> {
-    static TABLE: OnceLock<RwLock<HashMap<String, Arc<AuditCell>>>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Record one instruction's actual matrix output against its compile-time
-/// estimate.
-pub fn record(
-    opcode: &str,
-    est: &EstimateInfo,
-    actual_rows: u64,
-    actual_cols: u64,
-    actual_bytes: u64,
-) {
-    let shard = table();
-    {
-        let map = shard.read().expect("obs audit poisoned");
-        if let Some(cell) = map.get(opcode) {
-            cell.record(est, actual_rows, actual_cols, actual_bytes);
-            return;
-        }
+impl Obs {
+    /// Record one instruction's actual matrix output against its
+    /// compile-time estimate. The caller checks that statistics are on.
+    pub fn record_estimate(
+        &self,
+        opcode: &str,
+        est: &EstimateInfo,
+        actual_rows: u64,
+        actual_cols: u64,
+        actual_bytes: u64,
+    ) {
+        self.audit.with(opcode, |cell| {
+            cell.record(est, actual_rows, actual_cols, actual_bytes)
+        });
     }
-    let mut map = shard.write().expect("obs audit poisoned");
-    map.entry(opcode.to_string())
-        .or_insert_with(|| Arc::new(AuditCell::default()))
-        .record(est, actual_rows, actual_cols, actual_bytes);
-}
 
-/// Snapshot every audit cell, unsorted.
-pub fn snapshot() -> Vec<AuditRow> {
-    let map = table().read().expect("obs audit poisoned");
-    map.iter()
-        .map(|(opcode, cell)| {
+    /// Snapshot every audit cell, unsorted.
+    pub fn audit_rows(&self) -> Vec<AuditRow> {
+        self.audit.rows(|opcode, cell| {
             let count = cell.count.load(Ordering::Relaxed);
             let unknown_est = cell.unknown_est.load(Ordering::Relaxed);
             let with_est = count.saturating_sub(unknown_est);
             let sum_milli = cell.resid_milli_sum.load(Ordering::Relaxed);
             AuditRow {
-                opcode: opcode.clone(),
+                opcode: opcode.to_string(),
                 count,
                 unknown_est,
                 dim_mismatches: cell.dim_mismatches.load(Ordering::Relaxed),
@@ -153,22 +137,61 @@ pub fn snapshot() -> Vec<AuditRow> {
                 max_residual: cell.resid_milli_max.load(Ordering::Relaxed) as f64 / RESID_SCALE,
             }
         })
-        .collect()
+    }
+
+    /// The `k` opcodes whose estimates were furthest from reality, worst
+    /// first (residual distance from 1.0 in log space; ties by opcode).
+    pub fn worst_offenders(&self, k: usize) -> Vec<AuditRow> {
+        let mut rows = self.audit_rows();
+        rows.sort_by(|a, b| {
+            b.badness()
+                .partial_cmp(&a.badness())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| b.unknown_est.cmp(&a.unknown_est))
+                .then_with(|| a.opcode.cmp(&b.opcode))
+        });
+        rows.truncate(k);
+        rows
+    }
+
+    /// Count one dynamic recompile and attribute it to its trigger, when
+    /// statistics are on.
+    pub fn record_recompile(&self, trigger: RecompileTrigger) {
+        if self.stats_enabled() {
+            self.counters.recompiles.add(1);
+            self.triggers[trigger as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Read the recompile-trigger counters.
+    pub fn recompile_triggers(&self) -> RecompileTriggers {
+        let [unknown_dims, dims_change, sparsity_drift] =
+            self.triggers.each_ref().map(|t| t.load(Ordering::Relaxed));
+        RecompileTriggers {
+            unknown_dims,
+            dims_change,
+            sparsity_drift,
+        }
+    }
 }
 
-/// The `k` opcodes whose estimates were furthest from reality, worst
-/// first (residual distance from 1.0 in log space; ties by opcode).
+/// Record one instruction's actual matrix output against its compile-time
+/// estimate in the process audit. The caller checks that statistics are
+/// on.
+pub fn record(
+    opcode: &str,
+    est: &EstimateInfo,
+    actual_rows: u64,
+    actual_cols: u64,
+    actual_bytes: u64,
+) {
+    OBS.record_estimate(opcode, est, actual_rows, actual_cols, actual_bytes);
+}
+
+/// The `k` opcodes of the process audit whose estimates were furthest from
+/// reality, worst first.
 pub fn worst_offenders(k: usize) -> Vec<AuditRow> {
-    let mut rows = snapshot();
-    rows.sort_by(|a, b| {
-        b.badness()
-            .partial_cmp(&a.badness())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.unknown_est.cmp(&a.unknown_est))
-            .then_with(|| a.opcode.cmp(&b.opcode))
-    });
-    rows.truncate(k);
-    rows
+    OBS.worst_offenders(k)
 }
 
 /// Render audit rows as an aligned table for the `--stats` report.
@@ -202,7 +225,8 @@ pub fn render_audit_table(rows: &[AuditRow]) -> String {
 }
 
 /// Why a block plan was re-lowered (paper §2.3 (3): dynamic recompilation
-/// "to mitigate initial unknowns").
+/// "to mitigate initial unknowns"). The discriminant indexes the trigger
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecompileTrigger {
     /// The cached plan was lowered with unknown dims somewhere in the DAG.
@@ -213,19 +237,10 @@ pub enum RecompileTrigger {
     SparsityDrift,
 }
 
-static TRIGGER_COUNTS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-
-fn trigger_index(t: RecompileTrigger) -> usize {
-    match t {
-        RecompileTrigger::UnknownDims => 0,
-        RecompileTrigger::DimsChange => 1,
-        RecompileTrigger::SparsityDrift => 2,
-    }
-}
-
-/// Attribute one dynamic recompile to its trigger.
+/// Count one dynamic recompile of the process and attribute it to its
+/// trigger, when statistics are on.
 pub fn record_recompile(trigger: RecompileTrigger) {
-    TRIGGER_COUNTS[trigger_index(trigger)].fetch_add(1, Ordering::Relaxed);
+    OBS.record_recompile(trigger);
 }
 
 /// Plain-integer snapshot of the recompile-trigger attribution.
@@ -251,39 +266,32 @@ impl RecompileTriggers {
     }
 }
 
-/// Read the recompile-trigger counters.
+/// Read the process's recompile-trigger counters.
 pub fn recompile_triggers() -> RecompileTriggers {
-    RecompileTriggers {
-        unknown_dims: TRIGGER_COUNTS[0].load(Ordering::Relaxed),
-        dims_change: TRIGGER_COUNTS[1].load(Ordering::Relaxed),
-        sparsity_drift: TRIGGER_COUNTS[2].load(Ordering::Relaxed),
-    }
-}
-
-/// Clear the audit table and trigger counters.
-pub fn reset() {
-    table().write().expect("obs audit poisoned").clear();
-    for c in &TRIGGER_COUNTS {
-        c.store(0, Ordering::Relaxed);
-    }
+    OBS.recompile_triggers()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn est(rows: u64, cols: u64, bytes: u64) -> EstimateInfo {
+        EstimateInfo {
+            rows: Some(rows),
+            cols: Some(cols),
+            bytes: Some(bytes),
+        }
+    }
+
     #[test]
     fn residuals_accumulate_per_opcode() {
-        let est = EstimateInfo {
-            rows: Some(10),
-            cols: Some(10),
-            bytes: Some(800),
-        };
+        let obs = Obs::new();
         // Perfect estimate, then a 2x overshoot by the runtime.
-        record("audit-test-a", &est, 10, 10, 800);
-        record("audit-test-a", &est, 20, 10, 1600);
-        let rows = snapshot();
-        let r = rows.iter().find(|r| r.opcode == "audit-test-a").unwrap();
+        obs.record_estimate("a", &est(10, 10, 800), 10, 10, 800);
+        obs.record_estimate("a", &est(10, 10, 800), 20, 10, 1600);
+        let rows = obs.audit_rows();
+        let r = &rows[0];
+        assert_eq!((rows.len(), r.opcode.as_str()), (1, "a"));
         assert_eq!(r.count, 2);
         assert_eq!(r.unknown_est, 0);
         assert_eq!(r.dim_mismatches, 1, "second output had 20 rows, not 10");
@@ -295,12 +303,9 @@ mod tests {
 
     #[test]
     fn unknown_estimates_counted_separately() {
-        record("audit-test-unknown", &EstimateInfo::default(), 5, 5, 200);
-        let rows = snapshot();
-        let r = rows
-            .iter()
-            .find(|r| r.opcode == "audit-test-unknown")
-            .unwrap();
+        let obs = Obs::new();
+        obs.record_estimate("unknown", &EstimateInfo::default(), 5, 5, 200);
+        let r = &obs.audit_rows()[0];
         assert_eq!(r.count, 1);
         assert_eq!(r.unknown_est, 1);
         assert_eq!(r.est_bytes, 0, "no estimate, nothing accumulated");
@@ -309,44 +314,37 @@ mod tests {
 
     #[test]
     fn worst_offenders_rank_by_residual_distance() {
-        let est = EstimateInfo {
-            rows: Some(1),
-            cols: Some(1),
-            bytes: Some(1000),
-        };
-        record("audit-rank-good", &est, 1, 1, 1000); // residual 1.0
-        record("audit-rank-bad", &est, 1, 1, 8000); // residual 8.0
-        record("audit-rank-under", &est, 1, 1, 100); // residual 0.1
-        let rows = worst_offenders(100);
-        let pos = |name: &str| rows.iter().position(|r| r.opcode == name).unwrap();
-        assert!(pos("audit-rank-under") < pos("audit-rank-good"));
-        assert!(pos("audit-rank-bad") < pos("audit-rank-good"));
+        let obs = Obs::new();
+        obs.record_estimate("good", &est(1, 1, 1000), 1, 1, 1000); // residual 1.0
+        obs.record_estimate("bad", &est(1, 1, 1000), 1, 1, 8000); // residual 8.0
+        obs.record_estimate("under", &est(1, 1, 1000), 1, 1, 100); // residual 0.1
+        let order: Vec<String> = obs
+            .worst_offenders(100)
+            .into_iter()
+            .map(|r| r.opcode)
+            .collect();
+        assert_eq!(order, ["under", "bad", "good"]);
     }
 
     #[test]
     fn recompile_triggers_count_and_render() {
-        record_recompile(RecompileTrigger::UnknownDims);
-        record_recompile(RecompileTrigger::DimsChange);
-        let t = recompile_triggers();
-        assert!(t.unknown_dims >= 1);
-        assert!(t.dims_change >= 1);
-        assert!(t.total() >= 2);
+        let obs = Obs::new();
+        obs.record_recompile(RecompileTrigger::UnknownDims);
+        assert_eq!(obs.recompile_triggers().total(), 0, "stats are off");
+        obs.enable_stats();
+        obs.record_recompile(RecompileTrigger::UnknownDims);
+        obs.record_recompile(RecompileTrigger::DimsChange);
+        let t = obs.recompile_triggers();
+        assert_eq!((t.unknown_dims, t.dims_change, t.sparsity_drift), (1, 1, 0));
+        assert_eq!(obs.counters().snapshot().recompiles, 2);
         assert!(t.render().contains("unknown dims"));
     }
 
     #[test]
     fn audit_table_renders_rows() {
-        let est = EstimateInfo {
-            rows: Some(2),
-            cols: Some(2),
-            bytes: Some(32),
-        };
-        record("audit-render", &est, 2, 2, 32);
-        let rows: Vec<AuditRow> = snapshot()
-            .into_iter()
-            .filter(|r| r.opcode == "audit-render")
-            .collect();
-        let text = render_audit_table(&rows);
+        let obs = Obs::new();
+        obs.record_estimate("audit-render", &est(2, 2, 32), 2, 2, 32);
+        let text = render_audit_table(&obs.audit_rows());
         assert!(text.contains("Opcode"));
         assert!(text.contains("audit-render"));
         assert!(text.contains("MaxResid"));

@@ -12,12 +12,13 @@
 //!   a span carrying worker id `w` is assigned `tid = 100 + w`, and a
 //!   `thread_name` metadata event labels the row `worker-w`.
 //!
-//! Like the rest of this crate, both the writer and the test-facing
-//! [`parse_events`] reader are hand-rolled — no serde.
+//! The writer is hand-rolled, and the test-facing [`parse_events`] reader
+//! uses the workspace's one JSON reader ([`sysds_common::json`]).
 
 use crate::trace::TraceRecord;
 use std::collections::BTreeSet;
 use std::path::Path;
+use sysds_common::json::{escape_into, parse, Value};
 
 /// Timeline rows for workers start here so they never collide with plain
 /// thread ids.
@@ -33,15 +34,11 @@ fn tid_of(rec: &TraceRecord) -> u64 {
     }
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    crate::trace::escape_into(out, s);
-}
-
 fn push_duration_event(out: &mut String, rec: &TraceRecord) {
     out.push_str("{\"name\":\"");
-    push_escaped(out, &rec.op);
+    escape_into(out, &rec.op);
     out.push_str("\",\"cat\":\"");
-    push_escaped(out, &rec.phase);
+    escape_into(out, &rec.phase);
     out.push_str("\",\"ph\":\"X\",\"ts\":");
     out.push_str(&format!("{:.3}", rec.start_ns as f64 / 1000.0));
     out.push_str(",\"dur\":");
@@ -51,9 +48,9 @@ fn push_duration_event(out: &mut String, rec: &TraceRecord) {
 
 fn push_instant_event(out: &mut String, rec: &TraceRecord) {
     out.push_str("{\"name\":\"");
-    push_escaped(out, &rec.op);
+    escape_into(out, &rec.op);
     out.push_str("\",\"cat\":\"");
-    push_escaped(out, &rec.phase);
+    escape_into(out, &rec.phase);
     out.push_str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
     out.push_str(&format!("{:.3}", rec.start_ns as f64 / 1000.0));
     out.push_str(&format!(
@@ -66,7 +63,7 @@ fn push_thread_name(out: &mut String, tid: u64, name: &str) {
     out.push_str("{\"name\":\"thread_name\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0,");
     out.push_str(&format!("\"pid\":{TRACE_PID},\"tid\":{tid},"));
     out.push_str("\"args\":{\"name\":\"");
-    push_escaped(out, name);
+    escape_into(out, name);
     out.push_str("\"}}");
 }
 
@@ -155,7 +152,7 @@ pub struct ChromeEvent {
 /// [`to_chrome_trace`]. Returns `None` on malformed input or events
 /// missing required fields.
 pub fn parse_events(s: &str) -> Option<Vec<ChromeEvent>> {
-    let Value::Array(items) = parse_json(s)? else {
+    let Value::Array(items) = parse(s)? else {
         return None;
     };
     let mut out = Vec::with_capacity(items.len());
@@ -180,180 +177,6 @@ pub fn parse_events(s: &str) -> Option<Vec<ChromeEvent>> {
         });
     }
     Some(out)
-}
-
-/// A parsed JSON value. A number keeps its text, so a reader can take it
-/// as an exact `u64` or as an `f64`.
-pub(crate) enum Value {
-    Str(String),
-    Num(String),
-    Object(Vec<(String, Value)>),
-    Array(Vec<Value>),
-    Null,
-}
-
-impl Value {
-    /// The first field named `key`, if this is an object.
-    pub(crate) fn field(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(fields) => fields.iter().find(|(n, _)| n == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document: a value with nothing but whitespace after it.
-/// The one JSON reader of this crate (trace lines and Chrome traces).
-pub(crate) fn parse_json(s: &str) -> Option<Value> {
-    let mut p = Parser {
-        chars: s.chars().peekable(),
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    p.chars.next().is_none().then_some(value)
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(c) if c.is_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        self.skip_ws();
-        match *self.chars.peek()? {
-            '{' => self.object(),
-            '[' => self.array(),
-            '"' => {
-                self.chars.next();
-                Some(Value::Str(self.string_body()?))
-            }
-            'n' => {
-                for expect in ['n', 'u', 'l', 'l'] {
-                    if self.chars.next()? != expect {
-                        return None;
-                    }
-                }
-                Some(Value::Null)
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let mut num = String::new();
-                while let Some(&c) = self.chars.peek() {
-                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                        num.push(c);
-                        self.chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                // Validate the token; readers reparse it as u64 or f64.
-                num.parse::<f64>().ok()?;
-                Some(Value::Num(num))
-            }
-            _ => None,
-        }
-    }
-
-    /// A string body after the opening quote, consuming the closing quote.
-    fn string_body(&mut self) -> Option<String> {
-        let mut out = String::new();
-        loop {
-            match self.chars.next()? {
-                '"' => return Some(out),
-                '\\' => match self.chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    '/' => out.push('/'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + self.chars.next()?.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Option<Value> {
-        self.chars.next(); // consume '{'
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.chars.peek() == Some(&'}') {
-            self.chars.next();
-            return Some(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.chars.next()? != '"' {
-                return None;
-            }
-            let key = self.string_body()?;
-            self.skip_ws();
-            if self.chars.next()? != ':' {
-                return None;
-            }
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.chars.next()? {
-                ',' => continue,
-                '}' => return Some(Value::Object(fields)),
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Value> {
-        self.chars.next(); // consume '['
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.chars.peek() == Some(&']') {
-            self.chars.next();
-            return Some(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.chars.next()? {
-                ',' => continue,
-                ']' => return Some(Value::Array(items)),
-                _ => return None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]

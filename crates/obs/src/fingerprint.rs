@@ -4,27 +4,11 @@
 //! cheap, deterministic identity for "the plan this run executed": two runs
 //! whose explained plans render identically must fingerprint identically,
 //! across processes and across machines. We hash the rendered plan text
-//! with the same FxHash mixing function the engine uses for lineage keys
-//! (re-implemented here so `sysds-obs` stays dependency-free).
+//! with the FxHash function the engine uses for lineage keys.
 
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// FxHash-style fingerprint of an arbitrary byte string.
+/// FxHash fingerprint of a plan's text ([`sysds_common::hash::hash_str`]).
 pub fn fingerprint64(text: &str) -> u64 {
-    let mut hash = 0u64;
-    let bytes = text.as_bytes();
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(c.try_into().unwrap())).wrapping_mul(SEED);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        hash =
-            (hash.rotate_left(5) ^ (u64::from_le_bytes(buf) ^ rem.len() as u64)).wrapping_mul(SEED);
-    }
-    hash
+    sysds_common::hash::hash_str(text)
 }
 
 /// Render a fingerprint the way reports print it (16 hex digits).
@@ -49,6 +33,19 @@ mod tests {
         // tails must differ.
         assert_ne!(fingerprint64("12345678a"), fingerprint64("12345678b"));
         assert_ne!(fingerprint64("12345678"), fingerprint64("12345678\0"));
+    }
+
+    #[test]
+    fn fingerprints_keep_their_values() {
+        // Values of the fingerprints reports have always printed; a change
+        // here breaks every stored plan fingerprint.
+        let plan = "PROGRAM\n--MAIN PROGRAM\n----GENERIC (lines 1-2)\n";
+        assert_eq!(render_fingerprint(fingerprint64(plan)), "b45f3c422faa53b3");
+        assert_eq!(
+            render_fingerprint(fingerprint64("plan")),
+            "a7777ff22058a784"
+        );
+        assert_eq!(fingerprint64(""), 0);
     }
 
     #[test]

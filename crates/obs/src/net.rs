@@ -2,17 +2,17 @@
 //!
 //! Every networked site the master talks to gets one all-atomic cell keyed
 //! by its endpoint string (`tcp://host:port`). Transports record each
-//! request's byte counts, latency, retries, and timeouts here; the
-//! `--stats` report renders one row per site plus workspace-wide totals
-//! from the `net_*` counters in [`crate::registry::Counters`].
+//! request's byte counts, latency, retries, and timeouts here while
+//! statistics are on; the `--stats` report renders one row per site plus
+//! workspace-wide totals from the `net_*` counters in
+//! [`crate::registry::Counters`].
 
-use std::collections::HashMap;
+use crate::{Obs, OBS};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// One endpoint's all-atomic statistics cell.
 #[derive(Debug, Default)]
-struct SiteCell {
+pub(crate) struct SiteCell {
     requests: AtomicU64,
     retries: AtomicU64,
     timeouts: AtomicU64,
@@ -48,74 +48,62 @@ impl SiteStats {
     }
 }
 
-fn sites() -> &'static RwLock<HashMap<String, Arc<SiteCell>>> {
-    static SITES: OnceLock<RwLock<HashMap<String, Arc<SiteCell>>>> = OnceLock::new();
-    SITES.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-fn cell(endpoint: &str) -> Arc<SiteCell> {
-    {
-        let map = sites().read().expect("net registry poisoned");
-        if let Some(c) = map.get(endpoint) {
-            return Arc::clone(c);
+impl Obs {
+    /// Record one completed request round trip against `endpoint`, when
+    /// statistics are on. `retries` counts the attempts beyond the first;
+    /// `timeouts` the attempts that hit the deadline along the way.
+    pub fn record_request(
+        &self,
+        endpoint: &str,
+        bytes_sent: u64,
+        bytes_recv: u64,
+        nanos: u64,
+        retries: u64,
+        timeouts: u64,
+    ) {
+        if !self.stats_enabled() {
+            return;
         }
+        self.sites.with(endpoint, |c| {
+            c.requests.fetch_add(1, Ordering::Relaxed);
+            c.retries.fetch_add(retries, Ordering::Relaxed);
+            c.timeouts.fetch_add(timeouts, Ordering::Relaxed);
+            c.bytes_sent.fetch_add(bytes_sent, Ordering::Relaxed);
+            c.bytes_recv.fetch_add(bytes_recv, Ordering::Relaxed);
+            c.total_nanos.fetch_add(nanos, Ordering::Relaxed);
+            c.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        });
+        let g = &self.counters;
+        g.net_requests.add(1);
+        g.net_retries.add(retries);
+        g.net_timeouts.add(timeouts);
+        g.net_bytes_sent.add(bytes_sent);
+        g.net_bytes_recv.add(bytes_recv);
+        g.net_request_nanos.add(nanos);
     }
-    let mut map = sites().write().expect("net registry poisoned");
-    Arc::clone(
-        map.entry(endpoint.to_string())
-            .or_insert_with(|| Arc::new(SiteCell::default())),
-    )
-}
 
-/// Record one completed request round trip against `endpoint`.
-/// `retries` counts the attempts beyond the first; `timeouts` the attempts
-/// that hit the deadline along the way.
-pub fn record_request(
-    endpoint: &str,
-    bytes_sent: u64,
-    bytes_recv: u64,
-    nanos: u64,
-    retries: u64,
-    timeouts: u64,
-) {
-    let c = cell(endpoint);
-    c.requests.fetch_add(1, Ordering::Relaxed);
-    c.retries.fetch_add(retries, Ordering::Relaxed);
-    c.timeouts.fetch_add(timeouts, Ordering::Relaxed);
-    c.bytes_sent.fetch_add(bytes_sent, Ordering::Relaxed);
-    c.bytes_recv.fetch_add(bytes_recv, Ordering::Relaxed);
-    c.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-    c.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-    let g = crate::registry::counters();
-    g.net_requests.fetch_add(1, Ordering::Relaxed);
-    g.net_retries.fetch_add(retries, Ordering::Relaxed);
-    g.net_timeouts.fetch_add(timeouts, Ordering::Relaxed);
-    g.net_bytes_sent.fetch_add(bytes_sent, Ordering::Relaxed);
-    g.net_bytes_recv.fetch_add(bytes_recv, Ordering::Relaxed);
-    g.net_request_nanos.fetch_add(nanos, Ordering::Relaxed);
-}
+    /// Record a request that exhausted its retry budget against `endpoint`
+    /// (the site is reported lost to the caller), when statistics are on.
+    pub fn record_failure(&self, endpoint: &str, retries: u64, timeouts: u64) {
+        if !self.stats_enabled() {
+            return;
+        }
+        self.sites.with(endpoint, |c| {
+            c.failures.fetch_add(1, Ordering::Relaxed);
+            c.retries.fetch_add(retries, Ordering::Relaxed);
+            c.timeouts.fetch_add(timeouts, Ordering::Relaxed);
+        });
+        let g = &self.counters;
+        g.net_failures.add(1);
+        g.net_retries.add(retries);
+        g.net_timeouts.add(timeouts);
+    }
 
-/// Record a request that exhausted its retry budget against `endpoint`
-/// (the site is reported lost to the caller).
-pub fn record_failure(endpoint: &str, retries: u64, timeouts: u64) {
-    let c = cell(endpoint);
-    c.failures.fetch_add(1, Ordering::Relaxed);
-    c.retries.fetch_add(retries, Ordering::Relaxed);
-    c.timeouts.fetch_add(timeouts, Ordering::Relaxed);
-    let g = crate::registry::counters();
-    g.net_failures.fetch_add(1, Ordering::Relaxed);
-    g.net_retries.fetch_add(retries, Ordering::Relaxed);
-    g.net_timeouts.fetch_add(timeouts, Ordering::Relaxed);
-}
-
-/// Snapshot every endpoint's statistics, sorted by endpoint for
-/// deterministic reports.
-pub fn site_stats() -> Vec<SiteStats> {
-    let map = sites().read().expect("net registry poisoned");
-    let mut rows: Vec<SiteStats> = map
-        .iter()
-        .map(|(endpoint, c)| SiteStats {
-            endpoint: endpoint.clone(),
+    /// Snapshot every endpoint's statistics, sorted by endpoint for
+    /// deterministic reports.
+    pub fn site_stats(&self) -> Vec<SiteStats> {
+        let mut rows = self.sites.rows(|endpoint, c| SiteStats {
+            endpoint: endpoint.to_string(),
             requests: c.requests.load(Ordering::Relaxed),
             retries: c.retries.load(Ordering::Relaxed),
             timeouts: c.timeouts.load(Ordering::Relaxed),
@@ -124,28 +112,56 @@ pub fn site_stats() -> Vec<SiteStats> {
             bytes_recv: c.bytes_recv.load(Ordering::Relaxed),
             total_nanos: c.total_nanos.load(Ordering::Relaxed),
             max_nanos: c.max_nanos.load(Ordering::Relaxed),
-        })
-        .collect();
-    rows.sort_by(|a, b| a.endpoint.cmp(&b.endpoint));
-    rows
+        });
+        rows.sort_by(|a, b| a.endpoint.cmp(&b.endpoint));
+        rows
+    }
 }
 
-/// Drop every endpoint cell (called from [`crate::reset`]).
-pub fn reset() {
-    sites().write().expect("net registry poisoned").clear();
+/// Record one completed request round trip against `endpoint` in the
+/// process table, when statistics are on.
+pub fn record_request(
+    endpoint: &str,
+    bytes_sent: u64,
+    bytes_recv: u64,
+    nanos: u64,
+    retries: u64,
+    timeouts: u64,
+) {
+    OBS.record_request(endpoint, bytes_sent, bytes_recv, nanos, retries, timeouts);
+}
+
+/// Record a request against `endpoint` that exhausted its retry budget in
+/// the process table, when statistics are on.
+pub fn record_failure(endpoint: &str, retries: u64, timeouts: u64) {
+    OBS.record_failure(endpoint, retries, timeouts);
+}
+
+/// Snapshot every endpoint of the process table, sorted by endpoint.
+pub fn site_stats() -> Vec<SiteStats> {
+    OBS.site_stats()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn stats_on() -> Obs {
+        let obs = Obs::new();
+        obs.enable_stats();
+        obs
+    }
+
     #[test]
     fn record_and_snapshot_per_site() {
-        record_request("test://a", 100, 200, 1_000, 0, 0);
-        record_request("test://a", 50, 25, 3_000, 2, 1);
-        record_request("test://b", 10, 10, 500, 0, 0);
-        let rows = site_stats();
-        let a = rows.iter().find(|r| r.endpoint == "test://a").unwrap();
+        let obs = stats_on();
+        obs.record_request("test://b", 10, 10, 500, 0, 0);
+        obs.record_request("test://a", 100, 200, 1_000, 0, 0);
+        obs.record_request("test://a", 50, 25, 3_000, 2, 1);
+        let rows = obs.site_stats();
+        let endpoints: Vec<&str> = rows.iter().map(|r| r.endpoint.as_str()).collect();
+        assert_eq!(endpoints, ["test://a", "test://b"], "sorted by endpoint");
+        let a = &rows[0];
         assert_eq!(a.requests, 2);
         assert_eq!(a.retries, 2);
         assert_eq!(a.timeouts, 1);
@@ -153,28 +169,35 @@ mod tests {
         assert_eq!(a.bytes_recv, 225);
         assert_eq!(a.mean_nanos(), 2_000);
         assert_eq!(a.max_nanos, 3_000);
-        let pos_a = rows.iter().position(|r| r.endpoint == "test://a").unwrap();
-        let pos_b = rows.iter().position(|r| r.endpoint == "test://b").unwrap();
-        assert!(pos_a < pos_b, "sorted by endpoint");
     }
 
     #[test]
     fn failures_tracked_separately() {
-        record_failure("test://dead", 3, 3);
-        let rows = site_stats();
-        let d = rows.iter().find(|r| r.endpoint == "test://dead").unwrap();
+        let obs = stats_on();
+        obs.record_failure("test://dead", 3, 3);
+        let d = &obs.site_stats()[0];
         assert_eq!(d.failures, 1);
         assert_eq!(d.retries, 3);
         assert_eq!(d.requests, 0);
+        assert_eq!(obs.counters().snapshot().net_failures, 1);
     }
 
     #[test]
     fn global_counters_accumulate() {
-        let before = crate::registry::counters().snapshot();
-        record_request("test://c", 7, 9, 100, 1, 0);
-        let after = crate::registry::counters().snapshot();
-        assert!(after.net_requests > before.net_requests);
-        assert!(after.net_bytes_sent >= before.net_bytes_sent + 7);
-        assert!(after.net_bytes_recv >= before.net_bytes_recv + 9);
+        let obs = stats_on();
+        obs.record_request("test://c", 7, 9, 100, 1, 0);
+        let c = obs.counters().snapshot();
+        assert_eq!((c.net_requests, c.net_retries), (1, 1));
+        assert_eq!((c.net_bytes_sent, c.net_bytes_recv), (7, 9));
+        assert_eq!(c.net_request_nanos, 100);
+    }
+
+    #[test]
+    fn nothing_is_recorded_while_stats_are_off() {
+        let obs = Obs::new();
+        obs.record_request("test://off", 1, 1, 1, 0, 0);
+        obs.record_failure("test://off", 1, 1);
+        assert!(obs.site_stats().is_empty());
+        assert_eq!(obs.counters().snapshot(), Default::default());
     }
 }

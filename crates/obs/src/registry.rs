@@ -1,15 +1,11 @@
-//! The global statistics registry: named counters plus per-phase,
-//! per-opcode timing cells.
+//! The statistics registry: named counters plus per-phase, per-opcode
+//! timing cells.
 //!
-//! Cells are lock-light: a `RwLock<HashMap>` per phase is read-locked for
-//! the common "opcode already known" case and write-locked only the first
-//! time a new opcode appears; all mutation inside a cell is relaxed
-//! atomics, so concurrent parfor workers never serialize on a mutex while
-//! recording.
+//! Each phase is one keyed-cell table of all-atomic cells, so concurrent
+//! parfor workers never serialize on a mutex while recording.
 
-use std::collections::HashMap;
+use crate::{Obs, OBS};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// Execution phases a span can belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,20 +67,18 @@ impl Phase {
         Phase::Execute,
     ];
 
-    fn index(&self) -> usize {
-        Phase::ALL
-            .iter()
-            .position(|p| p == self)
-            .expect("phase listed in ALL")
+    /// Position in [`Phase::ALL`] (declaration order).
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
 /// Number of log2(nanos) histogram buckets (bucket 31 ≈ ≥ 2.1 s).
 pub const HIST_BUCKETS: usize = 32;
 
-/// One timing cell: all-atomic, shared behind an `Arc`.
+/// One timing cell: all-atomic.
 #[derive(Debug, Default)]
-struct OpCell {
+pub(crate) struct OpCell {
     count: AtomicU64,
     total_nanos: AtomicU64,
     max_nanos: AtomicU64,
@@ -135,267 +129,181 @@ pub struct HeavyHitter {
     pub max_nanos: u64,
 }
 
-struct Registry {
-    phases: Vec<RwLock<HashMap<String, Arc<OpCell>>>>,
-}
+impl Obs {
+    /// Record one finished span into its phase's timing table.
+    pub fn record(&self, phase: Phase, opcode: &str, nanos: u64) {
+        self.phases[phase.index()].with(opcode, |cell| cell.record(nanos));
+    }
 
-fn registry() -> &'static Registry {
-    static REG: OnceLock<Registry> = OnceLock::new();
-    REG.get_or_init(|| Registry {
-        phases: Phase::ALL
-            .iter()
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect(),
-    })
-}
+    /// Snapshot every cell of one phase.
+    pub fn phase_stats(&self, phase: Phase) -> Vec<OpStats> {
+        self.phases[phase.index()].rows(|opcode, cell| OpStats {
+            phase,
+            opcode: opcode.to_string(),
+            count: cell.count.load(Ordering::Relaxed),
+            total_nanos: cell.total_nanos.load(Ordering::Relaxed),
+            max_nanos: cell.max_nanos.load(Ordering::Relaxed),
+            hist: cell.hist.each_ref().map(|b| b.load(Ordering::Relaxed)),
+        })
+    }
 
-/// Record one finished span into the registry.
-pub fn record(phase: Phase, opcode: &str, nanos: u64) {
-    let shard = &registry().phases[phase.index()];
-    {
-        let map = shard.read().expect("obs registry poisoned");
-        if let Some(cell) = map.get(opcode) {
-            cell.record(nanos);
-            return;
+    /// Top-k opcodes of a phase by cumulative time (the SystemDS
+    /// heavy-hitter table; ties broken by opcode name for determinism).
+    pub fn heavy_hitters(&self, phase: Phase, k: usize) -> Vec<HeavyHitter> {
+        let mut rows = self.phase_stats(phase);
+        rows.sort_by(|a, b| {
+            b.total_nanos
+                .cmp(&a.total_nanos)
+                .then_with(|| a.opcode.cmp(&b.opcode))
+        });
+        rows.truncate(k);
+        rows.into_iter()
+            .map(|s| HeavyHitter {
+                mean_nanos: s.mean_nanos(),
+                opcode: s.opcode,
+                count: s.count,
+                total_nanos: s.total_nanos,
+                max_nanos: s.max_nanos,
+            })
+            .collect()
+    }
+
+    /// The counter set.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
+    }
+
+    /// Add `n` to the counter `pick` selects, when statistics are on.
+    #[inline]
+    pub fn count(&self, pick: impl FnOnce(&Counters) -> &Counter, n: u64) {
+        if self.stats_enabled() {
+            pick(&self.counters).add(n);
         }
     }
-    let mut map = shard.write().expect("obs registry poisoned");
-    map.entry(opcode.to_string())
-        .or_insert_with(|| Arc::new(OpCell::default()))
-        .record(nanos);
 }
 
-/// Snapshot every cell of one phase.
+/// Snapshot every cell of one phase of the process registry.
 pub fn phase_stats(phase: Phase) -> Vec<OpStats> {
-    let map = registry().phases[phase.index()]
-        .read()
-        .expect("obs registry poisoned");
-    map.iter()
-        .map(|(opcode, cell)| {
-            let mut hist = [0u64; HIST_BUCKETS];
-            for (dst, src) in hist.iter_mut().zip(cell.hist.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            OpStats {
-                phase,
-                opcode: opcode.clone(),
-                count: cell.count.load(Ordering::Relaxed),
-                total_nanos: cell.total_nanos.load(Ordering::Relaxed),
-                max_nanos: cell.max_nanos.load(Ordering::Relaxed),
-                hist,
-            }
-        })
-        .collect()
+    OBS.phase_stats(phase)
 }
 
-/// Top-k opcodes of a phase by cumulative time (the SystemDS heavy-hitter
-/// table; ties broken by opcode name for determinism).
+/// Top-k opcodes of a phase of the process registry by cumulative time.
 pub fn heavy_hitters(phase: Phase, k: usize) -> Vec<HeavyHitter> {
-    let mut rows: Vec<OpStats> = phase_stats(phase);
-    rows.sort_by(|a, b| {
-        b.total_nanos
-            .cmp(&a.total_nanos)
-            .then_with(|| a.opcode.cmp(&b.opcode))
-    });
-    rows.truncate(k);
-    rows.into_iter()
-        .map(|s| HeavyHitter {
-            mean_nanos: s.mean_nanos(),
-            opcode: s.opcode,
-            count: s.count,
-            total_nanos: s.total_nanos,
-            max_nanos: s.max_nanos,
-        })
-        .collect()
+    OBS.heavy_hitters(phase, k)
 }
 
-/// Named event counters covering the non-span subsystems.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Buffer pool: matrices written to spill files.
-    pub buf_evictions: AtomicU64,
-    /// Buffer pool: bytes written to spill files.
-    pub buf_spilled_bytes: AtomicU64,
-    /// Buffer pool: matrices restored from spill files.
-    pub buf_restores: AtomicU64,
-    /// Buffer pool: bytes restored from spill files.
-    pub buf_restored_bytes: AtomicU64,
-    /// Lineage cache: full hits.
-    pub lin_hits: AtomicU64,
-    /// Lineage cache: partial (compensation-plan) hits.
-    pub lin_partial_hits: AtomicU64,
-    /// Lineage cache: misses.
-    pub lin_misses: AtomicU64,
-    /// Lineage cache: evictions.
-    pub lin_evictions: AtomicU64,
-    /// Parfor: workers spawned.
-    pub parfor_workers: AtomicU64,
-    /// Parfor: iterations executed.
-    pub parfor_iters: AtomicU64,
-    /// Parfor: summed worker wall time.
-    pub parfor_worker_nanos: AtomicU64,
-    /// Federated: requests sent by the master.
-    pub fed_requests: AtomicU64,
-    /// Federated: summed request round-trip latency.
-    pub fed_request_nanos: AtomicU64,
-    /// Compiler: block plans re-lowered after a size change.
-    pub recompiles: AtomicU64,
-    /// Fused operators executed via the one-pass kernel.
-    pub fusion_hits: AtomicU64,
-    /// Bytes of per-operator intermediates fusion avoided materializing.
-    pub fusion_bytes_saved: AtomicU64,
-    /// Network transport: completed request round trips.
-    pub net_requests: AtomicU64,
-    /// Network transport: re-sent attempts beyond each request's first try.
-    pub net_retries: AtomicU64,
-    /// Network transport: attempts abandoned at the per-request deadline.
-    pub net_timeouts: AtomicU64,
-    /// Network transport: requests that exhausted their retry budget.
-    pub net_failures: AtomicU64,
-    /// Network transport: request frame bytes written to sockets.
-    pub net_bytes_sent: AtomicU64,
-    /// Network transport: response frame bytes read from sockets.
-    pub net_bytes_recv: AtomicU64,
-    /// Network transport: summed request round-trip latency.
-    pub net_request_nanos: AtomicU64,
-    /// Conformance harness: differential checks executed (script × config
-    /// matrix runs).
-    pub conf_checks: AtomicU64,
-    /// Conformance harness: divergences detected between configurations.
-    pub conf_divergences: AtomicU64,
-}
-
-static COUNTERS: Counters = Counters {
-    buf_evictions: AtomicU64::new(0),
-    buf_spilled_bytes: AtomicU64::new(0),
-    buf_restores: AtomicU64::new(0),
-    buf_restored_bytes: AtomicU64::new(0),
-    lin_hits: AtomicU64::new(0),
-    lin_partial_hits: AtomicU64::new(0),
-    lin_misses: AtomicU64::new(0),
-    lin_evictions: AtomicU64::new(0),
-    parfor_workers: AtomicU64::new(0),
-    parfor_iters: AtomicU64::new(0),
-    parfor_worker_nanos: AtomicU64::new(0),
-    fed_requests: AtomicU64::new(0),
-    fed_request_nanos: AtomicU64::new(0),
-    recompiles: AtomicU64::new(0),
-    fusion_hits: AtomicU64::new(0),
-    fusion_bytes_saved: AtomicU64::new(0),
-    net_requests: AtomicU64::new(0),
-    net_retries: AtomicU64::new(0),
-    net_timeouts: AtomicU64::new(0),
-    net_failures: AtomicU64::new(0),
-    net_bytes_sent: AtomicU64::new(0),
-    net_bytes_recv: AtomicU64::new(0),
-    net_request_nanos: AtomicU64::new(0),
-    conf_checks: AtomicU64::new(0),
-    conf_divergences: AtomicU64::new(0),
-};
-
-/// The global counter set.
+/// The process counter set.
 pub fn counters() -> &'static Counters {
-    &COUNTERS
+    OBS.counters()
 }
 
-/// Plain-integer copy of [`Counters`] for reports and delta assertions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    pub buf_evictions: u64,
-    pub buf_spilled_bytes: u64,
-    pub buf_restores: u64,
-    pub buf_restored_bytes: u64,
-    pub lin_hits: u64,
-    pub lin_partial_hits: u64,
-    pub lin_misses: u64,
-    pub lin_evictions: u64,
-    pub parfor_workers: u64,
-    pub parfor_iters: u64,
-    pub parfor_worker_nanos: u64,
-    pub fed_requests: u64,
-    pub fed_request_nanos: u64,
-    pub recompiles: u64,
-    pub fusion_hits: u64,
-    pub fusion_bytes_saved: u64,
-    pub net_requests: u64,
-    pub net_retries: u64,
-    pub net_timeouts: u64,
-    pub net_failures: u64,
-    pub net_bytes_sent: u64,
-    pub net_bytes_recv: u64,
-    pub net_request_nanos: u64,
-    pub conf_checks: u64,
-    pub conf_divergences: u64,
+/// Count one kind of event that is not a span: add `n` to the process
+/// counter `pick` selects, when statistics are on.
+///
+/// ```
+/// sysds_obs::count(|c| &c.buf_evictions, 1);
+/// ```
+#[inline]
+pub fn count(pick: impl FnOnce(&Counters) -> &Counter, n: u64) {
+    OBS.count(pick, n);
 }
 
-impl Counters {
-    /// Read every counter (relaxed) into a plain snapshot.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            buf_evictions: self.buf_evictions.load(Ordering::Relaxed),
-            buf_spilled_bytes: self.buf_spilled_bytes.load(Ordering::Relaxed),
-            buf_restores: self.buf_restores.load(Ordering::Relaxed),
-            buf_restored_bytes: self.buf_restored_bytes.load(Ordering::Relaxed),
-            lin_hits: self.lin_hits.load(Ordering::Relaxed),
-            lin_partial_hits: self.lin_partial_hits.load(Ordering::Relaxed),
-            lin_misses: self.lin_misses.load(Ordering::Relaxed),
-            lin_evictions: self.lin_evictions.load(Ordering::Relaxed),
-            parfor_workers: self.parfor_workers.load(Ordering::Relaxed),
-            parfor_iters: self.parfor_iters.load(Ordering::Relaxed),
-            parfor_worker_nanos: self.parfor_worker_nanos.load(Ordering::Relaxed),
-            fed_requests: self.fed_requests.load(Ordering::Relaxed),
-            fed_request_nanos: self.fed_request_nanos.load(Ordering::Relaxed),
-            recompiles: self.recompiles.load(Ordering::Relaxed),
-            fusion_hits: self.fusion_hits.load(Ordering::Relaxed),
-            fusion_bytes_saved: self.fusion_bytes_saved.load(Ordering::Relaxed),
-            net_requests: self.net_requests.load(Ordering::Relaxed),
-            net_retries: self.net_retries.load(Ordering::Relaxed),
-            net_timeouts: self.net_timeouts.load(Ordering::Relaxed),
-            net_failures: self.net_failures.load(Ordering::Relaxed),
-            net_bytes_sent: self.net_bytes_sent.load(Ordering::Relaxed),
-            net_bytes_recv: self.net_bytes_recv.load(Ordering::Relaxed),
-            net_request_nanos: self.net_request_nanos.load(Ordering::Relaxed),
-            conf_checks: self.conf_checks.load(Ordering::Relaxed),
-            conf_divergences: self.conf_divergences.load(Ordering::Relaxed),
+/// One event counter. Only this crate adds to it; others read it through
+/// [`Counters::snapshot`].
+#[derive(Debug)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    const fn new() -> Counter {
+        Counter(AtomicU64::new(0))
+    }
+
+    pub(crate) fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Declares the counter set once: the [`Counters`] fields, the
+/// [`CounterSnapshot`] fields, and `new`, `snapshot` and `reset` over them.
+macro_rules! counter_set {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// Named event counters covering the non-span subsystems.
+        #[derive(Debug)]
+        pub struct Counters {
+            $($(#[doc = $doc])+ pub $name: Counter,)+
         }
-    }
+
+        /// Plain-integer copy of [`Counters`] for reports and delta
+        /// assertions.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        impl Counters {
+            pub(crate) const fn new() -> Counters {
+                Counters { $($name: Counter::new(),)+ }
+            }
+
+            /// Read every counter (relaxed) into a plain snapshot.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot { $($name: self.$name.0.load(Ordering::Relaxed),)+ }
+            }
+
+            pub(crate) fn reset(&self) {
+                $(self.$name.0.store(0, Ordering::Relaxed);)+
+            }
+        }
+    };
 }
 
-/// Reset all timing cells and counters to zero.
-pub fn reset() {
-    for shard in &registry().phases {
-        shard.write().expect("obs registry poisoned").clear();
-    }
-    let c = counters();
-    for a in [
-        &c.buf_evictions,
-        &c.buf_spilled_bytes,
-        &c.buf_restores,
-        &c.buf_restored_bytes,
-        &c.lin_hits,
-        &c.lin_partial_hits,
-        &c.lin_misses,
-        &c.lin_evictions,
-        &c.parfor_workers,
-        &c.parfor_iters,
-        &c.parfor_worker_nanos,
-        &c.fed_requests,
-        &c.fed_request_nanos,
-        &c.recompiles,
-        &c.fusion_hits,
-        &c.fusion_bytes_saved,
-        &c.net_requests,
-        &c.net_retries,
-        &c.net_timeouts,
-        &c.net_failures,
-        &c.net_bytes_sent,
-        &c.net_bytes_recv,
-        &c.net_request_nanos,
-        &c.conf_checks,
-        &c.conf_divergences,
-    ] {
-        a.store(0, Ordering::Relaxed);
-    }
+counter_set! {
+    /// Buffer pool: matrices written to spill files.
+    buf_evictions,
+    /// Buffer pool: bytes written to spill files.
+    buf_spilled_bytes,
+    /// Buffer pool: matrices restored from spill files.
+    buf_restores,
+    /// Buffer pool: bytes restored from spill files.
+    buf_restored_bytes,
+    /// Lineage cache: full hits.
+    lin_hits,
+    /// Lineage cache: partial (compensation-plan) hits.
+    lin_partial_hits,
+    /// Lineage cache: misses.
+    lin_misses,
+    /// Lineage cache: evictions.
+    lin_evictions,
+    /// Parfor: workers spawned.
+    parfor_workers,
+    /// Parfor: iterations executed.
+    parfor_iters,
+    /// Parfor: summed worker wall time.
+    parfor_worker_nanos,
+    /// Federated: requests sent by the master.
+    fed_requests,
+    /// Federated: summed request round-trip latency.
+    fed_request_nanos,
+    /// Compiler: block plans re-lowered after a size change.
+    recompiles,
+    /// Fused operators executed via the one-pass kernel.
+    fusion_hits,
+    /// Bytes of per-operator intermediates fusion avoided materializing.
+    fusion_bytes_saved,
+    /// Network transport: completed request round trips.
+    net_requests,
+    /// Network transport: re-sent attempts beyond each request's first try.
+    net_retries,
+    /// Network transport: attempts abandoned at the per-request deadline.
+    net_timeouts,
+    /// Network transport: requests that exhausted their retry budget.
+    net_failures,
+    /// Network transport: request frame bytes written to sockets.
+    net_bytes_sent,
+    /// Network transport: response frame bytes read from sockets.
+    net_bytes_recv,
+    /// Network transport: summed request round-trip latency.
+    net_request_nanos,
 }
 
 #[cfg(test)]
@@ -404,34 +312,44 @@ mod tests {
 
     #[test]
     fn record_and_heavy_hitters() {
-        // Use a phase no other test writes to, to stay parallel-safe.
-        record(Phase::Execute, "hh-test-a", 100);
-        record(Phase::Execute, "hh-test-a", 300);
-        record(Phase::Execute, "hh-test-b", 50);
-        let hh = heavy_hitters(Phase::Execute, 10);
-        let a = hh.iter().find(|h| h.opcode == "hh-test-a").unwrap();
+        let obs = Obs::new();
+        obs.record(Phase::Execute, "a", 100);
+        obs.record(Phase::Execute, "a", 300);
+        obs.record(Phase::Execute, "b", 50);
+        let hh = obs.heavy_hitters(Phase::Execute, 10);
+        let opcodes: Vec<&str> = hh.iter().map(|h| h.opcode.as_str()).collect();
+        assert_eq!(opcodes, ["a", "b"], "sorted by cumulative time");
+        let a = &hh[0];
         assert_eq!(a.count, 2);
         assert_eq!(a.total_nanos, 400);
         assert_eq!(a.mean_nanos, 200);
         assert_eq!(a.max_nanos, 300);
-        let pos_a = hh.iter().position(|h| h.opcode == "hh-test-a").unwrap();
-        let pos_b = hh.iter().position(|h| h.opcode == "hh-test-b").unwrap();
-        assert!(pos_a < pos_b, "sorted by cumulative time");
     }
 
     #[test]
     fn histogram_buckets() {
-        record(Phase::Parse, "hist-test", 1); // bucket 0
-        record(Phase::Parse, "hist-test", 1024); // bucket 10
-        let stats = phase_stats(Phase::Parse);
-        let s = stats.iter().find(|s| s.opcode == "hist-test").unwrap();
-        assert!(s.hist[0] >= 1);
-        assert!(s.hist[10] >= 1);
+        let obs = Obs::new();
+        obs.record(Phase::Parse, "hist", 1); // bucket 0
+        obs.record(Phase::Parse, "hist", 1024); // bucket 10
+        let s = &obs.phase_stats(Phase::Parse)[0];
+        assert_eq!((s.hist[0], s.hist[10]), (1, 1));
+        assert_eq!(s.hist.iter().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn phases_index_in_declaration_order() {
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i);
+        }
     }
 
     #[test]
     fn counter_snapshot_reads_back() {
-        counters().fed_requests.fetch_add(3, Ordering::Relaxed);
-        assert!(counters().snapshot().fed_requests >= 3);
+        let obs = Obs::new();
+        obs.count(|c| &c.fed_requests, 3);
+        assert_eq!(obs.counters().snapshot().fed_requests, 0);
+        obs.enable_stats();
+        obs.count(|c| &c.fed_requests, 3);
+        assert_eq!(obs.counters().snapshot().fed_requests, 3);
     }
 }

@@ -9,7 +9,7 @@
 //!   2  rand              0.00410         3      1.367      1.501
 //! ```
 
-use crate::registry::{heavy_hitters, HeavyHitter, Phase};
+use crate::registry::{HeavyHitter, OpStats, Phase};
 
 fn secs(nanos: u64) -> f64 {
     nanos as f64 / 1e9
@@ -19,17 +19,7 @@ fn millis(nanos: u64) -> f64 {
     nanos as f64 / 1e6
 }
 
-/// Render a heavy-hitter table for `phase` (top `k` opcodes by cumulative
-/// time). Returns `None` when nothing was recorded for the phase.
-pub fn heavy_hitter_table(phase: Phase, k: usize) -> Option<String> {
-    let hitters = heavy_hitters(phase, k);
-    if hitters.is_empty() {
-        return None;
-    }
-    Some(render_table(&hitters))
-}
-
-/// Render a pre-fetched heavy-hitter list as an aligned table.
+/// Render a heavy-hitter list as an aligned table.
 pub fn render_table(hitters: &[HeavyHitter]) -> String {
     let op_width = hitters
         .iter()
@@ -59,7 +49,11 @@ pub fn render_table(hitters: &[HeavyHitter]) -> String {
 /// Render a compact one-phase summary line, e.g. for compiler phases:
 /// `parse 0.00123s (1)`.
 pub fn phase_summary(phase: Phase) -> Option<String> {
-    let stats = crate::registry::phase_stats(phase);
+    summarize(phase, &crate::registry::phase_stats(phase))
+}
+
+/// The summary line of `phase` over its cells; `None` when it has none.
+fn summarize(phase: Phase, stats: &[OpStats]) -> Option<String> {
     if stats.is_empty() {
         return None;
     }
@@ -109,8 +103,13 @@ mod tests {
 
     #[test]
     fn empty_phase_renders_nothing() {
-        // Phase chosen to be untouched by other unit tests in this crate.
-        assert!(heavy_hitter_table(Phase::Federated, 10).is_none());
-        assert!(phase_summary(Phase::Federated).is_none());
+        assert!(summarize(Phase::Federated, &[]).is_none());
+        let obs = crate::Obs::new();
+        obs.record(Phase::Parse, "parse", 2_000_000);
+        let line = summarize(Phase::Parse, &obs.phase_stats(Phase::Parse)).unwrap();
+        assert!(
+            line.starts_with("parse") && line.ends_with("(1 calls)"),
+            "{line}"
+        );
     }
 }

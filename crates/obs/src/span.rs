@@ -9,6 +9,7 @@
 
 use crate::registry::Phase;
 use crate::trace::TraceRecord;
+use crate::OBS;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,7 +150,7 @@ impl Span {
     /// observability is disabled.
     #[inline]
     pub fn enter(phase: Phase, opcode: &'static str) -> Span {
-        if !crate::enabled() {
+        if !OBS.enabled() {
             return Span(None);
         }
         Span(Some(ActiveSpan::open(phase, Cow::Borrowed(opcode))))
@@ -160,7 +161,7 @@ impl Span {
     /// disabled fast path.
     #[inline]
     pub fn enter_with<F: FnOnce() -> String>(phase: Phase, opcode: F) -> Span {
-        if !crate::enabled() {
+        if !OBS.enabled() {
             return Span(None);
         }
         Span(Some(ActiveSpan::open(phase, Cow::Owned(opcode()))))
@@ -199,11 +200,11 @@ impl Drop for Span {
         let Some(span) = self.0.take() else { return };
         let nanos = span.start.elapsed().as_nanos() as u64;
         pop_span(span.id);
-        if crate::stats_enabled() {
-            crate::registry::record(span.phase, &span.opcode, nanos);
+        if OBS.stats_enabled() {
+            OBS.record(span.phase, &span.opcode, nanos);
         }
-        if crate::trace_enabled() {
-            crate::trace::write(&TraceRecord {
+        if OBS.trace_enabled() {
+            OBS.write_trace(TraceRecord {
                 id: span.id,
                 parent: span.parent,
                 phase: span.phase.as_str().to_string(),
@@ -221,9 +222,16 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that turn the process observer on and off;
+    /// `cargo test` runs tests on parallel threads inside one process.
+    fn test_flag_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        sysds_common::sync::lock(&LOCK)
+    }
+
     #[test]
     fn disabled_span_is_inert() {
-        let _g = crate::test_flag_guard();
+        let _g = test_flag_guard();
         crate::disable_stats();
         crate::disable_trace();
         let s = Span::enter(Phase::Instruction, "noop");
@@ -253,7 +261,7 @@ mod tests {
 
     #[test]
     fn nesting_links_parents() {
-        let _g = crate::test_flag_guard();
+        let _g = test_flag_guard();
         crate::enable_stats();
         let outer = Span::enter(Phase::Execute, "outer-span-test");
         let outer_id = outer.0.as_ref().unwrap().id;
@@ -266,24 +274,26 @@ mod tests {
 
     #[test]
     fn context_carries_parent_and_worker_to_another_thread() {
-        let _g = crate::test_flag_guard();
+        let _g = test_flag_guard();
         crate::enable_stats();
         let _w = set_worker(5);
         let outer = Span::enter(Phase::Execute, "context-test");
         let outer_id = outer.0.as_ref().unwrap().id;
         let ctx = SpanContext::current();
         assert_eq!((ctx.span_id(), ctx.worker()), (outer_id, Some(5)));
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                assert_eq!(SpanContext::current(), SpanContext::default());
-                {
-                    let _ctx = ctx.enter();
-                    let inner = Span::enter(Phase::Federated, "context-test-inner");
-                    assert_eq!(inner.0.as_ref().unwrap().parent, outer_id);
-                    WORKER_ID.with(|w| assert_eq!(w.get(), Some(5)));
-                }
-                assert_eq!(SpanContext::current(), SpanContext::default());
-            });
+        // Item 1 runs on a thread of its own.
+        sysds_common::par::map(vec![false, true], |other_thread| {
+            if !other_thread {
+                return;
+            }
+            assert_eq!(SpanContext::current(), SpanContext::default());
+            {
+                let _ctx = ctx.enter();
+                let inner = Span::enter(Phase::Federated, "context-test-inner");
+                assert_eq!(inner.0.as_ref().unwrap().parent, outer_id);
+                WORKER_ID.with(|w| assert_eq!(w.get(), Some(5)));
+            }
+            assert_eq!(SpanContext::current(), SpanContext::default());
         });
         drop(outer);
         crate::disable_stats();

@@ -7,21 +7,34 @@
 //!  "start_ns":104114,"dur_ns":88021,"thread":0,"worker":null}
 //! ```
 //!
-//! Records are written under a short mutex — tracing is a diagnostics
-//! mode, not the fast path. [`parse_record`] reads the schema back with the
-//! crate's one JSON reader (in [`crate::chrome_trace`]), so tests and the
-//! bench harness can consume traces machine-readably.
+//! Records are written under the observer's one sink mutex, which holds
+//! the file sink and the in-memory sink together — tracing is a
+//! diagnostics mode, not the fast path. [`parse_record`] reads the schema
+//! back with the workspace's one JSON reader ([`sysds_common::json`]), so
+//! tests and the bench harness can consume traces machine-readably.
 
-use crate::chrome_trace::{parse_json, Value};
+use crate::Obs;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use sysds_common::json::{escape_into, parse, Value};
+use sysds_common::sync::lock;
 
-static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
+/// The trace sinks of one observer.
+pub(crate) struct Sinks {
+    file: Option<BufWriter<File>>,
+    /// Records buffered for post-run export (the Chrome-trace sink).
+    memory: Option<Vec<TraceRecord>>,
+}
 
-/// Optional in-memory sink (Chrome-trace export buffers records here).
-static MEM_SINK: Mutex<Option<Vec<TraceRecord>>> = Mutex::new(None);
+impl Sinks {
+    pub(crate) const fn new() -> Sinks {
+        Sinks {
+            file: None,
+            memory: None,
+        }
+    }
+}
 
 /// One span record, as written to (and parsed from) the trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,55 +52,40 @@ pub struct TraceRecord {
     pub worker: Option<u64>,
 }
 
-/// Open (truncate) `path` as the sink.
-pub(crate) fn open(path: &Path) -> std::io::Result<()> {
-    let file = File::create(path)?;
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(BufWriter::new(file));
-    Ok(())
-}
-
-/// Flush and drop the sink.
-pub(crate) fn close() {
-    let mut guard = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(mut w) = guard.take() {
-        let _ = w.flush();
+impl Obs {
+    /// Open (truncate) `path` as the file sink.
+    pub(crate) fn open_file(&self, path: &Path) -> std::io::Result<()> {
+        let file = File::create(path)?;
+        lock(&self.sinks).file = Some(BufWriter::new(file));
+        Ok(())
     }
-}
 
-/// Flush buffered records without closing the sink.
-pub fn flush() {
-    let mut guard = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(w) = guard.as_mut() {
-        let _ = w.flush();
+    /// Flush and drop the file sink.
+    pub(crate) fn close_file(&self) {
+        if let Some(mut w) = lock(&self.sinks).file.take() {
+            let _ = w.flush();
+        }
     }
-}
 
-/// Start buffering records in memory (in addition to any file sink).
-pub(crate) fn open_memory() {
-    *MEM_SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(Vec::new());
-}
+    /// Start buffering records in memory (in addition to any file sink).
+    pub(crate) fn open_memory(&self) {
+        lock(&self.sinks).memory = Some(Vec::new());
+    }
 
-/// Take all buffered in-memory records and stop the memory sink.
-pub(crate) fn drain_memory() -> Vec<TraceRecord> {
-    MEM_SINK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .unwrap_or_default()
-}
+    /// Take the buffered span records and stop the memory sink; the trace
+    /// flag stays as it is.
+    pub fn take_memory_trace(&self) -> Vec<TraceRecord> {
+        lock(&self.sinks).memory.take().unwrap_or_default()
+    }
 
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    /// Append one record to the open sinks (no-op when none is open).
+    pub(crate) fn write_trace(&self, rec: TraceRecord) {
+        let mut sinks = lock(&self.sinks);
+        if let Some(w) = sinks.file.as_mut() {
+            let _ = writeln!(w, "{}", rec.to_json());
+        }
+        if let Some(buf) = sinks.memory.as_mut() {
+            buf.push(rec);
         }
     }
 }
@@ -120,24 +118,10 @@ impl TraceRecord {
     }
 }
 
-/// Append one record to the open sinks (no-op when none is open).
-pub(crate) fn write(rec: &TraceRecord) {
-    {
-        let mut guard = SINK.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(w) = guard.as_mut() {
-            let _ = writeln!(w, "{}", rec.to_json());
-        }
-    }
-    let mut mem = MEM_SINK.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(buf) = mem.as_mut() {
-        buf.push(rec.clone());
-    }
-}
-
 /// Parse one JSONL line produced by this sink. Returns `None` for
 /// malformed lines or lines missing required fields.
 pub fn parse_record(line: &str) -> Option<TraceRecord> {
-    let obj = parse_json(line)?;
+    let obj = parse(line)?;
     let num = |k: &str| obj.field(k)?.as_u64();
     let text = |k: &str| obj.field(k)?.as_str().map(str::to_string);
     let worker = match obj.field("worker")? {
@@ -278,8 +262,8 @@ mod tests {
 
     #[test]
     fn memory_sink_buffers_and_drains() {
-        let _g = crate::test_flag_guard();
-        open_memory();
+        let obs = Obs::new();
+        obs.open_memory();
         let rec = TraceRecord {
             id: 77,
             parent: 0,
@@ -290,21 +274,11 @@ mod tests {
             thread: 0,
             worker: Some(1),
         };
-        write(&rec);
-        let drained = drain_memory();
-        assert_eq!(drained, vec![rec]);
+        obs.write_trace(rec.clone());
+        assert_eq!(obs.take_memory_trace(), vec![rec.clone()]);
         // Drained sink is closed: further writes are dropped.
-        write(&TraceRecord {
-            id: 78,
-            parent: 0,
-            phase: "instruction".into(),
-            op: "dropped".into(),
-            start_ns: 0,
-            dur_ns: 0,
-            thread: 0,
-            worker: None,
-        });
-        assert!(drain_memory().is_empty());
+        obs.write_trace(rec);
+        assert!(obs.take_memory_trace().is_empty());
     }
 
     #[test]
@@ -335,17 +309,11 @@ mod tests {
 
     #[test]
     fn file_sink_writes_lines() {
-        let _g = crate::test_flag_guard();
-        // Unique per process AND per call (sysds-obs is dependency-free,
-        // so this inlines what sysds_common::testing::unique_temp_dir does).
-        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("sysds-obs-tests-{}-{seq}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let obs = Obs::new();
+        let dir = sysds_common::testing::unique_temp_dir("sysds-obs-tests");
         let path = dir.join("trace.jsonl");
-        open(&path).unwrap();
-        write(&TraceRecord {
+        obs.open_file(&path).unwrap();
+        obs.write_trace(TraceRecord {
             id: 5,
             parent: 0,
             phase: "execute".into(),
@@ -355,10 +323,10 @@ mod tests {
             thread: 0,
             worker: None,
         });
-        close();
+        obs.close_file();
         let content = std::fs::read_to_string(&path).unwrap();
         let rec = parse_record(content.lines().next().unwrap()).unwrap();
         assert_eq!(rec.id, 5);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -376,3 +376,58 @@ fn a_long_loop_with_reuse_traces_and_frees_its_lineage() {
     drop(out);
     drop(s);
 }
+
+/// `script` with `{loop}` replaced, run under `reuse` on two threads.
+fn run_nested(script: &str, lp: &str, reuse: ReusePolicy) -> sysds::api::ScriptOutputs {
+    let (x, y) = gen::synthetic_regression(200, 6, 1.0, 0.05, 703);
+    let mut config = EngineConfig::default().reuse_policy(reuse).threads(2);
+    config.spill_dir = sysds_common::testing::unique_temp_dir("sysds-reuse-tests");
+    let mut s = SystemDS::with_config(config).unwrap();
+    let inputs = [("X", s.matrix(x).unwrap()), ("y", s.matrix(y).unwrap())];
+    s.execute(&script.replace("{loop}", lp), &inputs, &["B", "s"])
+        .unwrap()
+}
+
+#[test]
+fn calls_nested_in_expressions_equal_their_temporary_spelling() {
+    let nested = r#"
+        B = matrix(0, rows=ncol(X), cols=4)
+        {loop} (i in 1:4) {
+            B[, i] = lmDS(X=X, y=y, reg=0.001 * i)
+        }
+        s = 2 * sum(lmDS(X=X, y=y, reg=0.5))
+        print("s", s, nrow(lmDS(X=X, y=y)))
+    "#;
+    let temporary = r#"
+        B = matrix(0, rows=ncol(X), cols=4)
+        {loop} (i in 1:4) {
+            Bi = lmDS(X=X, y=y, reg=0.001 * i)
+            B[, i] = Bi
+        }
+        b = lmDS(X=X, y=y, reg=0.5)
+        s = 2 * sum(b)
+        c = lmDS(X=X, y=y)
+        print("s" + " " + s + " " + nrow(c))
+    "#;
+    for reuse in [ReusePolicy::None, ReusePolicy::FullAndPartial] {
+        for lp in ["for", "parfor"] {
+            let a = run_nested(nested, lp, reuse);
+            let b = run_nested(temporary, lp, reuse);
+            let bits = |o: &sysds::api::ScriptOutputs| {
+                let v = o.matrix("B").unwrap().to_vec();
+                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&a), bits(&b), "{lp} under {reuse:?}");
+            assert_eq!(a.f64("s").unwrap().to_bits(), b.f64("s").unwrap().to_bits());
+            assert_eq!(a.stdout, b.stdout, "{lp} under {reuse:?}");
+        }
+    }
+}
+
+#[test]
+fn calls_in_predicates_are_still_rejected() {
+    let mut s = SystemDS::new();
+    let script = "X = matrix(1, rows=3, cols=1)\nif (sum(lmDS(X=X, y=X)) > 0) { z = 1 }";
+    let err = s.execute(script, &[], &[]).unwrap_err().to_string();
+    assert!(err.contains("must be a simple assignment"), "{err}");
+}
