@@ -103,9 +103,14 @@ fn fits(count: usize, size: usize, limit: usize) -> bool {
     count.checked_mul(size).is_some_and(|bytes| bytes <= limit)
 }
 
-/// Encode one matrix block (any shape) into a byte buffer.
+/// Encode one matrix block (any shape) into a byte buffer, growing it
+/// once by the block's size.
 pub fn encode_block(m: &Matrix, buf: &mut Vec<u8>) {
     let put = |buf: &mut Vec<u8>, v: usize| buf.extend_from_slice(&(v as u64).to_le_bytes());
+    buf.reserve(match m {
+        Matrix::Dense(d) => 17 + 8 * d.values().len(),
+        Matrix::Sparse(s) => 25 + 24 * s.nnz(),
+    });
     match m {
         Matrix::Dense(d) => {
             buf.push(0);

@@ -158,6 +158,7 @@ impl WorkerServer {
         threads: usize,
         faults: FaultPlan,
     ) -> Result<WorkerServer> {
+        map_large_blocks();
         let listener = TcpListener::bind(addr)
             .map_err(|e| SysDsError::Federated(format!("bind {addr}: {e}")))?;
         let addr = listener
@@ -247,6 +248,35 @@ fn accept_loop(listener: TcpListener, state: Arc<SiteState>) {
     }
 }
 
+/// Have glibc map every block of 1 MiB or more on its own and
+/// unmap it when it is freed (process-wide; idempotent). A site's
+/// partitions are allocated on its connection threads, each in whichever
+/// allocator arena the thread lands on, and which one that is depends on
+/// thread timing. Under glibc's default, which raises the mapping
+/// threshold as large blocks are freed, freed partitions stayed in those
+/// arenas and were reused only by a thread that landed on the same one: a
+/// process that starts and stops sites (the `fed_train` benchmark's
+/// set-up) kept 0, 20 or 40 MB more resident from one run to the next.
+/// Setting the threshold also stops glibc from raising it.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[allow(unsafe_code)]
+fn map_large_blocks() {
+    use std::ffi::c_int;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    const LARGE_BLOCK: c_int = 1 << 20;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    // SAFETY: `mallopt` takes no pointer; it sets one parameter of the
+    // allocator, under the allocator's own lock.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, LARGE_BLOCK);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn map_large_blocks() {}
+
 /// Serve one connection, then close it: the accept thread's clone of the
 /// stream must not keep it open.
 fn serve_connection(mut stream: TcpStream, state: &SiteState) {
@@ -266,14 +296,17 @@ fn serve_frames(stream: &mut TcpStream, state: &SiteState) {
         }
         // A frame is arriving: read it whole under the long deadline.
         let _ = stream.set_read_timeout(Some(FRAME_READ_TIMEOUT));
-        let (header, payload) = match wire::read_frame(stream) {
-            Ok(Ok(frame)) => frame,
+        let header = match wire::read_header(stream) {
+            Ok(Ok(header)) => header,
             // Protocol violation: this peer is corrupt; drop the link.
             Ok(Err(_)) | Err(_) => return,
         };
         let request_id = header.request_id;
+        let Ok(decoded) = wire::read_request(stream, &header) else {
+            return;
+        };
         // A malformed payload gets an error reply and the link stays up.
-        let (resp, fault, is_shutdown) = match wire::decode_request(&header, &payload) {
+        let (resp, fault, is_shutdown) = match decoded {
             Ok(req) => {
                 let seq = state.seq.fetch_add(1, Ordering::Relaxed);
                 let is_shutdown = matches!(req, FedRequest::Shutdown);

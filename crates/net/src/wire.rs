@@ -41,6 +41,7 @@ use sysds_fed::ops::{self, FedOperand};
 use sysds_fed::{FedRequest, FedResponse};
 use sysds_io::binary::{decode_block, encode_block, put_str, Cursor};
 use sysds_tensor::kernels::BinaryOp;
+use sysds_tensor::{DenseMatrix, Matrix};
 
 /// Frame magic: the first four bytes of every message.
 pub const MAGIC: [u8; 4] = *b"SNET";
@@ -99,17 +100,16 @@ fn get_op(buf: &mut Cursor<'_>) -> Result<BinaryOp> {
         .ok_or_else(|| SysDsError::Format(format!("unknown binary op code {code}")))
 }
 
-/// Encode a request as its frame opcode and payload.
-fn encode_request(req: &FedRequest) -> (u8, Vec<u8>) {
-    let mut buf = Vec::new();
-    let opcode = match req {
+/// Append a request's payload to `buf`; returns its frame opcode.
+fn encode_request(req: &FedRequest, buf: &mut Vec<u8>) -> u8 {
+    match req {
         FedRequest::Put { var, data } => {
-            put_str(&mut buf, var);
-            encode_block(data, &mut buf);
+            put_str(buf, var);
+            encode_block(data, buf);
             REQ_PUT
         }
         FedRequest::Remove { var } => {
-            put_str(&mut buf, var);
+            put_str(buf, var);
             REQ_REMOVE
         }
         FedRequest::Exec {
@@ -121,20 +121,20 @@ fn encode_request(req: &FedRequest) -> (u8, Vec<u8>) {
             buf.push(op.code);
             buf.push(u8::try_from(vars.len()).expect("at most 255 site variables"));
             for var in vars {
-                put_str(&mut buf, var);
+                put_str(buf, var);
             }
             match out {
                 None => buf.push(0),
                 Some(out) => {
                     buf.push(1);
-                    put_str(&mut buf, out);
+                    put_str(buf, out);
                 }
             }
             match operand {
                 None => buf.push(OPERAND_NONE),
                 Some(FedOperand::Matrix(m)) => {
                     buf.push(OPERAND_MATRIX);
-                    encode_block(m, &mut buf);
+                    encode_block(m, buf);
                 }
                 Some(FedOperand::Scalar(op, scalar)) => {
                     buf.extend([OPERAND_SCALAR, *op as u8]);
@@ -148,8 +148,7 @@ fn encode_request(req: &FedRequest) -> (u8, Vec<u8>) {
         }
         FedRequest::Ping => REQ_PING,
         FedRequest::Shutdown => REQ_SHUTDOWN,
-    };
-    (opcode, buf)
+    }
 }
 
 fn decode_exec(buf: &mut Cursor<'_>) -> Result<FedRequest> {
@@ -209,12 +208,12 @@ pub fn decode_request(header: &FrameHeader, payload: &[u8]) -> Result<FedRequest
     Ok(req)
 }
 
-fn encode_response_payload(resp: &FedResponse) -> (u8, Vec<u8>) {
-    let mut buf = Vec::new();
-    let opcode = match resp {
+/// Append a response's payload to `buf`; returns its frame opcode.
+fn encode_response(resp: &FedResponse, buf: &mut Vec<u8>) -> u8 {
+    match resp {
         FedResponse::Ok => RESP_OK,
         FedResponse::Aggregate(m) => {
-            encode_block(m, &mut buf);
+            encode_block(m, buf);
             RESP_AGGREGATE
         }
         FedResponse::Scalar(v) => {
@@ -222,11 +221,10 @@ fn encode_response_payload(resp: &FedResponse) -> (u8, Vec<u8>) {
             RESP_SCALAR
         }
         FedResponse::Error(msg) => {
-            put_str(&mut buf, msg);
+            put_str(buf, msg);
             RESP_ERROR
         }
-    };
-    (opcode, buf)
+    }
 }
 
 /// Decode the response carried by a frame read with [`read_frame`].
@@ -255,31 +253,37 @@ pub fn decode_response(header: &FrameHeader, payload: &[u8]) -> Result<FedRespon
     Ok(resp)
 }
 
-fn frame(kind: FrameKind, opcode: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// One frame: the header, then the payload `encode` appends and whose
+/// opcode it returns, in one buffer.
+fn frame(kind: FrameKind, request_id: u64, encode: impl FnOnce(&mut Vec<u8>) -> u8) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(match kind {
         FrameKind::Request => 0,
         FrameKind::Response => 1,
     });
-    out.push(opcode);
+    out.push(0);
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out[7] = encode(&mut out);
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    out[16..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     out
 }
 
 /// Encode a complete request frame.
 pub fn request_frame(request_id: u64, req: &FedRequest) -> Vec<u8> {
-    let (opcode, payload) = encode_request(req);
-    frame(FrameKind::Request, opcode, request_id, &payload)
+    frame(FrameKind::Request, request_id, |buf| {
+        encode_request(req, buf)
+    })
 }
 
 /// Encode a complete response frame.
 pub fn response_frame(request_id: u64, resp: &FedResponse) -> Vec<u8> {
-    let (opcode, payload) = encode_response_payload(resp);
-    frame(FrameKind::Response, opcode, request_id, &payload)
+    frame(FrameKind::Response, request_id, |buf| {
+        encode_response(resp, buf)
+    })
 }
 
 /// Parse a header from its 24 fixed bytes.
@@ -345,20 +349,82 @@ fn split_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8])> {
 /// error; protocol violations as `Ok(Err(..))` so callers can distinguish
 /// "retry the connection" from "corrupt peer".
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Result<(FrameHeader, Vec<u8>)>> {
-    let mut head = [0u8; HEADER_LEN];
-    r.read_exact(&mut head)?;
-    let header = match parse_header(&head) {
+    let header = match read_header(r)? {
         Ok(h) => h,
         Err(e) => return Ok(Err(e)),
     };
-    let total = header.payload_len as usize;
-    let mut payload = Vec::with_capacity(total.min(READ_CHUNK));
-    while payload.len() < total {
-        let old = payload.len();
-        payload.resize(old + (total - old).min(READ_CHUNK), 0);
-        r.read_exact(&mut payload[old..])?;
-    }
+    let mut payload = Vec::new();
+    read_into(r, &mut payload, header.payload_len as usize)?;
     Ok(Ok((header, payload)))
+}
+
+/// Read and parse a frame header; errors as in [`read_frame`].
+pub fn read_header(r: &mut impl Read) -> std::io::Result<Result<FrameHeader>> {
+    let mut head = [0u8; HEADER_LEN];
+    r.read_exact(&mut head)?;
+    Ok(parse_header(&head))
+}
+
+/// Read and decode the payload of the request frame whose header
+/// [`read_header`] returned. The payload is read whole even when it does
+/// not decode, so the link stays in step and the site can answer with the
+/// inner error. The cells of a dense `Put` block go from the stream
+/// straight into the matrix, not through a byte buffer of their size.
+pub fn read_request(
+    r: &mut impl Read,
+    header: &FrameHeader,
+) -> std::io::Result<Result<FedRequest>> {
+    let mut left = header.payload_len as usize;
+    let mut head = Vec::new();
+    if header.kind == FrameKind::Request && header.opcode == REQ_PUT && left >= 4 {
+        // The variable name, then the block's kind and shape.
+        read_into(r, &mut head, 4)?;
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+        let n = len.saturating_add(17).min(left - 4);
+        read_into(r, &mut head, n)?;
+        left -= 4 + n;
+        let mut buf = Cursor::new(&head);
+        if let (Ok(var), Ok(0), Ok(rows), Ok(cols)) =
+            (buf.str(), buf.u8(), buf.usize(), buf.usize())
+        {
+            if rows.checked_mul(cols).and_then(|c| c.checked_mul(8)) == Some(left) {
+                let values = read_cells(r, rows * cols)?;
+                let data = Matrix::Dense(DenseMatrix::from_vec(rows, cols, values));
+                return Ok(Ok(FedRequest::Put { var, data }));
+            }
+        }
+    }
+    read_into(r, &mut head, left)?;
+    Ok(decode_request(header, &head))
+}
+
+/// Append the next `n` bytes of `r` to `buf`, in `READ_CHUNK` steps.
+fn read_into(r: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> std::io::Result<()> {
+    let end = buf.len() + n;
+    buf.reserve(n.min(READ_CHUNK));
+    while buf.len() < end {
+        let old = buf.len();
+        buf.resize(old + (end - old).min(READ_CHUNK), 0);
+        r.read_exact(&mut buf[old..])?;
+    }
+    Ok(())
+}
+
+/// `n` little-endian `f64`s read through a small buffer; the vector grows
+/// past `READ_CHUNK` bytes only as the cells arrive.
+fn read_cells(r: &mut impl Read, n: usize) -> std::io::Result<Vec<f64>> {
+    let mut values = Vec::with_capacity(n.min(READ_CHUNK / 8));
+    let mut chunk = [0u8; 1 << 16];
+    while values.len() < n {
+        let bytes = &mut chunk[..(8 * (n - values.len())).min(1 << 16)];
+        r.read_exact(bytes)?;
+        values.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
+    }
+    Ok(values)
 }
 
 /// Write one pre-encoded frame to a stream, returning the byte count.
@@ -371,7 +437,6 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sysds_tensor::Matrix;
 
     #[test]
     fn request_frame_round_trips() {

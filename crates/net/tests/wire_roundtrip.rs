@@ -1,7 +1,8 @@
 //! Property tests for the framed wire protocol: every request kind, an
 //! `Exec` of every row of the federated instruction table, and every
 //! response survive serialize → deserialize exactly (including empty and
-//! large matrices), and truncated or corrupted frames are rejected instead
+//! large matrices), whether parsed from a buffer or read off a stream as
+//! a site reads it, and truncated or corrupted frames are rejected instead
 //! of being half-decoded.
 
 use sysds_common::property;
@@ -31,6 +32,18 @@ fn same_request(a: &FedRequest, b: &FedRequest) -> bool {
 
 fn same_response(a: &FedResponse, b: &FedResponse) -> bool {
     format!("{a:?}") == format!("{b:?}")
+}
+
+/// Decode a request frame as a site reads it off its stream: the header,
+/// then the payload. Also returns how many bytes were left unread.
+fn read_streamed(bytes: &[u8]) -> std::io::Result<sysds_common::Result<(FedRequest, usize)>> {
+    let mut stream = bytes;
+    let header = match wire::read_header(&mut stream)? {
+        Ok(header) => header,
+        Err(e) => return Ok(Err(e)),
+    };
+    let req = wire::read_request(&mut stream, &header)?;
+    Ok(req.map(|req| (req, stream.len())))
 }
 
 /// One instance of every request kind from the generated ingredients:
@@ -90,6 +103,11 @@ property! {
                 same_request(&req, &back),
                 "{} changed across the wire", req.opcode()
             );
+            let (streamed, left) = read_streamed(&bytes).unwrap().unwrap();
+            assert!(
+                left == 0 && same_request(&req, &streamed),
+                "{} changed when read off a stream", req.opcode()
+            );
         }
     }
 
@@ -136,6 +154,10 @@ property! {
             assert!(
                 wire::parse_request_frame(&bytes[..cut]).is_err(),
                 "prefix of {cut}/{} bytes was accepted", bytes.len()
+            );
+            assert!(
+                !matches!(read_streamed(&bytes[..cut]), Ok(Ok(_))),
+                "prefix of {cut}/{} bytes was accepted off a stream", bytes.len()
             );
         }
     }
@@ -201,6 +223,17 @@ fn put_with_crafted_block_is_rejected() {
         bytes[16..24].copy_from_slice(&len.to_le_bytes());
         let err = wire::parse_request_frame(&bytes).unwrap_err();
         assert!(matches!(err, sysds_common::SysDsError::Format(_)), "{err}");
+        // Off a stream, the site reads the whole payload and answers the
+        // error; the next frame follows in step.
+        bytes.extend(wire::request_frame(4, &FedRequest::Ping));
+        let mut stream = bytes.as_slice();
+        let header = wire::read_header(&mut stream).unwrap().unwrap();
+        let err = wire::read_request(&mut stream, &header)
+            .unwrap()
+            .unwrap_err();
+        assert!(matches!(err, sysds_common::SysDsError::Format(_)), "{err}");
+        let (next, left) = read_streamed(stream).unwrap().unwrap();
+        assert!(left == 0 && matches!(next, FedRequest::Ping));
     }
 }
 
@@ -215,6 +248,9 @@ fn large_dense_matrix_round_trips() {
     assert!(bytes.len() > 300 * 200 * 8, "payload carries all cells");
     let (_, back) = wire::parse_request_frame(&bytes).unwrap();
     assert!(same_request(&req, &back));
+    // Read off a stream, the cells arrive in several 64 KiB steps.
+    let (streamed, left) = read_streamed(&bytes).unwrap().unwrap();
+    assert!(left == 0 && same_request(&req, &streamed));
 }
 
 #[test]
