@@ -112,6 +112,11 @@ impl SysDsError {
         SysDsError::Runtime(msg.into())
     }
 
+    /// Shorthand constructor for malformed-data errors.
+    pub fn format(msg: impl Into<String>) -> Self {
+        SysDsError::Format(msg.into())
+    }
+
     /// Shorthand constructor for compile errors.
     pub fn compile(msg: impl Into<String>) -> Self {
         SysDsError::Compile(msg.into())

@@ -5,7 +5,10 @@
 //! counters, weights replaced in one assignment), so the next holder takes
 //! the lock over instead of failing.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
+use std::time::Duration;
 
 /// Lock `m`, taking it over if a panicking holder poisoned it.
 pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -20,6 +23,18 @@ pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-lock `l`, taking it over if a panicking holder poisoned it.
 pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `cv` for at most `timeout`, taking the lock back over if a
+/// panicking holder poisoned it meanwhile.
+pub fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
 #[cfg(test)]
@@ -40,5 +55,7 @@ mod tests {
         *write(&l) += 1;
         assert_eq!(*lock(&m), 2);
         assert_eq!(*read(&l), 3);
+        let waited = wait_timeout(&Condvar::new(), lock(&m), Duration::from_millis(1));
+        assert_eq!(*waited, 2);
     }
 }

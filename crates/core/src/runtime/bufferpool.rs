@@ -5,13 +5,16 @@
 //! [`BufferPool`] tracks registered [`MatrixHandle`]s, accounts in-memory
 //! bytes, and evicts cold matrices to spill files (binary block format)
 //! when the configured limit is exceeded. Access through
-//! [`MatrixHandle::acquire`] transparently restores evicted data.
+//! [`MatrixHandle::acquire`] transparently restores evicted data. Spills
+//! and restores stream the block through a buffered writer or reader on
+//! the spill file, so neither holds a second copy of the matrix in bytes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use sysds_common::sync::lock;
 use sysds_common::{Result, SysDsError};
+use sysds_io::binary;
 use sysds_tensor::Matrix;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -101,11 +104,9 @@ impl MatrixHandle {
             .clone()
             .ok_or_else(|| SysDsError::runtime("matrix handle has neither memory nor disk copy"))?;
         let _span = sysds_obs::Span::enter(sysds_obs::Phase::BufferPool, "restore");
-        let bytes =
-            std::fs::read(&path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-        let m = Arc::new(sysds_io::binary::decode_matrix(&bytes)?);
+        let m = Arc::new(binary::read_file(&path, binary::decode_block)?);
         sysds_obs::count(|c| &c.buf_restores, 1);
-        sysds_obs::count(|c| &c.buf_restored_bytes, bytes.len() as u64);
+        sysds_obs::count(|c| &c.buf_restored_bytes, binary::block_len(&m) as u64);
         st.mem = Some(m.clone());
         Ok(m)
     }
@@ -122,10 +123,8 @@ impl HandleState {
         if self.disk.is_none() {
             let path = dir.join(format!("spill-{}.bin", self.id));
             let m = self.mem.as_ref().unwrap();
-            let encoded = sysds_io::binary::encode_matrix(m);
-            std::fs::write(&path, &encoded)
-                .map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-            sysds_obs::count(|c| &c.buf_spilled_bytes, encoded.len() as u64);
+            binary::write_file(&path, &[], m)?;
+            sysds_obs::count(|c| &c.buf_spilled_bytes, binary::block_len(m) as u64);
             self.disk = Some(path);
         }
         sysds_obs::count(|c| &c.buf_evictions, 1);
@@ -326,6 +325,45 @@ mod tests {
         // 40x40 dense f64 payload: well over 10 KB on disk, both ways.
         assert!(after.buf_spilled_bytes >= before.buf_spilled_bytes + 10_000);
         assert!(after.buf_restored_bytes >= before.buf_restored_bytes + 10_000);
+    }
+
+    /// A pool that evicted `m` at once, its handle and the spill file.
+    fn evicted(name: &str, m: &Matrix) -> (BufferPool, MatrixHandle, PathBuf) {
+        let d = dir(name);
+        let pool = BufferPool::new(1, d.clone()).unwrap();
+        let h = pool.register(m.clone()).unwrap();
+        assert!(!h.is_cached());
+        let path = std::fs::read_dir(&d)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        (pool, h, path)
+    }
+
+    #[test]
+    fn spill_file_holds_the_block_encoding() {
+        let m = gen::rand_uniform(30, 20, -1.0, 1.0, 1.0, 212);
+        let (_pool, _h, path) = evicted("encoding", &m);
+        let mut block = Vec::new();
+        binary::encode_block(&m, &mut block).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), block);
+    }
+
+    #[test]
+    fn damaged_spill_files_are_format_errors() {
+        let m = gen::rand_uniform(30, 20, -1.0, 1.0, 1.0, 213);
+        // One value cut off; rows 30 made 31 by flipping bit 0 of byte 1.
+        let damages: [fn(&mut Vec<u8>); 2] = [|b| b.truncate(b.len() - 8), |b| b[1] ^= 1];
+        for damage in damages {
+            let (_pool, h, path) = evicted("damaged", &m);
+            let mut bytes = std::fs::read(&path).unwrap();
+            damage(&mut bytes);
+            std::fs::write(&path, bytes).unwrap();
+            let r = h.acquire();
+            assert!(matches!(r, Err(SysDsError::Format(_))), "{r:?}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use sysds_common::error::panic_message;
+use sysds_common::sync::lock;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::Matrix;
 
@@ -109,7 +110,7 @@ impl Site {
     /// kill the site.
     pub fn respond(&self, req: FedRequest) -> FedResponse {
         let _worker = sysds_obs::set_worker(self.id);
-        let mut vars = self.vars.lock().expect("site vars poisoned");
+        let mut vars = lock(&self.vars);
         execute_request(&mut vars, req, self.threads)
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! A file is a short header followed by the matrix as one block, in the
 //! encoding buffer-pool spill files use (the wire protocol reuses it too).
-//! Sparse matrices stay sparse on disk and when read back.
+//! Sparse matrices stay sparse on disk and when read back. A block streams:
+//! [`encode_block`] writes it to any `Write` through one chunk of at most
+//! [`CHUNK`] bytes, and [`decode_block`] reads it from a [`Bounded`]
+//! reader, so no file, spill or frame holds a second copy of its block.
 //!
 //! Layout (little-endian):
 //!
@@ -14,12 +17,18 @@
 //! ```
 //!
 //! Decoding never trusts a header: size arithmetic is checked, values and
-//! sparse entries must be present in the input, the allocations a header
+//! sparse entries must fit in the bytes left under the reader's limit (a
+//! file's length, a frame's payload length), the allocations a header
 //! declares without bytes to back them (sparse row pointers) are capped at
-//! [`MAX_DECLARED_BYTES`], and a file must end with its block. Malformed
+//! [`MAX_DECLARED_BYTES`], decoded cells are kept as they arrive instead of
+//! being allocated up front, and a file must end with its block. Malformed
 //! input returns [`SysDsError::Format`] instead of panicking or aborting.
+//!
+//! Byte order is decided here alone: the wire protocol writes its header
+//! and fields with the `put_*` helpers and reads them with [`Bounded`].
 
-use std::fs;
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use sysds_common::{Result, SysDsError};
 use sysds_tensor::{DenseMatrix, Matrix, SparseMatrix};
@@ -31,41 +40,54 @@ const VERSION: u32 = 2;
 /// bytes; equal to the wire protocol's payload limit (16 GiB).
 pub const MAX_DECLARED_BYTES: usize = 1 << 34;
 
-fn format_err(msg: &str) -> SysDsError {
-    SysDsError::Format(msg.into())
+/// The most bytes a block is encoded or decoded through at a time; also
+/// the capacity of the buffered readers and writers blocks stream through.
+pub const CHUNK: usize = 1 << 16;
+
+/// A reader bounded by a byte limit. A read that asks for more bytes than
+/// are left under the limit fails with [`SysDsError::Format`]; a failure of
+/// the inner reader (an early end, a timeout) is [`SysDsError::Io`].
+#[derive(Debug)]
+pub struct Bounded<R> {
+    inner: R,
+    left: u64,
 }
 
-/// A read cursor over a byte slice; every read fails with
-/// [`SysDsError::Format`] when too few bytes are left.
-#[derive(Debug, Clone)]
-pub struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Cursor(buf)
+impl<R: Read> Bounded<R> {
+    pub fn new(inner: R, limit: u64) -> Self {
+        Bounded { inner, left: limit }
     }
 
-    /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
-        self.0.len()
+    /// Bytes left under the limit.
+    pub fn remaining(&self) -> u64 {
+        self.left
     }
 
-    /// The next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if n > self.0.len() {
-            return Err(format_err("input truncated"));
+    /// Fill `buf` with the next bytes.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<()> {
+        if buf.len() as u64 > self.left {
+            return Err(SysDsError::format("input truncated"));
         }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
+        self.inner
+            .read_exact(buf)
+            .map_err(|e| SysDsError::io("input", e))?;
+        self.left -= buf.len() as u64;
+        Ok(())
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    /// The next `N` bytes.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut bytes = [0; N];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
     }
 
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.array::<1>()?[0])
+    }
+
+    pub fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32> {
@@ -78,7 +100,7 @@ impl<'a> Cursor<'a> {
 
     /// A `u64` size or index that must fit a `usize`.
     pub fn usize(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| format_err("size exceeds usize"))
+        usize::try_from(self.u64()?).map_err(|_| SysDsError::format("size exceeds usize"))
     }
 
     pub fn f64(&mut self) -> Result<f64> {
@@ -88,133 +110,207 @@ impl<'a> Cursor<'a> {
     /// A string written by [`put_str`].
     pub fn str(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| format_err("non-utf8 string"))
+        let bytes = self.items(len, 1, |b| Ok(b[0]))?;
+        String::from_utf8(bytes).map_err(|_| SysDsError::format("non-utf8 string"))
     }
+
+    /// `n` items of `size` bytes each, read in steps of at most [`CHUNK`]
+    /// bytes. The vector grows only as the bytes arrive and ends with
+    /// capacity `n`, so a count no bytes back allocates little.
+    fn items<T>(
+        &mut self,
+        n: usize,
+        size: usize,
+        mut item: impl FnMut(&[u8]) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        if !fits(n, size, self.left) {
+            return Err(SysDsError::format("input truncated"));
+        }
+        let mut out = Vec::new();
+        let mut chunk = vec![0; (n * size).min(CHUNK / size * size)];
+        while out.len() < n {
+            let k = (n - out.len()).min(chunk.len() / size);
+            if out.len() == out.capacity() {
+                out.reserve_exact(out.len().max(k).min(n - out.len()));
+            }
+            let bytes = &mut chunk[..k * size];
+            self.fill(bytes)?;
+            for b in bytes.chunks_exact(size) {
+                out.push(item(b)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Read and drop every byte left under the limit, so a stream stays in
+    /// step after a payload that did not decode.
+    pub fn skip_rest(&mut self) -> io::Result<()> {
+        self.left -= io::copy(&mut (&mut self.inner).take(self.left), &mut io::sink())?;
+        match self.left {
+            0 => Ok(()),
+            _ => Err(io::ErrorKind::UnexpectedEof.into()),
+        }
+    }
+}
+
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a string as a `u32` length followed by its UTF-8 bytes.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
 
 /// Whether `count` items of `size` bytes fit in `limit` bytes.
-fn fits(count: usize, size: usize, limit: usize) -> bool {
-    count.checked_mul(size).is_some_and(|bytes| bytes <= limit)
+fn fits(count: usize, size: usize, limit: u64) -> bool {
+    matches!(count.checked_mul(size), Some(bytes) if bytes as u64 <= limit)
 }
 
-/// Encode one matrix block (any shape) into a byte buffer, growing it
-/// once by the block's size.
-pub fn encode_block(m: &Matrix, buf: &mut Vec<u8>) {
-    let put = |buf: &mut Vec<u8>, v: usize| buf.extend_from_slice(&(v as u64).to_le_bytes());
-    buf.reserve(match m {
+/// Bytes of `m`'s block encoding.
+pub fn block_len(m: &Matrix) -> usize {
+    match m {
         Matrix::Dense(d) => 17 + 8 * d.values().len(),
         Matrix::Sparse(s) => 25 + 24 * s.nnz(),
-    });
-    match m {
-        Matrix::Dense(d) => {
-            buf.push(0);
-            put(buf, d.rows());
-            put(buf, d.cols());
-            for &v in d.values() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Matrix::Sparse(s) => {
-            buf.push(1);
-            put(buf, s.rows());
-            put(buf, s.cols());
-            put(buf, s.nnz());
-            for (i, j, v) in s.iter_nonzeros() {
-                put(buf, i);
-                put(buf, j);
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
     }
 }
 
-/// Decode one matrix block from a cursor.
-pub fn decode_block(buf: &mut Cursor<'_>) -> Result<Matrix> {
-    let kind = buf.u8()?;
-    let rows = buf.usize()?;
-    let cols = buf.usize()?;
+/// Write `buf` out when `next` more bytes would take it past a chunk.
+fn drain_full(buf: &mut Vec<u8>, next: usize, w: &mut impl Write) -> io::Result<()> {
+    if buf.len() + next > CHUNK {
+        w.write_all(buf)?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+/// Write one matrix block (any shape) to `w` through one chunk of at most
+/// [`CHUNK`] bytes.
+pub fn encode_block(m: &Matrix, w: &mut impl Write) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(block_len(m).min(CHUNK));
+    buf.push(m.is_sparse() as u8);
+    put_u64(&mut buf, m.rows() as u64);
+    put_u64(&mut buf, m.cols() as u64);
+    match m {
+        Matrix::Dense(d) => {
+            for &v in d.values() {
+                drain_full(&mut buf, 8, w)?;
+                put_f64(&mut buf, v);
+            }
+        }
+        Matrix::Sparse(s) => {
+            put_u64(&mut buf, s.nnz() as u64);
+            for (i, j, v) in s.iter_nonzeros() {
+                drain_full(&mut buf, 24, w)?;
+                put_u64(&mut buf, i as u64);
+                put_u64(&mut buf, j as u64);
+                put_f64(&mut buf, v);
+            }
+        }
+    }
+    w.write_all(&buf)
+}
+
+/// Decode one matrix block from a bounded reader.
+pub fn decode_block(r: &mut Bounded<impl Read>) -> Result<Matrix> {
+    let kind = r.u8()?;
+    let rows = r.usize()?;
+    let cols = r.usize()?;
     match kind {
         0 => {
             let cells = rows
                 .checked_mul(cols)
-                .filter(|&c| fits(c, 8, buf.remaining()));
-            let bytes = buf.take(cells.ok_or_else(|| format_err("dense block truncated"))? * 8)?;
-            let data = bytes
-                .chunks_exact(8)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-                .collect();
+                .filter(|&c| fits(c, 8, r.remaining()))
+                .ok_or_else(|| SysDsError::format("dense block truncated"))?;
+            let data = r.items(cells, 8, |b| {
+                Ok(f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            })?;
             Ok(Matrix::Dense(DenseMatrix::from_vec(rows, cols, data)))
         }
         1 => {
-            let nnz = buf.usize()?;
-            if !fits(nnz, 24, buf.remaining()) {
-                return Err(format_err("sparse block truncated"));
+            let nnz = r.usize()?;
+            if !fits(nnz, 24, r.remaining()) {
+                return Err(SysDsError::format("sparse block truncated"));
             }
-            if cols > u32::MAX as usize || !fits(rows, 8, MAX_DECLARED_BYTES) {
-                return Err(format_err("sparse block shape too large"));
+            if cols > u32::MAX as usize || !fits(rows, 8, MAX_DECLARED_BYTES as u64) {
+                return Err(SysDsError::format("sparse block shape too large"));
             }
-            let mut triples = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                let (i, j, v) = (buf.usize()?, buf.usize()?, buf.f64()?);
+            let triples = r.items(nnz, 24, |b| {
+                let mut entry = Bounded::new(b, 24);
+                let (i, j, v) = (entry.usize()?, entry.usize()?, entry.f64()?);
                 if i >= rows || j >= cols {
-                    return Err(format_err("sparse block index out of range"));
+                    return Err(SysDsError::format("sparse block index out of range"));
                 }
-                triples.push((i, j, v));
-            }
-            Ok(Matrix::Sparse(SparseMatrix::from_triples(
-                rows, cols, triples,
-            )))
+                Ok((i, j, v))
+            })?;
+            let s = SparseMatrix::from_triples(rows, cols, triples);
+            Ok(Matrix::Sparse(s))
         }
-        other => Err(SysDsError::Format(format!("unknown block kind {other}"))),
+        other => Err(SysDsError::format(format!("unknown block kind {other}"))),
+    }
+}
+
+/// Write `head`, then `m`'s block, to a new file through one buffered
+/// writer.
+pub fn write_file(path: &Path, head: &[u8], m: &Matrix) -> Result<()> {
+    let at = |e| SysDsError::io(path.display().to_string(), e);
+    let mut w = BufWriter::with_capacity(CHUNK, File::create(path).map_err(at)?);
+    (w.write_all(head).and_then(|()| encode_block(m, &mut w)))
+        .and_then(|()| w.flush())
+        .map_err(at)
+}
+
+/// Read a file through one buffered reader bounded by the file's length;
+/// `decode` must consume the file whole.
+pub fn read_file<T>(
+    path: &Path,
+    decode: impl FnOnce(&mut Bounded<BufReader<File>>) -> Result<T>,
+) -> Result<T> {
+    let at = |e| SysDsError::io(path.display().to_string(), e);
+    let file = File::open(path).map_err(at)?;
+    let len = file.metadata().map_err(at)?.len();
+    let mut r = Bounded::new(BufReader::with_capacity(CHUNK, file), len);
+    match decode(&mut r) {
+        Err(SysDsError::Io { source, .. }) => Err(at(source)),
+        Ok(_) if r.remaining() > 0 => Err(SysDsError::format("trailing bytes after the matrix")),
+        decoded => decoded,
     }
 }
 
 /// Write a matrix as a binary file.
 pub fn write_matrix(path: impl AsRef<Path>, m: &Matrix) -> Result<()> {
-    let path = path.as_ref();
-    let mut buf = MAGIC.to_vec();
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    encode_block(m, &mut buf);
-    fs::write(path, &buf).map_err(|e| SysDsError::io(path.display().to_string(), e))
+    let head = [&MAGIC[..], &VERSION.to_le_bytes()].concat();
+    write_file(path.as_ref(), &head, m)
 }
 
 /// Read a binary matrix file.
 pub fn read_matrix(path: impl AsRef<Path>) -> Result<Matrix> {
-    let path = path.as_ref();
-    let data = fs::read(path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
-    let mut buf = Cursor::new(&data);
-    if buf.remaining() < 4 + 4 || buf.take(4)? != MAGIC {
-        return Err(format_err("not a SystemDS binary matrix file"));
-    }
-    let version = buf.u32()?;
-    if version != VERSION {
-        return Err(SysDsError::Format(format!(
-            "unsupported binary version {version}"
-        )));
-    }
-    let m = decode_block(&mut buf)?;
-    if buf.remaining() > 0 {
-        return Err(format_err("trailing bytes after the matrix"));
-    }
+    let m = read_file(path.as_ref(), |r| {
+        if r.remaining() < 4 + 4 || r.array::<4>()? != *MAGIC {
+            return Err(SysDsError::format("not a SystemDS binary matrix file"));
+        }
+        let version = r.u32()?;
+        if version != VERSION {
+            return Err(SysDsError::format(format!(
+                "unsupported binary version {version}"
+            )));
+        }
+        decode_block(r)
+    })?;
     Ok(m.compact())
-}
-
-/// Encode a whole matrix into one buffer (used by buffer-pool spilling).
-pub fn encode_matrix(m: &Matrix) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_block(m, &mut buf);
-    buf
-}
-
-/// Decode a whole matrix from one buffer.
-pub fn decode_matrix(bytes: &[u8]) -> Result<Matrix> {
-    decode_block(&mut Cursor::new(bytes))
 }
 
 #[cfg(test)]
@@ -226,6 +322,62 @@ mod tests {
         let dir = sysds_common::testing::unique_temp_dir("sysds-io-binary-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    fn encode(m: &Matrix) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_block(m, &mut bytes).unwrap();
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Matrix> {
+        decode_block(&mut Bounded::new(bytes, bytes.len() as u64))
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A dense and a sparse matrix whose encodings are pinned below.
+    fn golden_matrices() -> [Matrix; 2] {
+        [
+            Matrix::Dense(DenseMatrix::from_vec(
+                2,
+                3,
+                vec![1.5, -2.0, 0.0, 3.25, 1e300, -0.0],
+            )),
+            Matrix::Sparse(SparseMatrix::from_triples(
+                4,
+                5,
+                vec![(0, 1, 2.5), (2, 0, -1.0), (3, 4, 7.0)],
+            )),
+        ]
+    }
+
+    /// The blocks of [`golden_matrices`], as the buffered-copy encoder of
+    /// format version 2 wrote them.
+    const GOLDEN_BLOCKS: [&str; 2] = [
+        "0002000000000000000300000000000000000000000000f83f00000000000000c0000000\
+         00000000000000000000000a409c7500883ce4377e0000000000000080",
+        "0104000000000000000500000000000000030000000000000000000000000000000100\
+         000000000000000000000000044002000000000000000000000000000000000000000000\
+         f0bf030000000000000004000000000000000000000000001c40",
+    ];
+
+    #[test]
+    fn golden_spill_and_file_bytes() {
+        for (m, block) in golden_matrices().iter().zip(GOLDEN_BLOCKS) {
+            assert_eq!(hex(&encode(m)), block);
+            assert_eq!(block_len(m) * 2, block.len());
+            let p = tmp("golden.bin");
+            write_matrix(&p, m).unwrap();
+            assert_eq!(
+                hex(&std::fs::read(&p).unwrap()),
+                format!("5344534202000000{block}")
+            );
+            write_file(&p, &[], m).unwrap();
+            assert_eq!(hex(&std::fs::read(&p).unwrap()), block);
+        }
     }
 
     #[test]
@@ -282,19 +434,24 @@ mod tests {
     }
 
     #[test]
-    fn single_buffer_encode_decode() {
-        let m = gen::rand_uniform(20, 20, -1.0, 1.0, 0.1, 114).compact();
-        let bytes = encode_matrix(&m);
-        let back = decode_matrix(&bytes).unwrap();
-        assert!(back.approx_eq(&m, 0.0));
+    fn blocks_past_a_chunk_round_trip_through_a_buffer() {
+        // Dense and sparse blocks of several chunks each, and a small one.
+        for m in [
+            gen::rand_uniform(300, 70, -1.0, 1.0, 1.0, 113),
+            gen::rand_uniform(400, 400, -1.0, 1.0, 0.05, 114).compact(),
+            gen::rand_uniform(20, 20, -1.0, 1.0, 0.1, 114).compact(),
+        ] {
+            let bytes = encode(&m);
+            assert_eq!(bytes.len(), block_len(&m));
+            let back = decode(&bytes).unwrap();
+            assert!(back.approx_eq(&m, 0.0) && back.is_sparse() == m.is_sparse());
+        }
     }
 
-    /// A block of `kind` whose header holds the little-endian `fields`.
+    /// A block of `kind` whose header holds the `fields`.
     fn crafted(kind: u8, fields: &[u64]) -> Vec<u8> {
         let mut b = vec![kind];
-        fields
-            .iter()
-            .for_each(|f| b.extend_from_slice(&f.to_le_bytes()));
+        fields.iter().for_each(|&f| put_u64(&mut b, f));
         b
     }
 
@@ -308,7 +465,7 @@ mod tests {
         ] {
             let b = crafted(kind, fields);
             assert_eq!(b.len(), len);
-            let r = decode_matrix(&b);
+            let r = decode(&b);
             assert!(matches!(r, Err(SysDsError::Format(_))), "{fields:?}: {r:?}");
         }
     }
@@ -317,39 +474,64 @@ mod tests {
     fn crafted_file_headers_are_rejected() {
         let file = |version: u32, block: &[u8]| {
             let mut b = MAGIC.to_vec();
-            b.extend_from_slice(&version.to_le_bytes());
+            put_u32(&mut b, version);
             b.extend_from_slice(block);
             let p = tmp("crafted.bin");
             std::fs::write(&p, b).unwrap();
             read_matrix(&p)
         };
-        let one_cell = [crafted(0, &[1, 1]), 1.0f64.to_le_bytes().to_vec()].concat();
+        let mut one_cell = crafted(0, &[1, 1]);
+        put_f64(&mut one_cell, 1.0);
         assert_eq!(file(VERSION, &one_cell).unwrap().get(0, 0), 1.0);
         assert!(file(1, &one_cell).is_err()); // the old tiled format
         assert!(file(VERSION, &[]).is_err()); // no block
         assert!(file(VERSION, &crafted(0, &[1 << 61, 4])).is_err()); // rows * cols overflows
-        assert!(file(VERSION, &crafted(0, &[1 << 40, 4])).is_err()); // 32 TiB, no values
         let trailing = [one_cell.as_slice(), &[0]].concat();
         assert!(matches!(
             file(VERSION, &trailing),
             Err(SysDsError::Format(_))
         ));
+        // 2^30 x 4 cells (32 GiB) and 3 cells declared, 1 held: each fails
+        // on the file's length, before the cells are allocated.
+        for fields in [[1 << 30, 4], [1, 3]] {
+            let block = [crafted(0, &fields).as_slice(), &one_cell[17..]].concat();
+            let err = file(VERSION, &block).unwrap_err().to_string();
+            assert!(err.contains("dense block truncated"), "{err}");
+        }
     }
 
     #[test]
-    fn cursor_reads_fail_past_the_end() {
-        let mut c = Cursor::new(&[1, 2, 3]);
-        assert!(c.u64().is_err() && c.u8().unwrap() == 1 && c.str().is_err());
+    fn a_limit_past_the_input_fails_on_read_without_a_huge_alloc() {
+        // The limit claims 16 GiB, so 2^30 cells (8 GiB) pass the size
+        // check, but the input ends after the header: the read fails on the
+        // early end, having allocated at most one chunk of cells.
+        let b = crafted(0, &[1 << 30, 1]);
+        let r = decode_block(&mut Bounded::new(&b[..], 1 << 34));
+        assert!(matches!(r, Err(SysDsError::Io { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn bounded_reads_fail_past_the_limit() {
+        let bytes = [1, 2, 3];
+        let mut r = Bounded::new(&bytes[..], 3);
+        assert!(r.u64().is_err() && r.u8().unwrap() == 1 && r.str().is_err());
         let mut s = Vec::new();
         put_str(&mut s, "héllo");
-        assert_eq!(Cursor::new(&s).str().unwrap(), "héllo");
+        assert_eq!(Bounded::new(&s[..], s.len() as u64).str().unwrap(), "héllo");
+        // A limit below the input's length cuts it short; skipping reads
+        // the rest of the limit and no further.
+        let mut r = Bounded::new(&s[..], 6);
+        assert!(matches!(r.str(), Err(SysDsError::Format(_))));
+        r.skip_rest().unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert!(Bounded::new(&bytes[..], 4).skip_rest().is_err());
     }
 
     #[test]
     fn truncated_block_rejected() {
         let m = gen::rand_uniform(10, 10, 0.0, 1.0, 1.0, 115);
-        let bytes = encode_matrix(&m);
-        assert!(decode_matrix(&bytes[..bytes.len() / 2]).is_err());
-        assert!(decode_matrix(&[]).is_err());
+        let bytes = encode(&m);
+        assert!(decode(&bytes[..bytes.len() / 2]).is_err());
+        assert!(decode(&[]).is_err());
     }
 }

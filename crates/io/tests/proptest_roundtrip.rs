@@ -2,7 +2,7 @@
 //! arbitrary shapes, sparsity, and parser thread counts.
 
 use sysds_common::property;
-use sysds_io::FormatDescriptor;
+use sysds_io::{binary, FormatDescriptor};
 use sysds_tensor::kernels::gen;
 use sysds_tensor::Matrix;
 
@@ -57,9 +57,12 @@ property! {
         seed in g.seed(),
     ) {
         let m = gen::rand_uniform(rows, cols, -1.0, 1.0, sparsity, seed).compact();
-        let bytes = sysds_io::binary::encode_matrix(&m);
-        let back = sysds_io::binary::decode_matrix(&bytes).unwrap();
-        assert!(back.approx_eq(&m, 0.0));
+        let mut bytes = Vec::new();
+        binary::encode_block(&m, &mut bytes).unwrap();
+        assert_eq!(bytes.len(), binary::block_len(&m));
+        let mut r = binary::Bounded::new(bytes.as_slice(), bytes.len() as u64);
+        let back = binary::decode_block(&mut r).unwrap();
+        assert!(back.approx_eq(&m, 0.0) && r.remaining() == 0);
         assert_eq!(back.is_sparse(), m.is_sparse());
     }
 

@@ -3,7 +3,8 @@
 //! Each [`TcpTransport`] owns a small connection pool to one site and runs
 //! every request through the robustness layer:
 //!
-//! * **deadlines** — read/write socket timeouts bound each attempt by
+//! * **deadlines** — read/write socket timeouts, set once when a
+//!   connection opens, bound each attempt by
 //!   [`NetConfig::request_timeout_ms`];
 //! * **bounded retries** — up to [`NetConfig::max_retries`] re-sends with
 //!   exponential backoff plus deterministic jitter. Re-sending is safe for
@@ -17,14 +18,16 @@
 //! [`Transport::request`] wrapper keeps.
 
 use crate::wire;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, BufWriter, ErrorKind};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use sysds_common::rng::XorShift64;
+use sysds_common::sync::lock;
 use sysds_common::{NetConfig, Result, SysDsError};
 use sysds_fed::{FedRequest, FedResponse, Transport};
+use sysds_io::binary::CHUNK;
 
 /// Upper bound on any single backoff sleep between retries.
 pub const BACKOFF_MAX_MS: u64 = 2_000;
@@ -62,7 +65,7 @@ pub struct TcpTransport {
     addr: SocketAddr,
     endpoint: String,
     cfg: NetConfig,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Conn>>,
 }
 
 impl TcpTransport {
@@ -93,58 +96,47 @@ impl TcpTransport {
         }
     }
 
-    fn checkout(&self) -> std::io::Result<TcpStream> {
-        if let Some(conn) = self.pool.lock().expect("pool poisoned").pop() {
+    /// A pooled connection, or a new one with its deadlines set.
+    fn checkout(&self) -> io::Result<Conn> {
+        if let Some(conn) = lock(&self.pool).pop() {
             return Ok(conn);
         }
-        let conn = TcpStream::connect_timeout(
+        let stream = TcpStream::connect_timeout(
             &self.addr,
             Duration::from_millis(self.cfg.connect_timeout_ms.max(1)),
         )?;
-        conn.set_nodelay(true)?;
-        Ok(conn)
+        let timeout = Some(Duration::from_millis(self.cfg.request_timeout_ms.max(1)));
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
+        Ok(Conn {
+            writer: BufWriter::with_capacity(CHUNK, stream.try_clone()?),
+            reader: BufReader::with_capacity(CHUNK, stream),
+        })
     }
 
-    fn checkin(&self, conn: TcpStream) {
-        let mut pool = self.pool.lock().expect("pool poisoned");
+    fn checkin(&self, conn: Conn) {
+        let mut pool = lock(&self.pool);
         if pool.len() < POOL_LIMIT {
             pool.push(conn);
         }
     }
 
     /// One attempt: send the frame, read the matching response. Any error
-    /// drops the connection (a stale or half-written socket must never go
-    /// back into the pool). Returns the response plus bytes received.
-    fn single_attempt(&self, frame: &[u8]) -> std::io::Result<(FedResponse, u64)> {
-        let timeout = Duration::from_millis(self.cfg.request_timeout_ms.max(1));
+    /// closes the connection (a stale or half-written socket must never go
+    /// back into the pool), shutting it down first so that dropping its
+    /// writer does not wait on a stalled socket. Returns the response plus
+    /// bytes received.
+    fn single_attempt(&self, frame: &wire::Frame<'_>, id: u64) -> io::Result<(FedResponse, u64)> {
         let mut conn = self.checkout()?;
-        conn.set_write_timeout(Some(timeout))?;
-        conn.set_read_timeout(Some(timeout))?;
-        wire::write_frame(&mut conn, frame)?;
-        let (header, payload) = match wire::read_frame(&mut conn)? {
-            Ok(ok) => ok,
-            Err(proto) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::InvalidData,
-                    proto.to_string(),
-                ))
+        let reply = conn.round_trip(frame, id);
+        match reply {
+            Ok(_) => self.checkin(conn),
+            Err(_) => {
+                let _ = conn.reader.get_ref().shutdown(Shutdown::Both);
             }
-        };
-        let expected_id = u64::from_le_bytes(frame[8..16].try_into().expect("frame id"));
-        if header.request_id != expected_id {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "response id {} does not match request id {expected_id}",
-                    header.request_id
-                ),
-            ));
         }
-        let bytes_recv = (wire::HEADER_LEN + payload.len()) as u64;
-        let resp = wire::decode_response(&header, &payload)
-            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-        self.checkin(conn);
-        Ok((resp, bytes_recv))
+        reply
     }
 
     fn backoff(&self, attempt: u32, rng: &mut XorShift64) -> Duration {
@@ -160,10 +152,34 @@ impl TcpTransport {
     }
 }
 
+/// A connection to a site: a buffered reader and a buffered writer over
+/// one socket, so a small frame leaves in one write.
+#[derive(Debug)]
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+}
+
+impl Conn {
+    fn round_trip(&mut self, frame: &wire::Frame<'_>, id: u64) -> io::Result<(FedResponse, u64)> {
+        let invalid = |e: SysDsError| io::Error::new(ErrorKind::InvalidData, e.to_string());
+        frame.write_to(&mut self.writer)?;
+        let header = wire::read_header(&mut self.reader)?.map_err(invalid)?;
+        if header.request_id != id {
+            let msg = format!(
+                "response id {} does not match request id {id}",
+                header.request_id
+            );
+            return Err(io::Error::new(ErrorKind::InvalidData, msg));
+        }
+        let resp = wire::read_response(&mut self.reader, &header)?.map_err(invalid)?;
+        Ok((resp, wire::HEADER_LEN as u64 + header.payload_len))
+    }
+}
+
 impl Transport for TcpTransport {
     fn exchange(&self, req: FedRequest) -> Result<FedResponse> {
         let request_id = next_request_id();
-        let frame = wire::request_frame(request_id, &req);
         let mut rng = XorShift64::new(JITTER_SEED ^ request_id);
         let attempts = self.cfg.max_retries as u64 + 1;
         let start = Instant::now();
@@ -176,8 +192,11 @@ impl Transport for TcpTransport {
                 retries += 1;
                 std::thread::sleep(self.backoff(attempt as u32 - 1, &mut rng));
             }
-            bytes_sent += frame.len() as u64;
-            match self.single_attempt(&frame) {
+            // Each attempt encodes the request again; the block streams
+            // from the matrix, so no copy of it is kept for a retry.
+            let frame = wire::Frame::request(request_id, &req);
+            bytes_sent += frame.byte_len() as u64;
+            match self.single_attempt(&frame, request_id) {
                 Ok((resp, bytes_recv)) => {
                     sysds_obs::net::record_request(
                         &self.endpoint,

@@ -8,10 +8,12 @@
 //! answered from the cache without re-executing, and a retry that races
 //! the still-executing original (e.g. arriving on a second connection
 //! after a timeout) waits for the original's result via an in-flight
-//! marker instead of executing twice. Every reply, an error for a
-//! malformed payload included, leaves through one write in
-//! `serve_connection`; what it carries comes from the site's one
-//! [`Site::respond`], the one the in-process handle calls too.
+//! marker instead of executing twice. A connection reads through one
+//! buffered reader and answers through one buffered writer, flushed once
+//! per reply, so a small reply leaves in one write. Every reply, an error
+//! for a malformed payload included, is written in `serve_frames`; what it
+//! carries comes from the site's one [`Site::respond`], the one the
+//! in-process handle calls too.
 //! Client request ids carry a randomized per-process epoch (see
 //! `client::next_request_id`), so a restarted or second master never
 //! collides with a predecessor's ids in this cache.
@@ -26,14 +28,17 @@
 use crate::fault::{FaultAction, FaultPlan};
 use crate::wire;
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use sysds_common::sync::{lock, wait_timeout};
 use sysds_common::{Result, SysDsError};
 use sysds_fed::{FedRequest, FedResponse, Site};
+use sysds_io::binary::CHUNK;
 use sysds_tensor::Matrix;
 
 /// Maximum request ids remembered for replay deduplication.
@@ -41,7 +46,8 @@ const DEDUP_CAPACITY: usize = 1024;
 /// Longest a retry waits for the original in-flight attempt to finish
 /// before giving up with an error reply.
 const DEDUP_WAIT_TIMEOUT: Duration = Duration::from_secs(60);
-/// Read deadline for the body of a frame whose first byte has arrived.
+/// Read deadline of a site connection. Passing it before a frame's first
+/// byte only restarts the wait; passing it inside a frame drops the link.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// State of a request id in the dedup cache.
@@ -279,30 +285,30 @@ fn map_large_blocks() {}
 
 /// Serve one connection, then close it: the accept thread's clone of the
 /// stream must not keep it open.
-fn serve_connection(mut stream: TcpStream, state: &SiteState) {
-    serve_frames(&mut stream, state);
+fn serve_connection(stream: TcpStream, state: &SiteState) {
+    serve_frames(&stream, state);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn serve_frames(stream: &mut TcpStream, state: &SiteState) {
+fn serve_frames(stream: &TcpStream, state: &SiteState) {
     let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(FRAME_READ_TIMEOUT));
+    let mut reader = BufReader::with_capacity(CHUNK, stream);
+    let mut writer = BufWriter::with_capacity(CHUNK, stream);
     loop {
-        // Block until the next frame starts, without consuming it; the
-        // peer closing or a stop ends the wait.
-        let _ = stream.set_read_timeout(None);
-        match stream.peek(&mut [0u8; 1]) {
-            Ok(0) | Err(_) => return,
+        // Wait for the next frame's first byte. A deadline that passes
+        // here only ends one wait; the peer closing or a stop ends them all.
+        match reader.fill_buf() {
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => continue,
+            Ok([]) | Err(_) => return,
             Ok(_) => {}
         }
-        // A frame is arriving: read it whole under the long deadline.
-        let _ = stream.set_read_timeout(Some(FRAME_READ_TIMEOUT));
-        let header = match wire::read_header(stream) {
-            Ok(Ok(header)) => header,
-            // Protocol violation: this peer is corrupt; drop the link.
-            Ok(Err(_)) | Err(_) => return,
+        // A frame is arriving: a deadline that passes inside it, or a
+        // protocol violation in its header, drops the link.
+        let Ok(Ok(header)) = wire::read_header(&mut reader) else {
+            return;
         };
-        let request_id = header.request_id;
-        let Ok(decoded) = wire::read_request(stream, &header) else {
+        let Ok(decoded) = wire::read_request(&mut reader, &header) else {
             return;
         };
         // A malformed payload gets an error reply and the link stays up.
@@ -310,29 +316,29 @@ fn serve_frames(stream: &mut TcpStream, state: &SiteState) {
             Ok(req) => {
                 let seq = state.seq.fetch_add(1, Ordering::Relaxed);
                 let is_shutdown = matches!(req, FedRequest::Shutdown);
-                let resp = respond(state, request_id, req);
+                let resp = respond(state, header.request_id, req);
                 (resp, state.faults.action_for(seq), is_shutdown)
             }
             Err(e) => (FedResponse::Error(e.to_string()), None, false),
         };
-        let frame = wire::response_frame(request_id, &resp);
-        match fault {
+        let frame = wire::Frame::response(header.request_id, &resp);
+        let written = match fault {
             Some(FaultAction::DropResponse) => return,
             Some(FaultAction::DelayMillis(ms)) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                let _ = wire::write_frame(stream, &frame);
+                frame.write_to(&mut writer)
             }
             Some(FaultAction::CloseAfterBytes(n)) => {
-                let cut = n.min(frame.len());
-                let _ = stream.write_all(&frame[..cut]);
-                let _ = stream.flush();
+                let mut bytes = Vec::new();
+                let _ = frame.write_to(&mut bytes);
+                let _ =
+                    (writer.write_all(&bytes[..n.min(bytes.len())])).and_then(|()| writer.flush());
                 return;
             }
-            None => {
-                if wire::write_frame(stream, &frame).is_err() {
-                    return;
-                }
-            }
+            None => frame.write_to(&mut writer),
+        };
+        if written.is_err() {
+            return;
         }
         if is_shutdown {
             state.stop.stop();
@@ -353,7 +359,7 @@ fn respond(state: &SiteState, request_id: u64, req: FedRequest) -> FedResponse {
     // racing the still-executing original waits for its result instead of
     // executing the mutation twice.
     {
-        let mut cache = state.dedup.lock().expect("dedup poisoned");
+        let mut cache = lock(&state.dedup);
         let deadline = Instant::now() + DEDUP_WAIT_TIMEOUT;
         loop {
             match cache.get(request_id) {
@@ -365,11 +371,7 @@ fn respond(state: &SiteState, request_id: u64, req: FedRequest) -> FedResponse {
                             "request {request_id} still in flight after {DEDUP_WAIT_TIMEOUT:?}"
                         ));
                     }
-                    cache = state
-                        .dedup_done
-                        .wait_timeout(cache, deadline - now)
-                        .expect("dedup poisoned")
-                        .0;
+                    cache = wait_timeout(&state.dedup_done, cache, deadline - now);
                 }
                 None => {
                     cache.begin(request_id);
@@ -379,11 +381,7 @@ fn respond(state: &SiteState, request_id: u64, req: FedRequest) -> FedResponse {
         }
     }
     let resp = state.site.respond(req);
-    state
-        .dedup
-        .lock()
-        .expect("dedup poisoned")
-        .complete(request_id, resp.clone());
+    lock(&state.dedup).complete(request_id, resp.clone());
     state.dedup_done.notify_all();
     resp
 }
@@ -422,7 +420,7 @@ mod tests {
             }),
         });
         // Simulate the original attempt still executing.
-        state.dedup.lock().unwrap().begin(42);
+        lock(&state.dedup).begin(42);
         let retry = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
@@ -438,11 +436,7 @@ mod tests {
         };
         // Give the retry time to block, then publish the original result.
         std::thread::sleep(Duration::from_millis(50));
-        state
-            .dedup
-            .lock()
-            .unwrap()
-            .complete(42, FedResponse::Scalar(9.0));
+        lock(&state.dedup).complete(42, FedResponse::Scalar(9.0));
         state.dedup_done.notify_all();
         let resp = retry.join().unwrap();
         assert!(
@@ -480,9 +474,11 @@ mod tests {
                 let idle: Vec<TcpStream> = (0..3)
                     .map(|k| {
                         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-                        let ping = wire::request_frame(k, &FedRequest::Ping);
-                        wire::write_frame(&mut conn, &ping).unwrap();
-                        wire::read_frame(&mut conn).unwrap().unwrap();
+                        wire::Frame::request(k, &FedRequest::Ping)
+                            .write_to(&mut conn)
+                            .unwrap();
+                        let header = wire::read_header(&mut conn).unwrap().unwrap();
+                        wire::read_response(&mut conn, &header).unwrap().unwrap();
                         conn
                     })
                     .collect();

@@ -29,19 +29,27 @@
 //!               3 operator. An operator is a u8 index into `BinaryOp::ALL`.
 //! ```
 //!
+//! In every payload a matrix block, if there is one, is the last field. A
+//! [`Frame`] is therefore the header and the leading fields in one small
+//! buffer, followed by the block streamed from the matrix; a reader decodes
+//! every kind of payload straight off its stream, bounded by the header's
+//! payload length.
+//!
 //! Decoding is strict: wrong magic, unknown version/kind/opcode/row,
 //! truncated payloads, and trailing garbage are all rejected with
 //! [`SysDsError::Format`] rather than silently tolerated — a corrupt frame
 //! must never be half-applied at a site. Whether an `Exec` fits its row is
 //! the site's check (`FedOp::check`), not the codec's.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use sysds_common::{Result, SysDsError};
 use sysds_fed::ops::{self, FedOperand};
 use sysds_fed::{FedRequest, FedResponse};
-use sysds_io::binary::{decode_block, encode_block, put_str, Cursor};
+use sysds_io::binary::{
+    block_len, decode_block, encode_block, put_f64, put_str, put_u16, put_u64, Bounded,
+};
 use sysds_tensor::kernels::BinaryOp;
-use sysds_tensor::{DenseMatrix, Matrix};
+use sysds_tensor::Matrix;
 
 /// Frame magic: the first four bytes of every message.
 pub const MAGIC: [u8; 4] = *b"SNET";
@@ -51,18 +59,15 @@ pub const VERSION: u16 = 2;
 pub const HEADER_LEN: usize = 24;
 /// Upper bound on a payload, guarding length-prefix corruption: a frame
 /// claiming more than this is rejected at header parse. Below the limit
-/// the payload is read in `READ_CHUNK`-sized steps, so a bogus length
-/// fails on `read_exact` instead of forcing a huge upfront allocation.
+/// a payload is decoded as its bytes arrive, so a bogus length fails on
+/// the read instead of forcing a huge upfront allocation.
 pub const MAX_PAYLOAD: u64 = 1 << 34;
-/// Granularity of streaming payload reads (allocation grows with the
-/// bytes actually received, never with the header's claimed length).
-const READ_CHUNK: usize = 1 << 22;
 
 /// Frame kind: request (master → site) or response (site → master).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    Request,
-    Response,
+    Request = 0,
+    Response = 1,
 }
 
 /// Parsed fixed-size frame header.
@@ -92,25 +97,25 @@ const OPERAND_OP: u8 = 3;
 
 /// An operator travels as its index in `BinaryOp::ALL`, which lists the
 /// variants in declaration order (so the index is `op as u8`).
-fn get_op(buf: &mut Cursor<'_>) -> Result<BinaryOp> {
+fn get_op(buf: &mut Bounded<impl Read>) -> Result<BinaryOp> {
     let code = buf.u8()?;
     BinaryOp::ALL
         .get(code as usize)
         .copied()
-        .ok_or_else(|| SysDsError::Format(format!("unknown binary op code {code}")))
+        .ok_or_else(|| SysDsError::format(format!("unknown binary op code {code}")))
 }
 
-/// Append a request's payload to `buf`; returns its frame opcode.
-fn encode_request(req: &FedRequest, buf: &mut Vec<u8>) -> u8 {
+/// Append a request's leading fields to `buf`; returns its frame opcode
+/// and the block that ends the payload, if any.
+fn encode_request<'a>(req: &'a FedRequest, buf: &mut Vec<u8>) -> (u8, Option<&'a Matrix>) {
     match req {
         FedRequest::Put { var, data } => {
             put_str(buf, var);
-            encode_block(data, buf);
-            REQ_PUT
+            (REQ_PUT, Some(data))
         }
         FedRequest::Remove { var } => {
             put_str(buf, var);
-            REQ_REMOVE
+            (REQ_REMOVE, None)
         }
         FedRequest::Exec {
             op,
@@ -132,43 +137,42 @@ fn encode_request(req: &FedRequest, buf: &mut Vec<u8>) -> u8 {
             }
             match operand {
                 None => buf.push(OPERAND_NONE),
-                Some(FedOperand::Matrix(m)) => {
-                    buf.push(OPERAND_MATRIX);
-                    encode_block(m, buf);
-                }
+                Some(FedOperand::Matrix(_)) => buf.push(OPERAND_MATRIX),
                 Some(FedOperand::Scalar(op, scalar)) => {
                     buf.extend([OPERAND_SCALAR, *op as u8]);
-                    buf.extend_from_slice(&scalar.to_le_bytes());
+                    put_f64(buf, *scalar);
                 }
-                Some(FedOperand::Op(op)) => {
-                    buf.extend([OPERAND_OP, *op as u8]);
-                }
+                Some(FedOperand::Op(op)) => buf.extend([OPERAND_OP, *op as u8]),
             }
-            REQ_EXEC
+            let block = match operand {
+                Some(FedOperand::Matrix(m)) => Some(m),
+                _ => None,
+            };
+            (REQ_EXEC, block)
         }
-        FedRequest::Ping => REQ_PING,
-        FedRequest::Shutdown => REQ_SHUTDOWN,
+        FedRequest::Ping => (REQ_PING, None),
+        FedRequest::Shutdown => (REQ_SHUTDOWN, None),
     }
 }
 
-fn decode_exec(buf: &mut Cursor<'_>) -> Result<FedRequest> {
+fn decode_exec(buf: &mut Bounded<impl Read>) -> Result<FedRequest> {
     let code = buf.u8()?;
     let op = (ops::OPS.into_iter().find(|op| op.code == code))
-        .ok_or_else(|| SysDsError::Format(format!("unknown federated instruction {code}")))?;
+        .ok_or_else(|| SysDsError::format(format!("unknown federated instruction {code}")))?;
     let vars = (0..buf.u8()?)
         .map(|_| buf.str())
         .collect::<Result<Vec<_>>>()?;
     let out = match buf.u8()? {
         0 => None,
         1 => Some(buf.str()?),
-        flag => return Err(SysDsError::Format(format!("bad out flag {flag}"))),
+        flag => return Err(SysDsError::format(format!("bad out flag {flag}"))),
     };
     let operand = match buf.u8()? {
         OPERAND_NONE => None,
         OPERAND_MATRIX => Some(FedOperand::Matrix(decode_block(buf)?)),
         OPERAND_SCALAR => Some(FedOperand::Scalar(get_op(buf)?, buf.f64()?)),
         OPERAND_OP => Some(FedOperand::Op(get_op(buf)?)),
-        tag => return Err(SysDsError::Format(format!("unknown operand tag {tag}"))),
+        tag => return Err(SysDsError::format(format!("unknown operand tag {tag}"))),
     };
     Ok(FedRequest::Exec {
         op,
@@ -178,265 +182,201 @@ fn decode_exec(buf: &mut Cursor<'_>) -> Result<FedRequest> {
     })
 }
 
-/// Decode the request carried by a frame read with [`read_frame`].
-pub fn decode_request(header: &FrameHeader, payload: &[u8]) -> Result<FedRequest> {
-    if header.kind != FrameKind::Request {
-        return Err(SysDsError::Format("expected a request frame".into()));
-    }
-    let mut buf = Cursor::new(payload);
-    let req = match header.opcode {
+fn decode_request(opcode: u8, buf: &mut Bounded<impl Read>) -> Result<FedRequest> {
+    Ok(match opcode {
         REQ_PUT => FedRequest::Put {
             var: buf.str()?,
-            data: decode_block(&mut buf)?,
+            data: decode_block(buf)?,
         },
         REQ_REMOVE => FedRequest::Remove { var: buf.str()? },
-        REQ_EXEC => decode_exec(&mut buf)?,
+        REQ_EXEC => decode_exec(buf)?,
         REQ_PING => FedRequest::Ping,
         REQ_SHUTDOWN => FedRequest::Shutdown,
         other => {
-            return Err(SysDsError::Format(format!(
+            return Err(SysDsError::format(format!(
                 "unknown request opcode {other}"
             )))
         }
-    };
-    if buf.remaining() != 0 {
-        return Err(SysDsError::Format(format!(
-            "{} trailing bytes after request payload",
-            buf.remaining()
-        )));
-    }
-    Ok(req)
+    })
 }
 
-/// Append a response's payload to `buf`; returns its frame opcode.
-fn encode_response(resp: &FedResponse, buf: &mut Vec<u8>) -> u8 {
+/// Append a response's leading fields to `buf`; returns its frame opcode
+/// and the block that ends the payload, if any.
+fn encode_response<'a>(resp: &'a FedResponse, buf: &mut Vec<u8>) -> (u8, Option<&'a Matrix>) {
     match resp {
-        FedResponse::Ok => RESP_OK,
-        FedResponse::Aggregate(m) => {
-            encode_block(m, buf);
-            RESP_AGGREGATE
-        }
+        FedResponse::Ok => (RESP_OK, None),
+        FedResponse::Aggregate(m) => (RESP_AGGREGATE, Some(m)),
         FedResponse::Scalar(v) => {
-            buf.extend_from_slice(&v.to_le_bytes());
-            RESP_SCALAR
+            put_f64(buf, *v);
+            (RESP_SCALAR, None)
         }
         FedResponse::Error(msg) => {
             put_str(buf, msg);
-            RESP_ERROR
+            (RESP_ERROR, None)
         }
     }
 }
 
-/// Decode the response carried by a frame read with [`read_frame`].
-pub fn decode_response(header: &FrameHeader, payload: &[u8]) -> Result<FedResponse> {
-    if header.kind != FrameKind::Response {
-        return Err(SysDsError::Format("expected a response frame".into()));
-    }
-    let mut buf = Cursor::new(payload);
-    let resp = match header.opcode {
+fn decode_response(opcode: u8, buf: &mut Bounded<impl Read>) -> Result<FedResponse> {
+    Ok(match opcode {
         RESP_OK => FedResponse::Ok,
-        RESP_AGGREGATE => FedResponse::Aggregate(decode_block(&mut buf)?),
+        RESP_AGGREGATE => FedResponse::Aggregate(decode_block(buf)?),
         RESP_SCALAR => FedResponse::Scalar(buf.f64()?),
         RESP_ERROR => FedResponse::Error(buf.str()?),
         other => {
-            return Err(SysDsError::Format(format!(
+            return Err(SysDsError::format(format!(
                 "unknown response opcode {other}"
             )))
         }
-    };
-    if buf.remaining() != 0 {
-        return Err(SysDsError::Format(format!(
-            "{} trailing bytes after response payload",
-            buf.remaining()
-        )));
-    }
-    Ok(resp)
-}
-
-/// One frame: the header, then the payload `encode` appends and whose
-/// opcode it returns, in one buffer.
-fn frame(kind: FrameKind, request_id: u64, encode: impl FnOnce(&mut Vec<u8>) -> u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(match kind {
-        FrameKind::Request => 0,
-        FrameKind::Response => 1,
-    });
-    out.push(0);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
-    out[7] = encode(&mut out);
-    let payload_len = (out.len() - HEADER_LEN) as u64;
-    out[16..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-    out
-}
-
-/// Encode a complete request frame.
-pub fn request_frame(request_id: u64, req: &FedRequest) -> Vec<u8> {
-    frame(FrameKind::Request, request_id, |buf| {
-        encode_request(req, buf)
     })
 }
 
-/// Encode a complete response frame.
-pub fn response_frame(request_id: u64, resp: &FedResponse) -> Vec<u8> {
-    frame(FrameKind::Response, request_id, |buf| {
-        encode_response(resp, buf)
-    })
+/// One frame ready to write: the header and the payload's leading fields
+/// in one small buffer, then the matrix block that ends the payload.
+#[derive(Debug)]
+pub struct Frame<'a> {
+    head: Vec<u8>,
+    block: Option<&'a Matrix>,
 }
 
-/// Parse a header from its 24 fixed bytes.
-pub fn parse_header(raw: &[u8; HEADER_LEN]) -> Result<FrameHeader> {
-    if raw[0..4] != MAGIC {
-        return Err(SysDsError::Format("bad frame magic".into()));
+impl<'a> Frame<'a> {
+    pub fn request(request_id: u64, req: &'a FedRequest) -> Frame<'a> {
+        Frame::new(FrameKind::Request, request_id, |b| encode_request(req, b))
     }
-    let version = u16::from_le_bytes([raw[4], raw[5]]);
-    if version != VERSION {
-        return Err(SysDsError::Format(format!(
-            "unsupported protocol version {version}"
-        )));
+
+    pub fn response(request_id: u64, resp: &'a FedResponse) -> Frame<'a> {
+        Frame::new(FrameKind::Response, request_id, |b| {
+            encode_response(resp, b)
+        })
     }
-    let kind = match raw[6] {
-        0 => FrameKind::Request,
-        1 => FrameKind::Response,
-        k => return Err(SysDsError::Format(format!("unknown frame kind {k}"))),
-    };
-    let request_id = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(raw[16..24].try_into().expect("8 bytes"));
-    if payload_len > MAX_PAYLOAD {
-        return Err(SysDsError::Format(format!(
-            "frame payload length {payload_len} exceeds limit"
-        )));
+
+    fn new(
+        kind: FrameKind,
+        request_id: u64,
+        encode: impl FnOnce(&mut Vec<u8>) -> (u8, Option<&'a Matrix>),
+    ) -> Frame<'a> {
+        let mut fields = Vec::new();
+        let (opcode, block) = encode(&mut fields);
+        let mut head = Vec::with_capacity(HEADER_LEN + fields.len());
+        head.extend_from_slice(&MAGIC);
+        put_u16(&mut head, VERSION);
+        head.extend([kind as u8, opcode]);
+        put_u64(&mut head, request_id);
+        let payload_len = fields.len() + block.map_or(0, block_len);
+        put_u64(&mut head, payload_len as u64);
+        head.extend(fields);
+        Frame { head, block }
     }
-    Ok(FrameHeader {
-        kind,
-        opcode: raw[7],
-        request_id,
-        payload_len,
-    })
+
+    /// Bytes of the whole frame.
+    pub fn byte_len(&self) -> usize {
+        self.head.len() + self.block.map_or(0, block_len)
+    }
+
+    /// Write the frame and flush `w` once, so a frame that fits the
+    /// writer's buffer leaves in one write.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.head)?;
+        if let Some(m) = self.block {
+            encode_block(m, w)?;
+        }
+        w.flush()
+    }
 }
 
-/// Parse a complete request frame (header + payload) from a byte slice.
-pub fn parse_request_frame(bytes: &[u8]) -> Result<(u64, FedRequest)> {
-    let (header, payload) = split_frame(bytes)?;
-    Ok((header.request_id, decode_request(&header, payload)?))
-}
-
-/// Parse a complete response frame (header + payload) from a byte slice.
-pub fn parse_response_frame(bytes: &[u8]) -> Result<(u64, FedResponse)> {
-    let (header, payload) = split_frame(bytes)?;
-    Ok((header.request_id, decode_response(&header, payload)?))
-}
-
-fn split_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8])> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SysDsError::Format("truncated frame header".into()));
-    }
-    let header = parse_header(bytes[..HEADER_LEN].try_into().expect("header bytes"))?;
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() as u64 != header.payload_len {
-        return Err(SysDsError::Format(format!(
-            "frame payload length mismatch: header says {}, got {}",
-            header.payload_len,
-            payload.len()
-        )));
-    }
-    Ok((header, payload))
-}
-
-/// Read one frame from a stream. Transport failures surface as the io
+/// Read and parse a frame header. Transport failures surface as the io
 /// error; protocol violations as `Ok(Err(..))` so callers can distinguish
 /// "retry the connection" from "corrupt peer".
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Result<(FrameHeader, Vec<u8>)>> {
-    let header = match read_header(r)? {
-        Ok(h) => h,
-        Err(e) => return Ok(Err(e)),
+pub fn read_header(r: &mut impl Read) -> io::Result<Result<FrameHeader>> {
+    let mut raw = [0u8; HEADER_LEN];
+    r.read_exact(&mut raw)?;
+    let mut buf = Bounded::new(&raw[..], HEADER_LEN as u64);
+    let mut parse = || {
+        if buf.array::<4>()? != MAGIC {
+            return Err(SysDsError::format("bad frame magic"));
+        }
+        let version = buf.u16()?;
+        if version != VERSION {
+            return Err(SysDsError::format(format!(
+                "unsupported protocol version {version}"
+            )));
+        }
+        let kind = match buf.u8()? {
+            0 => FrameKind::Request,
+            1 => FrameKind::Response,
+            k => return Err(SysDsError::format(format!("unknown frame kind {k}"))),
+        };
+        let (opcode, request_id, payload_len) = (buf.u8()?, buf.u64()?, buf.u64()?);
+        if payload_len > MAX_PAYLOAD {
+            return Err(SysDsError::format(format!(
+                "frame payload length {payload_len} exceeds limit"
+            )));
+        }
+        Ok(FrameHeader {
+            kind,
+            opcode,
+            request_id,
+            payload_len,
+        })
     };
-    let mut payload = Vec::new();
-    read_into(r, &mut payload, header.payload_len as usize)?;
-    Ok(Ok((header, payload)))
-}
-
-/// Read and parse a frame header; errors as in [`read_frame`].
-pub fn read_header(r: &mut impl Read) -> std::io::Result<Result<FrameHeader>> {
-    let mut head = [0u8; HEADER_LEN];
-    r.read_exact(&mut head)?;
-    Ok(parse_header(&head))
+    Ok(parse())
 }
 
 /// Read and decode the payload of the request frame whose header
-/// [`read_header`] returned. The payload is read whole even when it does
-/// not decode, so the link stays in step and the site can answer with the
-/// inner error. The cells of a dense `Put` block go from the stream
-/// straight into the matrix, not through a byte buffer of their size.
-pub fn read_request(
-    r: &mut impl Read,
+/// [`read_header`] returned; errors as in [`read_header`].
+pub fn read_request(r: &mut impl Read, header: &FrameHeader) -> io::Result<Result<FedRequest>> {
+    read_payload(r, header, FrameKind::Request, decode_request)
+}
+
+/// Read and decode the payload of the response frame whose header
+/// [`read_header`] returned; errors as in [`read_header`].
+pub fn read_response(r: &mut impl Read, header: &FrameHeader) -> io::Result<Result<FedResponse>> {
+    read_payload(r, header, FrameKind::Response, decode_response)
+}
+
+/// Decode a payload of `kind` off `r`, bounded by its declared length. A
+/// payload that does not decode is still read to its declared end, so the
+/// link stays in step and the site can answer with the inner error.
+fn read_payload<R: Read, T>(
+    r: R,
     header: &FrameHeader,
-) -> std::io::Result<Result<FedRequest>> {
-    let mut left = header.payload_len as usize;
-    let mut head = Vec::new();
-    if header.kind == FrameKind::Request && header.opcode == REQ_PUT && left >= 4 {
-        // The variable name, then the block's kind and shape.
-        read_into(r, &mut head, 4)?;
-        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
-        let n = len.saturating_add(17).min(left - 4);
-        read_into(r, &mut head, n)?;
-        left -= 4 + n;
-        let mut buf = Cursor::new(&head);
-        if let (Ok(var), Ok(0), Ok(rows), Ok(cols)) =
-            (buf.str(), buf.u8(), buf.usize(), buf.usize())
-        {
-            if rows.checked_mul(cols).and_then(|c| c.checked_mul(8)) == Some(left) {
-                let values = read_cells(r, rows * cols)?;
-                let data = Matrix::Dense(DenseMatrix::from_vec(rows, cols, values));
-                return Ok(Ok(FedRequest::Put { var, data }));
-            }
-        }
+    kind: FrameKind,
+    decode: impl FnOnce(u8, &mut Bounded<R>) -> Result<T>,
+) -> io::Result<Result<T>> {
+    let mut buf = Bounded::new(r, header.payload_len);
+    let decoded = if header.kind != kind {
+        Err(SysDsError::format(format!("expected a {kind:?} frame")))
+    } else {
+        decode(header.opcode, &mut buf).and_then(|v| match buf.remaining() {
+            0 => Ok(v),
+            n => Err(SysDsError::format(format!(
+                "{n} trailing bytes after {kind:?} payload"
+            ))),
+        })
+    };
+    match decoded {
+        Err(SysDsError::Io { source, .. }) => Err(source),
+        decoded => buf.skip_rest().map(|()| decoded),
     }
-    read_into(r, &mut head, left)?;
-    Ok(decode_request(header, &head))
-}
-
-/// Append the next `n` bytes of `r` to `buf`, in `READ_CHUNK` steps.
-fn read_into(r: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> std::io::Result<()> {
-    let end = buf.len() + n;
-    buf.reserve(n.min(READ_CHUNK));
-    while buf.len() < end {
-        let old = buf.len();
-        buf.resize(old + (end - old).min(READ_CHUNK), 0);
-        r.read_exact(&mut buf[old..])?;
-    }
-    Ok(())
-}
-
-/// `n` little-endian `f64`s read through a small buffer; the vector grows
-/// past `READ_CHUNK` bytes only as the cells arrive.
-fn read_cells(r: &mut impl Read, n: usize) -> std::io::Result<Vec<f64>> {
-    let mut values = Vec::with_capacity(n.min(READ_CHUNK / 8));
-    let mut chunk = [0u8; 1 << 16];
-    while values.len() < n {
-        let bytes = &mut chunk[..(8 * (n - values.len())).min(1 << 16)];
-        r.read_exact(bytes)?;
-        values.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-        );
-    }
-    Ok(values)
-}
-
-/// Write one pre-encoded frame to a stream, returning the byte count.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<usize> {
-    w.write_all(frame)?;
-    w.flush()?;
-    Ok(frame.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn request_bytes(id: u64, req: &FedRequest) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        Frame::request(id, req).write_to(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// Read one request frame off `bytes` as a site reads its stream; an
+    /// io error (the stream ended early) counts as a rejection too.
+    fn read_one(mut bytes: &[u8]) -> Result<(u64, FedRequest)> {
+        let header = read_header(&mut bytes).map_err(|e| SysDsError::io("frame", e))??;
+        let req = read_request(&mut bytes, &header).map_err(|e| SysDsError::io("frame", e))??;
+        Ok((header.request_id, req))
+    }
 
     #[test]
     fn request_frame_round_trips() {
@@ -444,8 +384,10 @@ mod tests {
             var: "X".into(),
             data: Matrix::filled(3, 2, 1.5),
         };
-        let bytes = request_frame(42, &req);
-        let (id, back) = parse_request_frame(&bytes).unwrap();
+        let frame = Frame::request(42, &req);
+        let bytes = request_bytes(42, &req);
+        assert_eq!(frame.byte_len(), bytes.len());
+        let (id, back) = read_one(&bytes).unwrap();
         assert_eq!(id, 42);
         match back {
             FedRequest::Put { var, data } => {
@@ -459,37 +401,41 @@ mod tests {
 
     #[test]
     fn response_frame_round_trips() {
-        let bytes = response_frame(7, &FedResponse::Scalar(2.25));
-        let (id, back) = parse_response_frame(&bytes).unwrap();
-        assert_eq!(id, 7);
+        let mut bytes = Vec::new();
+        let resp = FedResponse::Scalar(2.25);
+        Frame::response(7, &resp).write_to(&mut bytes).unwrap();
+        let mut stream = bytes.as_slice();
+        let header = read_header(&mut stream).unwrap().unwrap();
+        assert_eq!(header.request_id, 7);
+        let back = read_response(&mut stream, &header).unwrap().unwrap();
         assert!(matches!(back, FedResponse::Scalar(v) if v == 2.25));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = request_frame(1, &FedRequest::Ping);
+        let mut bytes = request_bytes(1, &FedRequest::Ping);
         bytes[0] = b'X';
-        assert!(parse_request_frame(&bytes).is_err());
+        assert!(read_one(&bytes).is_err());
     }
 
     #[test]
     fn truncated_frame_rejected() {
-        let bytes = request_frame(
+        let bytes = request_bytes(
             1,
             &FedRequest::Remove {
                 var: "long_variable_name".into(),
             },
         );
         for cut in [1, HEADER_LEN - 1, HEADER_LEN + 3, bytes.len() - 1] {
-            assert!(parse_request_frame(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(read_one(&bytes[..cut]).is_err(), "cut={cut}");
         }
     }
 
     #[test]
     fn unknown_version_rejected() {
-        let mut bytes = request_frame(1, &FedRequest::Ping);
+        let mut bytes = request_bytes(1, &FedRequest::Ping);
         bytes[4] = 0xff;
-        assert!(parse_request_frame(&bytes).is_err());
+        assert!(read_one(&bytes).is_err());
     }
 
     #[test]
@@ -501,13 +447,13 @@ mod tests {
                 operand: Some(FedOperand::Op(op)),
                 out: Some("C".into()),
             };
-            let (_, back) = parse_request_frame(&request_frame(1, &req)).unwrap();
+            let (_, back) = read_one(&request_bytes(1, &req)).unwrap();
             assert!(
                 matches!(back, FedRequest::Exec { operand: Some(FedOperand::Op(o)), .. } if o == op)
             );
         }
         let past_the_end = [BinaryOp::ALL.len() as u8];
-        assert!(get_op(&mut Cursor::new(&past_the_end)).is_err());
+        assert!(get_op(&mut Bounded::new(&past_the_end[..], 1)).is_err());
     }
 
     #[test]
@@ -518,29 +464,30 @@ mod tests {
             operand: None,
             out: None,
         };
-        let mut bytes = request_frame(1, &exec);
-        assert!(parse_request_frame(&bytes).is_ok());
+        let mut bytes = request_bytes(1, &exec);
+        assert!(read_one(&bytes).is_ok());
         bytes[HEADER_LEN] = u8::MAX;
-        let err = parse_request_frame(&bytes).unwrap_err().to_string();
+        let err = read_one(&bytes).unwrap_err().to_string();
         assert!(err.contains("unknown federated instruction"), "{err}");
     }
 
     #[test]
     fn oversized_payload_length_rejected() {
-        let mut bytes = request_frame(1, &FedRequest::Ping);
+        let mut bytes = request_bytes(1, &FedRequest::Ping);
         bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(parse_request_frame(&bytes).is_err());
+        assert!(matches!(read_one(&bytes), Err(SysDsError::Format(_))));
     }
 
     #[test]
     fn bogus_in_limit_length_fails_on_read_without_huge_alloc() {
         // Header claims a multi-GiB payload (under MAX_PAYLOAD, so it
         // passes header validation) but the stream ends immediately. The
-        // chunked reader must fail with an io error after allocating at
-        // most one READ_CHUNK — this test OOMs if it preallocates.
-        let mut bytes = request_frame(1, &FedRequest::Ping);
+        // reader must fail with an io error without allocating the claimed
+        // length — this test OOMs if it preallocates.
+        let mut bytes = request_bytes(1, &FedRequest::Ping);
         bytes[16..24].copy_from_slice(&(MAX_PAYLOAD - 1).to_le_bytes());
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(read_frame(&mut cursor).is_err());
+        let mut stream = bytes.as_slice();
+        let header = read_header(&mut stream).unwrap().unwrap();
+        assert!(read_request(&mut stream, &header).is_err());
     }
 }

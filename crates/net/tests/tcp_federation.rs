@@ -636,10 +636,10 @@ fn dropping_a_handle_whose_site_is_dead_returns_within_the_timeout_budget() {
 
 /// Send `req` on a raw connection and read the reply.
 fn raw_request(stream: &mut TcpStream, id: u64, req: &FedRequest) -> FedResponse {
-    wire::write_frame(stream, &wire::request_frame(id, req)).unwrap();
-    let (header, payload) = wire::read_frame(stream).unwrap().unwrap();
+    wire::Frame::request(id, req).write_to(stream).unwrap();
+    let header = wire::read_header(stream).unwrap().unwrap();
     assert_eq!(header.request_id, id);
-    wire::decode_response(&header, &payload).unwrap()
+    wire::read_response(stream, &header).unwrap().unwrap()
 }
 
 /// Each crafted `Exec` gets an error reply naming its row, and the site
