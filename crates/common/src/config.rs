@@ -90,13 +90,9 @@ pub struct EngineConfig {
     pub fusion: bool,
     /// Collect runtime statistics (heavy hitters, counters) for reporting.
     pub stats: bool,
-    /// When set, append one JSONL span record per instrumented region to
-    /// this file.
+    /// When set, write one Chrome `trace_event` per instrumented region to
+    /// this file as the region ends (chrome://tracing, Perfetto).
     pub trace_file: Option<PathBuf>,
-    /// When set, buffer span records in memory and export them as Chrome
-    /// `trace_event` JSON (chrome://tracing, Perfetto) to this file after
-    /// the run.
-    pub chrome_trace_file: Option<PathBuf>,
 }
 
 impl Default for EngineConfig {
@@ -115,7 +111,6 @@ impl Default for EngineConfig {
             fusion: true,
             stats: false,
             trace_file: None,
-            chrome_trace_file: None,
         }
     }
 }
@@ -158,15 +153,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for JSONL span tracing (`--trace FILE`).
+    /// Builder-style setter for span tracing (`--trace FILE`).
     pub fn trace(mut self, path: impl Into<PathBuf>) -> Self {
         self.trace_file = Some(path.into());
-        self
-    }
-
-    /// Builder-style setter for Chrome trace export (`--chrome-trace FILE`).
-    pub fn chrome_trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.chrome_trace_file = Some(path.into());
         self
     }
 }
@@ -213,11 +202,11 @@ mod tests {
         let c = EngineConfig::default();
         assert!(!c.stats);
         assert!(c.trace_file.is_none());
-        let c = c.stats(true).trace("/tmp/out.jsonl");
+        let c = c.stats(true).trace("/tmp/out.json");
         assert!(c.stats);
         assert_eq!(
             c.trace_file.as_deref(),
-            Some(std::path::Path::new("/tmp/out.jsonl"))
+            Some(std::path::Path::new("/tmp/out.json"))
         );
     }
 
@@ -230,16 +219,5 @@ mod tests {
         assert_eq!(n.request_timeout_ms, 500);
         assert_eq!(n.max_retries, 0);
         assert_eq!(n.backoff_base_ms, 5);
-    }
-
-    #[test]
-    fn chrome_trace_builder() {
-        let c = EngineConfig::default();
-        assert!(c.chrome_trace_file.is_none());
-        let c = c.chrome_trace("/tmp/out.trace.json");
-        assert_eq!(
-            c.chrome_trace_file.as_deref(),
-            Some(std::path::Path::new("/tmp/out.trace.json"))
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! The workspace's one JSON reader and string escaper.
 //!
-//! Span trace lines, Chrome traces and `.mtd` sidecars are small JSON
+//! Chrome trace events and `.mtd` sidecars are small JSON
 //! documents written by this workspace; [`parse`] reads them back and
 //! [`escape_into`] writes their strings. Numbers keep their text, so a
 //! reader can take one as an exact `u64` or as an `f64`.

@@ -7,7 +7,7 @@
 //! sysds run script.dml --threads 8
 //! sysds run script.dml --arg X=features.csv # $X substitution
 //! sysds run script.dml --explain hops       # HOP DAGs with size estimates
-//! sysds run script.dml --chrome-trace t.json # chrome://tracing timeline
+//! sysds run script.dml --trace t.json      # chrome://tracing timeline
 //! sysds worker --listen 127.0.0.1:7461      # federated site daemon
 //! sysds fedlm --workers 127.0.0.1:7461 --stats # federated lm over TCP
 //! sysds fuzz --seed 0 --iters 1000          # differential conformance fuzz
@@ -16,6 +16,7 @@
 #![deny(unsafe_code)]
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use sysds::api::SystemDS;
 use sysds::compiler::explain::ExplainLevel;
@@ -39,10 +40,10 @@ fn usage() -> ! {
            --no-fusion        disable cell-wise operator fusion\n\
            --stats            print heavy-hitter, buffer-pool, cache and\n\
                               estimate-vs-actual statistics after execution\n\
-           --trace FILE       write one JSONL span record per compiler\n\
-                              phase / instruction / worker to FILE\n\
-           --chrome-trace FILE  export the run timeline as Chrome\n\
-                              trace_event JSON (chrome://tracing, Perfetto)\n\
+           --trace FILE       write the run timeline to FILE as Chrome\n\
+                              trace_event JSON (chrome://tracing, Perfetto),\n\
+                              one event per compiler phase / instruction /\n\
+                              worker, each as it ends\n\
            --explain [LEVEL]  print the compiled plan before executing;\n\
                               LEVEL is 'hops' (default: HOP DAGs with\n\
                               dims/sparsity/memory) or 'runtime'\n\
@@ -85,6 +86,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value after the flag at `args[*i]`, parsed; moves `i` onto it. A
+/// missing or unparseable value prints the usage and exits 2.
+fn value<T: FromStr>(args: &[String], i: &mut usize) -> T {
+    *i += 1;
+    let parsed = args.get(*i).and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| usage())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -109,20 +118,13 @@ fn run_cmd(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--arg" => {
-                i += 1;
-                let Some(pair) = args.get(i) else { usage() };
+                let pair: String = value(args, &mut i);
                 let Some((k, v)) = pair.split_once('=') else {
                     usage()
                 };
                 substitutions.push((k.to_string(), v.to_string()));
             }
-            "--threads" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                config.num_threads = n;
-            }
+            "--threads" => config.num_threads = value(args, &mut i),
             "--reuse" => config = config.reuse_policy(ReusePolicy::FullAndPartial),
             "--no-recompile" => config.dynamic_recompile = false,
             "--no-fusion" => config.fusion = false,
@@ -130,16 +132,7 @@ fn run_cmd(args: &[String]) -> ExitCode {
                 stats = true;
                 config.stats = true;
             }
-            "--trace" => {
-                i += 1;
-                let Some(path) = args.get(i) else { usage() };
-                config.trace_file = Some(path.into());
-            }
-            "--chrome-trace" => {
-                i += 1;
-                let Some(path) = args.get(i) else { usage() };
-                config.chrome_trace_file = Some(path.into());
-            }
+            "--trace" => config.trace_file = Some(value(args, &mut i)),
             "--explain" => {
                 // Optional level: `--explain runtime`; bare `--explain`
                 // defaults to the HOP view.
@@ -202,16 +195,8 @@ fn run_cmd(args: &[String]) -> ExitCode {
     let start = std::time::Instant::now();
     let result = sds.execute_program(&program, &[], &[]);
     if tracing {
-        // Flush and close the JSONL sink so every span record is on disk.
+        // Close the trace array and flush it so every event is on disk.
         sysds_obs::disable_trace();
-    }
-    match sds.export_chrome_trace() {
-        Ok(Some(path)) => eprintln!("# chrome trace written to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     match result {
         Ok(_) => {
@@ -236,46 +221,12 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                opts.seed = v;
-            }
-            "--iters" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                opts.iters = v;
-            }
-            "--corpus" => {
-                i += 1;
-                let Some(dir) = args.get(i) else { usage() };
-                opts.corpus_dir = Some(dir.into());
-            }
-            "--fed-every" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                opts.fed_every = v;
-            }
-            "--max-dim" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                opts.max_dim = v;
-            }
-            "--save-samples" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                opts.save_samples = Some(v);
-            }
+            "--seed" => opts.seed = value(args, &mut i),
+            "--iters" => opts.iters = value(args, &mut i),
+            "--corpus" => opts.corpus_dir = Some(value(args, &mut i)),
+            "--fed-every" => opts.fed_every = value(args, &mut i),
+            "--max-dim" => opts.max_dim = value(args, &mut i),
+            "--save-samples" => opts.save_samples = Some(value(args, &mut i)),
             other => {
                 eprintln!("unknown option '{other}'");
                 usage();
@@ -307,18 +258,8 @@ fn worker_cmd(args: &[String]) -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--listen" => {
-                i += 1;
-                let Some(addr) = args.get(i) else { usage() };
-                listen = Some(addr.clone());
-            }
-            "--threads" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                threads = n;
-            }
+            "--listen" => listen = Some(value(args, &mut i)),
+            "--threads" => threads = value(args, &mut i),
             other => {
                 eprintln!("unknown option '{other}'");
                 usage();
@@ -359,8 +300,7 @@ fn fedlm_cmd(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--workers" => {
-                i += 1;
-                let Some(list) = args.get(i) else { usage() };
+                let list: String = value(args, &mut i);
                 worker_addrs = list
                     .split(',')
                     .map(str::trim)
@@ -368,41 +308,11 @@ fn fedlm_cmd(args: &[String]) -> ExitCode {
                     .map(String::from)
                     .collect();
             }
-            "--sites" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                sites = n;
-            }
-            "--rows" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                rows = n;
-            }
-            "--cols" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                cols = n;
-            }
-            "--lambda" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                lambda = v;
-            }
-            "--seed" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                seed = v;
-            }
+            "--sites" => sites = value(args, &mut i),
+            "--rows" => rows = value(args, &mut i),
+            "--cols" => cols = value(args, &mut i),
+            "--lambda" => lambda = value(args, &mut i),
+            "--seed" => seed = value(args, &mut i),
             "--stats" => stats = true,
             "--shutdown-workers" => shutdown_workers = true,
             other => {

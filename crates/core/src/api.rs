@@ -153,20 +153,6 @@ impl SystemDS {
         self.ctx.cache.clear();
     }
 
-    /// Export the spans buffered for `chrome_trace_file` as Chrome
-    /// `trace_event` JSON. Returns the path written, or `None` when the
-    /// config did not request a Chrome trace. Drains the buffer, so call
-    /// once after the run(s) of interest.
-    pub fn export_chrome_trace(&self) -> Result<Option<std::path::PathBuf>> {
-        let Some(path) = self.ctx.config.chrome_trace_file.clone() else {
-            return Ok(None);
-        };
-        let records = sysds_obs::take_memory_trace();
-        sysds_obs::chrome_trace::write_chrome_trace(&path, &records)
-            .map_err(|e| SysDsError::runtime(format!("cannot write chrome trace: {e}")))?;
-        Ok(Some(path))
-    }
-
     /// Compile a script (exposed for inspection and tests).
     pub fn compile(&self, script: &str) -> Result<Arc<CompiledProgram>> {
         let ast = {

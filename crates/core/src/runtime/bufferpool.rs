@@ -9,9 +9,11 @@
 //! and restores stream the block through a buffered writer or reader on
 //! the spill file, so neither holds a second copy of the matrix in bytes.
 
+use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use sysds_common::hash::FxHasher64;
 use sysds_common::sync::lock;
 use sysds_common::{Result, SysDsError};
 use sysds_io::binary;
@@ -30,6 +32,8 @@ struct HandleState {
     mem: Option<Arc<Matrix>>,
     /// Spill file, if evicted (kept until drop for cheap re-eviction).
     disk: Option<PathBuf>,
+    /// [`checksum`] of the matrix the spill file holds, checked on restore.
+    spilled_sum: u64,
     /// Logical shape (known even when evicted).
     shape: (usize, usize),
     sparsity: f64,
@@ -59,6 +63,7 @@ impl MatrixHandle {
                 id,
                 mem: Some(m),
                 disk: None,
+                spilled_sum: 0,
                 shape,
                 sparsity,
                 bytes,
@@ -105,11 +110,31 @@ impl MatrixHandle {
             .ok_or_else(|| SysDsError::runtime("matrix handle has neither memory nor disk copy"))?;
         let _span = sysds_obs::Span::enter(sysds_obs::Phase::BufferPool, "restore");
         let m = Arc::new(binary::read_file(&path, binary::decode_block)?);
+        if checksum(&m) != st.spilled_sum {
+            return Err(SysDsError::format(format!(
+                "spill file {} fails its checksum",
+                path.display()
+            )));
+        }
         sysds_obs::count(|c| &c.buf_restores, 1);
         sysds_obs::count(|c| &c.buf_restored_bytes, binary::block_len(&m) as u64);
         st.mem = Some(m.clone());
         Ok(m)
     }
+}
+
+/// A hash of `m`'s shape and non-zero cells: equal for a matrix and its
+/// restored spill, whose block drops stored zeros of a sparse matrix.
+fn checksum(m: &Matrix) -> u64 {
+    let mut h = FxHasher64::default();
+    h.write_usize(m.rows());
+    h.write_usize(m.cols());
+    for (i, j, v) in m.iter_nonzeros().filter(|&(_, _, v)| v != 0.0) {
+        h.write_usize(i);
+        h.write_usize(j);
+        h.write_u64(v.to_bits());
+    }
+    h.finish()
 }
 
 impl HandleState {
@@ -124,6 +149,7 @@ impl HandleState {
             let path = dir.join(format!("spill-{}.bin", self.id));
             let m = self.mem.as_ref().unwrap();
             binary::write_file(&path, &[], m)?;
+            self.spilled_sum = checksum(m);
             sysds_obs::count(|c| &c.buf_spilled_bytes, binary::block_len(m) as u64);
             self.disk = Some(path);
         }
@@ -354,8 +380,13 @@ mod tests {
     #[test]
     fn damaged_spill_files_are_format_errors() {
         let m = gen::rand_uniform(30, 20, -1.0, 1.0, 1.0, 213);
-        // One value cut off; rows 30 made 31 by flipping bit 0 of byte 1.
-        let damages: [fn(&mut Vec<u8>); 2] = [|b| b.truncate(b.len() - 8), |b| b[1] ^= 1];
+        // One value cut off; rows 30 made 31 by flipping bit 0 of byte 1;
+        // cell 5's exponent changed by flipping bit 6 of its top byte.
+        let damages: [fn(&mut Vec<u8>); 3] = [
+            |b| b.truncate(b.len() - 8),
+            |b| b[1] ^= 1,
+            |b| b[17 + 5 * 8 + 7] ^= 0x40,
+        ];
         for damage in damages {
             let (_pool, h, path) = evicted("damaged", &m);
             let mut bytes = std::fs::read(&path).unwrap();

@@ -46,11 +46,6 @@ impl ExecCtx {
             sysds_obs::enable_trace(path)
                 .map_err(|e| SysDsError::runtime(format!("cannot open trace file: {e}")))?;
         }
-        if config.chrome_trace_file.is_some() {
-            // Buffer spans in memory; the caller exports them as Chrome
-            // trace_event JSON after the run (see `SystemDS`/CLI).
-            sysds_obs::enable_memory_trace();
-        }
         let pool = Arc::new(BufferPool::new(
             config.buffer_pool_limit,
             config.spill_dir.clone(),

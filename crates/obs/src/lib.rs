@@ -10,11 +10,11 @@
 //!   compile-time size/memory estimates against observed outputs, plus
 //!   per-trigger attribution of dynamic recompiles;
 //! * **per-site network statistics** ([`net`]) for federated transports;
-//! * the **trace sinks** ([`trace`]): a JSONL file with one record per
-//!   finished span, machine-parseable with [`trace::parse_record`], and an
-//!   in-memory buffer ([`enable_memory_trace`]) that the **Chrome-trace
-//!   exporter** ([`chrome_trace`]) turns into `trace_event` JSON for
-//!   `chrome://tracing` / Perfetto.
+//! * the **trace sinks** ([`trace`]): a file that streams one Chrome
+//!   `trace_event` per finished span into a JSON array that
+//!   `chrome://tracing` and Perfetto open, each span's line read back by
+//!   [`trace::parse_record`], and an in-memory buffer
+//!   ([`enable_memory_trace`]) of the same records.
 //!
 //! Records come from the **span API** ([`span::Span`]): RAII guards around
 //! compiler phases, instruction executions, buffer-pool transfers, parfor
@@ -27,12 +27,11 @@
 //! observer is a single relaxed atomic load ([`enabled`]) — no mutex, no
 //! allocation, no clock read. Enabling statistics ([`enable_stats`]) turns
 //! on the registry, the audit and the network table; enabling tracing
-//! ([`enable_trace`]) additionally appends every span to a JSONL file.
+//! ([`enable_trace`]) additionally writes every span to the trace file.
 
 #![deny(unsafe_code)]
 
 pub mod audit;
-pub mod chrome_trace;
 pub mod fingerprint;
 pub mod net;
 pub mod registry;
@@ -42,7 +41,6 @@ mod table;
 pub mod trace;
 
 pub use audit::{AuditRow, EstimateInfo, RecompileTrigger, RecompileTriggers};
-pub use chrome_trace::{parse_events, ChromeEvent};
 pub use fingerprint::{fingerprint64, render_fingerprint};
 pub use net::SiteStats;
 pub use registry::{
@@ -119,7 +117,8 @@ impl Obs {
         self.flags.fetch_and(!STATS_BIT, Ordering::Relaxed);
     }
 
-    /// Open `path` as the JSONL trace sink and start emitting span records.
+    /// Open `path` as the trace file and start writing span events to it;
+    /// an open trace file is closed first.
     pub fn enable_trace(&self, path: &Path) -> std::io::Result<()> {
         self.open_file(path)?;
         self.flags.fetch_or(TRACE_BIT, Ordering::Relaxed);
@@ -132,7 +131,7 @@ impl Obs {
         self.flags.fetch_or(TRACE_BIT, Ordering::Relaxed);
     }
 
-    /// Stop tracing and flush and close the file sink.
+    /// Stop tracing; close the trace file's array and flush it.
     pub fn disable_trace(&self) {
         self.flags.fetch_and(!TRACE_BIT, Ordering::Relaxed);
         self.close_file();
@@ -176,14 +175,16 @@ pub fn disable_stats() {
     OBS.disable_stats();
 }
 
-/// Open `path` as the JSONL trace sink and start emitting span records.
+/// Open `path` as the trace file and start writing one Chrome
+/// `trace_event` per finished span to it; an open trace file is closed
+/// first.
 pub fn enable_trace(path: &Path) -> std::io::Result<()> {
     OBS.enable_trace(path)
 }
 
-/// Start buffering span records in memory (for post-run export, e.g. the
-/// Chrome-trace sink). Composes with [`enable_trace`]: when both are on,
-/// every record goes to the file and the buffer.
+/// Start buffering span records in memory, for a reader in the same
+/// process. Composes with [`enable_trace`]: when both are on, every record
+/// goes to the file and the buffer.
 pub fn enable_memory_trace() {
     OBS.enable_memory_trace();
 }
@@ -195,7 +196,7 @@ pub fn take_memory_trace() -> Vec<TraceRecord> {
     OBS.take_memory_trace()
 }
 
-/// Stop tracing and flush/close the sink.
+/// Stop tracing; close the trace file's array and flush it.
 pub fn disable_trace() {
     OBS.disable_trace();
 }

@@ -4,7 +4,7 @@
 //! is enabled — the disabled cost is one relaxed atomic load and a `None`
 //! move. Active spans push their id onto a thread-local stack (so nested
 //! spans record their parent), and on drop feed the statistics registry
-//! and/or the JSONL trace sink. Work handed to another thread carries a
+//! and/or the trace sinks. Work handed to another thread carries a
 //! [`SpanContext`] along, so its spans keep their parent and worker tag.
 
 use crate::registry::Phase;

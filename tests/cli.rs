@@ -130,6 +130,20 @@ fn usage_on_bad_invocation() {
 }
 
 #[test]
+fn flag_values_missing_or_unparseable_print_usage() {
+    for args in [
+        &["run", "x.dml", "--threads"][..],
+        &["run", "x.dml", "--threads", "abc"],
+        &["fuzz", "--iters", "x"],
+    ] {
+        let out = Command::new(sysds_bin()).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn stop_statement_exit_code() {
     let p = write_script("stop", r#"stop("refusing to continue")"#);
     let out = Command::new(sysds_bin())

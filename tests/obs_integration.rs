@@ -1,8 +1,9 @@
 //! Integration tests for the observability subsystem through the `sysds`
-//! CLI: `--stats` report rendering and `--trace FILE` JSONL span export.
+//! CLI: `--stats` report rendering and `--trace FILE` span events.
 
 use std::collections::BTreeSet;
 use std::process::Command;
+use sysds_common::json::{parse, Value};
 use sysds_obs::{parse_record, TraceRecord};
 
 fn sysds_bin() -> &'static str {
@@ -57,9 +58,9 @@ fn stats_flag_prints_full_report() {
 }
 
 #[test]
-fn trace_flag_writes_parseable_jsonl_spans() {
+fn trace_flag_writes_parseable_span_events() {
     let p = write_script("trace-spans", SCRIPT);
-    let trace = temp_dir().join(format!("trace-{}.jsonl", std::process::id()));
+    let trace = temp_dir().join(format!("trace-{}.json", std::process::id()));
     let out = Command::new(sysds_bin())
         .args([
             "run",
@@ -78,11 +79,16 @@ fn trace_flag_writes_parseable_jsonl_spans() {
     );
 
     let body = std::fs::read_to_string(&trace).unwrap();
-    let records: Vec<TraceRecord> = body
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| parse_record(l).unwrap_or_else(|| panic!("unparseable trace line: {l}")))
-        .collect();
+    let Some(Value::Array(events)) = parse(&body) else {
+        panic!("trace is not one JSON array: {body}");
+    };
+    // Every complete event is a span line that reads back as its record.
+    let spans = events
+        .iter()
+        .filter(|e| e.field("ph").and_then(Value::as_str) == Some("X"))
+        .count();
+    let records: Vec<TraceRecord> = body.lines().filter_map(parse_record).collect();
+    assert_eq!(records.len(), spans);
     assert!(!records.is_empty(), "trace file must contain spans");
 
     // One span per executed instruction: this script runs rand, t, %*%,
@@ -149,7 +155,7 @@ fn trace_flag_writes_parseable_jsonl_spans() {
 #[test]
 fn trace_and_stats_compose() {
     let p = write_script("both-flags", "x = sum(matrix(2, rows=4, cols=4))\nprint(x)");
-    let trace = temp_dir().join(format!("both-{}.jsonl", std::process::id()));
+    let trace = temp_dir().join(format!("both-{}.json", std::process::id()));
     let out = Command::new(sysds_bin())
         .args([
             "run",
@@ -179,7 +185,7 @@ fn trace_to_unwritable_path_fails_cleanly() {
             "run",
             p.to_str().unwrap(),
             "--trace",
-            "/nonexistent-dir/trace.jsonl",
+            "/nonexistent-dir/trace.json",
         ])
         .output()
         .unwrap();
@@ -205,7 +211,7 @@ fn federated_spans_link_to_their_instruction() {
     let fx = inputs.pop().unwrap();
 
     // This is the only test in this binary that traces in-process.
-    let trace = temp_dir().join(format!("fed-trace-{}.jsonl", std::process::id()));
+    let trace = temp_dir().join(format!("fed-trace-{}.json", std::process::id()));
     let mut traced = session(Some(trace.clone()));
     // A parfor in the same trace: its workers' ids must not collide with
     // the sites'.

@@ -1,9 +1,11 @@
 //! Integration tests for optimizer observability through the `sysds` CLI:
 //! `--explain hops|runtime` plan dumps, the estimate-vs-actual audit with
-//! recompile-trigger attribution in `--stats`, and `--chrome-trace` export.
+//! recompile-trigger attribution in `--stats`, and the Chrome trace that
+//! `--trace` writes.
 
 use std::collections::BTreeSet;
 use std::process::Command;
+use sysds_common::json::{parse, Value};
 
 fn sysds_bin() -> &'static str {
     env!("CARGO_BIN_EXE_sysds")
@@ -141,7 +143,7 @@ print("s = " + s)
 #[test]
 fn chrome_trace_exports_valid_events_with_worker_tids() {
     let p = write_script(
-        "chrome-trace",
+        "trace-timeline",
         r#"
 X = rand(rows=30, cols=5, seed=1)
 Y = t(X) %*% X
@@ -157,7 +159,7 @@ print("s = " + s)
             p.to_str().unwrap(),
             "--threads",
             "4",
-            "--chrome-trace",
+            "--trace",
             trace.to_str().unwrap(),
         ])
         .output()
@@ -167,43 +169,55 @@ print("s = " + s)
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("chrome trace written"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 
     let body = std::fs::read_to_string(&trace).unwrap();
-    let events = sysds_obs::parse_events(&body)
-        .unwrap_or_else(|| panic!("chrome trace is not valid trace_event JSON: {body}"));
+    let Some(Value::Array(events)) = parse(&body) else {
+        panic!("trace is not valid trace_event JSON: {body}");
+    };
     assert!(!events.is_empty(), "trace must contain events");
+    let text = |e: &Value, k: &str| e.field(k).and_then(Value::as_str).map(str::to_string);
+    let num = |e: &Value, k: &str| e.field(k).and_then(Value::as_f64);
 
     // Every event carries the required trace_event fields; complete
     // events ("X") additionally carry a duration.
     for ev in &events {
+        let ph = text(ev, "ph");
         assert!(
-            matches!(ev.ph.as_str(), "X" | "i" | "M"),
+            matches!(ph.as_deref(), Some("X" | "i" | "M")),
             "unexpected phase {ev:?}"
         );
-        assert_eq!(ev.pid, sysds_obs::chrome_trace::TRACE_PID, "{ev:?}");
-        if ev.ph == "X" {
-            assert!(ev.dur.is_some(), "complete event without dur: {ev:?}");
-            assert!(ev.ts >= 0.0, "{ev:?}");
+        assert!(text(ev, "name").is_some(), "{ev:?}");
+        assert_eq!(
+            ev.field("pid").and_then(Value::as_u64),
+            Some(sysds_obs::trace::TRACE_PID),
+            "{ev:?}"
+        );
+        assert!(ev.field("tid").and_then(Value::as_u64).is_some(), "{ev:?}");
+        if ph.as_deref() == Some("X") {
+            assert!(
+                num(ev, "dur").is_some(),
+                "complete event without dur: {ev:?}"
+            );
+            assert!(num(ev, "ts").is_some_and(|ts| ts >= 0.0), "{ev:?}");
         }
     }
-    assert!(events.iter().any(|e| e.ph == "X"));
+    let spans: Vec<&Value> = events
+        .iter()
+        .filter(|e| text(e, "ph").as_deref() == Some("X"))
+        .collect();
+    assert!(!spans.is_empty());
 
     // Compiler phases and instructions appear by name.
-    let names: BTreeSet<&str> = events.iter().map(|e| e.name.as_str()).collect();
+    let names: BTreeSet<String> = spans.iter().filter_map(|e| text(e, "name")).collect();
     assert!(names.contains("parse"), "names: {names:?}");
     assert!(names.contains("tsmm"), "names: {names:?}");
 
     // Parfor workers appear as four distinct synthetic tids.
-    let base = sysds_obs::chrome_trace::WORKER_TID_BASE;
-    let worker_tids: BTreeSet<u64> = events
+    let base = sysds_obs::trace::WORKER_TID_BASE;
+    let worker_tids: BTreeSet<u64> = spans
         .iter()
-        .filter(|e| e.ph == "X" && e.tid >= base && e.tid < base + 64)
-        .map(|e| e.tid)
+        .filter_map(|e| e.field("tid").and_then(Value::as_u64))
+        .filter(|tid| (base..base + 64).contains(tid))
         .collect();
     assert_eq!(
         worker_tids,
@@ -212,12 +226,13 @@ print("s = " + s)
     );
 
     // Worker threads are labelled via thread_name metadata.
-    assert!(
-        events
-            .iter()
-            .any(|e| e.ph == "M" && e.arg_name.as_deref() == Some("worker-0")),
-        "missing worker thread_name metadata"
-    );
+    let rows: BTreeSet<String> = events
+        .iter()
+        .filter(|e| text(e, "name").as_deref() == Some("thread_name"))
+        .filter_map(|e| text(e.field("args")?, "name"))
+        .collect();
+    assert!(rows.contains("worker-0"), "rows: {rows:?}");
+    assert!(rows.contains("thread-0"), "rows: {rows:?}");
 
     let _ = std::fs::remove_file(&trace);
 }
