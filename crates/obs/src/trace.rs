@@ -452,6 +452,31 @@ mod tests {
     }
 
     #[test]
+    fn malformed_json_rejected() {
+        // An event with only a name is not a span.
+        assert!(parse_record("{\"name\":\"x\"}").is_none());
+        assert!(parse_record("[{\"name\":\"x\"}]").is_none());
+        // A trace cut off before its closing bracket is not one JSON array.
+        let obs = Obs::new();
+        let dir = sysds_common::testing::unique_temp_dir("sysds-obs-tests");
+        let path = dir.join("trace.json");
+        obs.open_file(&path).unwrap();
+        obs.write_trace(rec("execute", "script", 0, 1, None));
+        obs.close_file();
+        let body = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let cut = body.trim_end().strip_suffix(']').expect("closed array");
+        assert!(parse(cut).is_none(), "{cut}");
+    }
+
+    #[test]
+    fn op_names_are_escaped() {
+        let op = "weird\"op\\n";
+        let (_, events) = traced(&[rec("instruction", op, 0, 1, None)]);
+        assert!(events.iter().any(|e| field(e, "name") == op));
+    }
+
+    #[test]
     fn file_sink_writes_lines() {
         let records = [
             rec("execute", "script", 1, 2, None),
