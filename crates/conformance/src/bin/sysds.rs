@@ -73,7 +73,7 @@ fn usage() -> ! {
            --iters N          scripts to generate and cross-check (default\n\
                               100); each runs under the full configuration\n\
                               matrix (fusion, threads, reuse, evict,\n\
-                              norecompile vs the reference)\n\
+                              reuse_evict, norecompile vs the reference)\n\
            --corpus DIR       write minimized .dml repros of any failing\n\
                               seed into DIR\n\
            --fed-every N      every Nth script is federated-compatible and\n\

@@ -125,6 +125,19 @@ pub fn config_matrix() -> Vec<OracleConfig> {
         },
     });
     m.push(OracleConfig {
+        name: "reuse_evict",
+        config: {
+            let mut c = base_config();
+            c.fusion = true;
+            c.lineage = true;
+            c.reuse = ReusePolicy::FullAndPartial;
+            // Cached values live behind pool handles, so they spill and
+            // restore like any variable, and hits read restored data.
+            c.buffer_pool_limit = 8 << 10;
+            c
+        },
+    });
+    m.push(OracleConfig {
         name: "norecompile",
         config: {
             let mut c = base_config();
@@ -364,7 +377,16 @@ mod tests {
         let m = config_matrix();
         assert_eq!(m[0].name, "reference");
         let names: Vec<&str> = m.iter().map(|c| c.name).collect();
-        for expected in ["fusion", "threads4", "reuse", "evict", "norecompile"] {
+        let expected = [
+            "fusion",
+            "threads4",
+            "reuse",
+            "evict",
+            "reuse_evict",
+            "norecompile",
+        ];
+        assert_eq!(names.len(), expected.len() + 1);
+        for expected in expected {
             assert!(names.contains(&expected), "missing config {expected}");
         }
         assert!(!m[0].config.fusion);

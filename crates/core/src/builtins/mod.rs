@@ -8,8 +8,12 @@
 //!
 //! The registry covers the paper's running example (`steplm` → `lm` →
 //! `lmDS`/`lmCG`, Figure 2) plus lifecycle builtins for scaling,
-//! normalization, PCA, k-means, and L2-SVM. Builtins with a native kernel
-//! are rows of the [`runtime`] table instead.
+//! normalization, PCA, k-means, L2-SVM and data cleaning (§3.2): impute by
+//! mean, median or mode and apply the learned rules, and flag or winsorize
+//! outliers by standard deviation or IQR. Cleaning runs on the engine's one
+//! path, so its column statistics get CSE, fusion, lineage reuse and
+//! federated aggregates like any script. Builtins with a native kernel are
+//! rows of the [`runtime`] table instead.
 
 pub mod runtime;
 
@@ -35,6 +39,19 @@ pub const SOURCES: &[(&str, &str)] = &[
     ("cvLM", CV_LM),
     ("gridSearchLM", GRID_SEARCH_LM),
     ("logisticReg", LOGISTIC_REG),
+    // ---- data cleaning (paper §3.2) ------------------------------------
+    ("imputeByMean", IMPUTE_BY_MEAN),
+    ("imputeByMedian", IMPUTE_BY_MEDIAN),
+    ("imputeByMode", IMPUTE_BY_MODE),
+    ("imputeApply", IMPUTE_APPLY),
+    ("outlierBySd", OUTLIER_BY_SD),
+    ("outlierByIQR", OUTLIER_BY_IQR),
+    ("winsorizeBySd", WINSORIZE_BY_SD),
+    ("winsorizeByIQR", WINSORIZE_BY_IQR),
+    ("boundsBySd", BOUNDS_BY_SD),
+    ("boundsByIQR", BOUNDS_BY_IQR),
+    ("observedCounts", OBSERVED_COUNTS),
+    ("sortObserved", SORT_OBSERVED),
 ];
 
 /// DML source of a builtin, or `None` if unknown.
@@ -352,13 +369,151 @@ kmeans = function(matrix[double] X, int k = 3, int maxi = 20)
 }
 "#;
 
+// ---- data cleaning -----------------------------------------------------
+//
+// NaN is the only missing value: `X == X` masks the observed cells, and
+// ±Inf counts as observed. Statistics are per column over observed cells
+// only; rules are 1 x ncol rows, and NaN cells are never flagged or
+// clamped.
+
+/// Per-column counts of observed cells; stops when a column has fewer than
+/// `least` (1 for imputation, 2 for outlier bounds).
+const OBSERVED_COUNTS: &str = r#"
+observedCounts = function(matrix[double] X, int least) return (matrix[double] n) {
+  n = colSums(X == X)
+  if (min(n) < least) {
+    if (least == 1) {
+      stop("column " + as.scalar(rowIndexMax(n < 1)) + " has no observed values")
+    }
+    stop("outlier bounds need at least two observed values")
+  }
+}
+"#;
+
+/// The observed cells of a column, sorted ascending (NaN sorts last as
+/// +Inf and is cut off).
+const SORT_OBSERVED: &str = r#"
+sortObserved = function(matrix[double] x) return (matrix[double] s) {
+  s = order(target=replace(target=x, pattern=0/0, replacement=1/0))
+  s = s[1:sum(x == x), ]
+}
+"#;
+
+/// Fill the NaN cells of each column with that column's rule; observed
+/// cells, ±Inf included, pass through. `ifelse` takes operands of one
+/// shape, so the rules row is first broadcast to `X`'s.
+const IMPUTE_APPLY: &str = r#"
+imputeApply = function(matrix[double] X, matrix[double] rules) return (matrix[double] Y) {
+  Y = ifelse(X == X, X, matrix(0, rows=nrow(X), cols=ncol(X)) + rules)
+}
+"#;
+
+/// Mean imputation; `rules` holds the per-column means.
+const IMPUTE_BY_MEAN: &str = r#"
+imputeByMean = function(matrix[double] X) return (matrix[double] Y, matrix[double] rules) {
+  n = observedCounts(X=X, least=1)
+  rules = colSums(replace(target=X, pattern=0/0, replacement=0)) / n
+  Y = imputeApply(X=X, rules=rules)
+}
+"#;
+
+/// Median imputation (the interpolating median of `median`).
+const IMPUTE_BY_MEDIAN: &str = r#"
+imputeByMedian = function(matrix[double] X) return (matrix[double] Y, matrix[double] rules) {
+  n = observedCounts(X=X, least=1)
+  rules = matrix(0, rows=1, cols=ncol(X))
+  for (j in 1:ncol(X)) {
+    rules[1, j] = median(sortObserved(X[, j]))
+  }
+  Y = imputeApply(X=X, rules=rules)
+}
+"#;
+
+/// Mode imputation: the most frequent value, a tie going to the smaller
+/// one. Runs of equal sorted values are numbered, counted with `table`,
+/// and the first longest run wins.
+const IMPUTE_BY_MODE: &str = r#"
+imputeByMode = function(matrix[double] X) return (matrix[double] Y, matrix[double] rules) {
+  n = observedCounts(X=X, least=1)
+  rules = matrix(0, rows=1, cols=ncol(X))
+  for (j in 1:ncol(X)) {
+    s = sortObserved(X[, j])
+    k = nrow(s)
+    prev = rbind(s[1, ], s)
+    c = table(cumsum(s != prev[1:k, ]) + 1, matrix(1, rows=k, cols=1))
+    ends = cumsum(c)
+    rules[1, j] = s[as.scalar(ends[as.scalar(rowIndexMax(t(c))), 1]), 1]
+  }
+  Y = imputeApply(X=X, rules=rules)
+}
+"#;
+
+/// Per-column bounds `mean ± k * sd`, with the sample sd (n - 1).
+const BOUNDS_BY_SD: &str = r#"
+boundsBySd = function(matrix[double] X, double k) return (matrix[double] lo, matrix[double] hi) {
+  n = observedCounts(X=X, least=2)
+  mu = colSums(replace(target=X, pattern=0/0, replacement=0)) / n
+  sd = sqrt(colSums(ifelse(X == X, X - mu, 0) ^ 2) / (n - 1))
+  lo = mu - k * sd
+  hi = mu + k * sd
+}
+"#;
+
+/// Per-column bounds `[Q1 - k * IQR, Q3 + k * IQR]` (quartiles as `quantile`).
+const BOUNDS_BY_IQR: &str = r#"
+boundsByIQR = function(matrix[double] X, double k) return (matrix[double] lo, matrix[double] hi) {
+  n = observedCounts(X=X, least=2)
+  q1 = matrix(0, rows=1, cols=ncol(X))
+  q3 = q1
+  for (j in 1:ncol(X)) {
+    s = sortObserved(X[, j])
+    q1[1, j] = quantile(s, 0.25)
+    q3[1, j] = quantile(s, 0.75)
+  }
+  lo = q1 - k * (q3 - q1)
+  hi = q3 + k * (q3 - q1)
+}
+"#;
+
+/// 0/1 indicator of the cells outside `boundsBySd`.
+const OUTLIER_BY_SD: &str = r#"
+outlierBySd = function(matrix[double] X, double k) return (matrix[double] O) {
+  [lo, hi] = boundsBySd(X=X, k=k)
+  O = (X < lo) | (X > hi)
+}
+"#;
+
+/// 0/1 indicator of the cells outside `boundsByIQR`.
+const OUTLIER_BY_IQR: &str = r#"
+outlierByIQR = function(matrix[double] X, double k) return (matrix[double] O) {
+  [lo, hi] = boundsByIQR(X=X, k=k)
+  O = (X < lo) | (X > hi)
+}
+"#;
+
+/// Clamp each column into its `boundsBySd`.
+const WINSORIZE_BY_SD: &str = r#"
+winsorizeBySd = function(matrix[double] X, double k) return (matrix[double] Y) {
+  [lo, hi] = boundsBySd(X=X, k=k)
+  Y = ifelse(X == X, min(max(X, lo), hi), X)
+}
+"#;
+
+/// Clamp each column into its `boundsByIQR`.
+const WINSORIZE_BY_IQR: &str = r#"
+winsorizeByIQR = function(matrix[double] X, double k) return (matrix[double] Y) {
+  [lo, hi] = boundsByIQR(X=X, k=k)
+  Y = ifelse(X == X, min(max(X, lo), hi), X)
+}
+"#;
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_builtins_parse() {
-        assert_eq!(check_all().unwrap(), 14);
+        assert_eq!(check_all().unwrap(), 26);
     }
 
     #[test]
@@ -386,5 +541,206 @@ mod tests {
             p.functions[0].outputs,
             vec!["B".to_string(), "S".to_string()]
         );
+    }
+
+    // ---- data cleaning ---------------------------------------------------
+
+    use crate::api::{ScriptOutputs, SystemDS};
+    use crate::Data;
+    use sysds_common::{EngineConfig, SysDsError};
+    use sysds_tensor::Matrix;
+
+    const NAN: f64 = f64::NAN;
+
+    /// Run `script` with `X` bound to `x` and read back `outputs`.
+    fn run(script: &str, x: Matrix, outputs: &[&str]) -> Result<ScriptOutputs> {
+        let config = EngineConfig {
+            spill_dir: sysds_common::testing::unique_temp_dir("sysds-builtin-tests"),
+            ..EngineConfig::default()
+        };
+        let mut s = SystemDS::with_config(config)?;
+        s.execute(script, &[("X", Data::from_matrix(x))], outputs)
+    }
+
+    fn column(values: &[f64]) -> Matrix {
+        Matrix::from_vec(values.len(), 1, values.to_vec()).unwrap()
+    }
+
+    fn with_nans() -> Matrix {
+        Matrix::from_rows(&[&[1.0, 10.0], &[NAN, 20.0], &[3.0, NAN], &[5.0, 30.0]]).unwrap()
+    }
+
+    /// The message of a `stop()` error.
+    fn stop_message(r: Result<ScriptOutputs>) -> String {
+        match r {
+            Err(SysDsError::Stop(msg)) => msg,
+            other => panic!("expected a stop error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn impute_mean() {
+        let out = run("[Y, R] = imputeByMean(X)", with_nans(), &["Y", "R"]).unwrap();
+        assert_eq!(out.matrix("R").unwrap().to_vec(), vec![3.0, 20.0]);
+        let m = out.matrix("Y").unwrap();
+        assert_eq!(m.get(1, 0), 3.0);
+        assert_eq!(m.get(2, 1), 20.0);
+        assert_eq!(m.get(0, 0), 1.0);
+    }
+
+    #[test]
+    fn impute_median_and_mode() {
+        let script = "
+            [Y1, med] = imputeByMedian(X)
+            [Y2, mode] = imputeByMode(X)
+            C = replace(target=X, pattern=0/0, replacement=-1)
+        ";
+        let m = column(&[1.0, 2.0, 2.0, 9.0, NAN]);
+        let out = run(script, m, &["med", "mode", "C"]).unwrap();
+        assert_eq!(out.matrix("med").unwrap().to_vec(), vec![2.0]);
+        assert_eq!(out.matrix("mode").unwrap().to_vec(), vec![2.0]);
+        assert_eq!(out.matrix("C").unwrap().get(4, 0), -1.0);
+    }
+
+    #[test]
+    fn impute_all_missing_column_fails() {
+        let m = Matrix::from_rows(&[&[1.0, NAN], &[2.0, NAN]]).unwrap();
+        for method in ["imputeByMean", "imputeByMedian", "imputeByMode"] {
+            let r = run(&format!("[Y, R] = {method}(X)"), m.clone(), &["Y"]);
+            assert_eq!(stop_message(r), "column 2 has no observed values");
+        }
+        // but constant fill works
+        let c = "Y = replace(target=X, pattern=0/0, replacement=7)";
+        assert_eq!(
+            run(c, m, &["Y"]).unwrap().matrix("Y").unwrap().get(1, 1),
+            7.0
+        );
+    }
+
+    #[test]
+    fn apply_impute_reuses_rules() {
+        let script = "
+            [Y, R] = imputeByMean(X)
+            T = imputeApply(X=matrix(0/0, rows=1, cols=2), rules=R)
+        ";
+        let cleaned = run(script, with_nans(), &["T"])
+            .unwrap()
+            .matrix("T")
+            .unwrap();
+        assert_eq!(cleaned.to_vec(), vec![3.0, 20.0]);
+    }
+
+    #[test]
+    fn impute_apply_keeps_infinities() {
+        let m = column(&[f64::INFINITY, NAN, f64::NEG_INFINITY]);
+        let script = "Y = imputeApply(X, matrix(5, rows=1, cols=1))";
+        let y = run(script, m, &["Y"]).unwrap().matrix("Y").unwrap();
+        assert_eq!(y.to_vec(), vec![f64::INFINITY, 5.0, f64::NEG_INFINITY]);
+    }
+
+    #[test]
+    fn median_of_an_even_count_interpolates() {
+        let m = column(&[4.0, NAN, 1.0, 3.0, 2.0]);
+        let out = run("[Y, R] = imputeByMedian(X)", m, &["Y", "R"]).unwrap();
+        assert_eq!(out.matrix("R").unwrap().to_vec(), vec![2.5]);
+        assert_eq!(out.matrix("Y").unwrap().get(1, 0), 2.5);
+    }
+
+    #[test]
+    fn mode_tie_goes_to_the_smaller_value() {
+        let m = Matrix::from_rows(&[
+            &[3.0, 7.0],
+            &[1.0, NAN],
+            &[3.0, 7.0],
+            &[1.0, 8.0],
+            &[2.0, 9.0],
+        ])
+        .unwrap();
+        let out = run("[Y, R] = imputeByMode(X)", m, &["R"]).unwrap();
+        assert_eq!(out.matrix("R").unwrap().to_vec(), vec![1.0, 7.0]);
+    }
+
+    #[test]
+    fn zscore_outliers() {
+        let m = column(&[1.0, 1.1, 0.9, 1.0, 1.05, 100.0]);
+        let o = run("O = outlierBySd(X, 2.0)", m, &["O"])
+            .unwrap()
+            .matrix("O")
+            .unwrap();
+        assert_eq!(o.get(5, 0), 1.0);
+        assert_eq!(o.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn iqr_outliers() {
+        let m = column(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1000.0]);
+        let o = run("O = outlierByIQR(X, 1.5)", m, &["O"])
+            .unwrap()
+            .matrix("O")
+            .unwrap();
+        assert_eq!(o.get(7, 0), 1.0);
+        let normal: f64 = (0..7).map(|i| o.get(i, 0)).sum();
+        assert_eq!(normal, 0.0);
+    }
+
+    #[test]
+    fn winsorize_clamps() {
+        let script = "
+            W = winsorizeBySd(X, 2.0)
+            W2 = winsorizeBySd(W, 4.0)
+        ";
+        let m = column(&[1.0, 1.1, 0.9, 1.0, 1.05, 100.0]);
+        let out = run(script, m, &["W", "W2"]).unwrap();
+        let w = out.matrix("W").unwrap();
+        assert!(w.get(5, 0) < 100.0);
+        assert_eq!(w.get(0, 0), 1.0);
+        // idempotent on already-clean data
+        assert!(out.matrix("W2").unwrap().approx_eq(&w, 1e-12));
+    }
+
+    #[test]
+    fn bounds_need_two_values() {
+        let one = column(&[1.0]);
+        let r = run("O = outlierBySd(X, 2.0)", one, &["O"]);
+        assert_eq!(
+            stop_message(r),
+            "outlier bounds need at least two observed values"
+        );
+        // A second column with one observed cell fails every bounds rule.
+        for method in [
+            "outlierBySd",
+            "outlierByIQR",
+            "winsorizeBySd",
+            "winsorizeByIQR",
+        ] {
+            let m = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, NAN]]).unwrap();
+            let r = run(&format!("O = {method}(X, 2.0)"), m, &["O"]);
+            assert_eq!(
+                stop_message(r),
+                "outlier bounds need at least two observed values"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_cells_are_neither_flagged_nor_clamped() {
+        let script = "
+            O1 = outlierBySd(X, 0.1)
+            O2 = outlierByIQR(X, 0.1)
+            W1 = winsorizeBySd(X, 0.1)
+            W2 = winsorizeByIQR(X, 0.1)
+        ";
+        let m = column(&[1.0, NAN, 5.0, 9.0, -40.0, 2.0]);
+        let out = run(script, m, &["O1", "O2", "W1", "W2"]).unwrap();
+        for o in ["O1", "O2"] {
+            let o = out.matrix(o).unwrap();
+            assert_eq!(o.get(1, 0), 0.0);
+            assert_eq!(o.get(4, 0), 1.0, "-40 lies outside both bounds");
+        }
+        for w in ["W1", "W2"] {
+            let w = out.matrix(w).unwrap();
+            assert!(w.get(1, 0).is_nan());
+            assert!(w.get(4, 0) > -40.0);
+        }
     }
 }

@@ -43,6 +43,9 @@ pub struct Plan {
     /// from thrashing the plan cache while still recompiling when an
     /// intermediate drifts between sparse and dense regimes.
     pub fingerprint: Fingerprint,
+    /// The `EngineConfig::fusion` flag the plan was lowered under: the one
+    /// configuration field lowering reads.
+    pub fusion: bool,
 }
 
 /// Per live-in variable, its known dims and sparsity bucket, sorted by name.
@@ -184,16 +187,19 @@ pub fn lower(block: &BasicBlock, env: &SizeEnv, config: &EngineConfig) -> Plan {
         result_slot,
         had_unknown,
         fingerprint: env_fingerprint(block, env),
+        fusion: config.fusion,
     }
 }
 
 /// Get the cached plan for a block, recompiling when entry sizes changed
 /// (paper §2.3 (3): dynamic recompilation of basic blocks "to mitigate
-/// initial unknowns").
+/// initial unknowns"). A plan lowered under another `fusion` flag (a
+/// compiled program shared by two sessions) is lowered again; that is no
+/// recompile, so it records no trigger.
 pub fn plan_for(block: &BasicBlock, env: &SizeEnv, config: &EngineConfig) -> std::sync::Arc<Plan> {
     let mut guard = sysds_common::sync::lock(&block.plan);
     let mut trigger = None;
-    if let Some(plan) = guard.as_ref() {
+    if let Some(plan) = guard.as_ref().filter(|p| p.fusion == config.fusion) {
         if !config.dynamic_recompile {
             return plan.clone();
         }
@@ -308,6 +314,33 @@ mod tests {
         assert_eq!(sparsity_bucket(Some(0.01)), sparsity_bucket(Some(0.04)));
         assert_ne!(sparsity_bucket(Some(0.01)), sparsity_bucket(Some(0.9)));
         assert_eq!(sparsity_bucket(None), 3);
+    }
+
+    /// A block's cached plan follows the session's fusion flag: a program
+    /// compiled once and run by a fusing and a non-fusing session executes
+    /// the plan each session explains.
+    #[test]
+    fn plan_follows_the_fusion_flag() {
+        let program =
+            compile_program(&parse_program("s = sum((X - 1) ^ 2)").unwrap(), &|_| None).unwrap();
+        let crate::compiler::Block::Basic(block) = &program.blocks[0] else {
+            panic!()
+        };
+        let env = size_env(&[("X", 10, 10)]);
+        let fused = |p: &Plan| p.instrs.iter().any(|i| i.op.opcode().starts_with("fused"));
+        for dynamic_recompile in [true, false] {
+            let on = EngineConfig {
+                dynamic_recompile,
+                ..EngineConfig::default()
+            };
+            let off = EngineConfig {
+                fusion: false,
+                ..on.clone()
+            };
+            assert!(fused(&plan_for(block, &env, &on)));
+            assert!(!fused(&plan_for(block, &env, &off)));
+            assert!(fused(&plan_for(block, &env, &on)));
+        }
     }
 
     #[test]

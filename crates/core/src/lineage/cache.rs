@@ -17,8 +17,13 @@
 //! lineage DAG: a probe hits only when the stored DAG is structurally equal
 //! to the probed one, so two lineages whose hashes collide never share a
 //! value.
+//!
+//! An entry holds the result's buffer-pool handle, not the matrix: a hit
+//! hands out that same handle, so the pool counts a cached value once and
+//! may spill it like any other variable; a probe that reads it restores it.
 
 use super::item::LineageItem;
+use crate::runtime::bufferpool::MatrixHandle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
@@ -42,7 +47,7 @@ pub struct CacheStats {
 struct CacheEntry {
     /// The lineage the value was computed from; confirms hash matches.
     lineage: Arc<LineageItem>,
-    value: Arc<Matrix>,
+    value: MatrixHandle,
     bytes: usize,
     last_access: u64,
     /// Time the original computation took (cost-aware eviction keeps
@@ -68,7 +73,7 @@ struct Inner {
 
 impl Inner {
     /// The value cached under a lineage structurally equal to `lineage`.
-    fn lookup(&mut self, lineage: &LineageItem) -> Option<Arc<Matrix>> {
+    fn lookup(&mut self, lineage: &LineageItem) -> Option<MatrixHandle> {
         self.clock += 1;
         let clock = self.clock;
         let e = self.map.get_mut(&lineage.hash)?;
@@ -138,7 +143,7 @@ impl LineageCache {
     }
 
     /// Probe for a full match of `lineage`.
-    pub fn probe(&self, lineage: &Arc<LineageItem>) -> Option<Arc<Matrix>> {
+    pub fn probe(&self, lineage: &Arc<LineageItem>) -> Option<MatrixHandle> {
         if self.policy == ReusePolicy::None {
             return None;
         }
@@ -175,6 +180,7 @@ impl LineageCache {
         let Some(gram_a) = lock(&self.inner).lookup(&base_lineage) else {
             return Ok(None);
         };
+        let gram_a = gram_a.acquire()?;
         let k = gram_a.rows();
         let m = xi.cols();
         if k >= m || xi.rows() == 0 {
@@ -212,6 +218,7 @@ impl LineageCache {
         let Some(tmv_a) = lock(&self.inner).lookup(&base) else {
             return Ok(None);
         };
+        let tmv_a = tmv_a.acquire()?;
         let k = tmv_a.rows();
         let m = xi.cols();
         if k >= m || xi.rows() == 0 {
@@ -225,13 +232,14 @@ impl LineageCache {
         Ok(Some(Arc::new(full)))
     }
 
-    /// Offer a computed intermediate for caching. Admission is cost-based:
-    /// only values whose computation took at least 50µs are kept.
-    pub fn put(&self, lineage: &Arc<LineageItem>, value: Arc<Matrix>, compute_nanos: u128) {
+    /// Offer a computed intermediate's handle for caching. Admission is
+    /// cost-based: only values whose computation took at least 50µs are
+    /// kept.
+    pub fn put(&self, lineage: &Arc<LineageItem>, value: &MatrixHandle, compute_nanos: u128) {
         if self.policy == ReusePolicy::None || compute_nanos < MIN_COMPUTE_NANOS {
             return;
         }
-        let bytes = value.in_memory_size();
+        let bytes = value.bytes();
         if bytes > self.limit / 2 {
             return; // single entry would dominate the cache
         }
@@ -246,7 +254,7 @@ impl LineageCache {
             lineage.hash,
             CacheEntry {
                 lineage: lineage.clone(),
-                value,
+                value: value.clone(),
                 bytes,
                 last_access: clock,
                 compute_nanos,
@@ -270,6 +278,10 @@ mod tests {
 
     const BIG: u128 = 1_000_000; // 1ms, above the admission threshold
 
+    fn handle(m: Matrix) -> MatrixHandle {
+        MatrixHandle::unmanaged(m)
+    }
+
     fn cache() -> LineageCache {
         LineageCache::new(ReusePolicy::FullAndPartial, 1 << 20)
     }
@@ -279,10 +291,10 @@ mod tests {
         let c = cache();
         let lin = LineageItem::node("tsmm", vec![LineageItem::leaf("input:X")]);
         assert!(c.probe(&lin).is_none());
-        let m = Arc::new(gen::rand_uniform(5, 5, 0.0, 1.0, 1.0, 301));
-        c.put(&lin, m.clone(), BIG);
+        let m = handle(gen::rand_uniform(5, 5, 0.0, 1.0, 1.0, 301));
+        c.put(&lin, &m, BIG);
         let hit = c.probe(&lin).unwrap();
-        assert!(hit.approx_eq(&m, 0.0));
+        assert_eq!(hit.id(), m.id(), "a hit hands out the cached handle");
         let stats = c.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -299,7 +311,7 @@ mod tests {
         assert_eq!(tsmm_a.hash, tsmm_b.hash);
 
         let c = cache();
-        c.put(&tsmm_a, Arc::new(Matrix::filled(3, 3, 1.0)), BIG);
+        c.put(&tsmm_a, &handle(Matrix::filled(3, 3, 1.0)), BIG);
         assert!(
             c.probe(&tsmm_b).is_none(),
             "full probe hit a colliding lineage"
@@ -322,12 +334,12 @@ mod tests {
     fn loop_invariant_iterations_hit_after_first() {
         let c = LineageCache::new(ReusePolicy::Full, 1 << 20);
         let x = LineageItem::leaf("input:X");
-        let value = Arc::new(Matrix::filled(4, 4, 2.5));
+        let value = handle(Matrix::filled(4, 4, 2.5));
         for i in 0..10 {
             let lin = LineageItem::node("tsmm", vec![LineageItem::node("exp", vec![x.clone()])]);
             match c.probe(&lin) {
-                Some(v) => assert!(v.approx_eq(&value, 0.0), "iteration {i} got stale data"),
-                None => c.put(&lin, value.clone(), BIG),
+                Some(v) => assert_eq!(v.id(), value.id(), "iteration {i} got stale data"),
+                None => c.put(&lin, &value, BIG),
             }
         }
         let stats = c.stats();
@@ -352,11 +364,12 @@ mod tests {
                 c.probe(&lin(i)).is_none(),
                 "iteration {i} hit another's entry"
             );
-            c.put(&lin(i), Arc::new(Matrix::filled(2, 2, i as f64)), BIG);
+            c.put(&lin(i), &handle(Matrix::filled(2, 2, i as f64)), BIG);
         }
         assert_eq!((c.stats().hits, c.stats().misses), (0, 6));
         for i in 0..6 {
             let v = c.probe(&lin(i)).expect("second sweep must hit");
+            let v = v.acquire().unwrap();
             assert_eq!(v.get(0, 0), i as f64, "iteration {i} got another's value");
         }
         assert_eq!((c.stats().hits, c.stats().misses), (6, 6));
@@ -366,7 +379,7 @@ mod tests {
     fn disabled_policy_never_caches() {
         let c = LineageCache::new(ReusePolicy::None, 1 << 20);
         let lin = LineageItem::leaf("x");
-        c.put(&lin, Arc::new(Matrix::zeros(2, 2)), BIG);
+        c.put(&lin, &handle(Matrix::zeros(2, 2)), BIG);
         assert!(c.probe(&lin).is_none());
     }
 
@@ -374,7 +387,7 @@ mod tests {
     fn cheap_computations_not_admitted() {
         let c = cache();
         let lin = LineageItem::leaf("cheap");
-        c.put(&lin, Arc::new(Matrix::zeros(2, 2)), 10); // 10ns
+        c.put(&lin, &handle(Matrix::zeros(2, 2)), 10); // 10ns
         assert!(c.probe(&lin).is_none());
     }
 
@@ -385,7 +398,7 @@ mod tests {
             let lin = LineageItem::leaf(format!("m{k}"));
             c.put(
                 &lin,
-                Arc::new(gen::rand_uniform(20, 20, 0.0, 1.0, 1.0, k as u64)),
+                &handle(gen::rand_uniform(20, 20, 0.0, 1.0, 1.0, k as u64)),
                 BIG,
             );
         }
@@ -413,7 +426,7 @@ mod tests {
 
     #[test]
     fn one_ordering_evicts_as_the_rescan_loop_did() {
-        let value = Arc::new(Matrix::zeros(1, 1));
+        let value = handle(Matrix::zeros(1, 1));
         let mut rng = sysds_common::rng::XorShift64::new(17);
         for round in 0..200 {
             let mut inner = Inner::default();
@@ -460,7 +473,7 @@ mod tests {
         let lin_xg = LineageItem::leaf("obj:Xg");
         let lin_col = LineageItem::leaf("obj:col");
         let lin_tsmm_xg = LineageItem::node("tsmm", vec![lin_xg.clone()]);
-        c.put(&lin_tsmm_xg, Arc::new(tsmm_k::tsmm(&xg, 1, false)), BIG);
+        c.put(&lin_tsmm_xg, &handle(tsmm_k::tsmm(&xg, 1, false)), BIG);
 
         // Probe tsmm(cbind(Xg, col)).
         let lin_cbind = LineageItem::node("cbind", vec![lin_xg, lin_col]);
@@ -496,7 +509,7 @@ mod tests {
         let lin_col = LineageItem::leaf("obj:col");
         let lin_y = LineageItem::leaf("obj:y");
         let base = LineageItem::node("tmv", vec![lin_xg.clone(), lin_y.clone()]);
-        c.put(&base, Arc::new(tsmm_k::tmv(&xg, &y, 1).unwrap()), BIG);
+        c.put(&base, &handle(tsmm_k::tmv(&xg, &y, 1).unwrap()), BIG);
 
         let lin_cbind = LineageItem::node("cbind", vec![lin_xg, lin_col]);
         let probe_lin = LineageItem::node("tmv", vec![lin_cbind, lin_y]);
@@ -526,7 +539,7 @@ mod tests {
         let lin = LineageItem::leaf("big");
         c.put(
             &lin,
-            Arc::new(gen::rand_uniform(50, 50, 0.0, 1.0, 1.0, 309)),
+            &handle(gen::rand_uniform(50, 50, 0.0, 1.0, 1.0, 309)),
             BIG,
         );
         assert!(c.probe(&lin).is_none());
@@ -538,7 +551,7 @@ mod tests {
         let lin = LineageItem::leaf("x");
         c.put(
             &lin,
-            Arc::new(gen::rand_uniform(5, 5, 0.0, 1.0, 1.0, 310)),
+            &handle(gen::rand_uniform(5, 5, 0.0, 1.0, 1.0, 310)),
             BIG,
         );
         assert!(c.probe(&lin).is_some());

@@ -12,7 +12,7 @@ use crate::builtins::runtime::{Effect, Operator, Param};
 use crate::compiler::hop::HopOp;
 use crate::compiler::lower::Instr;
 use crate::lineage::{LineageCache, LineageItem};
-use crate::runtime::bufferpool::BufferPool;
+use crate::runtime::bufferpool::{BufferPool, MatrixHandle};
 use crate::runtime::value::{Data, SymbolTable};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,12 +80,16 @@ impl ExecCtx {
 
     /// Wrap a matrix result, registering large ones with the buffer pool.
     pub fn wrap_matrix(&self, m: impl Into<Arc<Matrix>>) -> Result<Data> {
+        Ok(Data::Matrix(self.handle(m)?))
+    }
+
+    fn handle(&self, m: impl Into<Arc<Matrix>>) -> Result<MatrixHandle> {
         let m = m.into();
         // Tiny results are not worth pool bookkeeping.
         if m.in_memory_size() >= 1 << 16 {
-            Ok(Data::Matrix(self.pool.register(m)?))
+            self.pool.register(m)
         } else {
-            Ok(Data::from_matrix(m))
+            Ok(MatrixHandle::unmanaged(m))
         }
     }
 }
@@ -210,9 +214,9 @@ fn execute_op(row: &Operator, param: &Param, inputs: &[&Slot], ctx: &ExecCtx) ->
         None
     };
     if let Some(lin) = lineage.as_ref().filter(|_| row.reuse) {
-        // A hit shares the cached matrix instead of copying it.
+        // A hit shares the cached handle: no copy, no second registration.
         if let Some(hit) = ctx.cache.probe(lin) {
-            let data = ctx.wrap_matrix(hit)?;
+            let data = Data::Matrix(hit);
             return Ok(Slot { data, lineage });
         }
         // Partial reuse: compensation plans over cbind (paper §3.1). The
@@ -222,8 +226,9 @@ fn execute_op(row: &Operator, param: &Param, inputs: &[&Slot], ctx: &ExecCtx) ->
             let xs = inputs.iter().map(|s| s.data.as_matrix());
             let xs = xs.collect::<Result<Vec<_>>>()?;
             if let Some(hit) = probe(&ctx.cache, lin, &xs, ctx.config.num_threads)? {
-                ctx.cache.put(lin, hit.clone(), u128::MAX / 2);
-                let data = ctx.wrap_matrix(hit)?;
+                let hit = ctx.handle(hit)?;
+                ctx.cache.put(lin, &hit, u128::MAX / 2);
+                let data = Data::Matrix(hit);
                 return Ok(Slot { data, lineage });
             }
         }
@@ -245,7 +250,7 @@ fn execute_op(row: &Operator, param: &Param, inputs: &[&Slot], ctx: &ExecCtx) ->
 
     // 3. Offer the result for caching.
     if let (Some(lin), Data::Matrix(h), true) = (&lineage, &data, row.reuse) {
-        ctx.cache.put(lin, h.acquire()?, elapsed);
+        ctx.cache.put(lin, h, elapsed);
     }
     Ok(Slot { data, lineage })
 }
@@ -410,9 +415,64 @@ mod tests {
         let hit = slots[17].as_ref().unwrap();
         let cached = c.cache.probe(hit.lineage.as_ref().unwrap()).unwrap();
         let out = hit.data.as_matrix().unwrap();
-        assert!(Arc::ptr_eq(&out, &cached), "the hit must not copy");
+        assert!(
+            Arc::ptr_eq(&out, &cached.acquire().unwrap()),
+            "the hit must not copy"
+        );
         let computed = slots[8].as_ref().unwrap().data.as_matrix().unwrap();
         assert_eq!(out.to_vec(), computed.to_vec(), "bitwise equal");
+    }
+
+    /// A hit hands out the handle the cache holds: the pool gains no
+    /// handle for it, and nothing is spilled to make room for a second
+    /// copy of a matrix the cache already keeps in memory.
+    #[test]
+    fn hits_register_no_handle_and_spill_nothing() {
+        let x = sysds_tensor::kernels::gen::rand_uniform(1000, 120, -1.0, 1.0, 1.0, 7);
+        let gram_bytes = Matrix::filled(120, 120, 1.0).in_memory_size();
+        let mut config = EngineConfig::with_reuse();
+        config.spill_dir = sysds_common::testing::unique_temp_dir("sysds-instr-tests");
+        // Room for X and its Gram matrix, not for a second Gram matrix.
+        config.buffer_pool_limit = x.in_memory_size() + gram_bytes + gram_bytes / 2;
+        let c = ExecCtx::new(config).unwrap();
+        let mut symbols = SymbolTable::new();
+        symbols.set("X", c.wrap_matrix(x).unwrap(), None);
+        let spills = || std::fs::read_dir(&c.config.spill_dir).unwrap().count();
+        let gram = || {
+            let mut slots: Vec<Option<Slot>> = vec![None; 2];
+            execute(
+                &instr(HopOp::Var("X".into()), vec![], 0),
+                &mut slots,
+                &symbols,
+                &c,
+            )
+            .unwrap();
+            execute(
+                &instr(HopOp::op(TSMM), vec![0], 1),
+                &mut slots,
+                &symbols,
+                &c,
+            )
+            .unwrap();
+            let Some(Slot {
+                data: Data::Matrix(h),
+                ..
+            }) = slots[1].take()
+            else {
+                panic!("tsmm gives a matrix")
+            };
+            h
+        };
+        let computed = gram();
+        let live = c.pool.live_handles();
+        assert_eq!((live, spills()), (2, 0));
+        for _ in 0..3 {
+            let hit = gram();
+            assert_eq!(c.pool.live_handles(), live);
+            assert_eq!(spills(), 0);
+            assert_eq!(hit.id(), computed.id(), "a hit is the cached handle");
+        }
+        assert_eq!(c.cache.stats().hits, 3);
     }
 
     #[test]

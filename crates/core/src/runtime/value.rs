@@ -74,17 +74,6 @@ impl Data {
         }
     }
 
-    /// The federated matrix, if federated.
-    pub fn as_federated(&self) -> Result<Arc<FederatedMatrix>> {
-        match self {
-            Data::Federated(f) => Ok(f.clone()),
-            other => Err(SysDsError::runtime(format!(
-                "expected federated matrix, got {}",
-                other.kind()
-            ))),
-        }
-    }
-
     /// Scalar convenience: numeric value.
     pub fn as_f64(&self) -> Result<f64> {
         self.as_scalar()?.as_f64()
@@ -156,11 +145,6 @@ impl SymbolTable {
         self.vars
             .get(name)
             .ok_or_else(|| SysDsError::runtime(format!("undefined variable '{name}'")))
-    }
-
-    /// Look up a variable if present.
-    pub fn try_get(&self, name: &str) -> Option<&Entry> {
-        self.vars.get(name)
     }
 
     /// Remove a variable.

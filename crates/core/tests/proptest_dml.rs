@@ -6,8 +6,11 @@
 //! folding, CSE, and instruction execution on arbitrary expression shapes.
 
 use sysds::api::SystemDS;
+use sysds::Data;
 use sysds_common::testing::Gen;
 use sysds_common::{property, EngineConfig};
+use sysds_tensor::kernels::gen;
+use sysds_tensor::Matrix;
 
 fn session() -> SystemDS {
     let mut config = EngineConfig::default();
@@ -196,6 +199,50 @@ property! {
         if let Ok(ast) = sysds::parser::parse_program(&src) {
             let _ = sysds::compiler::compile_program(&ast, &|_| None);
         }
+    }
+}
+
+property! {
+    #![cases(16)]
+    g;
+
+    /// `imputeByMean` fills every NaN and leaves observed cells as they were.
+    #[test]
+    fn impute_removes_all_nans_and_preserves_observed(
+        mut vals in g.vec(3..50, |g| g.float(-100.0..100.0)),
+        nan_at in g.vec(0..5, |g| g.int(0usize..50)),
+    ) {
+        for &i in &nan_at {
+            if i < vals.len() - 1 {
+                vals[i] = f64::NAN;
+            }
+        }
+        // guarantee at least one observed value
+        let last = vals.len() - 1;
+        vals[last] = 1.0;
+        let n = vals.len();
+        let m = Matrix::from_vec(n, 1, vals.clone()).unwrap();
+        let out = session()
+            .execute("[Y, R] = imputeByMean(X)", &[("X", Data::from_matrix(m))], &["Y"])
+            .unwrap();
+        let fixed = out.matrix("Y").unwrap();
+        for (i, &v) in vals.iter().enumerate() {
+            assert!(!fixed.get(i, 0).is_nan());
+            if !v.is_nan() {
+                assert_eq!(fixed.get(i, 0), v);
+            }
+        }
+    }
+
+    /// After clamping at k sigma, nothing lies beyond 1.5k sigma.
+    #[test]
+    fn winsorize_bounds_all_cells(seed in g.seed(), k in g.float(1.0f64..4.0)) {
+        let m = gen::rand_uniform(40, 3, -10.0, 10.0, 1.0, seed);
+        let script = format!("O = outlierBySd(winsorizeBySd(X, {k}), {})", k * 1.5);
+        let out = session()
+            .execute(&script, &[("X", Data::from_matrix(m))], &["O"])
+            .unwrap();
+        assert_eq!(out.matrix("O").unwrap().nnz(), 0);
     }
 }
 

@@ -1,176 +1,11 @@
-//! Data cleaning primitives (paper §3.2): imputation, outlier detection,
-//! winsorizing, and deduplication.
+//! Frame-level data cleaning (paper §3.2): duplicate and invalid rows.
 //!
-//! All functions are vectorized over matrices/frames and pure — cleaned
-//! data out, rules (means, thresholds) representable as tensors.
+//! Matrix cleaning (imputation, outlier detection, winsorizing) is DML:
+//! the `impute*`, `outlier*` and `winsorize*` builtins of `sysds::builtins`.
+//! These two stay in Rust because DML has no frame row operations.
 
 use crate::frame::{Frame, FrameColumn};
-use sysds_common::{Result, SysDsError};
-use sysds_tensor::{DenseMatrix, Matrix};
-
-/// Imputation strategy for missing (NaN) values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImputeMethod {
-    Mean,
-    Median,
-    /// Most frequent value (mode); ties broken by smaller value.
-    Mode,
-    /// A constant fill value is supplied separately.
-    Constant,
-}
-
-/// Column statistics used to impute, returned so rules can be persisted.
-pub type ImputeRules = Vec<f64>;
-
-/// Impute NaNs per column of a matrix; returns the cleaned matrix and the
-/// per-column fill values ("rules as tensors").
-pub fn impute(m: &Matrix, method: ImputeMethod, constant: f64) -> Result<(Matrix, ImputeRules)> {
-    let (rows, cols) = m.shape();
-    let mut rules = Vec::with_capacity(cols);
-    for j in 0..cols {
-        let clean: Vec<f64> = (0..rows)
-            .map(|i| m.get(i, j))
-            .filter(|v| !v.is_nan())
-            .collect();
-        let fill = match method {
-            ImputeMethod::Constant => constant,
-            _ if clean.is_empty() => {
-                return Err(SysDsError::runtime(format!(
-                    "column {j} has no observed values"
-                )))
-            }
-            ImputeMethod::Mean => clean.iter().sum::<f64>() / clean.len() as f64,
-            ImputeMethod::Median => median(clean),
-            ImputeMethod::Mode => mode(clean),
-        };
-        rules.push(fill);
-    }
-    Ok((apply_impute(m, &rules), rules))
-}
-
-/// Apply previously-learned fill values to another matrix.
-#[allow(clippy::needless_range_loop)] // rules is indexed per column j
-pub fn apply_impute(m: &Matrix, rules: &[f64]) -> Matrix {
-    let (rows, cols) = m.shape();
-    let mut out = m.to_dense();
-    for i in 0..rows {
-        for j in 0..cols {
-            if out.get(i, j).is_nan() {
-                out.set(i, j, rules[j]);
-            }
-        }
-    }
-    Matrix::Dense(out).compact()
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-fn mode(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut best = v[0];
-    let mut best_count = 0usize;
-    let mut i = 0;
-    while i < v.len() {
-        let mut j = i;
-        while j < v.len() && v[j] == v[i] {
-            j += 1;
-        }
-        if j - i > best_count {
-            best_count = j - i;
-            best = v[i];
-        }
-        i = j;
-    }
-    best
-}
-
-/// Outlier detection method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OutlierMethod {
-    /// |z-score| above the threshold.
-    ZScore(f64),
-    /// Outside `[Q1 - k*IQR, Q3 + k*IQR]`.
-    Iqr(f64),
-}
-
-/// Per-column outlier indicator matrix: 1 where the cell is an outlier.
-pub fn detect_outliers(m: &Matrix, method: OutlierMethod) -> Result<Matrix> {
-    let (rows, cols) = m.shape();
-    let mut out = DenseMatrix::zeros(rows, cols);
-    for j in 0..cols {
-        let col: Vec<f64> = (0..rows).map(|i| m.get(i, j)).collect();
-        let (lo, hi) = bounds(&col, method)?;
-        for (i, &v) in col.iter().enumerate() {
-            if !v.is_nan() && (v < lo || v > hi) {
-                out.set(i, j, 1.0);
-            }
-        }
-    }
-    Ok(Matrix::Dense(out).compact())
-}
-
-/// Winsorize: clamp each column into its outlier bounds.
-pub fn winsorize(m: &Matrix, method: OutlierMethod) -> Result<Matrix> {
-    let (rows, cols) = m.shape();
-    let mut out = m.to_dense();
-    for j in 0..cols {
-        let col: Vec<f64> = (0..rows).map(|i| m.get(i, j)).collect();
-        let (lo, hi) = bounds(&col, method)?;
-        for i in 0..rows {
-            let v = out.get(i, j);
-            if !v.is_nan() {
-                out.set(i, j, v.clamp(lo, hi));
-            }
-        }
-    }
-    Ok(Matrix::Dense(out).compact())
-}
-
-fn bounds(col: &[f64], method: OutlierMethod) -> Result<(f64, f64)> {
-    let clean: Vec<f64> = col.iter().copied().filter(|v| !v.is_nan()).collect();
-    if clean.len() < 2 {
-        return Err(SysDsError::runtime(
-            "outlier bounds need at least two observed values",
-        ));
-    }
-    Ok(match method {
-        OutlierMethod::ZScore(k) => {
-            let n = clean.len() as f64;
-            let mean = clean.iter().sum::<f64>() / n;
-            let var = clean.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-            let sd = var.sqrt();
-            (mean - k * sd, mean + k * sd)
-        }
-        OutlierMethod::Iqr(k) => {
-            let mut sorted = clean;
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let q1 = quantile(&sorted, 0.25);
-            let q3 = quantile(&sorted, 0.75);
-            let iqr = q3 - q1;
-            (q1 - k * iqr, q3 + k * iqr)
-        }
-    })
-}
-
-/// Linear-interpolation quantile over a sorted slice.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] + (pos - lo as f64) * (sorted[hi] - sorted[lo])
-    }
-}
+use sysds_common::Result;
 
 /// Drop duplicate frame rows (exact string-representation match),
 /// keeping first occurrences in order.
@@ -221,87 +56,6 @@ pub fn drop_invalid(frame: &Frame) -> Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn with_nans() -> Matrix {
-        Matrix::from_rows(&[
-            &[1.0, 10.0],
-            &[f64::NAN, 20.0],
-            &[3.0, f64::NAN],
-            &[5.0, 30.0],
-        ])
-        .unwrap()
-    }
-
-    #[test]
-    fn impute_mean() {
-        let (m, rules) = impute(&with_nans(), ImputeMethod::Mean, 0.0).unwrap();
-        assert_eq!(rules, vec![3.0, 20.0]);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.get(2, 1), 20.0);
-        assert_eq!(m.get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn impute_median_and_mode() {
-        let m = Matrix::from_vec(5, 1, vec![1.0, 2.0, 2.0, 9.0, f64::NAN]).unwrap();
-        let (_, med) = impute(&m, ImputeMethod::Median, 0.0).unwrap();
-        assert_eq!(med, vec![2.0]);
-        let (_, mode_r) = impute(&m, ImputeMethod::Mode, 0.0).unwrap();
-        assert_eq!(mode_r, vec![2.0]);
-        let (c, _) = impute(&m, ImputeMethod::Constant, -1.0).unwrap();
-        assert_eq!(c.get(4, 0), -1.0);
-    }
-
-    #[test]
-    fn impute_all_missing_column_fails() {
-        let m = Matrix::from_vec(2, 1, vec![f64::NAN, f64::NAN]).unwrap();
-        assert!(impute(&m, ImputeMethod::Mean, 0.0).is_err());
-        // but constant works
-        assert!(impute(&m, ImputeMethod::Constant, 7.0).is_ok());
-    }
-
-    #[test]
-    fn apply_impute_reuses_rules() {
-        let (_, rules) = impute(&with_nans(), ImputeMethod::Mean, 0.0).unwrap();
-        let test = Matrix::from_rows(&[&[f64::NAN, f64::NAN]]).unwrap();
-        let cleaned = apply_impute(&test, &rules);
-        assert_eq!(cleaned.get(0, 0), 3.0);
-        assert_eq!(cleaned.get(0, 1), 20.0);
-    }
-
-    #[test]
-    fn zscore_outliers() {
-        let m = Matrix::from_vec(6, 1, vec![1.0, 1.1, 0.9, 1.0, 1.05, 100.0]).unwrap();
-        let o = detect_outliers(&m, OutlierMethod::ZScore(2.0)).unwrap();
-        assert_eq!(o.get(5, 0), 1.0);
-        assert_eq!(o.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn iqr_outliers() {
-        let m = Matrix::from_vec(8, 1, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1000.0]).unwrap();
-        let o = detect_outliers(&m, OutlierMethod::Iqr(1.5)).unwrap();
-        assert_eq!(o.get(7, 0), 1.0);
-        let normal: f64 = (0..7).map(|i| o.get(i, 0)).sum();
-        assert_eq!(normal, 0.0);
-    }
-
-    #[test]
-    fn winsorize_clamps() {
-        let m = Matrix::from_vec(6, 1, vec![1.0, 1.1, 0.9, 1.0, 1.05, 100.0]).unwrap();
-        let w = winsorize(&m, OutlierMethod::ZScore(2.0)).unwrap();
-        assert!(w.get(5, 0) < 100.0);
-        assert_eq!(w.get(0, 0), 1.0);
-        // idempotent on already-clean data
-        let w2 = winsorize(&w, OutlierMethod::ZScore(4.0)).unwrap();
-        assert!(w2.approx_eq(&w, 1e-12));
-    }
-
-    #[test]
-    fn bounds_need_two_values() {
-        let m = Matrix::from_vec(1, 1, vec![1.0]).unwrap();
-        assert!(detect_outliers(&m, OutlierMethod::ZScore(2.0)).is_err());
-    }
 
     #[test]
     fn dedup_keeps_first() {

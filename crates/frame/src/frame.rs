@@ -169,20 +169,6 @@ impl Frame {
         self.column(self.column_index(name)?)
     }
 
-    /// Replace a column's data in place.
-    pub fn set_column(&mut self, j: usize, col: FrameColumn) -> Result<()> {
-        if col.len() != self.rows() {
-            return Err(SysDsError::runtime("replacement column length mismatch"));
-        }
-        if j >= self.cols() {
-            return Err(SysDsError::IndexOutOfBounds {
-                msg: format!("frame column {j}"),
-            });
-        }
-        self.columns[j] = col;
-        Ok(())
-    }
-
     /// Cell read.
     pub fn get(&self, i: usize, j: usize) -> Result<ScalarValue> {
         if i >= self.rows() {

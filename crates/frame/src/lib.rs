@@ -10,13 +10,14 @@
 //!   dummy-code, binning, pass-through) whose fitted state is exported as
 //!   plain matrices/frames, keeping the system stateless ("consuming
 //!   pre-trained models and rules as tensors themselves");
-//! * [`clean`] — imputation, outlier detection (z-score and IQR),
-//!   winsorizing, deduplication;
+//! * [`clean`] — frame row cleaning: deduplication and dropping rows with
+//!   missing values;
 //! * [`link`] — schema alignment and fuzzy entity linking across frames
 //!   (the paper's data-integration abstractions).
 //!
-//! Scaling and normalization are the DML-bodied `scale`/`normalize`
-//! builtins of the core crate, not functions here.
+//! Scaling, normalization, imputation, outlier detection and winsorizing
+//! are DML-bodied builtins of the core crate (`scale`, `normalize`,
+//! `imputeBy*`, `outlierBy*`, `winsorizeBy*`), not functions here.
 
 #![deny(unsafe_code)]
 

@@ -1,12 +1,8 @@
-#![allow(clippy::needless_range_loop)]
-
-//! Property tests over the transformation encoders and cleaning
-//! primitives: encode/decode invariants that must hold for any data.
+//! Property tests over the transformation encoders: encode/decode
+//! invariants that must hold for any data.
 
 use sysds_common::property;
-use sysds_frame::clean::{self, ImputeMethod, OutlierMethod};
 use sysds_frame::{Frame, FrameColumn, TransformEncoder, TransformSpec};
-use sysds_tensor::kernels::gen;
 
 fn string_frame(categories: Vec<String>, numbers: Vec<f64>) -> Frame {
     Frame::from_columns(vec![
@@ -84,38 +80,5 @@ property! {
         let enc2 = TransformEncoder::from_metadata(&enc.to_metadata()).unwrap();
         let (a, b) = (enc.apply(&f).unwrap(), enc2.apply(&f).unwrap());
         assert!(a.approx_eq(&b, 0.0));
-    }
-
-    #[test]
-    fn impute_removes_all_nans_and_preserves_observed(
-        mut vals in g.vec(3..50, |g| g.float(-100.0..100.0)),
-        nan_at in g.vec(0..5, |g| g.int(0usize..50)),
-    ) {
-        for &i in &nan_at {
-            if i < vals.len() - 1 {
-                vals[i] = f64::NAN;
-            }
-        }
-        // guarantee at least one observed value
-        let last = vals.len() - 1;
-        vals[last] = 1.0;
-        let n = vals.len();
-        let m = sysds_tensor::Matrix::from_vec(n, 1, vals.clone()).unwrap();
-        let (fixed, _) = clean::impute(&m, ImputeMethod::Mean, 0.0).unwrap();
-        for i in 0..n {
-            assert!(!fixed.get(i, 0).is_nan());
-            if !vals[i].is_nan() {
-                assert_eq!(fixed.get(i, 0), vals[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn winsorize_bounds_all_cells(seed in g.seed(), k in g.float(1.0f64..4.0)) {
-        let m = gen::rand_uniform(40, 3, -10.0, 10.0, 1.0, seed);
-        let w = clean::winsorize(&m, OutlierMethod::ZScore(k)).unwrap();
-        let o = clean::detect_outliers(&w, OutlierMethod::ZScore(k * 1.5)).unwrap();
-        // after clamping at k sigma, nothing lies beyond 1.5k sigma
-        assert_eq!(o.nnz(), 0);
     }
 }

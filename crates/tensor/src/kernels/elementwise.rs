@@ -101,20 +101,6 @@ impl BinaryOp {
         matches!(self, BinaryOp::Mul | BinaryOp::And)
     }
 
-    /// Whether `op(0, 0) == 0` (sparse-sparse outputs stay sparse).
-    pub fn zero_on_zero(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Add
-                | BinaryOp::Sub
-                | BinaryOp::Mul
-                | BinaryOp::And
-                | BinaryOp::Neq
-                | BinaryOp::Lt
-                | BinaryOp::Gt
-        )
-    }
-
     /// The DML opcode string (used for lineage and instruction names).
     pub fn opcode(self) -> &'static str {
         match self {

@@ -1,7 +1,7 @@
 //! The data-integration-and-cleaning half of the lifecycle (paper §3.2):
 //! raw CSV with mixed types, missing values, and outliers → schema
-//! detection → imputation/winsorizing → feature transformation → training,
-//! without leaving the system.
+//! detection → feature transformation → imputation/winsorizing → training,
+//! the last three in one DML script.
 //!
 //! ```bash
 //! cargo run --release --example data_cleaning
@@ -10,9 +10,7 @@
 use std::sync::Arc;
 use sysds::api::SystemDS;
 use sysds::Data;
-use sysds_frame::clean::{self, ImputeMethod, OutlierMethod};
 use sysds_frame::Frame;
-use sysds_frame::FrameColumn;
 use sysds_io::FormatDescriptor;
 
 fn main() -> sysds::Result<()> {
@@ -39,43 +37,34 @@ fn main() -> sysds::Result<()> {
         .detect_schema();
     println!("detected schema: {:?}", frame.schema());
 
-    // 3. Clean the numeric columns: impute missing pressure, clamp the
-    //    temperature outlier (900 °C is a sensor glitch).
-    let numeric = Frame::from_columns(vec![
+    // 3. One declarative script from the raw table to a model. The
+    //    encoder dummy-codes the site; the cleaning builtins impute the
+    //    missing pressure and clamp the temperature outlier (900 °C is a
+    //    sensor glitch). Encoder metadata and impute rules are themselves
+    //    data ("rules as tensors").
+    let raw = Frame::from_columns(vec![
+        ("site".into(), frame.column_by_name("site")?.clone()),
         ("temp".into(), frame.column_by_name("temp")?.clone()),
         ("pressure".into(), frame.column_by_name("pressure")?.clone()),
         ("target".into(), frame.column_by_name("target")?.clone()),
     ])?;
-    let m = numeric.to_matrix()?;
-    let (imputed, rules) = clean::impute(&m, ImputeMethod::Mean, 0.0)?;
-    println!("impute rules (column means): {rules:?}");
-    let outliers = clean::detect_outliers(&imputed, OutlierMethod::Iqr(1.5))?;
-    println!("outlier cells flagged: {}", outliers.nnz());
-    let clean_m = clean::winsorize(&imputed, OutlierMethod::Iqr(1.5))?;
-
-    // 4. Rebuild a frame: categorical site + cleaned numerics.
-    let mut cleaned = Frame::new();
-    cleaned.push_column("site", frame.column_by_name("site")?.clone())?;
-    for (j, name) in ["temp", "pressure", "target"].iter().enumerate() {
-        let col: Vec<f64> = (0..clean_m.rows()).map(|i| clean_m.get(i, j)).collect();
-        cleaned.push_column(*name, FrameColumn::F64(col))?;
-    }
-
-    // 5. Encode + train in one declarative script: the encoder state is
-    //    itself data ("rules as tensors"), and lmDS trains on the result.
     let mut sds = SystemDS::new();
     sds.echo_stdout(true);
     let out = sds.execute(
         r#"
         [E, Meta] = transformencode(target=F, spec="dummy=site")
         d = ncol(E)
-        X = E[, 1:(d - 1)]
-        y = E[, d]
+        [N, rules] = imputeByMean(E[, (d - 2):d])
+        print("impute rules (column means): " + toString(rules))
+        print("outlier cells flagged: " + sum(outlierByIQR(N, 1.5)))
+        N = winsorizeByIQR(N, 1.5)
+        X = cbind(E[, 1:(d - 3)], N[, 1:2])
+        y = N[, 3]
         B = lmDS(X=X, y=y, reg=0.0001)
         err = mse(yhat=lmPredict(X=X, B=B), y=y)
         print("clean-data training mse: " + err)
         "#,
-        &[("F", Data::Frame(Arc::new(cleaned)))],
+        &[("F", Data::Frame(Arc::new(raw)))],
         &["B", "err"],
     )?;
     println!("model coefficients: {:?}", out.matrix("B")?.to_vec());

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use sysds::api::SystemDS;
 use sysds::Data;
 use sysds_common::EngineConfig;
-use sysds_frame::clean::{self, ImputeMethod, OutlierMethod};
+use sysds_frame::clean;
 use sysds_frame::{Frame, FrameColumn};
 use sysds_io::FormatDescriptor;
 
@@ -79,15 +79,24 @@ fn cleaning_pipeline_impute_winsorize() {
     ])
     .unwrap();
     let m = numeric.to_matrix().unwrap();
-    // impute missing income by mean
-    let (imputed, rules) = clean::impute(&m, ImputeMethod::Mean, 0.0).unwrap();
-    assert!(!imputed.get(1, 1).is_nan());
-    assert_eq!(rules.len(), 2);
-    // the age 999 outlier is flagged and clamped
-    let outliers = clean::detect_outliers(&imputed, OutlierMethod::ZScore(2.0)).unwrap();
+    // impute missing income by mean; the age 999 outlier is flagged and
+    // clamped
+    let out = session()
+        .execute(
+            r#"
+            [imputed, rules] = imputeByMean(M)
+            outliers = outlierBySd(imputed, 2.0)
+            clamped = winsorizeBySd(imputed, 2.0)
+            "#,
+            &[("M", Data::from_matrix(m))],
+            &["imputed", "rules", "outliers", "clamped"],
+        )
+        .unwrap();
+    assert!(!out.matrix("imputed").unwrap().get(1, 1).is_nan());
+    assert_eq!(out.matrix("rules").unwrap().shape(), (1, 2));
+    let outliers = out.matrix("outliers").unwrap();
     assert_eq!(outliers.get(3, 0), 1.0, "age=999 must be an outlier");
-    let clamped = clean::winsorize(&imputed, OutlierMethod::ZScore(2.0)).unwrap();
-    assert!(clamped.get(3, 0) < 999.0);
+    assert!(out.matrix("clamped").unwrap().get(3, 0) < 999.0);
 }
 
 #[test]
