@@ -400,11 +400,10 @@ sortObserved = function(matrix[double] x) return (matrix[double] s) {
 "#;
 
 /// Fill the NaN cells of each column with that column's rule; observed
-/// cells, ±Inf included, pass through. `ifelse` takes operands of one
-/// shape, so the rules row is first broadcast to `X`'s.
+/// cells, ±Inf included, pass through; the rules row broadcasts down `X`.
 const IMPUTE_APPLY: &str = r#"
 imputeApply = function(matrix[double] X, matrix[double] rules) return (matrix[double] Y) {
-  Y = ifelse(X == X, X, matrix(0, rows=nrow(X), cols=ncol(X)) + rules)
+  Y = ifelse(X == X, X, rules)
 }
 "#;
 

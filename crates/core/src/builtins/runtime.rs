@@ -871,12 +871,24 @@ fn order_size(a: &Operands) -> SizeInfo {
     }
 }
 
-/// The shape of the first operand that is not a scalar; scalar if none.
+/// Scalar if every operand is; otherwise the broadcast shape: in each
+/// dimension a known extent other than 1, unknown when only an unknown
+/// extent may be it, else 1.
 fn ifelse_size(a: &Operands) -> SizeInfo {
-    match (0..3).map(|k| a.size(k)).find(|s| !s.scalar) {
-        Some(s) => SizeInfo::dims(s.rows, s.cols, None),
-        None => SizeInfo::scalar(),
+    let sizes = [a.size(0), a.size(1), a.size(2)];
+    let cells = || sizes.iter().filter(|s| !s.scalar);
+    if cells().next().is_none() {
+        return SizeInfo::scalar();
     }
+    let extent = |dim: fn(&SizeInfo) -> Dim| {
+        let dims = || cells().map(dim);
+        match dims().filter_map(Dim::value).filter(|&v| v != 1).max() {
+            Some(v) => Dim::Known(v),
+            None if dims().any(|d| d == Dim::Unknown) => Dim::Unknown,
+            None => Dim::Known(1),
+        }
+    };
+    SizeInfo::dims(extent(|s| s.rows), extent(|s| s.cols), None)
 }
 
 /// From the `.mtd` sidecar when the path is a literal.
@@ -950,11 +962,32 @@ fn rand(_: &Param, i: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
     Ok((ctx.wrap_matrix(m)?, lin))
 }
 
+/// `matrix(data, rows, cols)`: a number fills every cell, a string's
+/// whitespace-separated numbers fill the cells row by row, and a matrix is
+/// reshaped.
 fn reshape(_: &Param, i: &[&Slot], ctx: &ExecCtx) -> DispatchResult {
     let (rows, cols) = (i[1].data.as_i64()? as usize, i[2].data.as_i64()? as usize);
     matrix(
         ctx,
         match &i[0].data {
+            Data::Scalar(ScalarValue::Str(text)) => {
+                let values = text
+                    .split_whitespace()
+                    .map(|t| {
+                        sysds_io::number::parse_f64(t).map_err(|_| {
+                            SysDsError::runtime(format!("matrix: cannot parse '{t}' as a number"))
+                        })
+                    })
+                    .collect::<Result<Vec<f64>>>()?;
+                let cells = rows.checked_mul(cols);
+                if cells != Some(values.len()) {
+                    return Err(SysDsError::runtime(format!(
+                        "matrix: {} values given for {rows}x{cols} cells",
+                        values.len()
+                    )));
+                }
+                Matrix::from_vec(rows, cols, values)?.compact()
+            }
             Data::Scalar(s) => Matrix::filled(rows, cols, s.as_f64()?),
             d => reorg::reshape(&*d.as_matrix()?, rows, cols)?,
         },

@@ -25,7 +25,8 @@
 //! input returns [`SysDsError::Format`] instead of panicking or aborting.
 //!
 //! Byte order is decided here alone: the wire protocol writes its header
-//! and fields with the `put_*` helpers and reads them with [`Bounded`].
+//! and fields with the `put_*` helpers and reads them with [`Bounded`], and
+//! the CSV number scanner loads its 8-digit words with `le_u64`.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -167,6 +168,14 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// The first 8 bytes of `bytes` as a little-endian `u64`, or `None` when
+/// fewer are left. The CSV number scanner reads its digits 8 at a time
+/// through this.
+#[inline]
+pub(crate) fn le_u64(bytes: &[u8]) -> Option<u64> {
+    bytes.first_chunk().map(|b| u64::from_le_bytes(*b))
 }
 
 /// Append a string as a `u32` length followed by its UTF-8 bytes.

@@ -15,6 +15,20 @@
 //!    [`Matrix::compact`] needs no rescan of the output
 //!    ([`Matrix::from_dense_with_nnz`]).
 //!
+//! Pass 2 reads each field with the byte-level scanner of
+//! [`crate::number`]: blanks, a number parsed straight from the line's
+//! bytes (SWAR digits, Clinger's fast path, Eisel-Lemire), blanks, then the
+//! delimiter. A field the scanner cannot decide (a quote, a non-ASCII byte,
+//! more than 19 significant digits, `inf`/`nan`, an empty field or an NA
+//! token) goes to the field parser (`trim`, quote stripping, NA tokens,
+//! `str::parse`), as does every field of a read whose delimiter is not
+//! ASCII, whose delimiter or quote a number can contain, or whose NA tokens
+//! hold a digit. Values, error texts and the rows and columns they name are
+//! those of the field parser alone. On an 8000x250 file of uniform [0,1)
+//! values (38.5 MB, 2 vCPUs) a 2-thread read takes about 36 ms, of which
+//! the counting pass is about 8 ms (21%); it stays, since dropping it would
+//! mean growing and copying each range's rows.
+//!
 //! Peak memory is the output plus one block per thread (a line longer
 //! than a block grows that thread's buffer to the line); the file is never
 //! held whole. A file whose lines or length change between the two passes
@@ -28,6 +42,8 @@
 //! column, and the first bad row in file order is the one reported.
 
 use crate::descriptor::FormatDescriptor;
+use crate::number::{self, Scanner};
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -141,6 +157,7 @@ pub(crate) fn read_chunked(
         work.push((range, first, count, chunk));
         first += count;
     }
+    let scanner = scanner_for(desc);
     let nnz = par::map(work, |(range, first, count, chunk)| {
         let mut seen = 0usize;
         let mut nnz = 0usize;
@@ -155,7 +172,7 @@ pub(crate) fn read_chunked(
                 return Ok(());
             }
             let row = rows_out.next().expect("one output row per counted line");
-            nnz += parse_row(line, desc, g - skip, row)?;
+            nnz += parse_row(line, desc, scanner.as_ref(), g - skip, row)?;
             Ok(())
         })?;
         if seen != count {
@@ -173,22 +190,42 @@ pub(crate) fn read_chunked(
 }
 
 /// Parse one line into `row` (`row.len()` fields); returns its non-zero
-/// count. `r` is the 0-based data row, for error messages.
-fn parse_row(line: &str, desc: &FormatDescriptor, r: usize, row: &mut [f64]) -> Result<usize> {
+/// count. `r` is the 0-based data row, for error messages. Fields the
+/// scanner hands back, or all of them without one, go through
+/// [`parse_field`].
+fn parse_row(
+    line: &str,
+    desc: &FormatDescriptor,
+    scanner: Option<&Scanner>,
+    r: usize,
+    row: &mut [f64],
+) -> Result<usize> {
     let cols = row.len();
-    let mut c = 0usize;
-    let mut nnz = 0usize;
-    for field in split_fields(line, desc.delimiter) {
-        if c >= cols {
+    let bytes = line.as_bytes();
+    let (mut c, mut start, mut nnz) = (0usize, 0usize, 0usize);
+    loop {
+        if c == cols {
             return Err(SysDsError::Format(format!(
                 "row {} has more than {cols} fields",
                 r + 1
             )));
         }
-        let v = parse_field(field, desc, r, c)?;
+        let (v, end) = match scanner.and_then(|s| s.field(bytes, start)) {
+            Some(decided) => decided,
+            None => {
+                let end = line[start..]
+                    .find(desc.delimiter)
+                    .map_or(line.len(), |k| start + k);
+                (parse_field(&line[start..end], desc, r, c)?, end)
+            }
+        };
         row[c] = v;
         nnz += usize::from(v != 0.0);
         c += 1;
+        if end == line.len() {
+            break;
+        }
+        start = end + desc.delimiter.len_utf8();
     }
     if c != cols {
         return Err(SysDsError::Format(format!(
@@ -197,6 +234,20 @@ fn parse_row(line: &str, desc: &FormatDescriptor, r: usize, row: &mut [f64]) -> 
         )));
     }
     Ok(nnz)
+}
+
+/// The byte scanner for `desc`'s fields, or `None` to parse every field
+/// with [`parse_field`]: when the delimiter is not ASCII, or the delimiter
+/// or quote is a byte a number can contain, or an NA token holds a digit
+/// (the scanner would read it as a number).
+fn scanner_for(desc: &FormatDescriptor) -> Option<Scanner> {
+    let numeric = |c: char| c.is_ascii() && number::in_number(c as u8);
+    let na_digit = desc
+        .na_values
+        .iter()
+        .any(|na| na.bytes().any(|b| b.is_ascii_digit()));
+    (desc.delimiter.is_ascii() && !numeric(desc.delimiter) && !numeric(desc.quote) && !na_digit)
+        .then(|| Scanner::new(desc.delimiter as u8))
 }
 
 /// Where the bytes of a matrix read come from.
@@ -361,7 +412,10 @@ fn split_fields(line: &str, delimiter: char) -> impl Iterator<Item = &str> {
     line.split(delimiter)
 }
 
-/// Write a matrix as CSV.
+/// Write a matrix as CSV: integers below 1e15 in magnitude as integers
+/// (`-0` as `0`), other values in their shortest round-trip form. Each
+/// line is formatted into one buffer; sparse rows are zero-filled into a
+/// reused dense row.
 pub fn write_matrix(path: impl AsRef<Path>, m: &Matrix, desc: &FormatDescriptor) -> Result<()> {
     let path = path.as_ref();
     let file = fs::File::create(path).map_err(|e| SysDsError::io(path.display().to_string(), e))?;
@@ -372,20 +426,34 @@ pub fn write_matrix(path: impl AsRef<Path>, m: &Matrix, desc: &FormatDescriptor)
         writeln!(w, "{}", names.join(&desc.delimiter.to_string())).map_err(io_err)?;
     }
     let mut line = String::new();
+    let mut filled = Vec::new();
     for i in 0..m.rows() {
+        let row = match m {
+            Matrix::Dense(d) => d.row(i),
+            Matrix::Sparse(s) => {
+                filled.clear();
+                filled.resize(m.cols(), 0.0);
+                let (cols, values) = s.row(i);
+                for (&j, &v) in cols.iter().zip(values) {
+                    filled[j as usize] = v;
+                }
+                &filled
+            }
+        };
         line.clear();
-        for j in 0..m.cols() {
+        for (j, &v) in row.iter().enumerate() {
             if j > 0 {
                 line.push(desc.delimiter);
             }
-            let v = m.get(i, j);
-            if v == v.trunc() && v.abs() < 1e15 {
-                line.push_str(&format!("{}", v as i64));
+            // Writing to a `String` cannot fail.
+            let _ = if v == v.trunc() && v.abs() < 1e15 {
+                write!(line, "{}", v as i64)
             } else {
-                line.push_str(&format!("{v}"));
-            }
+                write!(line, "{v}")
+            };
         }
-        writeln!(w, "{line}").map_err(io_err)?;
+        line.push('\n');
+        w.write_all(line.as_bytes()).map_err(io_err)?;
     }
     w.flush().map_err(io_err)
 }
@@ -503,6 +571,63 @@ mod tests {
         let a = read_matrix(&p, &desc, 1).unwrap();
         let b = read_matrix(&p, &desc, 8).unwrap();
         assert!(a.approx_eq(&b, 0.0));
+    }
+
+    /// Bytes the writer produced before it formatted into one line buffer.
+    #[test]
+    fn written_bytes_are_pinned() {
+        let dense = Matrix::from_rows(&[
+            &[0.0, 1.0, -1.0, 42.0, -0.0, 999_999_999_999_999.0],
+            &[
+                1e15,
+                -1e15,
+                999_999_999_999_999.5,
+                -999_999_999_999_999.0,
+                1.234_567_890_123_456_8e17,
+                0.5,
+            ],
+            &[
+                0.1,
+                1.0 / 3.0,
+                -2.0 / 3.0,
+                0.123_456_789_012_345_67,
+                -1.234_567_890_123_456_7e-5,
+                1e-7,
+            ],
+            &[
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.797_693_134_862_315_7e20,
+                -2.5e-9,
+                7.0,
+            ],
+        ])
+        .unwrap();
+        let triples = vec![(0, 1, 2.5), (2, 0, -3.0), (2, 4, 1e20), (3, 3, 0.25)];
+        let sparse = Matrix::Sparse(sysds_tensor::SparseMatrix::from_triples(4, 5, triples));
+        let golden = [
+            (
+                &dense,
+                FormatDescriptor::csv(),
+                "0,1,-1,42,0,999999999999999\n\
+                 1000000000000000,-1000000000000000,999999999999999.5,-999999999999999,123456789012345680,0.5\n\
+                 0.1,0.3333333333333333,-0.6666666666666666,0.12345678901234566,-0.000012345678901234568,0.0000001\n\
+                 NaN,inf,-inf,179769313486231570000,-0.0000000025,7\n",
+            ),
+            (
+                &sparse,
+                FormatDescriptor::csv().with_header(true).with_delimiter(';'),
+                "C1;C2;C3;C4;C5\n0;2.5;0;0;0\n0;0;0;0;0\n-3;0;0;0;100000000000000000000\n0;0;0;0.25;0\n",
+            ),
+        ];
+        for (m, desc, want) in golden {
+            let p = tmp("golden.csv");
+            write_matrix(&p, m, &desc).unwrap();
+            assert_eq!(std::fs::read_to_string(&p).unwrap(), want);
+            std::fs::remove_file(&p).ok();
+        }
+        assert!(sparse.is_sparse());
     }
 
     #[test]
@@ -746,6 +871,90 @@ mod tests {
             assert_eq!(outcome(read_matrix(&p, &desc, 2)), expect);
             assert_eq!(outcome(parse_matrix(text.as_bytes(), &desc, 2)), expect);
             std::fs::remove_file(&p).ok();
+        }
+    }
+
+    /// A field that the number scanner decides, hands back, or must not
+    /// misread: long and short mantissas, exponents, blanks of every kind
+    /// around a number, quotes, NA tokens, `inf`/`nan`, and now and then a
+    /// bad number.
+    fn scanner_field(g: &mut sysds_common::testing::Gen) -> String {
+        const BLANKS: [&str; 8] = ["", " ", "\t", "\u{b}", "\u{c}", "\r", "\u{a0}", "\u{3000}"];
+        let number = match g.int(0..40u8) {
+            0..=7 => format!("{:e}", f64::from_bits(g.seed() % 0x7FF0_0000_0000_0000)),
+            8..=15 => format!("{}", g.float(0.0..1.0)),
+            16..=21 => format!("{}", g.int(-1_000_000i64..1_000_000)),
+            22..=29 => {
+                let n = g.int(1usize..=24);
+                let e = g.int(-330i32..=330);
+                let lead = g.pick(&["", "-", "+", "0.", "-."]);
+                format!("{lead}{}e{e}", g.string("0-9", n..=n))
+            }
+            30..=33 => g
+                .pick(&[
+                    "0", "-0", "+.5", "7.", "1E5", "00012", "1e400", "-1e-400", "5e-324",
+                ])
+                .to_string(),
+            34..=37 => g
+                .pick(&[
+                    "inf",
+                    "-Infinity",
+                    "nan",
+                    "NaN",
+                    "NA",
+                    "",
+                    "\"3\"",
+                    "\"\"-1.5\"",
+                    "-999",
+                    "n/ä",
+                ])
+                .to_string(),
+            _ => g
+                .pick(&[
+                    "1 2", "1e", "+", ".", "1.2.3", "x", "ä", "١", "1_0", "0x1", "-",
+                ])
+                .to_string(),
+        };
+        format!("{}{number}{}", g.pick(&BLANKS), g.pick(&BLANKS))
+    }
+
+    /// Lines of one field count joined by a delimiter the scanner takes or
+    /// one it cannot (`.`, `·`), with or without an NA token that holds a
+    /// digit.
+    fn scanner_csv(g: &mut sysds_common::testing::Gen) -> (String, FormatDescriptor) {
+        let delimiter = g.pick(&[',', ';', '\t', '|', '.', '·']);
+        let mut desc = FormatDescriptor::csv().with_delimiter(delimiter);
+        desc.na_values.push(NA_MULTIBYTE.into());
+        if g.bool() {
+            desc.na_values.push("-999".into());
+        }
+        let cols = g.int(1usize..5);
+        let sep = delimiter.to_string();
+        let text = (0..g.int(1usize..12))
+            .map(|_| {
+                (0..cols)
+                    .map(|_| scanner_field(g))
+                    .collect::<Vec<_>>()
+                    .join(&sep)
+                    + "\n"
+            })
+            .collect();
+        (text, desc)
+    }
+
+    sysds_common::property! {
+        #![cases(256)]
+        g;
+
+        #[test]
+        fn scanned_fields_read_as_the_field_parser_does(input in scanner_csv(g)) {
+            let (text, desc) = input;
+            let expect = outcome(oracle_parse(text.as_bytes(), &desc, 1));
+            for threads in [1, 2] {
+                let chunking = Chunking { block: 7, min_range: 1 };
+                let got = read_chunked(Source::Bytes(text.as_bytes()), &desc, threads, chunking, || {});
+                assert_eq!(outcome(got), expect, "{text:?}, threads {threads}");
+            }
         }
     }
 

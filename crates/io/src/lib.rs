@@ -15,6 +15,7 @@ pub mod descriptor;
 pub mod format;
 pub mod formats;
 pub mod mtd;
+pub mod number;
 
 pub use descriptor::FormatDescriptor;
 pub use format::Format;

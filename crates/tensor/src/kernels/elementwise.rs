@@ -372,18 +372,35 @@ fn cellwise(node: TemplateNode, inputs: &[FusedInput], threads: usize) -> Matrix
     }
 }
 
-/// `ifelse(cond, yes, no)` by cell; a 1x1 operand stands for every cell.
+/// `ifelse(cond, yes, no)` by cell. A 1x1 operand stands for every cell;
+/// the others broadcast as a binary operator's right operand does: one has
+/// the result's m x n shape, and each other is m x n, an m x 1 column or a
+/// 1 x n row.
 pub fn ifelse(cond: &Matrix, yes: &Matrix, no: &Matrix) -> Result<Matrix> {
     let operands = [cond, yes, no];
-    let cells = |x: &Matrix| x.shape() != (1, 1);
     let (m, n) = operands
-        .into_iter()
-        .find(|x| cells(x))
-        .map_or((1, 1), Matrix::shape);
-    if operands.iter().any(|x| cells(x) && x.shape() != (m, n)) {
-        return Err(SysDsError::runtime("ifelse operands must share shapes"));
+        .iter()
+        .map(|x| x.shape())
+        .filter(|&shape| shape != (1, 1))
+        .reduce(|(m, n), (r, c)| (m.max(r), n.max(c)))
+        .unwrap_or((1, 1));
+    let fits =
+        |x: &&Matrix| matches!(x.shape(), (r, c) if (r == m || r == 1) && (c == n || c == 1));
+    let whole = operands.iter().any(|x| x.shape() == (m, n));
+    if !whole || !operands.iter().all(fits) {
+        let shapes: Vec<String> = operands
+            .iter()
+            .map(|x| format!("{}x{}", x.rows(), x.cols()))
+            .collect();
+        return Err(SysDsError::runtime(format!(
+            "ifelse operands {} do not broadcast to one shape",
+            shapes.join(", ")
+        )));
     }
-    let at = |x: &Matrix, i, j| if cells(x) { x.get(i, j) } else { x.get(0, 0) };
+    let at = |x: &Matrix, i, j| {
+        let (r, c) = x.shape();
+        x.get(if r == 1 { 0 } else { i }, if c == 1 { 0 } else { j })
+    };
     let mut out = DenseMatrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
@@ -514,7 +531,52 @@ mod tests {
         let r = ifelse(&c, &y, &n).unwrap();
         assert_eq!(r.get(0, 0), 7.0);
         assert_eq!(r.get(0, 1), -7.0);
-        assert!(ifelse(&c, &Matrix::zeros(2, 2), &n).is_err());
+        assert!(ifelse(&c, &Matrix::zeros(3, 3), &n).is_err());
+    }
+
+    #[test]
+    fn ifelse_broadcasts_rows_and_columns() {
+        let x = Matrix::from_rows(&[&[1.0, 0.0, 3.0], &[0.0, 5.0, 0.0]]).unwrap();
+        let row = Matrix::from_rows(&[&[10.0, 20.0, 30.0]]).unwrap();
+        let col = Matrix::from_vec(2, 1, vec![-1.0, -2.0]).unwrap();
+        let one = Matrix::filled(1, 1, 9.0);
+        let rows = |m: &Matrix| -> Vec<Vec<f64>> {
+            (0..m.rows())
+                .map(|i| (0..m.cols()).map(|j| m.get(i, j)).collect())
+                .collect()
+        };
+        // A row vector as the `no` branch, then as the `yes` branch.
+        let got = ifelse(&x, &x, &row).unwrap();
+        assert_eq!(rows(&got), [[1.0, 20.0, 3.0], [10.0, 5.0, 30.0]]);
+        let got = ifelse(&x, &row, &one).unwrap();
+        assert_eq!(rows(&got), [[10.0, 9.0, 30.0], [9.0, 20.0, 9.0]]);
+        // A column vector as a branch and as the condition.
+        let got = ifelse(&x, &col, &x).unwrap();
+        assert_eq!(rows(&got), [[-1.0, 0.0, -1.0], [0.0, -2.0, 0.0]]);
+        let test = Matrix::from_vec(2, 1, vec![1.0, 0.0]).unwrap();
+        let got = ifelse(&test, &x, &row).unwrap();
+        assert_eq!(rows(&got), [[1.0, 0.0, 3.0], [10.0, 20.0, 30.0]]);
+        // A row vector as the condition against a sparse branch.
+        let test = Matrix::from_rows(&[&[0.0, 1.0, 0.0]]).unwrap();
+        let sparse = Matrix::Sparse(crate::SparseMatrix::from_triples(2, 3, vec![(1, 1, 4.0)]));
+        let got = ifelse(&test, &sparse, &col).unwrap();
+        assert_eq!(rows(&got), [[-1.0, 0.0, -1.0], [-2.0, 4.0, -2.0]]);
+    }
+
+    #[test]
+    fn ifelse_rejects_shapes_that_do_not_broadcast() {
+        let x = Matrix::zeros(2, 3);
+        let err = ifelse(&x, &x, &Matrix::zeros(3, 1))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("ifelse operands 2x3, 2x3, 3x1"), "{err}");
+        // A row and a column alone make no whole operand.
+        let row = Matrix::zeros(1, 3);
+        assert!(ifelse(&Matrix::zeros(2, 1), &row, &row).is_err());
+        // An empty operand keeps its shape.
+        let empty = Matrix::zeros(4, 0);
+        let got = ifelse(&empty, &empty, &Matrix::filled(1, 1, 2.0)).unwrap();
+        assert_eq!(got.shape(), (4, 0));
     }
 
     #[test]

@@ -492,6 +492,66 @@ fn ifelse_broadcasts_scalar_branches_over_a_matrix_test() {
 }
 
 #[test]
+fn ifelse_broadcasts_row_and_column_vectors() {
+    let mut s = session();
+    let out = s
+        .execute(
+            r#"
+            X = matrix("1 NaN 3 NaN 5 6", rows=2, cols=3)
+            R = ifelse(X == X, X, matrix("10 20 30", rows=1, cols=3))
+            C = ifelse(X == X, X, matrix("-1 -2", rows=2, cols=1))
+            n = nrow(R) * 10 + ncol(C)
+            "#,
+            &[],
+            &["R", "C", "n"],
+        )
+        .unwrap();
+    assert_eq!(
+        out.matrix("R").unwrap().to_vec(),
+        [1.0, 20.0, 3.0, 10.0, 5.0, 6.0]
+    );
+    assert_eq!(
+        out.matrix("C").unwrap().to_vec(),
+        [1.0, -1.0, 3.0, -2.0, 5.0, 6.0]
+    );
+    assert_eq!(out.f64("n").unwrap(), 23.0);
+}
+
+#[test]
+fn matrix_from_a_string_fills_rows() {
+    let mut s = session();
+    let out = s
+        .execute(
+            r#"
+            A = matrix("1 2 3\t4\n-0.5e1 +.25", rows=3, cols=2)
+            total = sum(A)
+            "#,
+            &[],
+            &["A", "total"],
+        )
+        .unwrap();
+    let a = out.matrix("A").unwrap();
+    assert_eq!(a.shape(), (3, 2));
+    assert_eq!(a.to_vec(), [1.0, 2.0, 3.0, 4.0, -5.0, 0.25]);
+    assert_eq!(out.f64("total").unwrap(), 5.25);
+}
+
+#[test]
+fn matrix_from_a_string_rejects_bad_tokens_and_counts() {
+    let run = |script: &str| {
+        session()
+            .execute(script, &[], &["A"])
+            .map(|_| ())
+            .unwrap_err()
+            .to_string()
+    };
+    let err = run(r#"A = matrix("1 2 x3", rows=1, cols=3)"#);
+    assert!(err.contains("cannot parse 'x3' as a number"), "{err}");
+    let err = run(r#"A = matrix("1 2 3", rows=2, cols=2)"#);
+    assert!(err.contains("3 values given for 2x2 cells"), "{err}");
+}
+
+#[test]
 fn cv_and_grid_search_builtins() {
     let mut s = session();
     let (x, y) = gen::synthetic_regression(200, 5, 1.0, 0.1, 613);
